@@ -78,10 +78,9 @@ class QuantumSet:
     """A finite quantum set with precomputed Frobenius structure tensors.
 
     ``blocks`` is set when the orthonormal basis consists of scaled matrix
-    units (then ``basis_index`` maps slots to (block, row, col) triples);
-    it is None for deformed group algebras, whose basis is indexed by group
-    elements instead.  All operations that need no block data work on
-    either kind.
+    units, block-ordered and row-major; it is None for deformed group
+    algebras, whose basis is indexed by group elements instead.  All
+    operations that need no block data work on either kind.
     """
 
     blocks: Optional[tuple[int, ...]]
@@ -93,7 +92,6 @@ class QuantumSet:
     unit_vec: np.ndarray  # complex128[N]
     star_mat: np.ndarray  # complex128[N, N]; row i holds coefficients of e_i^*
     tol: float = DEFAULT_TOL
-    basis_index: Optional[tuple[tuple[int, int, int], ...]] = None
     group: Optional["AbelianGroup"] = None
     bicharacter: Optional["Bicharacter"] = None
     _dense_mult: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
@@ -121,13 +119,6 @@ class QuantumSet:
             m[self.mult_out, self.mult_left, self.mult_right] = self.mult_val
             self._dense_mult = _readonly(m)
         return self._dense_mult
-
-    def slot_of_unit(self, block: int, row: int, col: int) -> int:
-        """Basis slot of the matrix unit e^{(block)}_{row, col}."""
-        if self.basis_index is None:
-            raise InvalidInput("this quantum set has no matrix-unit basis")
-        before = sum(n * n for n in self.blocks[:block])
-        return before + row * self.blocks[block] + col
 
     def same_set(self, other: "QuantumSet") -> bool:
         if self.N != other.N or self.blocks != other.blocks:
@@ -280,11 +271,6 @@ def build_quantum_set(blocks: Sequence[int], tol: float = DEFAULT_TOL) -> Quantu
         raise InvalidInput("tolerance must be positive")
 
     n_total = sum(n * n for n in blocks)
-    basis_index: list[tuple[int, int, int]] = []
-    for i, n in enumerate(blocks):
-        for a in range(n):
-            for b in range(n):
-                basis_index.append((i, a, b))
 
     out: list[int] = []
     lft: list[int] = []
@@ -326,7 +312,6 @@ def build_quantum_set(blocks: Sequence[int], tol: float = DEFAULT_TOL) -> Quantu
         unit_vec=unit,
         star_mat=star,
         tol=tol,
-        basis_index=tuple(basis_index),
     )
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .catalog import (
     m2_graph,
     m2_partial_family,
 )
-from .clifford import cube_like_graph
+from .clifford import clifford_bicharacter, cube_like_graph
 from .constructions import check_isomorphism, induced_subgraph, quotient_graph
 from .errors import InvalidInput, ResourceLimit
 from .graphs import (
@@ -101,11 +101,12 @@ def _parse_elements(text: str, rank: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _emit(args: argparse.Namespace, doc: dict, table_lines: list[str]) -> None:
+def _emit(args: argparse.Namespace, doc: dict, table: Callable[[], list[str]]) -> None:
+    """Print ``doc`` as JSON with --json, else the table, built only then."""
     if args.json:
         print(docs.dumps(doc))
     else:
-        for line in table_lines:
+        for line in table():
             print(line)
 
 
@@ -164,7 +165,7 @@ def _cmd_set_check(args: argparse.Namespace) -> int:
 
     doc = docs.report_to_document(report, metadata={"command": "set-check"})
     doc["summary"]["all_pass"] = report.all_pass
-    _emit(args, doc, _report_table(doc))
+    _emit(args, doc, lambda: _report_table(doc))
     return 0 if report.all_pass else 1
 
 
@@ -173,7 +174,7 @@ def _cmd_graph_check(args: argparse.Namespace) -> int:
     g = docs.graph_from_document(_load(args.file), tol=tol)
     rep = graph_report(g, tol=tol)
     doc = docs.report_to_document(rep, metadata={"command": "graph-check"})
-    _emit(args, doc, _report_table(doc))
+    _emit(args, doc, lambda: _report_table(doc))
     return 0 if rep.is_graph else 1
 
 
@@ -191,7 +192,7 @@ def _cmd_rotate(args: argparse.Namespace) -> int:
                            for (i, j), mat in sorted(proj.blocks.items())],
             "metadata": {"command": "rotate", "form": "projection"},
         }
-        _emit(args, out, [f"projection blocks: {len(proj.blocks)}"])
+        _emit(args, out, lambda: [f"projection blocks: {len(proj.blocks)}"])
         return 0
     if "projection" in doc:
         x = docs.set_from_spec(doc.get("set"), tol=tol)
@@ -199,7 +200,7 @@ def _cmd_rotate(args: argparse.Namespace) -> int:
                   for i, j, mat in doc["projection"]}
         g = projection_to_adjacency(EdgeProjection(set=x, blocks=blocks))
         out = docs.graph_to_document(g, metadata={"command": "rotate", "form": "adjacency"})
-        _emit(args, out, _graph_table(g, out))
+        _emit(args, out, lambda: _graph_table(g, out))
         return 0
     raise InvalidInput("rotate: document has neither 'adjacency' nor 'projection'")
 
@@ -214,7 +215,7 @@ def _cmd_cayley(args: argparse.Namespace) -> int:
     if args.spectrum:
         lam = cayley_spectrum(group, gens)
         doc["spectrum"] = [docs.complex_to_json(z) for z in lam]
-    _emit(args, doc, _graph_table(g, doc))
+    _emit(args, doc, lambda: _graph_table(g, doc))
     return 0
 
 
@@ -237,11 +238,7 @@ def _bicharacter_for(args: argparse.Namespace, group: AbelianGroup):
     if name == "trivial":
         return trivial_bicharacter(group)
     if name == "clifford":
-        vals = np.ones((group.rank, group.rank))
-        for i in range(group.rank):
-            for j in range(i):
-                vals[i, j] = -1.0
-        return make_bicharacter(group, vals)
+        return make_bicharacter(group, clifford_bicharacter(group.rank).gen_values)
     if name == "weyl":
         if group.rank != 2 or group.orders[0] != group.orders[1]:
             raise InvalidInput("the weyl preset needs a group Z_n x Z_n")
@@ -274,7 +271,7 @@ def _cmd_twist(args: argparse.Namespace) -> int:
     meta = {"command": "twist", "orders": args.orders, "gens": args.gens,
             "bichar": args.bichar}
     doc = docs.graph_to_document(g, metadata=meta)
-    _emit(args, doc, _graph_table(g, doc))
+    _emit(args, doc, lambda: _graph_table(g, doc))
     return 0
 
 
@@ -312,7 +309,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     else:
         raise InvalidInput(f"unknown catalog preset {preset!r}")
     doc = docs.graph_to_document(g, metadata={"command": "catalog", "preset": preset})
-    _emit(args, doc, _graph_table(g, doc))
+    _emit(args, doc, lambda: _graph_table(g, doc))
     return 0
 
 
@@ -322,7 +319,7 @@ def _cmd_quotient(args: argparse.Namespace) -> int:
     op = docs.operator_from_document(_load(args.map), tol=tol)
     out = quotient_graph(g, op, tol=tol)
     doc = docs.graph_to_document(out, metadata={"command": "quotient"})
-    _emit(args, doc, _graph_table(out, doc))
+    _emit(args, doc, lambda: _graph_table(out, doc))
     return 0
 
 
@@ -333,7 +330,7 @@ def _cmd_subgraph(args: argparse.Namespace) -> int:
     out = induced_subgraph(g, keep, tol=tol)
     doc = docs.graph_to_document(out, metadata={"command": "subgraph",
                                                 "keep": args.keep})
-    _emit(args, doc, _graph_table(out, doc))
+    _emit(args, doc, lambda: _graph_table(out, doc))
     return 0
 
 
@@ -348,7 +345,7 @@ def _cmd_obstruct(args: argparse.Namespace) -> int:
     else:
         table = [f"inconclusive (closure dim {res.closure_dim}, "
                  f"max residual {res.max_residual:.3e})"]
-    _emit(args, doc, table)
+    _emit(args, doc, lambda: table)
     return 0
 
 
@@ -364,7 +361,7 @@ def _cmd_iso_check(args: argparse.Namespace) -> int:
         "summary": {"isomorphism": bool(ok)},
         "metadata": {"command": "iso-check"},
     }
-    _emit(args, doc, [f"isomorphism: {ok}"])
+    _emit(args, doc, lambda: [f"isomorphism: {ok}"])
     return 0 if ok else 1
 
 

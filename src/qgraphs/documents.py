@@ -85,15 +85,6 @@ def set_from_spec(spec: Any, tol: float = 1e-9) -> QuantumSet:
     raise DocumentError("set spec needs either 'blocks' or 'group' + 'bicharacter'")
 
 
-def set_to_document(x: QuantumSet, metadata: Optional[dict] = None) -> dict:
-    return {
-        "kind": "quantum-set",
-        "schema_version": SCHEMA_VERSION,
-        "set": set_to_spec(x),
-        "metadata": dict(metadata or {}),
-    }
-
-
 # ---------------------------------------------------------------------------
 # graphs, operators, reports, certificates
 # ---------------------------------------------------------------------------

@@ -13,13 +13,19 @@ a derived view obtained by "rotation":
   which is an orthogonal projection exactly when A is Schur-idempotent and
   Schur-self-adjoint.
 
-The Schur product is ``A . B = m (A (x) B) m^dag`` with unit J = eta eta^dag;
-operators diagonal in a group-indexed basis use an O(N^2) convolution fast
-path instead of the generic O(N^4) contraction.
+The realignment is a *-isomorphism from the Schur algebra onto
+C(X) (x) C(X)^op, so on matrix-unit sets ``realign(A . B)`` is the blockwise
+matrix product ``realign(A) realign(B)``.  One cached gather layout
+(:func:`_realignment`) serves the Schur product, the rotation and the edge
+spectrum of those sets.  Group-indexed (twisted) sets have no block pairs:
+there the Schur product of diagonal operators is a convolution over the
+group, and any other pair of operators goes through the dense contraction
+``m (A (x) B) m^dag``, which is capped at N <= DENSE_LIMIT.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -152,21 +158,62 @@ def _group_convolve(x: QuantumSet, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (re + 1j * im) / x.N
 
 
+@functools.lru_cache(maxsize=32)
+def _realignment(blocks: tuple[int, ...]) -> tuple[tuple[tuple, np.ndarray, float], ...]:
+    """Gather layout of the realignment, one entry per block-size class.
+
+    For the ordered block pairs (i, j) with (n_i, n_j) = (p, q) the entry is
+    ``(pairs, idx, sqrt(pq))``: ``idx`` has shape (len(pairs), pq, pq) and
+    ``A.ravel()[idx][k]`` is the realigned block of ``pairs[k]`` times
+    sqrt(pq).  Together the classes index every entry of A exactly once.
+    """
+    n_total = sum(n * n for n in blocks)
+    offsets = np.cumsum([0] + [n * n for n in blocks[:-1]])
+    by_size: dict[int, list[int]] = {}
+    for i, n in enumerate(blocks):
+        by_size.setdefault(n, []).append(i)
+    classes = []
+    for p, rows in by_size.items():
+        for q, cols in by_size.items():
+            a, c, b, d = np.ix_(range(p), range(q), range(p), range(q))
+            local = ((a * p + b) * n_total + c * q + d).reshape(p * q, p * q)
+            base = np.add.outer(offsets[rows] * n_total, offsets[cols]).ravel()
+            idx = base[:, None, None] + local
+            idx.setflags(write=False)
+            pairs = tuple((i, j) for i in rows for j in cols)
+            classes.append((pairs, idx, math.sqrt(p * q)))
+    return tuple(classes)
+
+
+def _realigned_product(blocks: tuple[int, ...], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Schur product on a matrix-unit set: one matrix product per block pair."""
+    fa, fb = a.ravel(), b.ravel()
+    out = np.empty(fa.size, dtype=complex)
+    for _, idx, root in _realignment(blocks):
+        if root == 1.0:  # 1 x 1 blocks: the exact entrywise (Hadamard) product
+            out[idx] = fa[idx] * fb[idx]
+        else:
+            out[idx] = (fa[idx] @ fb[idx]) / root
+    return out.reshape(a.shape)
+
+
 def schur_product(x: QuantumSet, a, b) -> np.ndarray:
     """Schur product m (A (x) B) m^dag of two operators on l2(X).
 
     Accepts plain matrices or Operator objects (whose sets must match x).
-    On classical sets this is exactly the Hadamard (entrywise) product;
-    diagonal operators on group-indexed sets reduce to a convolution.  Both
-    fast paths are exact and are cross-checked against the generic
-    contraction in the test suite.
+    On matrix-unit sets the product is computed in the edge-projection
+    picture, one matrix product per ordered block pair (the entrywise
+    product on classical sets).  On group-indexed sets diagonal operators
+    reduce to a convolution; other operators there use the dense
+    contraction, refused above N = DENSE_LIMIT.  Both fast paths are
+    cross-checked against the dense contraction in the test suite.
     """
     a = _unwrap_endomorphism(x, a)
     b = _unwrap_endomorphism(x, b)
     if a.shape != (x.N, x.N) or b.shape != (x.N, x.N):
         raise InvalidInput("schur_product: operands must be N x N on the same set")
-    if x.blocks is not None and all(n == 1 for n in x.blocks):
-        return a * b
+    if x.blocks is not None:
+        return _realigned_product(x.blocks, a, b)
     if x.group is not None and _is_exactly_diagonal(a) and _is_exactly_diagonal(b):
         return np.diag(_group_convolve(x, np.diag(a), np.diag(b)))
     if x.N > DENSE_LIMIT:
@@ -223,15 +270,6 @@ def rotate_from_edge(x: QuantumSet, a_tilde: np.ndarray) -> np.ndarray:
     return np.asarray(a_tilde, dtype=complex) @ np.conj(x.star_mat)
 
 
-def _block_slices(x: QuantumSet) -> list[slice]:
-    out = []
-    offset = 0
-    for n in x.blocks:
-        out.append(slice(offset, offset + n * n))
-        offset += n * n
-    return out
-
-
 def adjacency_to_projection(g: QuantumGraph) -> EdgeProjection:
     """Realign the adjacency into per-block-pair matrices.
 
@@ -241,55 +279,56 @@ def adjacency_to_projection(g: QuantumGraph) -> EdgeProjection:
     x = g.set
     if x.blocks is None:
         raise InvalidInput("edge-projection materialisation needs a matrix-unit basis")
-    slices = _block_slices(x)
+    flat = g.adjacency.ravel()
     blocks: dict[tuple[int, int], np.ndarray] = {}
-    for i, ni in enumerate(x.blocks):
-        for j, nj in enumerate(x.blocks):
-            sub = g.adjacency[slices[i], slices[j]]
-            four = sub.reshape(ni, ni, nj, nj)  # indices (a, b, c, d)
-            mat = four.transpose(0, 2, 1, 3).reshape(ni * nj, ni * nj)
-            blocks[(i, j)] = mat / math.sqrt(ni * nj)
-    return EdgeProjection(set=x, blocks=blocks)
+    for pairs, idx, root in _realignment(x.blocks):
+        stack = flat[idx] / root
+        blocks.update(zip(pairs, stack))
+    return EdgeProjection(set=x, blocks=dict(sorted(blocks.items())))
 
 
 def projection_to_adjacency(p: EdgeProjection) -> QuantumGraph:
     x = p.set
     if x.blocks is None:
         raise InvalidInput("projection_to_adjacency needs a matrix-unit basis")
-    a = np.zeros((x.N, x.N), dtype=complex)
-    slices = _block_slices(x)
-    for i, ni in enumerate(x.blocks):
-        for j, nj in enumerate(x.blocks):
-            mat = np.asarray(p.blocks[(i, j)], dtype=complex)
-            if mat.shape != (ni * nj, ni * nj):
+    flat = np.empty(x.N * x.N, dtype=complex)
+    for pairs, idx, root in _realignment(x.blocks):
+        mats = [np.asarray(p.blocks[key], dtype=complex) for key in pairs]
+        for (i, j), mat in zip(pairs, mats):
+            if mat.shape != idx.shape[1:]:
                 raise InvalidInput(
                     f"projection block ({i},{j}) has shape {mat.shape}, expected "
-                    f"({ni * nj}, {ni * nj})"
+                    f"{idx.shape[1:]}"
                 )
-            four = mat.reshape(ni, nj, ni, nj).transpose(0, 2, 1, 3)
-            a[slices[i], slices[j]] = four.reshape(ni * ni, nj * nj) * math.sqrt(ni * nj)
-    return QuantumGraph(set=x, adjacency=a)
+        flat[idx] = np.stack(mats) * root
+    return QuantumGraph(set=x, adjacency=flat.reshape(x.N, x.N))
 
 
 def edge_spectrum(g: QuantumGraph, tol: Optional[float] = None) -> Optional[np.ndarray]:
     """Spectrum of the edge element, when cheaply computable.
 
-    Matrix-unit sets: eigenvalues of the realigned blocks.  Group-indexed
-    sets with diagonal adjacency: inverse Fourier transform of the diagonal
-    (the Schur calculus restricted to diagonals is the convolution algebra,
-    so these are exactly the spectral values).  Returns None otherwise.
+    Matrix-unit sets: eigenvalues of the realigned blocks, or None if some
+    block is not Hermitian within tol.  Group-indexed sets with diagonal
+    adjacency: inverse Fourier transform of the diagonal (the Schur
+    calculus restricted to diagonals is the convolution algebra, so these
+    are exactly the spectral values).  Returns None otherwise.  Raises
+    InvalidInput on non-finite entries.
     """
     x = g.set
     tol = x.tol if tol is None else tol
+    if not np.isfinite(g.adjacency).all():
+        raise InvalidInput("adjacency has non-finite entries")
     if x.blocks is not None:
-        proj = adjacency_to_projection(g)
+        flat = g.adjacency.ravel()
         lams = []
-        for mat in proj.blocks.values():
-            herm = 0.5 * (mat + mat.conj().T)
-            if max_abs(herm - mat) > tol * scale_of(mat):
+        for _, idx, root in _realignment(x.blocks):
+            stack = flat[idx] / root
+            herm = 0.5 * (stack + np.conj(stack.swapaxes(1, 2)))
+            dev = np.abs(herm - stack).max(axis=(1, 2))
+            scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+            if np.any(dev > tol * scale):
                 return None
-            lam, _ = hermitian_eigs(herm, tol=tol)
-            lams.append(lam)
+            lams.append(np.linalg.eigvalsh(herm).ravel())
         return np.sort(np.concatenate(lams))
     if x.group is not None and _is_exactly_diagonal(g.adjacency):
         fourier = x.group.fourier_matrix()
@@ -327,20 +366,6 @@ def is_quantum_graph(g: QuantumGraph, tol: Optional[float] = None) -> bool:
         max_abs(schur_product(x, a, a) - a) <= tol * scale
         and max_abs(schur_star(x, a) - a) <= tol * scale
     )
-
-
-def _count_quantum_edges(g: QuantumGraph, tol: float) -> Optional[int]:
-    if g.set.blocks is None:
-        return None
-    proj = adjacency_to_projection(g)
-    total = 0
-    for mat in proj.blocks.values():
-        herm = 0.5 * (mat + mat.conj().T)
-        if max_abs(herm - mat) > tol * scale_of(mat):
-            return None
-        lam, _ = hermitian_eigs(herm, tol=tol)
-        total += int(np.sum(lam > 0.5))
-    return total
 
 
 def graph_report(g: QuantumGraph, tol: Optional[float] = None) -> GraphReport:
@@ -381,9 +406,12 @@ def graph_report(g: QuantumGraph, tol: Optional[float] = None) -> GraphReport:
         regular = None
 
     spec = edge_spectrum(g, tol=tol)
+    quantum_edges: Optional[int] = None
     if spec is None:
         multigraph: Optional[bool] = None
     else:
+        if x.blocks is not None:
+            quantum_edges = int(np.sum(spec > 0.5))
         multigraph = bool(np.all(np.abs(spec - np.round(spec)) <= tol * max(scale, 1.0))
                           and np.all(spec >= -tol * max(scale, 1.0)))
 
@@ -395,7 +423,7 @@ def graph_report(g: QuantumGraph, tol: Optional[float] = None) -> GraphReport:
         is_multigraph=multigraph,
         vertices=vertices,
         edges=edges,
-        quantum_edges=_count_quantum_edges(g, tol),
+        quantum_edges=quantum_edges,
         regular_degree=regular,
     )
 

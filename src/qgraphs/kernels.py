@@ -1,10 +1,9 @@
-"""Small dense complex linear-algebra kernels.
+"""Small dense complex linear-algebra kernels on top of numpy.
 
-Everything here is self-contained on top of numpy array arithmetic.  In
-particular the Hermitian eigensolver is a cyclic Jacobi iteration with a
-fixed sweep order, so repeated runs on the same input give bit-identical
-results on any platform.  That determinism is relied on by the rank
-counting and positivity tests elsewhere in the package.
+The Hermitian eigensolver wraps LAPACK (``numpy.linalg.eigh``) with input
+validation and a fixed eigenvector phase.  Its callers only threshold the
+eigenvalues (ranks at 0.5, positivity at -tol * scale), so none of them
+depends on the last bits of the decomposition.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ __all__ = [
     "max_abs",
     "scale_of",
     "hermitian_eigs",
-    "eig_rank",
     "gram_schmidt",
     "span_residual",
 ]
@@ -57,101 +55,32 @@ def scale_of(*arrays: np.ndarray) -> float:
     return s
 
 
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """One complex Jacobi rotation zeroing a[p, q] (and a[q, p]) in place.
-
-    Absorb the pivot phase (u = a_pq/|a_pq|) into a real symmetric 2x2
-    problem and apply the classical Givens choice; the combined unitary is
-    G = [[c, s], [-s conj(u), c conj(u)]] on the (p, q) plane, applied as
-    A <- G^dag A G and V <- V G.
-    """
-    apq = a[p, q]
-    r = abs(apq)
-    u = apq / r
-    app = a[p, p].real
-    aqq = a[q, q].real
-    tau = (aqq - app) / (2.0 * r)
-    if tau >= 0.0:
-        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-    w = np.conj(u)
-
-    rowp = a[p, :].copy()
-    rowq = a[q, :].copy()
-    a[p, :] = c * rowp - s * u * rowq
-    a[q, :] = s * rowp + c * u * rowq
-    colp = a[:, p].copy()
-    colq = a[:, q].copy()
-    a[:, p] = c * colp - s * w * colq
-    a[:, q] = s * colp + c * w * colq
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = app - t * r
-    a[q, q] = aqq + t * r
-
-    vp = v[:, p].copy()
-    vq = v[:, q].copy()
-    v[:, p] = c * vp - s * w * vq
-    v[:, q] = s * vp + c * w * vq
-
-
-def hermitian_eigs(
-    h: np.ndarray, tol: float = 1e-9, max_sweeps: int = 60
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi sweeps.
+def hermitian_eigs(h: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues ascending, eigenvectors as orthonormal columns)
     with ``h ~= V diag(lam) V^dag``.  Eigenvector phases are normalised so
-    the largest-magnitude component of each column is real positive, which
-    makes the output deterministic for a fixed input.
+    the largest-magnitude component of each column is real positive.
 
-    Raises InvalidInput if ``h`` is not Hermitian within tol * scale.
+    Raises InvalidInput if ``h`` has non-finite entries, is not Hermitian
+    within tol * scale, or the eigensolver does not converge.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise InvalidInput(f"expected a square matrix, got shape {h.shape}")
-    n = h.shape[0]
-    scale = scale_of(h)
-    if max_abs(h - h.conj().T) > tol * scale:
+    if not np.isfinite(h).all():
+        raise InvalidInput("matrix has non-finite entries")
+    if max_abs(h - h.conj().T) > tol * scale_of(h):
         raise InvalidInput("matrix is not Hermitian within tolerance")
+    n = h.shape[0]
     if n == 0:
         return np.zeros(0), np.zeros((0, 0), dtype=complex)
-
-    a = 0.5 * (h + h.conj().T)
-    v = np.eye(n, dtype=complex)
-    # off-diagonal magnitudes below this never need rotating
-    stop = 1e-15 * max(scale, 1.0) if scale > 0 else 1e-15
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                r = abs(a[p, q])
-                if r > off:
-                    off = r
-                if r > stop:
-                    _jacobi_rotate(a, v, p, q)
-        if off <= stop:
-            break
-
-    lam = np.real(np.diag(a)).copy()
-    order = np.argsort(lam, kind="stable")
-    lam = lam[order]
-    v = v[:, order]
-    for j in range(n):
-        k = int(np.argmax(np.abs(v[:, j])))
-        piv = v[k, j]
-        if abs(piv) > 0:
-            v[:, j] *= np.conj(piv) / abs(piv)
-    return lam, v
-
-
-def eig_rank(h: np.ndarray, threshold: float, tol: float = 1e-9) -> int:
-    """Number of eigenvalues of Hermitian ``h`` above ``threshold``."""
-    lam, _ = hermitian_eigs(h, tol=tol)
-    return int(np.sum(lam > threshold))
+    try:
+        lam, v = np.linalg.eigh(0.5 * (h + h.conj().T))
+    except np.linalg.LinAlgError as exc:
+        raise InvalidInput(f"Hermitian eigensolver failed: {exc}") from None
+    piv = v[np.argmax(np.abs(v), axis=0), np.arange(n)]
+    return lam, v * (np.conj(piv) / np.abs(piv))
 
 
 def gram_schmidt(vectors: list[np.ndarray], tol: float = 1e-9) -> list[np.ndarray]:

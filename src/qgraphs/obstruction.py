@@ -22,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import InvalidInput
-from .graphs import QuantumGraph, schur_product, schur_star, schur_unit
+from .graphs import QuantumGraph, _group_convolve, schur_product, schur_star, schur_unit
 from .kernels import max_abs, span_residual
 
 __all__ = ["Certificate", "Inconclusive", "schur_closure", "classical_obstruction"]
@@ -65,8 +65,10 @@ class Inconclusive:
 
 
 def _normalise(mat: np.ndarray) -> Optional[np.ndarray]:
+    # closure members have unit norm, so a product or image this small is
+    # rounding noise (e.g. I . A on a loopless graph), not a new operator
     nrm = math.sqrt(abs(np.vdot(mat, mat).real))
-    if nrm == 0.0:
+    if nrm <= RANK_TOL:
         return None
     return mat / nrm
 
@@ -155,7 +157,7 @@ def schur_closure(
             seeds,
             min(max_dim, x.N),
             compose=lambda u, v: u * v,
-            schur=lambda u, v: _group_convolve_vec(x, u, v),
+            schur=lambda u, v: _group_convolve(x, u, v),
             dagger=np.conj,
             star=lambda u: np.conj(u[neg]),
         )
@@ -170,15 +172,6 @@ def schur_closure(
         dagger=lambda u: u.conj().T,
         star=lambda u: schur_star(x, u),
     )
-
-
-def _group_convolve_vec(x, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    table = x.group.addition_table()
-    weights = np.outer(u, v).ravel()
-    idx = table.ravel()
-    re = np.bincount(idx, weights=weights.real, minlength=x.N)
-    im = np.bincount(idx, weights=weights.imag, minlength=x.N)
-    return (re + 1j * im) / x.N
 
 
 def classical_obstruction(

@@ -49,6 +49,30 @@ def test_twist_pipeline_cube(capsys, tmp_path):
     assert s["is_simple"]
 
 
+@pytest.mark.parametrize("orders, gens", [("2,2,2", "100;010;001"), ("4,4", "10;01")])
+def test_twist_clifford_preset_on_any_accepted_orders(capsys, orders, gens):
+    code, out, _ = run(capsys, "twist", "--orders", orders, "--gens", gens,
+                       "--bichar", "clifford", "--json")
+    assert code == 0
+    g = docs.graph_from_document(docs.loads(out))
+    rank = len(orders.split(","))
+    want = np.where(np.tril(np.ones((rank, rank)), -1) > 0, -1.0, 1.0)
+    assert np.array_equal(g.set.bicharacter.gen_values, want)
+
+
+def test_json_output_skips_the_report_table(capsys, monkeypatch):
+    import qgraphs.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("graph_report ran for a table that is not printed")
+
+    monkeypatch.setattr(qgraphs.cli, "graph_report", refuse)
+    for argv in (["catalog", "m2-edge"], ["cayley", "--orders", "4", "--gens", "1;3"],
+                 ["twist", "--orders", "2,2", "--gens", "10;01", "--bichar", "clifford"]):
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0 and json.loads(out)["kind"] == "quantum-graph"
+
+
 def test_twist_with_inline_and_document_bicharacter(capsys, tmp_path):
     from qgraphs.groups import AbelianGroup
 

@@ -1,7 +1,8 @@
-"""Kernels: exact roots of unity and the Jacobi eigensolver.
+"""Kernels: exact roots of unity and the validated Hermitian eigensolver.
 
-numpy.linalg.eigh serves as the independent oracle for the hand-rolled
-cyclic Jacobi implementation.
+The eigensolver wraps LAPACK, so the numpy oracle test mainly pins the
+contract around it: ascending eigenvalues, orthonormal eigenvectors and a
+small residual ``h v - v diag(lam)``.
 """
 
 import numpy as np
@@ -72,6 +73,14 @@ def test_eigs_deterministic():
 def test_eigs_rejects_non_hermitian():
     with pytest.raises(InvalidInput):
         hermitian_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eigs_rejects_non_finite(bad):
+    h = np.eye(3, dtype=complex)
+    h[1, 1] = bad
+    with pytest.raises(InvalidInput):
+        hermitian_eigs(h)
 
 
 def test_gram_schmidt_drops_dependent_vectors():

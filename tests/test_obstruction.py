@@ -92,6 +92,25 @@ def test_max_dim_truncation_is_flagged():
     assert "truncated" in res.note
 
 
+@pytest.mark.parametrize("case, dim", [("hypercube-6", 7), ("squared-4", 3), ("rook-4", 3)])
+def test_twisted_closure_matches_classical_twin(case, dim):
+    # rounding noise such as I . A on a loopless graph must not enter the
+    # closure as a new operator; the true dimensions are those of the
+    # Bose-Mesner algebra of H(6,2) and of two strongly regular graphs
+    from qgraphs.clifford import clifford_bicharacter, hypercube_generators, squared_generators
+    from qgraphs.weyl import rook_generators, weyl_bicharacter
+
+    sigma, gens = {
+        "hypercube-6": (clifford_bicharacter(6), hypercube_generators(6)),
+        "squared-4": (clifford_bicharacter(4), squared_generators(4)),
+        "rook-4": (weyl_bicharacter(4), rook_generators(4)),
+    }[case]
+    twisted, complete_t = schur_closure(twisted_cayley(sigma.group, gens, sigma))
+    classical, complete_c = schur_closure(classical_cayley(sigma.group, gens))
+    assert complete_t and complete_c
+    assert len(twisted) == len(classical) == dim
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_twisted_cayley_graphs_are_inconclusive(seed):
     rng = np.random.default_rng(900 + seed)
