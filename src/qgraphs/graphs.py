@@ -26,9 +26,10 @@ group, and any other pair of operators goes through the dense contraction
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -158,43 +159,77 @@ def _group_convolve(x: QuantumSet, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (re + 1j * im) / x.N
 
 
+class _PairClass(NamedTuple):
+    """The ordered block pairs (i, j) with (n_i, n_j) = (p, q).
+
+    ``A[index]`` is the submatrix of rows (i, a, b) in blocks of size p and
+    columns (j, c, d) in blocks of size q.  Each side is a slice when those
+    blocks are consecutive (always so on uniform sets) and an index vector
+    otherwise, so the layout holds O(N) indices however many pairs there are.
+    """
+
+    rows: tuple[int, ...]
+    cols: tuple[int, ...]
+    index: tuple
+    p: int
+    q: int
+    root: float  # sqrt(pq)
+
+    def pairs(self):
+        return itertools.product(self.rows, self.cols)
+
+    def gather(self, a: np.ndarray) -> np.ndarray:
+        """Realigned blocks M[(a,c),(b,d)] times sqrt(pq), shape (pairs, pq, pq)."""
+        p, q = self.p, self.q
+        sub = a[self.index].reshape(len(self.rows), p, p, len(self.cols), q, q)
+        return sub.transpose(0, 3, 1, 4, 2, 5).reshape(-1, p * q, p * q)
+
+    def scatter(self, out: np.ndarray, stack: np.ndarray) -> None:
+        """Inverse of :meth:`gather`: write the blocks back into ``out``."""
+        p, q = self.p, self.q
+        sub = stack.reshape(len(self.rows), len(self.cols), p, q, p, q)
+        out[self.index] = sub.transpose(0, 2, 4, 1, 3, 5).reshape(
+            len(self.rows) * p * p, len(self.cols) * q * q)
+
+
 @functools.lru_cache(maxsize=32)
-def _realignment(blocks: tuple[int, ...]) -> tuple[tuple[tuple, np.ndarray, float], ...]:
+def _realignment(blocks: tuple[int, ...]) -> tuple[_PairClass, ...]:
     """Gather layout of the realignment, one entry per block-size class.
 
-    For the ordered block pairs (i, j) with (n_i, n_j) = (p, q) the entry is
-    ``(pairs, idx, sqrt(pq))``: ``idx`` has shape (len(pairs), pq, pq) and
-    ``A.ravel()[idx][k]`` is the realigned block of ``pairs[k]`` times
-    sqrt(pq).  Together the classes index every entry of A exactly once.
+    Together the classes index every entry of A exactly once.
     """
-    n_total = sum(n * n for n in blocks)
     offsets = np.cumsum([0] + [n * n for n in blocks[:-1]])
     by_size: dict[int, list[int]] = {}
     for i, n in enumerate(blocks):
         by_size.setdefault(n, []).append(i)
+    select = {}
+    for n, members in by_size.items():
+        idx = (offsets[members][:, None] + np.arange(n * n)).ravel()
+        if idx[-1] - idx[0] + 1 == idx.size:  # consecutive blocks
+            select[n] = slice(int(idx[0]), int(idx[-1]) + 1)
+        else:
+            idx.setflags(write=False)
+            select[n] = idx
     classes = []
     for p, rows in by_size.items():
         for q, cols in by_size.items():
-            a, c, b, d = np.ix_(range(p), range(q), range(p), range(q))
-            local = ((a * p + b) * n_total + c * q + d).reshape(p * q, p * q)
-            base = np.add.outer(offsets[rows] * n_total, offsets[cols]).ravel()
-            idx = base[:, None, None] + local
-            idx.setflags(write=False)
-            pairs = tuple((i, j) for i in rows for j in cols)
-            classes.append((pairs, idx, math.sqrt(p * q)))
+            index = (select[p], select[q])
+            if not any(isinstance(side, slice) for side in index):
+                index = np.ix_(*index)
+            classes.append(_PairClass(tuple(rows), tuple(cols), index, p, q, math.sqrt(p * q)))
     return tuple(classes)
 
 
 def _realigned_product(blocks: tuple[int, ...], a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Schur product on a matrix-unit set: one matrix product per block pair."""
-    fa, fb = a.ravel(), b.ravel()
-    out = np.empty(fa.size, dtype=complex)
-    for _, idx, root in _realignment(blocks):
-        if root == 1.0:  # 1 x 1 blocks: the exact entrywise (Hadamard) product
-            out[idx] = fa[idx] * fb[idx]
+    out = np.empty(a.shape, dtype=complex)
+    for cls in _realignment(blocks):
+        sa, sb = cls.gather(a), cls.gather(b)
+        if cls.root == 1.0:  # 1 x 1 blocks: the exact entrywise (Hadamard) product
+            cls.scatter(out, sa * sb)
         else:
-            out[idx] = (fa[idx] @ fb[idx]) / root
-    return out.reshape(a.shape)
+            cls.scatter(out, (sa @ sb) / cls.root)
+    return out
 
 
 def schur_product(x: QuantumSet, a, b) -> np.ndarray:
@@ -279,11 +314,9 @@ def adjacency_to_projection(g: QuantumGraph) -> EdgeProjection:
     x = g.set
     if x.blocks is None:
         raise InvalidInput("edge-projection materialisation needs a matrix-unit basis")
-    flat = g.adjacency.ravel()
     blocks: dict[tuple[int, int], np.ndarray] = {}
-    for pairs, idx, root in _realignment(x.blocks):
-        stack = flat[idx] / root
-        blocks.update(zip(pairs, stack))
+    for cls in _realignment(x.blocks):
+        blocks.update(zip(cls.pairs(), cls.gather(g.adjacency) / cls.root))
     return EdgeProjection(set=x, blocks=dict(sorted(blocks.items())))
 
 
@@ -291,17 +324,19 @@ def projection_to_adjacency(p: EdgeProjection) -> QuantumGraph:
     x = p.set
     if x.blocks is None:
         raise InvalidInput("projection_to_adjacency needs a matrix-unit basis")
-    flat = np.empty(x.N * x.N, dtype=complex)
-    for pairs, idx, root in _realignment(x.blocks):
-        mats = [np.asarray(p.blocks[key], dtype=complex) for key in pairs]
-        for (i, j), mat in zip(pairs, mats):
-            if mat.shape != idx.shape[1:]:
+    adjacency = np.empty((x.N, x.N), dtype=complex)
+    for cls in _realignment(x.blocks):
+        side = (cls.p * cls.q,) * 2
+        mats = []
+        for i, j in cls.pairs():
+            mat = np.asarray(p.blocks[(i, j)], dtype=complex)
+            if mat.shape != side:
                 raise InvalidInput(
-                    f"projection block ({i},{j}) has shape {mat.shape}, expected "
-                    f"{idx.shape[1:]}"
+                    f"projection block ({i},{j}) has shape {mat.shape}, expected {side}"
                 )
-        flat[idx] = np.stack(mats) * root
-    return QuantumGraph(set=x, adjacency=flat.reshape(x.N, x.N))
+            mats.append(mat)
+        cls.scatter(adjacency, np.stack(mats) * cls.root)
+    return QuantumGraph(set=x, adjacency=adjacency)
 
 
 def edge_spectrum(g: QuantumGraph, tol: Optional[float] = None) -> Optional[np.ndarray]:
@@ -319,10 +354,9 @@ def edge_spectrum(g: QuantumGraph, tol: Optional[float] = None) -> Optional[np.n
     if not np.isfinite(g.adjacency).all():
         raise InvalidInput("adjacency has non-finite entries")
     if x.blocks is not None:
-        flat = g.adjacency.ravel()
         lams = []
-        for _, idx, root in _realignment(x.blocks):
-            stack = flat[idx] / root
+        for cls in _realignment(x.blocks):
+            stack = cls.gather(g.adjacency) / cls.root
             herm = 0.5 * (stack + np.conj(stack.swapaxes(1, 2)))
             dev = np.abs(herm - stack).max(axis=(1, 2))
             scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))

@@ -64,11 +64,9 @@ class Inconclusive:
     max_residual: float
 
 
-def _normalise(mat: np.ndarray) -> Optional[np.ndarray]:
-    # closure members have unit norm, so a product or image this small is
-    # rounding noise (e.g. I . A on a loopless graph), not a new operator
+def _normalise(mat: np.ndarray, floor: float) -> Optional[np.ndarray]:
     nrm = math.sqrt(abs(np.vdot(mat, mat).real))
-    if nrm <= RANK_TOL:
+    if nrm <= floor:
         return None
     return mat / nrm
 
@@ -79,9 +77,12 @@ def _closure_work(x, seeds: list[tuple[str, np.ndarray]], max_dim: int,
     ortho: list[np.ndarray] = []
     blocked = False
 
-    def try_add(trace: str, mat: np.ndarray) -> bool:
+    def try_add(trace: str, mat: np.ndarray, floor: float = RANK_TOL) -> bool:
+        # closure members have unit norm, so a product or image of them this
+        # small is rounding noise (e.g. I . A on a loopless graph), not a new
+        # operator; seeds come at any scale and are refused only when zero
         nonlocal blocked
-        unit = _normalise(mat)
+        unit = _normalise(mat, floor)
         if unit is None:
             return False
         if ortho and span_residual(unit, ortho) <= RANK_TOL:
@@ -97,7 +98,7 @@ def _closure_work(x, seeds: list[tuple[str, np.ndarray]], max_dim: int,
         return True
 
     for trace, mat in seeds:
-        try_add(trace, mat)
+        try_add(trace, mat, floor=0.0)
 
     complete = True
     for _ in range(MAX_ROUNDS):

@@ -161,19 +161,20 @@ def test_schur_accepts_operators_and_rejects_set_mismatch():
 
 @pytest.mark.parametrize(
     "blocks",
-    [[1, 1, 1, 1], [1, 2], [2, 3, 1], [4, 4, 4, 4], [2] * 16],
-    ids=["1+1+1+1", "1+2", "2+3+1", "4+4+4+4", "2x16"],
+    [[1, 1, 1, 1], [1, 2], [2, 3, 1], [4, 4, 4, 4], [2] * 16, [2, 1, 2, 3]],
+    ids=["1+1+1+1", "1+2", "2+3+1", "4+4+4+4", "2x16", "2+1+2+3"],
 )
 def test_hadamard_fast_path_matches_generic(blocks):
     x = build_quantum_set(blocks)
     rng = np.random.default_rng(15)
     m = x.dense_mult()
-    for _ in range(3):
+    for _ in range(5):
         a, b = _random_op(x, rng), _random_op(x, rng)
         fast = schur_product(x, a, b)
         t = np.einsum("prs,ru->pus", m, a)
         t = np.einsum("pus,sv->puv", t, b)
         slow = np.einsum("puv,quv->pq", t, np.conj(m))
+        assert np.abs(fast - slow).max() < 1e-10
         assert np.abs(fast - slow).max() <= 1e-12 * np.abs(slow).max()
         if all(n == 1 for n in blocks):
             # classical sets: bit-exact entrywise product

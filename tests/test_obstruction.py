@@ -36,6 +36,17 @@ def test_gell_mann_certificate():
     assert abs(max_abs(comm) - res.residual) < 1e-12
 
 
+@pytest.mark.parametrize("scale", [1e-10, 1e-6])
+def test_scaled_down_gell_mann_still_certifies(scale):
+    # seeds enter the closure at any non-zero norm; only products and images
+    # of unit-norm members are cut at rounding level
+    g = gell_mann_graph()
+    res = classical_obstruction(QuantumGraph(g.set, scale * g.adjacency))
+    assert isinstance(res, Certificate)
+    assert {res.trace_x, res.trace_y} == {"A", "(A∘A)"}
+    assert res.residual > 1e-6
+
+
 def test_partial_loop_certificate_with_identity_witness():
     g = m2_partial_family(1, math.pi / 4)
     res = classical_obstruction(g)
