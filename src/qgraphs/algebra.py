@@ -103,11 +103,6 @@ class QuantumSet:
 
     # -- structure tensors ------------------------------------------------
 
-    @property
-    def duality(self) -> np.ndarray:
-        """R as an N x N matrix, R^{ij} = F_i^j."""
-        return self.star_mat
-
     def dense_mult(self) -> np.ndarray:
         """The multiplication tensor as an (N, N, N) array m[out, left, right]."""
         if self.N > DENSE_LIMIT:
@@ -237,16 +232,6 @@ class Report:
             if c.name == name:
                 return c.residual
         raise KeyError(name)
-
-    def as_dict(self) -> dict:
-        return {
-            "tol": self.tol,
-            "all_pass": self.all_pass,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "residual": c.residual}
-                for c in self.checks
-            ],
-        }
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import documents as docs
 from .algebra import (
+    DEFAULT_TOL,
     Check,
     algebra_multiply,
     algebra_star,
@@ -40,7 +41,6 @@ from .graphs import (
     adjacency_to_projection,
     graph_report,
     projection_to_adjacency,
-    EdgeProjection,
 )
 from .groups import (
     AbelianGroup,
@@ -53,8 +53,6 @@ from .groups import (
 from .kernels import max_abs, scale_of, unit_root
 from .obstruction import Certificate, classical_obstruction
 from .weyl import quantum_rook
-
-DEFAULT_TOL = 1e-9
 
 
 def _resolve_tol(args: argparse.Namespace) -> float:
@@ -164,7 +162,6 @@ def _cmd_set_check(args: argparse.Namespace) -> int:
     report.checks.append(Check("random_star_antiautomorphism", worst_star <= tol, worst_star))
 
     doc = docs.report_to_document(report, metadata={"command": "set-check"})
-    doc["summary"]["all_pass"] = report.all_pass
     _emit(args, doc, lambda: _report_table(doc))
     return 0 if report.all_pass else 1
 
@@ -184,21 +181,12 @@ def _cmd_rotate(args: argparse.Namespace) -> int:
     if "adjacency" in doc:
         g = docs.graph_from_document(doc, tol=tol)
         proj = adjacency_to_projection(g)
-        out = {
-            "kind": "quantum-graph",
-            "schema_version": docs.SCHEMA_VERSION,
-            "set": docs.set_to_spec(g.set),
-            "projection": [[i, j, docs.matrix_to_json(mat)]
-                           for (i, j), mat in sorted(proj.blocks.items())],
-            "metadata": {"command": "rotate", "form": "projection"},
-        }
+        out = docs.projection_to_document(proj, metadata={"command": "rotate",
+                                                          "form": "projection"})
         _emit(args, out, lambda: [f"projection blocks: {len(proj.blocks)}"])
         return 0
     if "projection" in doc:
-        x = docs.set_from_spec(doc.get("set"), tol=tol)
-        blocks = {(int(i), int(j)): docs.matrix_from_json(mat)
-                  for i, j, mat in doc["projection"]}
-        g = projection_to_adjacency(EdgeProjection(set=x, blocks=blocks))
+        g = projection_to_adjacency(docs.projection_from_document(doc, tol=tol))
         out = docs.graph_to_document(g, metadata={"command": "rotate", "form": "adjacency"})
         _emit(args, out, lambda: _graph_table(g, out))
         return 0
@@ -214,23 +202,9 @@ def _cmd_cayley(args: argparse.Namespace) -> int:
     doc = docs.graph_to_document(g, metadata=meta)
     if args.spectrum:
         lam = cayley_spectrum(group, gens)
-        doc["spectrum"] = [docs.complex_to_json(z) for z in lam]
+        doc["spectrum"] = docs.array_to_json(lam)
     _emit(args, doc, lambda: _graph_table(g, doc))
     return 0
-
-
-def _parse_gen_matrix(value):
-    """Generator values given as [[..]] JSON: plain numbers or [re, im] pairs."""
-    rows = []
-    for row in value:
-        out_row = []
-        for entry in row:
-            if isinstance(entry, (int, float)):
-                out_row.append(complex(entry))
-            else:
-                out_row.append(docs.complex_from_json(entry))
-        rows.append(out_row)
-    return np.asarray(rows, dtype=complex)
 
 
 def _bicharacter_for(args: argparse.Namespace, group: AbelianGroup):
@@ -244,18 +218,10 @@ def _bicharacter_for(args: argparse.Namespace, group: AbelianGroup):
             raise InvalidInput("the weyl preset needs a group Z_n x Z_n")
         return make_bicharacter(group, [[1.0, 1.0], [unit_root(1, group.orders[0]), 1.0]])
     if name.lstrip().startswith("["):
-        import json
-
-        try:
-            value = json.loads(name)
-        except json.JSONDecodeError as exc:
-            raise InvalidInput(f"--bichar matrix is not valid JSON: {exc.msg}") from None
-        return make_bicharacter(group, _parse_gen_matrix(value))
+        return docs.bicharacter_from_text(name, group)
     doc = _load(name)
     if doc.get("kind") == "bicharacter":
-        if tuple(doc["group"]["orders"]) != group.orders:
-            raise InvalidInput("bicharacter document is for a different group")
-        return make_bicharacter(group, docs.matrix_from_json(doc["gen_values"]))
+        return docs.bicharacter_from_document(doc, group)
     raise InvalidInput(
         "--bichar must be trivial|clifford|weyl, an inline [[...]] matrix, or a "
         f"bicharacter document, got {name!r}"
@@ -355,12 +321,7 @@ def _cmd_iso_check(args: argparse.Namespace) -> int:
     g2 = docs.graph_from_document(_load(args.graph2), tol=tol)
     phi = docs.operator_from_document(_load(args.map), tol=tol)
     ok = check_isomorphism(phi, g1, g2, tol=tol)
-    doc = {
-        "kind": "report",
-        "schema_version": docs.SCHEMA_VERSION,
-        "summary": {"isomorphism": bool(ok)},
-        "metadata": {"command": "iso-check"},
-    }
+    doc = docs.document("report", {"command": "iso-check"}, summary={"isomorphism": bool(ok)})
     _emit(args, doc, lambda: [f"isomorphism: {ok}"])
     return 0 if ok else 1
 

@@ -3,8 +3,11 @@
 Every document is a JSON object with a ``kind`` ("quantum-set",
 "quantum-graph", "bicharacter", "report", "certificate", "operator"),
 ``schema_version`` 1 and a free-form string ``metadata`` map.  Complex
-numbers are always two-element [re, im] arrays, matrices are row-major
-nested lists, keys are emitted sorted, and NaN/Inf are refused.
+numbers are always two-element [re, im] arrays of finite JSON numbers,
+matrices are row-major nested lists of them, and keys are emitted sorted.
+This module is the only one that reads or writes the format: every
+malformed entry (ragged rows, strings, null, booleans, NaN/Inf, missing
+keys) is refused with a ``DocumentError``.
 """
 
 from __future__ import annotations
@@ -16,13 +19,11 @@ import numpy as np
 
 from .algebra import Operator, QuantumSet, Report, build_quantum_set
 from .errors import InvalidInput
-from .graphs import GraphReport, QuantumGraph
-from .groups import AbelianGroup, make_bicharacter, twist_quantum_set
+from .graphs import EdgeProjection, GraphReport, QuantumGraph
+from .groups import AbelianGroup, Bicharacter, make_bicharacter, twist_quantum_set
 from .obstruction import Certificate, Inconclusive
 
 SCHEMA_VERSION = 1
-
-KINDS = ("quantum-set", "quantum-graph", "bicharacter", "report", "certificate", "operator")
 
 
 class DocumentError(InvalidInput):
@@ -30,30 +31,57 @@ class DocumentError(InvalidInput):
 
 
 # ---------------------------------------------------------------------------
-# scalar / matrix encoding
+# the codec: complex arrays as nested [re, im] pairs
 # ---------------------------------------------------------------------------
 
 
-def complex_to_json(z: complex) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
-def complex_from_json(v: Any) -> complex:
-    if not (isinstance(v, (list, tuple)) and len(v) == 2):
-        raise DocumentError(f"complex numbers must be [re, im] pairs, got {v!r}")
-    return complex(float(v[0]), float(v[1]))
-
-
-def matrix_to_json(a: np.ndarray) -> list[list[list[float]]]:
+def array_to_json(a: Any) -> list:
+    """A complex scalar, vector or matrix as [re, im] pairs nested like ``a``."""
     a = np.asarray(a, dtype=complex)
-    return [[complex_to_json(z) for z in row] for row in a]
+    return np.ascontiguousarray(a).reshape(-1).view(np.float64).reshape(a.shape + (2,)).tolist()
 
 
-def matrix_from_json(v: Any) -> np.ndarray:
-    if not isinstance(v, list) or not all(isinstance(row, list) for row in v):
-        raise DocumentError("matrices must be row-major nested lists")
-    return np.asarray([[complex_from_json(z) for z in row] for row in v], dtype=complex)
+def _numbers(v: Any, what: str) -> np.ndarray:
+    """``v`` as a float64 array of finite JSON numbers, or DocumentError."""
+    try:
+        arr = np.asarray(v)
+    except ValueError:
+        raise DocumentError(f"{what} has ragged rows or missing entries") from None
+    if arr.dtype.kind not in "iuf":
+        raise DocumentError(f"{what} entries must be JSON numbers")
+    arr = arr.astype(np.float64, copy=False)
+    if not np.isfinite(arr).all():
+        raise DocumentError(f"{what} has a non-finite entry")
+    return arr
+
+
+def array_from_json(v: Any, ndim: int = 2, what: str = "matrix") -> np.ndarray:
+    """The complex array whose [re, im] pairs are nested ``ndim`` deep in ``v``."""
+    arr = _numbers(v, what)
+    if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
+        raise DocumentError(f"{what} must hold [re, im] pairs nested {ndim} deep, "
+                            f"got shape {arr.shape}")
+    return arr.view(np.complex128)[..., 0]
+
+
+def _entries(obj: Any, what: str, *keys: str) -> list:
+    """The values of the required ``keys`` of the JSON object ``obj``."""
+    if not isinstance(obj, dict):
+        raise DocumentError(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise DocumentError(f"{what} needs the entry {key!r}")
+    return [obj[key] for key in keys]
+
+
+def _int_list(v: Any, what: str) -> list[int]:
+    if not (isinstance(v, list) and all(type(n) is int for n in v)):
+        raise DocumentError(f"{what} must be a list of JSON integers, got {v!r:.80}")
+    return v
+
+
+def _group(v: Any) -> AbelianGroup:
+    return AbelianGroup(tuple(_int_list(_entries(v, "group", "orders")[0], "group orders")))
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +95,7 @@ def set_to_spec(x: QuantumSet) -> dict:
     if x.group is not None and x.bicharacter is not None:
         return {
             "group": {"orders": list(x.group.orders)},
-            "bicharacter": matrix_to_json(x.bicharacter.gen_values),
+            "bicharacter": array_to_json(x.bicharacter.gen_values),
         }
     raise DocumentError("quantum set is neither block-based nor a group twist")
 
@@ -76,11 +104,11 @@ def set_from_spec(spec: Any, tol: float = 1e-9) -> QuantumSet:
     if not isinstance(spec, dict):
         raise DocumentError(f"set spec must be an object, got {type(spec).__name__}")
     if "blocks" in spec:
-        return build_quantum_set(spec["blocks"], tol=tol)
+        return build_quantum_set(_int_list(spec["blocks"], "set blocks"), tol=tol)
     if "group" in spec:
-        orders = spec["group"]["orders"]
-        group = AbelianGroup(tuple(int(n) for n in orders))
-        sigma = make_bicharacter(group, matrix_from_json(spec["bicharacter"]), tol=tol)
+        group_spec, gen_values = _entries(spec, "a group set spec", "group", "bicharacter")
+        group = _group(group_spec)
+        sigma = make_bicharacter(group, array_from_json(gen_values, what="bicharacter"), tol=tol)
         return twist_quantum_set(group, sigma, tol=tol)
     raise DocumentError("set spec needs either 'blocks' or 'group' + 'bicharacter'")
 
@@ -90,112 +118,106 @@ def set_from_spec(spec: Any, tol: float = 1e-9) -> QuantumSet:
 # ---------------------------------------------------------------------------
 
 
+def document(kind: str, metadata: Optional[dict], **body: Any) -> dict:
+    """A ``kind`` document of this schema version with the entries ``body``."""
+    return {"kind": kind, "schema_version": SCHEMA_VERSION, "metadata": dict(metadata or {}),
+            **body}
+
+
 def graph_to_document(g: QuantumGraph, metadata: Optional[dict] = None) -> dict:
-    return {
-        "kind": "quantum-graph",
-        "schema_version": SCHEMA_VERSION,
-        "set": set_to_spec(g.set),
-        "adjacency": matrix_to_json(g.adjacency),
-        "metadata": dict(metadata or {}),
-    }
+    return document("quantum-graph", metadata, set=set_to_spec(g.set),
+                    adjacency=array_to_json(g.adjacency))
 
 
 def graph_from_document(doc: Any, tol: float = 1e-9) -> QuantumGraph:
-    _expect_kind(doc, "quantum-graph")
-    x = set_from_spec(doc.get("set"), tol=tol)
-    a = matrix_from_json(doc.get("adjacency"))
-    if a.shape != (x.N, x.N):
-        raise DocumentError(f"adjacency shape {a.shape} does not match set dimension {x.N}")
-    return QuantumGraph(set=x, adjacency=a)
+    spec, adjacency = _open(doc, "quantum-graph", "set", "adjacency")
+    x = set_from_spec(spec, tol=tol)
+    return QuantumGraph(set=x, adjacency=array_from_json(adjacency, what="adjacency"))
+
+
+def projection_to_document(p: EdgeProjection, metadata: Optional[dict] = None) -> dict:
+    """The edge-projection form of a graph: one [i, j, matrix] entry per block pair."""
+    return document("quantum-graph", metadata, set=set_to_spec(p.set),
+                    projection=[[i, j, array_to_json(mat)]
+                                for (i, j), mat in sorted(p.blocks.items())])
+
+
+def projection_from_document(doc: Any, tol: float = 1e-9) -> EdgeProjection:
+    spec, entries = _open(doc, "quantum-graph", "set", "projection")
+    x = set_from_spec(spec, tol=tol)
+    if not isinstance(entries, list):
+        raise DocumentError("projection must be a list of [i, j, matrix] entries")
+    blocks: dict[tuple[int, int], np.ndarray] = {}
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 3
+                and type(entry[0]) is int and type(entry[1]) is int):
+            raise DocumentError(f"projection entries must be [i, j, matrix], got {entry!r:.80}")
+        key = (entry[0], entry[1])
+        if key in blocks:
+            raise DocumentError(f"projection block {key} appears twice")
+        blocks[key] = array_from_json(entry[2], what=f"projection block {key}")
+    return EdgeProjection(set=x, blocks=blocks)
 
 
 def operator_to_document(op: Operator, map_kind: str = "iso",
                          metadata: Optional[dict] = None) -> dict:
-    return {
-        "kind": "operator",
-        "schema_version": SCHEMA_VERSION,
-        "domain": set_to_spec(op.domain),
-        "codomain": set_to_spec(op.codomain),
-        "matrix": matrix_to_json(op.matrix),
-        "map_kind": map_kind,
-        "metadata": dict(metadata or {}),
-    }
+    return document("operator", metadata, domain=set_to_spec(op.domain),
+                    codomain=set_to_spec(op.codomain), matrix=array_to_json(op.matrix),
+                    map_kind=map_kind)
 
 
 def operator_from_document(doc: Any, tol: float = 1e-9) -> Operator:
-    _expect_kind(doc, "operator")
-    dom = set_from_spec(doc.get("domain"), tol=tol)
-    cod = set_from_spec(doc.get("codomain"), tol=tol)
-    return Operator(domain=dom, codomain=cod, matrix=matrix_from_json(doc.get("matrix")))
+    dom, cod, matrix = _open(doc, "operator", "domain", "codomain", "matrix")
+    return Operator(domain=set_from_spec(dom, tol=tol), codomain=set_from_spec(cod, tol=tol),
+                    matrix=array_from_json(matrix, what="matrix"))
 
 
 def report_to_document(report: Report | GraphReport,
                        metadata: Optional[dict] = None) -> dict:
-    doc: dict[str, Any] = {
-        "kind": "report",
-        "schema_version": SCHEMA_VERSION,
-        "metadata": dict(metadata or {}),
-    }
     if isinstance(report, Report):
-        doc["checks"] = [
-            {"name": c.name, "passed": bool(c.passed), "residual": float(c.residual)}
-            for c in report.checks
-        ]
-        doc["summary"] = {"all_pass": report.all_pass, "tol": report.tol}
-    else:
-        doc["summary"] = {
-            "is_graph": report.is_graph,
-            "is_undirected": report.is_undirected,
-            "loop_status": report.loop_status,
-            "is_simple": report.is_simple,
-            "is_multigraph": report.is_multigraph,
-            "vertices": report.vertices,
-            "edges": complex_to_json(report.edges),
-            "quantum_edges": report.quantum_edges,
-            "regular_degree": report.regular_degree,
-        }
-    return doc
+        checks = [{"name": c.name, "passed": bool(c.passed), "residual": float(c.residual)}
+                  for c in report.checks]
+        return document("report", metadata, checks=checks,
+                        summary={"all_pass": report.all_pass, "tol": report.tol})
+    summary = report.invariants()
+    summary["edges"] = array_to_json(summary["edges"])
+    summary["quantum_edges"] = report.quantum_edges
+    return document("report", metadata, summary=summary)
 
 
 def certificate_to_document(res: Certificate | Inconclusive,
                             metadata: Optional[dict] = None) -> dict:
-    meta = dict(metadata or {})
     if isinstance(res, Certificate):
-        return {
-            "kind": "certificate",
-            "schema_version": SCHEMA_VERSION,
-            "witnesses": {
-                "trace_x": res.trace_x,
-                "trace_y": res.trace_y,
-                "x": matrix_to_json(res.witness_x),
-                "y": matrix_to_json(res.witness_y),
-            },
-            "residual": float(res.residual),
-            "threshold": float(res.threshold),
-            "metadata": meta,
-        }
-    meta.setdefault("note", res.note)
-    return {
-        "kind": "report",
-        "schema_version": SCHEMA_VERSION,
-        "summary": {
-            "outcome": "inconclusive",
-            "closure_dim": res.closure_dim,
-            "max_residual": res.max_residual,
-        },
-        "metadata": meta,
-    }
+        witnesses = {"trace_x": res.trace_x, "trace_y": res.trace_y,
+                     "x": array_to_json(res.witness_x), "y": array_to_json(res.witness_y)}
+        return document("certificate", metadata, witnesses=witnesses,
+                        residual=float(res.residual), threshold=float(res.threshold))
+    summary = {"outcome": "inconclusive", "closure_dim": res.closure_dim,
+               "max_residual": res.max_residual}
+    return document("report", {"note": res.note, **(metadata or {})}, summary=summary)
 
 
 def bicharacter_to_document(group: AbelianGroup, gen_values: np.ndarray,
                             metadata: Optional[dict] = None) -> dict:
-    return {
-        "kind": "bicharacter",
-        "schema_version": SCHEMA_VERSION,
-        "group": {"orders": list(group.orders)},
-        "gen_values": matrix_to_json(gen_values),
-        "metadata": dict(metadata or {}),
-    }
+    return document("bicharacter", metadata, group={"orders": list(group.orders)},
+                    gen_values=array_to_json(gen_values))
+
+
+def bicharacter_from_document(doc: Any, group: AbelianGroup) -> Bicharacter:
+    """The bicharacter a document defines on ``group``, which must be its group."""
+    group_spec, gen_values = _open(doc, "bicharacter", "group", "gen_values")
+    if _group(group_spec).orders != group.orders:
+        raise DocumentError("bicharacter document is for a different group")
+    return make_bicharacter(group, array_from_json(gen_values, what="gen_values"))
+
+
+def bicharacter_from_text(text: str, group: AbelianGroup) -> Bicharacter:
+    """A bicharacter from inline JSON generator values: real numbers or [re, im] pairs."""
+    value = _parse(text)
+    arr = _numbers(value, "generator values")
+    if arr.ndim != 2:
+        arr = array_from_json(value, what="generator values")
+    return make_bicharacter(group, arr)
 
 
 # ---------------------------------------------------------------------------
@@ -211,19 +233,24 @@ def _reject_constant(name: str):
     raise DocumentError(f"non-finite number {name!r} is not allowed in documents")
 
 
-def loads(text: str) -> dict:
+def _parse(text: str) -> Any:
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+
+
+def loads(text: str) -> dict:
+    doc = _parse(text)
     if not isinstance(doc, dict):
         raise DocumentError("document root must be a JSON object")
     return doc
 
 
-def _expect_kind(doc: Any, kind: str) -> None:
+def _open(doc: Any, kind: str, *keys: str) -> list:
+    """The required entries ``keys`` of a ``kind`` document of this schema version."""
     if not isinstance(doc, dict):
         raise DocumentError("document root must be a JSON object")
     got = doc.get("kind")
@@ -232,3 +259,4 @@ def _expect_kind(doc: Any, kind: str) -> None:
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise DocumentError(f"unsupported schema_version {version!r}")
+    return _entries(doc, f"a {kind!r} document", *keys)

@@ -80,9 +80,6 @@ class QuantumGraph:
                 f"({self.set.N}, {self.set.N})"
             )
 
-    def adjacency_operator(self) -> Operator:
-        return Operator(self.set, self.set, self.adjacency)
-
 
 @dataclass(eq=False)
 class EdgeProjection:
@@ -120,11 +117,6 @@ class GraphReport:
             "edges": complex(self.edges),
             "regular_degree": self.regular_degree,
         }
-
-    def as_dict(self) -> dict:
-        d = self.invariants()
-        d["quantum_edges"] = self.quantum_edges
-        return d
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +316,16 @@ def projection_to_adjacency(p: EdgeProjection) -> QuantumGraph:
     x = p.set
     if x.blocks is None:
         raise InvalidInput("projection_to_adjacency needs a matrix-unit basis")
+    if len(p.blocks) != len(x.blocks) ** 2:
+        raise InvalidInput(f"projection has {len(p.blocks)} blocks, expected one per "
+                           f"ordered pair of the {len(x.blocks)} blocks")
     adjacency = np.empty((x.N, x.N), dtype=complex)
     for cls in _realignment(x.blocks):
         side = (cls.p * cls.q,) * 2
         mats = []
         for i, j in cls.pairs():
+            if (i, j) not in p.blocks:
+                raise InvalidInput(f"projection block ({i},{j}) is missing")
             mat = np.asarray(p.blocks[(i, j)], dtype=complex)
             if mat.shape != side:
                 raise InvalidInput(

@@ -173,9 +173,6 @@ class Bicharacter:
             self._table.setflags(write=False)
         return self._table
 
-    def is_trivial(self) -> bool:
-        return not np.any(self._exp_num % self._exp_den)
-
 
 def make_bicharacter(
     group: AbelianGroup, gen_values: Sequence[Sequence[complex]], tol: float = DEFAULT_TOL

@@ -121,7 +121,7 @@ def quantum_rook(n: int, tol: float = 1e-9, cross_check: bool = True) -> Quantum
 
     Built from the closed-form adjacency; by default the twist pipeline
     (twisted Cayley graph conjugated through phi) is evaluated as well and
-    the two are required to agree within tolerance.
+    the two are required to agree within tolerance, else InvalidInput.
     """
     if n < 2:
         raise InvalidInput("quantum_rook requires n >= 2")
@@ -130,8 +130,9 @@ def quantum_rook(n: int, tol: float = 1e-9, cross_check: bool = True) -> Quantum
     if cross_check:
         b = rook_pipeline_adjacency(wd)
         if max_abs(a - b) > tol * scale_of(a):
-            raise RuntimeError(
-                f"rook closed form and twist pipeline disagree by {max_abs(a - b):.3e}"
+            raise InvalidInput(
+                f"rook closed form and twist pipeline disagree by {max_abs(a - b):.3e}, "
+                f"more than the tolerance {tol:g} allows"
             )
     return QuantumGraph(set=wd.matrix_set, adjacency=a)
 

@@ -12,7 +12,7 @@ from qgraphs.algebra import Operator, build_quantum_set
 from qgraphs.catalog import anticommutative_square
 from qgraphs.cli import main
 from qgraphs.constructions import diagonal_embedding
-from qgraphs.graphs import QuantumGraph
+from qgraphs.graphs import QuantumGraph, adjacency_to_projection
 
 
 def run(capsys, *argv):
@@ -246,3 +246,61 @@ def test_cayley_spectrum_output(capsys):
     doc = json.loads(out)
     lams = sorted(z[0] for z in doc["spectrum"])
     assert lams == [-3, -1, -1, -1, 1, 1, 1, 3]
+
+
+def test_catalog_rook_cross_check_failure_is_exit_2(capsys):
+    code, out, err = run(capsys, "catalog", "rook", "--n", "3", "--tol", "1e-20")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "1e-20" in err
+
+
+def _graph_text(edit=None):
+    """A [1, 2] graph document as text, after ``edit`` mutates the dict."""
+    x = build_quantum_set([1, 2])
+    a = np.eye(5, dtype=complex)
+    a[0, 0] = 12345.5  # sentinel that a probe may replace in the text
+    doc = docs.graph_to_document(QuantumGraph(x, a))
+    if edit is not None:
+        edit(doc)
+    return json.dumps(doc)
+
+
+def _projection_text(edit=None):
+    x = build_quantum_set([1, 2])
+    a = np.eye(5, dtype=complex)
+    doc = docs.projection_to_document(adjacency_to_projection(QuantumGraph(x, a)))
+    doc["projection"][0][2][0][0] = [12345.5, 0.0]
+    if edit is not None:
+        edit(doc)
+    return json.dumps(doc)
+
+
+def _drop_pair(doc, pair):
+    doc["projection"] = [e for e in doc["projection"] if (e[0], e[1]) != pair]
+
+
+MALFORMED = {
+    "group-without-orders": ("graph-check", _graph_text(
+        lambda d: d.update(set={"group": {}, "bicharacter": [[[1.0, 0.0]]]}))),
+    "null-entry": ("graph-check", _graph_text(
+        lambda d: d["adjacency"][0].__setitem__(1, [None, 0.0]))),
+    "string-and-bool-pair": ("graph-check", _graph_text(
+        lambda d: d["adjacency"][0].__setitem__(1, ["1", True]))),
+    "overflow-obstruct": ("obstruct", _graph_text().replace("12345.5", "1e400")),
+    "overflow-rotate": ("rotate", _projection_text().replace("12345.5", "1e400")),
+    "projection-missing-pair": ("rotate", _projection_text(lambda d: _drop_pair(d, (0, 1)))),
+    "projection-entry-without-matrix": ("rotate", _projection_text(
+        lambda d: d["projection"].__setitem__(0, [0, 0]))),
+    "string-blocks": ("graph-check", _graph_text(lambda d: d["set"].update(blocks=["a"]))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_documents_exit_2_with_one_error_line(capsys, tmp_path, name):
+    command, text = MALFORMED[name]
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = run(capsys, command, str(path), "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -127,6 +127,12 @@ def test_rook_two_path_consistency(n):
     assert np.abs(closed - pipeline).max() < 1e-9
 
 
+def test_rook_cross_check_failure_is_invalid_input():
+    # rounding alone separates the two paths by ~1e-15, more than tol 1e-20 allows
+    with pytest.raises(InvalidInput, match="tolerance 1e-20"):
+        quantum_rook(3, tol=1e-20)
+
+
 def test_rook_spectrum_multiset():
     lam = sorted(np.round(rook_spectrum(3).real, 9))
     assert lam == [-2, -2, -2, -2, 1, 1, 1, 1, 4]
