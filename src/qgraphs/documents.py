@@ -6,8 +6,9 @@ Every document is a JSON object with a ``kind`` ("quantum-set",
 numbers are always two-element [re, im] arrays of finite JSON numbers,
 matrices are row-major nested lists of them, and keys are emitted sorted.
 This module is the only one that reads or writes the format: every
-malformed entry (ragged rows, strings, null, booleans, NaN/Inf, missing
-keys) is refused with a ``DocumentError``.
+malformed entry (ragged rows, strings, null, all-boolean arrays, NaN/Inf,
+missing keys) is refused with a ``DocumentError``; a boolean among numbers
+is still read as 0 or 1.
 """
 
 from __future__ import annotations
@@ -47,6 +48,12 @@ def _numbers(v: Any, what: str) -> np.ndarray:
         arr = np.asarray(v)
     except ValueError:
         raise DocumentError(f"{what} has ragged rows or missing entries") from None
+    if arr.dtype == object and all(type(x) in (int, float) for x in arr.flat):
+        # integers beyond the int64/uint64 range stay Python objects
+        try:
+            arr = arr.astype(np.float64)
+        except OverflowError:
+            raise DocumentError(f"{what} has a non-finite entry") from None
     if arr.dtype.kind not in "iuf":
         raise DocumentError(f"{what} entries must be JSON numbers")
     arr = arr.astype(np.float64, copy=False)
@@ -55,13 +62,16 @@ def _numbers(v: Any, what: str) -> np.ndarray:
     return arr
 
 
-def array_from_json(v: Any, ndim: int = 2, what: str = "matrix") -> np.ndarray:
-    """The complex array whose [re, im] pairs are nested ``ndim`` deep in ``v``."""
-    arr = _numbers(v, what)
-    if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
-        raise DocumentError(f"{what} must hold [re, im] pairs nested {ndim} deep, "
-                            f"got shape {arr.shape}")
+def _pairs(arr: np.ndarray, what: str) -> np.ndarray:
+    """The complex view of a float64 array whose last axis holds [re, im]."""
+    if arr.ndim == 0 or arr.shape[-1] != 2:
+        raise DocumentError(f"{what} must hold [re, im] pairs, got shape {arr.shape}")
     return arr.view(np.complex128)[..., 0]
+
+
+def array_from_json(v: Any, what: str = "matrix") -> np.ndarray:
+    """The complex array whose [re, im] pairs ``v`` nests; consumers check its shape."""
+    return _pairs(_numbers(v, what), what)
 
 
 def _entries(obj: Any, what: str, *keys: str) -> list:
@@ -213,10 +223,9 @@ def bicharacter_from_document(doc: Any, group: AbelianGroup) -> Bicharacter:
 
 def bicharacter_from_text(text: str, group: AbelianGroup) -> Bicharacter:
     """A bicharacter from inline JSON generator values: real numbers or [re, im] pairs."""
-    value = _parse(text)
-    arr = _numbers(value, "generator values")
-    if arr.ndim != 2:
-        arr = array_from_json(value, what="generator values")
+    arr = _numbers(_parse(text), "generator values")
+    if arr.ndim == 3:
+        arr = _pairs(arr, "generator values")
     return make_bicharacter(group, arr)
 
 

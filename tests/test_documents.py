@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from qgraphs import documents as docs
+from qgraphs.errors import InvalidInput
+from qgraphs.graphs import QuantumGraph
 from qgraphs.groups import AbelianGroup
 
 
@@ -54,8 +56,9 @@ def test_vector_and_scalar_match_the_reference():
     assert docs.array_to_json(lam) == [reference_complex_to_json(z) for z in lam]
     assert docs.array_to_json(lam[3]) == reference_complex_to_json(lam[3])
     assert docs.array_to_json(8 + 0j) == [8.0, 0.0]
-    assert np.array_equal(docs.array_from_json(docs.array_to_json(lam), ndim=1), lam)
-    assert docs.array_from_json(docs.array_to_json(-0.0 + 2j), ndim=0) == -0.0 + 2j
+    assert np.array_equal(docs.array_from_json(docs.array_to_json(lam)), lam)
+    scalar = docs.array_from_json(docs.array_to_json(complex(-0.0, 2)))
+    assert scalar.shape == () and scalar == 2j and np.signbit(scalar.real)
 
 
 def test_encoder_accepts_real_and_strided_input():
@@ -68,12 +71,15 @@ def test_encoder_accepts_real_and_strided_input():
     [[[1, 0], [0, 0]], [[0, 0]]],          # ragged rows
     [[[1, 0], [0]]],                       # short pair
     [[[1, 0, 0]]],                         # triple, not a pair
-    [[1, 0]],                              # pairs nested one level too shallow
-    [[[["1", 0]]]],                        # too deep, and a string
+    [[[["1", 0]]]],                        # a string
+    [1, 0, 0],                             # a triple at the top level
+    1.5,                                   # a bare number, not a pair
     [[["1", True]]],                       # string and boolean
     [[[True, False]]],                     # all booleans
     [[[None, 0]]],                         # null
     [[[1e400, 0]]],                        # overflows to inf when parsed
+    [[[10 ** 400, 0]]],                    # an integer too large for a float
+    [[[2 ** 70, True]]],                   # a boolean beside an oversized integer
     [[[float("nan"), 0]]],
     [],
     None,
@@ -88,6 +94,21 @@ def test_decoder_refuses_malformed_arrays(value):
 def test_decoder_accepts_integers_and_large_values():
     got = docs.array_from_json([[[1, -2], [2 ** 62, 1e308]]])
     assert np.array_equal(got, np.array([[1 - 2j, 2.0 ** 62 + 1e308j]]))
+
+
+def test_decoder_accepts_integers_beyond_int64():
+    got = docs.array_from_json(json.loads("[[[18446744073709551616, -0.5], [1, 2]]]"))
+    assert np.array_equal(got, np.array([[2.0 ** 64 - 0.5j, 1 + 2j]]))
+
+
+def test_decoder_reads_any_depth_and_consumers_check_the_shape():
+    assert docs.array_from_json([[1, 0], [0, 0]]).shape == (2,)
+    g = QuantumGraph(set=docs.set_from_spec({"blocks": [1, 1]}), adjacency=np.zeros((2, 2)))
+    doc = docs.graph_to_document(g)
+    for adjacency in ([[1, 0], [0, 0]], [doc["adjacency"]]):
+        doc["adjacency"] = adjacency
+        with pytest.raises(InvalidInput, match="adjacency has shape"):
+            docs.graph_from_document(doc)
 
 
 def test_inline_generator_values_accept_reals_or_pairs():
