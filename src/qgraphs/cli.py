@@ -201,8 +201,7 @@ def _cmd_cayley(args: argparse.Namespace) -> int:
     meta = {"command": "cayley", "orders": args.orders, "gens": args.gens}
     doc = docs.graph_to_document(g, metadata=meta)
     if args.spectrum:
-        lam = cayley_spectrum(group, gens)
-        doc["spectrum"] = docs.array_to_json(lam)
+        doc["spectrum"] = cayley_spectrum(group, gens)
     _emit(args, doc, lambda: _graph_table(g, doc))
     return 0
 

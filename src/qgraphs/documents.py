@@ -6,14 +6,20 @@ Every document is a JSON object with a ``kind`` ("quantum-set",
 numbers are always two-element [re, im] arrays of finite JSON numbers,
 matrices are row-major nested lists of them, and keys are emitted sorted.
 This module is the only one that reads or writes the format: every
-malformed entry (ragged rows, strings, null, all-boolean arrays, NaN/Inf,
-missing keys) is refused with a ``DocumentError``; a boolean among numbers
-is still read as 0 or 1.
+malformed entry (ragged rows, strings, null, booleans, NaN/Inf, missing
+keys) is refused with a ``DocumentError``.
+
+The builders keep matrices and vectors as complex numpy arrays, and
+:func:`dumps` writes each array from a table of its distinct values, so no
+Python object is made per entry.  Reading is ``json.loads`` plus one
+``np.asarray`` per array.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from typing import Any, Optional
 
 import numpy as np
@@ -69,9 +75,31 @@ def _pairs(arr: np.ndarray, what: str) -> np.ndarray:
     return arr.view(np.complex128)[..., 0]
 
 
-def array_from_json(v: Any, what: str = "matrix") -> np.ndarray:
-    """The complex array whose [re, im] pairs ``v`` nests; consumers check its shape."""
+def _holds_boolean(v: Any) -> bool:
+    """Whether some list inside the parsed JSON value ``v`` holds true or false."""
+    if isinstance(v, dict):
+        return any(map(_holds_boolean, v.values()))
+    if not isinstance(v, list):
+        return False
+    types = set(map(type, v))
+    if bool in types:
+        return True
+    return (list in types or dict in types) and any(map(_holds_boolean, v))
+
+
+def _array(v: Any, what: str) -> np.ndarray:
     return _pairs(_numbers(v, what), what)
+
+
+def array_from_json(v: Any, what: str = "matrix") -> np.ndarray:
+    """The complex array whose [re, im] pairs ``v`` nests; consumers check its shape.
+
+    The document readers skip the boolean scan: :func:`loads` has done it
+    for any text that spells true or false.
+    """
+    if _holds_boolean(v):
+        raise DocumentError(f"{what} entries must be JSON numbers")
+    return _array(v, what)
 
 
 def _entries(obj: Any, what: str, *keys: str) -> list:
@@ -118,7 +146,7 @@ def set_from_spec(spec: Any, tol: float = 1e-9) -> QuantumSet:
     if "group" in spec:
         group_spec, gen_values = _entries(spec, "a group set spec", "group", "bicharacter")
         group = _group(group_spec)
-        sigma = make_bicharacter(group, array_from_json(gen_values, what="bicharacter"), tol=tol)
+        sigma = make_bicharacter(group, _array(gen_values, "bicharacter"), tol=tol)
         return twist_quantum_set(group, sigma, tol=tol)
     raise DocumentError("set spec needs either 'blocks' or 'group' + 'bicharacter'")
 
@@ -135,21 +163,19 @@ def document(kind: str, metadata: Optional[dict], **body: Any) -> dict:
 
 
 def graph_to_document(g: QuantumGraph, metadata: Optional[dict] = None) -> dict:
-    return document("quantum-graph", metadata, set=set_to_spec(g.set),
-                    adjacency=array_to_json(g.adjacency))
+    return document("quantum-graph", metadata, set=set_to_spec(g.set), adjacency=g.adjacency)
 
 
 def graph_from_document(doc: Any, tol: float = 1e-9) -> QuantumGraph:
     spec, adjacency = _open(doc, "quantum-graph", "set", "adjacency")
     x = set_from_spec(spec, tol=tol)
-    return QuantumGraph(set=x, adjacency=array_from_json(adjacency, what="adjacency"))
+    return QuantumGraph(set=x, adjacency=_array(adjacency, "adjacency"))
 
 
 def projection_to_document(p: EdgeProjection, metadata: Optional[dict] = None) -> dict:
     """The edge-projection form of a graph: one [i, j, matrix] entry per block pair."""
     return document("quantum-graph", metadata, set=set_to_spec(p.set),
-                    projection=[[i, j, array_to_json(mat)]
-                                for (i, j), mat in sorted(p.blocks.items())])
+                    projection=[[i, j, mat] for (i, j), mat in sorted(p.blocks.items())])
 
 
 def projection_from_document(doc: Any, tol: float = 1e-9) -> EdgeProjection:
@@ -165,21 +191,21 @@ def projection_from_document(doc: Any, tol: float = 1e-9) -> EdgeProjection:
         key = (entry[0], entry[1])
         if key in blocks:
             raise DocumentError(f"projection block {key} appears twice")
-        blocks[key] = array_from_json(entry[2], what=f"projection block {key}")
+        blocks[key] = _array(entry[2], f"projection block {key}")
     return EdgeProjection(set=x, blocks=blocks)
 
 
 def operator_to_document(op: Operator, map_kind: str = "iso",
                          metadata: Optional[dict] = None) -> dict:
     return document("operator", metadata, domain=set_to_spec(op.domain),
-                    codomain=set_to_spec(op.codomain), matrix=array_to_json(op.matrix),
+                    codomain=set_to_spec(op.codomain), matrix=op.matrix,
                     map_kind=map_kind)
 
 
 def operator_from_document(doc: Any, tol: float = 1e-9) -> Operator:
     dom, cod, matrix = _open(doc, "operator", "domain", "codomain", "matrix")
     return Operator(domain=set_from_spec(dom, tol=tol), codomain=set_from_spec(cod, tol=tol),
-                    matrix=array_from_json(matrix, what="matrix"))
+                    matrix=_array(matrix, "matrix"))
 
 
 def report_to_document(report: Report | GraphReport,
@@ -199,7 +225,7 @@ def certificate_to_document(res: Certificate | Inconclusive,
                             metadata: Optional[dict] = None) -> dict:
     if isinstance(res, Certificate):
         witnesses = {"trace_x": res.trace_x, "trace_y": res.trace_y,
-                     "x": array_to_json(res.witness_x), "y": array_to_json(res.witness_y)}
+                     "x": res.witness_x, "y": res.witness_y}
         return document("certificate", metadata, witnesses=witnesses,
                         residual=float(res.residual), threshold=float(res.threshold))
     summary = {"outcome": "inconclusive", "closure_dim": res.closure_dim,
@@ -218,7 +244,7 @@ def bicharacter_from_document(doc: Any, group: AbelianGroup) -> Bicharacter:
     group_spec, gen_values = _open(doc, "bicharacter", "group", "gen_values")
     if _group(group_spec).orders != group.orders:
         raise DocumentError("bicharacter document is for a different group")
-    return make_bicharacter(group, array_from_json(gen_values, what="gen_values"))
+    return make_bicharacter(group, _array(gen_values, "gen_values"))
 
 
 def bicharacter_from_text(text: str, group: AbelianGroup) -> Bicharacter:
@@ -234,8 +260,75 @@ def bicharacter_from_text(text: str, group: AbelianGroup) -> Bicharacter:
 # ---------------------------------------------------------------------------
 
 
+# what the skeleton encoder writes for each array; its quoted form can occur
+# elsewhere only in a string holding NUL, which argv cannot hold
+_STAND_IN = "\x00"
+_QUOTED_STAND_IN = json.dumps(_STAND_IN)
+
+
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, allow_nan=False, separators=(",", ": "))
+    """``doc`` as JSON with sorted keys; numpy arrays become [re, im] pairs.
+
+    The text is byte for byte ``json.dumps(..., sort_keys=True,
+    allow_nan=False, separators=(",", ": "))`` of the document with each
+    array replaced by its nested-list form.  Non-finite values raise
+    ``ValueError``.
+    """
+    arrays: list[np.ndarray] = []
+
+    def stand_in(obj: Any) -> str:
+        if not isinstance(obj, np.ndarray):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        arrays.append(obj)
+        return _STAND_IN
+
+    skeleton = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",", ": "),
+                                default=stand_in).encode(doc)
+    pieces = skeleton.split(_QUOTED_STAND_IN)
+    if len(pieces) != len(arrays) + 1:
+        raise ValueError("a document string holds NUL, which marks the arrays")
+    texts = _array_texts(arrays)
+    return "".join(itertools.chain.from_iterable(zip(pieces, texts))) + pieces[-1]
+
+
+def _array_texts(arrays: list[np.ndarray]) -> list[str]:
+    """The JSON text of each array; the arrays of one shape share one table."""
+    by_shape: dict[tuple, list[int]] = {}
+    for k, a in enumerate(arrays):
+        by_shape.setdefault(a.shape, []).append(k)
+    texts = [""] * len(arrays)
+    for ks in by_shape.values():
+        if len(ks) == 1:
+            stack = np.asarray(arrays[ks[0]], dtype=complex)[None]
+        else:
+            stack = np.array([arrays[k] for k in ks], dtype=complex)
+        for k, text in zip(ks, _stack_texts(stack)):
+            texts[k] = text
+    return texts
+
+
+def _stack_texts(stack: np.ndarray) -> list[str]:
+    """The JSON text of each ``stack[k]``, written from its distinct (re, im) bit patterns."""
+    flat = np.ascontiguousarray(stack).reshape(-1)
+    if not np.isfinite(flat).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    bits = flat.view(np.uint64)  # re, im, re, im, ...: -0.0 and 0.0 stay apart
+    re, re_code = np.unique(bits[0::2], return_inverse=True)
+    im, im_code = np.unique(bits[1::2], return_inverse=True)
+    pairs, code = np.unique(re_code * im.size + im_code, return_inverse=True)
+    re_vals = re.view(np.float64)[pairs // im.size].tolist()
+    im_vals = im.view(np.float64)[pairs % im.size].tolist()
+    entries = [f"[{x!r},{y!r}]" for x, y in zip(re_vals, im_vals)]
+    shape = stack.shape
+    while len(shape) > 1 and shape[-1] == 1:  # a unit axis wraps the table, not each entry
+        entries = ["[" + e + "]" for e in entries]
+        shape = shape[:-1]
+    items = np.array(entries, dtype=object)[code].tolist()
+    for axis in range(len(shape) - 1, 0, -1):
+        m = shape[axis]
+        items = ["[" + ",".join(items[k * m:(k + 1) * m]) + "]"
+                 for k in range(math.prod(shape[:axis]))]
+    return items
 
 
 def _reject_constant(name: str):
@@ -244,11 +337,15 @@ def _reject_constant(name: str):
 
 def _parse(text: str) -> Any:
     try:
-        return json.loads(text, parse_constant=_reject_constant)
+        value = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    # no list of a document holds booleans; scan only texts that spell one
+    if ("true" in text or "false" in text) and _holds_boolean(value):
+        raise DocumentError("true or false stands where a number is expected")
+    return value
 
 
 def loads(text: str) -> dict:

@@ -2,16 +2,21 @@
 
 The group Z_{n_1} x ... x Z_{n_m} is enumerated row-major over residue
 tuples.  Characters are tau_mu(alpha) = prod_i omega_i^{alpha_i mu_i} with
-omega_i = exp(2 pi i / n_i); all phases are produced by root-of-unity
-lookup tables so that order-2 and order-4 values are exact.
+omega_i = exp(2 pi i / n_i); all phases are produced by looking up exact
+integer exponents in root-of-unity tables, so that order-2 and order-4
+values are exact and a table is bit-identical however its exponents were
+summed.
 
 A unitary bicharacter is stored through its values on the generators,
 snapped to exact roots of unity of order dividing gcd(n_i, n_j) (the
-well-definedness condition for the multiplicative extension).  Twisting
-the function algebra by a bicharacter deforms the multiplication in the
+well-definedness condition for the multiplicative extension); its N x N
+table is one integer matrix product of the coordinates.  Twisting the
+function algebra by a bicharacter deforms the multiplication in the
 Fourier basis to ``b_mu b_nu = conj(sigma(mu,nu)) b_{mu+nu} / sqrt(N)``
 and leaves counit and Cayley adjacency untouched, which is how the
-twisted quantum sets and twisted Cayley graphs below are built.
+twisted quantum sets and twisted Cayley graphs below are built: the
+structure constants are the addition and bicharacter tables read in
+row-major order.
 """
 
 from __future__ import annotations
@@ -93,18 +98,19 @@ class AbelianGroup:
         return np.asarray(self.elements(), dtype=np.int64)
 
     def addition_table(self) -> np.ndarray:
-        """table[i, j] = index(el_i + el_j)."""
+        """table[i, j] = index(el_i + el_j).
+
+        Built one cyclic factor at a time: row-major indices satisfy
+        index(a, a_k) = index(a) n_k + a_k, so appending Z_{n_k} expands
+        every entry of the table so far into an n_k x n_k block.
+        """
         if self._add_table is None:
-            c = self.coords()
-            idx = np.zeros((self.size, self.size), dtype=np.int64)
-            stride = 1
-            strides = np.zeros(self.rank, dtype=np.int64)
-            for k in range(self.rank - 1, -1, -1):
-                strides[k] = stride
-                stride *= self.orders[k]
-            for k in range(self.rank):
-                s = (c[:, None, k] + c[None, :, k]) % self.orders[k]
-                idx += strides[k] * s
+            idx = np.zeros((1, 1), dtype=np.int64)
+            for n in self.orders:
+                r = np.arange(n, dtype=np.int64)
+                m = idx.shape[0]
+                idx = (idx[:, None, :, None] * n + ((r[:, None] + r) % n)[None, :, None, :]
+                       ).reshape(m * n, m * n)
             self._add_table = idx
             self._add_table.setflags(write=False)
         return self._add_table
@@ -155,21 +161,19 @@ class Bicharacter:
         return self.table()[self.group.index(mu), self.group.index(nu)]
 
     def table(self) -> np.ndarray:
-        """sigma(mu, nu) for all pairs of group elements."""
+        """sigma(mu, nu) for all pairs of group elements.
+
+        sigma(mu, nu) = zeta^(mu^T W nu) with zeta a primitive root of
+        unity of order L = lcm of the gcd(n_i, n_j) and W[i, j] the
+        generator exponents over L, so the whole exponent table is one
+        integer product (c W) c^T of the coordinate matrix c, exact, and a
+        lookup in the root table turns it into phases.
+        """
         if self._table is None:
-            g = self.group
-            c = g.coords()
-            lcm = 1
-            for d in self._exp_den.ravel():
-                lcm = lcm * int(d) // math.gcd(lcm, int(d))
-            expo = np.zeros((g.size, g.size), dtype=np.int64)
-            for i in range(g.rank):
-                for j in range(g.rank):
-                    w = int(self._exp_num[i, j]) * (lcm // int(self._exp_den[i, j]))
-                    if w % lcm:
-                        expo += w * np.outer(c[:, i], c[:, j])
-            roots = _root_table(lcm)
-            self._table = roots[expo % lcm]
+            c = self.group.coords()
+            lcm = math.lcm(*(int(d) for d in self._exp_den.ravel()))
+            w = (self._exp_num * (lcm // self._exp_den)) % lcm
+            self._table = _root_table(lcm)[((c @ w) @ c.T) % lcm]
             self._table.setflags(write=False)
         return self._table
 
@@ -277,12 +281,11 @@ def twist_quantum_set(group: AbelianGroup, sigma: Bicharacter,
     sig = sigma.table()
     sqrt_n = math.sqrt(n)
 
-    lft, rgt = np.meshgrid(np.arange(n, dtype=np.int64), np.arange(n, dtype=np.int64),
-                           indexing="ij")
-    lft = lft.ravel()
-    rgt = rgt.ravel()
-    out = table[lft, rgt]
-    val = np.conj(sig[lft, rgt]) / sqrt_n
+    # every ordered pair (mu, nu), row-major: the tables in raveled order
+    lft = np.repeat(np.arange(n, dtype=np.int64), n)
+    rgt = np.tile(np.arange(n, dtype=np.int64), n)
+    out = table.ravel()
+    val = np.conj(sig.ravel()) / sqrt_n
 
     unit = np.zeros(n, dtype=complex)
     zero = group.index((0,) * group.rank)

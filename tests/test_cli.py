@@ -259,7 +259,7 @@ def _graph_text(edit=None):
     x = build_quantum_set([1, 2])
     a = np.eye(5, dtype=complex)
     a[0, 0] = 12345.5  # sentinel that a probe may replace in the text
-    doc = docs.graph_to_document(QuantumGraph(x, a))
+    doc = json.loads(docs.dumps(docs.graph_to_document(QuantumGraph(x, a))))
     if edit is not None:
         edit(doc)
     return json.dumps(doc)
@@ -268,7 +268,8 @@ def _graph_text(edit=None):
 def _projection_text(edit=None):
     x = build_quantum_set([1, 2])
     a = np.eye(5, dtype=complex)
-    doc = docs.projection_to_document(adjacency_to_projection(QuantumGraph(x, a)))
+    doc = json.loads(docs.dumps(docs.projection_to_document(
+        adjacency_to_projection(QuantumGraph(x, a)))))
     doc["projection"][0][2][0][0] = [12345.5, 0.0]
     if edit is not None:
         edit(doc)
@@ -286,6 +287,8 @@ MALFORMED = {
         lambda d: d["adjacency"][0].__setitem__(1, [None, 0.0]))),
     "string-and-bool-pair": ("graph-check", _graph_text(
         lambda d: d["adjacency"][0].__setitem__(1, ["1", True]))),
+    "bool-among-numbers": ("graph-check", _graph_text(
+        lambda d: d["adjacency"][0].__setitem__(1, [1.0, True]))),
     "overflow-obstruct": ("obstruct", _graph_text().replace("12345.5", "1e400")),
     "overflow-rotate": ("rotate", _projection_text().replace("12345.5", "1e400")),
     "projection-missing-pair": ("rotate", _projection_text(lambda d: _drop_pair(d, (0, 1)))),

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qgraphs import documents as docs
 from qgraphs.errors import InvalidInput
@@ -85,6 +86,8 @@ def test_encoder_accepts_real_and_strided_input():
     None,
     "matrix",
     {"re": 1, "im": 0},
+    [[[1, True]]],                         # a boolean beside an integer
+    [[[True, 2.5]]],                       # a boolean beside a float
 ])
 def test_decoder_refuses_malformed_arrays(value):
     with pytest.raises(docs.DocumentError):
@@ -104,7 +107,7 @@ def test_decoder_accepts_integers_beyond_int64():
 def test_decoder_reads_any_depth_and_consumers_check_the_shape():
     assert docs.array_from_json([[1, 0], [0, 0]]).shape == (2,)
     g = QuantumGraph(set=docs.set_from_spec({"blocks": [1, 1]}), adjacency=np.zeros((2, 2)))
-    doc = docs.graph_to_document(g)
+    doc = json.loads(docs.dumps(docs.graph_to_document(g)))
     for adjacency in ([[1, 0], [0, 0]], [doc["adjacency"]]):
         doc["adjacency"] = adjacency
         with pytest.raises(InvalidInput, match="adjacency has shape"):
@@ -129,3 +132,93 @@ def test_bicharacter_document_checks_its_group():
     del doc["gen_values"]
     with pytest.raises(docs.DocumentError, match="gen_values"):
         docs.bicharacter_from_document(doc, AbelianGroup((2, 2)))
+
+
+# ---------------------------------------------------------------------------
+# the writer: numpy arrays in, the stdlib encoding of their list form out
+# ---------------------------------------------------------------------------
+
+
+def stdlib_dumps(doc):
+    """The reference: every array replaced by its nested [re, im] lists."""
+    def plain(v):
+        if isinstance(v, np.ndarray):
+            a = np.asarray(v, dtype=complex)
+            return np.ascontiguousarray(a).view(np.float64).reshape(a.shape + (2,)).tolist()
+        if isinstance(v, dict):
+            return {k: plain(x) for k, x in v.items()}
+        if isinstance(v, list):
+            return [plain(x) for x in v]
+        return v
+    return json.dumps(plain(doc), sort_keys=True, allow_nan=False, separators=(",", ": "))
+
+
+FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-5, 1.0, -1.0, 0.1, 1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def complex_arrays(draw):
+    shape = tuple(draw(st.lists(st.integers(0, 4), max_size=3)))
+    size = int(np.prod(shape))
+    # a small pool of values makes repeats likely
+    pool = draw(st.lists(st.tuples(FLOATS, FLOATS), min_size=1, max_size=6))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    return np.array([complex(re, im) for re, im in picks], dtype=complex).reshape(shape)
+
+
+TEXT = st.text(st.characters(exclude_characters="\x00"), max_size=8)
+LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), FLOATS, TEXT, complex_arrays())
+DOCUMENTS = st.recursive(LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.dictionaries(TEXT, inner, max_size=4)), max_leaves=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(TEXT, DOCUMENTS, max_size=5))
+def test_writer_matches_the_stdlib_encoding(doc):
+    assert docs.dumps(doc) == stdlib_dumps(doc)
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(0, np.inf), complex(-np.inf, 1)])
+@pytest.mark.parametrize("shape", [(), (3,), (2, 2), (2, 1, 1)])
+def test_writer_refuses_non_finite_values(bad, shape):
+    a = np.ones(shape, dtype=complex)
+    a.reshape(-1)[-1] = bad
+    with pytest.raises(ValueError):
+        docs.dumps({"a": a})
+    with pytest.raises(ValueError):
+        docs.dumps({"blocks": [np.ones(shape), a]})
+
+
+def test_writer_shares_a_table_between_arrays_of_one_shape():
+    stack = np.arange(24.0).reshape(4, 3, 2) - 1j * np.arange(24.0).reshape(4, 3, 2)
+    doc = {"blocks": [[k, stack[k]] for k in range(4)], "other": stack[0, 0],
+           "unit": np.ones((5, 1, 1)), "empty": [np.zeros((0, 3)), np.zeros((2, 0))]}
+    assert docs.dumps(doc) == stdlib_dumps(doc)
+
+
+def test_writer_refuses_objects_and_the_stand_in():
+    with pytest.raises(TypeError):
+        docs.dumps({"x": np.complex64(1)})
+    for text in ("\x00", '"\x00'):  # strings whose encoding holds the quoted stand-in
+        with pytest.raises(ValueError):
+            docs.dumps({"a": np.eye(2), "text": text})
+
+
+def test_loads_refuses_booleans_in_lists_only():
+    with pytest.raises(docs.DocumentError):
+        docs.loads('{"adjacency": [[[1.0, 0.0], [0.0, true]]]}')
+    with pytest.raises(docs.DocumentError):
+        docs.loads('{"adjacency": [[[1.0, 0.0]], [[false, 0.0]]]}')
+    report = docs.loads('{"checks": [{"passed": true}], "all_pass": false}')
+    assert report["checks"][0]["passed"] is True
+
+
+def test_loads_scans_for_booleans_only_when_the_text_spells_one(monkeypatch):
+    def scan(v):
+        raise AssertionError("boolean scan ran on a text without true or false")
+
+    monkeypatch.setattr(docs, "_holds_boolean", scan)
+    assert docs.loads('{"m": [[[1.0, 0.0]]], "note": "t r u e"}')["m"] == [[[1.0, 0.0]]]

@@ -199,6 +199,37 @@ def test_edge_spectrum_refuses_non_finite_adjacency():
         edge_spectrum(QuantumGraph(build_quantum_set([2]), a))
 
 
+@pytest.mark.parametrize("entry, diagonal", [
+    (-0.0, True), (complex(0, -0.0), True), (5e-324, False), (complex(0, 5e-324), False),
+    (np.nan, False), (np.inf, False), (-np.inf, False), (1.0, False),
+])
+def test_exact_diagonality_of_off_diagonal_entries(entry, diagonal):
+    from qgraphs.graphs import _is_exactly_diagonal
+
+    a = np.diag(np.arange(1.0, 5.0)).astype(complex)
+    a[0, 3] = entry
+    assert _is_exactly_diagonal(a) == diagonal
+    a[0, 0] = 0.0  # zeros on the diagonal do not change the verdict
+    assert _is_exactly_diagonal(a) == diagonal
+
+
+@pytest.mark.parametrize("orders", [(2,) * 6, (4, 2, 3), (16, 16), (5,)])
+def test_twisted_edge_spectrum_is_the_fourier_transform_of_the_diagonal(orders):
+    from qgraphs.groups import AbelianGroup, cayley_spectrum, twisted_cayley
+    from qgraphs.graphs import edge_spectrum
+    from conftest import random_bicharacter
+
+    rng = np.random.default_rng(len(orders))
+    group = AbelianGroup(orders)
+    gens = [tuple(int(v) for v in rng.integers(0, orders)) for _ in range(4)]
+    gens += [group.neg(el) for el in gens]  # symmetric, so the spectrum is real
+    g = twisted_cayley(group, gens, random_bicharacter(group, rng))
+    fourier = group.fourier_matrix()
+    want = np.sort((fourier @ np.diagonal(g.adjacency) / group.size).real)
+    assert np.abs(edge_spectrum(g) - want).max() < 1e-12
+    assert np.array_equal(np.diagonal(g.adjacency), cayley_spectrum(group, gens))
+
+
 def test_pauli_edges_schur_orthogonal():
     p1 = quantum_edge(2, SIGMA_1)
     p3 = quantum_edge(2, SIGMA_3)

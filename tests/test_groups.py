@@ -149,6 +149,45 @@ def test_bicharacter_laws_spot_checked():
             assert abs(abs(table[a, b]) - 1) < 1e-12
 
 
+def _reference_table(sigma):
+    """sigma(mu, nu) as the product of the generator values, entry by entry."""
+    group = sigma.group
+    table = np.ones((group.size, group.size), dtype=complex)
+    for a, mu in enumerate(group.elements()):
+        for b, nu in enumerate(group.elements()):
+            for i in range(group.rank):
+                for j in range(group.rank):
+                    table[a, b] *= sigma.gen_values[i, j] ** (mu[i] * nu[j])
+    return table
+
+
+def test_bicharacter_table_is_the_exact_multiplicative_extension():
+    rng = np.random.default_rng(5)
+    for orders in [(2, 2, 2), (4, 6), (3, 3), (2, 4, 8), (5, 5)]:
+        group = AbelianGroup(orders)
+        sigma = random_bicharacter(group, rng)
+        table = sigma.table()
+        assert np.abs(table - _reference_table(sigma)).max() < 1e-12
+        # exact roots of unity: each entry is a lookup in the unit_root table
+        lcm = int(np.lcm.reduce(sigma._exp_den.ravel()))
+        roots = np.array([unit_root(k, lcm) for k in range(lcm)])
+        assert np.isin(table, roots).all()
+
+
+def test_twisted_structure_constants_are_the_tables_in_row_major_order():
+    rng = np.random.default_rng(6)
+    group = AbelianGroup((2, 4, 3))
+    sigma = random_bicharacter(group, rng)
+    x = twist_quantum_set(group, sigma)
+    n = group.size
+    pairs = [(mu, nu) for mu in range(n) for nu in range(n)]
+    assert np.array_equal(x.mult_left, [mu for mu, _ in pairs])
+    assert np.array_equal(x.mult_right, [nu for _, nu in pairs])
+    assert np.array_equal(x.mult_out, [group.addition_table()[mu, nu] for mu, nu in pairs])
+    want = [np.conj(sigma.table()[mu, nu]) / np.sqrt(n) for mu, nu in pairs]
+    assert np.array_equal(x.mult_val, want)
+
+
 # ---------------------------------------------------------------------------
 # twisted quantum sets
 # ---------------------------------------------------------------------------
@@ -370,3 +409,11 @@ def test_leg_phases_match_pairwise_products():
         want = table[i[0], i[1]] * table[i[0], i[2]] * table[i[1], i[2]]
         got = phases[(i[0] * n + i[1]) * n + i[2]]
         assert abs(got - want) < 1e-12
+
+
+@pytest.mark.parametrize("orders", [(2,), (2, 2, 2), (4, 2, 3), (3, 5), (2, 4, 8)])
+def test_addition_table_adds_coordinates(orders):
+    group = AbelianGroup(orders)
+    els = group.elements()
+    want = [[group.index(group.add(a, b)) for b in els] for a in els]
+    assert np.array_equal(group.addition_table(), want)
