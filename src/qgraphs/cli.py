@@ -50,9 +50,9 @@ from .groups import (
     trivial_bicharacter,
     twisted_cayley,
 )
-from .kernels import max_abs, scale_of, unit_root
+from .kernels import max_abs, scale_of
 from .obstruction import Certificate, classical_obstruction
-from .weyl import quantum_rook
+from .weyl import quantum_rook, weyl_bicharacter
 
 
 def _resolve_tol(args: argparse.Namespace) -> float:
@@ -78,8 +78,15 @@ def _load(path: str) -> dict:
     return docs.loads(_read_text(path))
 
 
+def _int(token: str, text: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise InvalidInput(f"{text!r}: {token.strip()!r} is not an integer") from None
+
+
 def _parse_ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.replace(";", ",").split(",") if tok.strip() != ""]
+    return [_int(tok, text) for tok in text.replace(";", ",").split(",") if tok.strip() != ""]
 
 
 def _parse_elements(text: str, rank: int) -> list[tuple[int, ...]]:
@@ -89,10 +96,7 @@ def _parse_elements(text: str, rank: int) -> list[tuple[int, ...]]:
         token = token.strip()
         if not token:
             continue
-        if "," in token:
-            el = tuple(int(t) for t in token.split(","))
-        else:
-            el = tuple(int(ch) for ch in token)
+        el = tuple(_int(t, text) for t in (token.split(",") if "," in token else token))
         if len(el) != rank:
             raise InvalidInput(f"element {token!r} has {len(el)} entries, expected {rank}")
         out.append(el)
@@ -215,7 +219,7 @@ def _bicharacter_for(args: argparse.Namespace, group: AbelianGroup):
     if name == "weyl":
         if group.rank != 2 or group.orders[0] != group.orders[1]:
             raise InvalidInput("the weyl preset needs a group Z_n x Z_n")
-        return make_bicharacter(group, [[1.0, 1.0], [unit_root(1, group.orders[0]), 1.0]])
+        return make_bicharacter(group, weyl_bicharacter(group.orders[0]).gen_values)
     if name.lstrip().startswith("["):
         return docs.bicharacter_from_text(name, group)
     doc = _load(name)
@@ -371,7 +375,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orders", required=True)
     p.add_argument("--gens", required=True)
     p.add_argument("--bichar", required=True,
-                   help="trivial | clifford | weyl | <bicharacter document>")
+                   help="trivial | clifford | weyl | inline [[...]] matrix of "
+                        "generator values | <bicharacter document>")
     common(p)
     p.set_defaults(func=_cmd_twist)
 
@@ -418,12 +423,22 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except (InvalidInput, ResourceLimit, docs.DocumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader left early; send the unwritten rest to devnull so that
+        # the flush at shutdown does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the output was written", file=sys.stderr)
         return 2
 
 

@@ -54,9 +54,9 @@ class WeylData:
 
 
 def weyl_bicharacter(n: int) -> Bicharacter:
-    """sigma(a e1 + b e2, c e1 + d e2) = w^{bc} on Z_n x Z_n."""
-    if n < 2:
-        raise InvalidInput("weyl_bicharacter requires n >= 2")
+    """sigma(a e1 + b e2, c e1 + d e2) = w^{bc} on Z_n x Z_n (trivial at n = 1)."""
+    if n < 1:
+        raise InvalidInput("weyl_bicharacter requires n >= 1")
     group = AbelianGroup((n, n))
     omega = unit_root(1, n)
     return make_bicharacter(group, [[1.0, 1.0], [omega, 1.0]])
@@ -116,24 +116,23 @@ def rook_adjacency_closed_form(n: int) -> np.ndarray:
     return a
 
 
-def quantum_rook(n: int, tol: float = 1e-9, cross_check: bool = True) -> QuantumGraph:
+def quantum_rook(n: int, tol: float = 1e-9) -> QuantumGraph:
     """The quantum rook's graph on M_n.
 
-    Built from the closed-form adjacency; by default the twist pipeline
-    (twisted Cayley graph conjugated through phi) is evaluated as well and
-    the two are required to agree within tolerance, else InvalidInput.
+    Built from the closed-form adjacency; the twist pipeline (twisted
+    Cayley graph conjugated through phi) is evaluated as well and the two
+    are required to agree within tolerance, else InvalidInput.
     """
     if n < 2:
         raise InvalidInput("quantum_rook requires n >= 2")
     a = rook_adjacency_closed_form(n)
     wd = phi_isomorphism(n, tol=tol)
-    if cross_check:
-        b = rook_pipeline_adjacency(wd)
-        if max_abs(a - b) > tol * scale_of(a):
-            raise InvalidInput(
-                f"rook closed form and twist pipeline disagree by {max_abs(a - b):.3e}, "
-                f"more than the tolerance {tol:g} allows"
-            )
+    b = rook_pipeline_adjacency(wd)
+    if max_abs(a - b) > tol * scale_of(a):
+        raise InvalidInput(
+            f"rook closed form and twist pipeline disagree by {max_abs(a - b):.3e}, "
+            f"more than the tolerance {tol:g} allows"
+        )
     return QuantumGraph(set=wd.matrix_set, adjacency=a)
 
 

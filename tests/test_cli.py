@@ -1,8 +1,11 @@
 """CLI: pipelines, exit codes, document round trips, determinism."""
 
+import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -307,3 +310,50 @@ def test_malformed_documents_exit_2_with_one_error_line(capsys, tmp_path, name):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cayley", "--orders", "2,x", "--gens", "1,1"],
+    ["cayley", "--orders", "2,2", "--gens", "1x"],
+    ["twist", "--orders", "2,2", "--gens", "1,,1", "--bichar", "trivial"],
+    ["set-check", "--blocks", "1,a"],
+    ["subgraph", "-", "--keep", "a"],
+    ["obstruct", "-", "--max-dim", "-1"],
+    ["obstruct", "-", "--max-dim", "0"],
+])
+def test_bad_integer_arguments_exit_2_with_one_error_line(capsys, monkeypatch, argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO(_graph_text()))
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_closed_stdout_is_exit_2_without_traceback():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    # about 0.4 MB of JSON, several times a pipe buffer
+    proc = subprocess.Popen([sys.executable, "-m", "qgraphs", "catalog", "hypercube",
+                             "--n", "7", "--json"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(10) == b'{"adjacenc'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_weyl_preset_is_weyl_bicharacter(capsys):
+    from qgraphs.weyl import weyl_bicharacter
+
+    code, _, _ = run(capsys, "twist", "--orders", "1,1", "--gens", "00",
+                     "--bichar", "weyl", "--json")
+    assert code == 0
+    code, out, _ = run(capsys, "twist", "--orders", "3,3", "--gens", "10;01",
+                       "--bichar", "weyl", "--json")
+    assert code == 0
+    g = docs.graph_from_document(docs.loads(out))
+    assert np.array_equal(g.set.bicharacter.gen_values, weyl_bicharacter(3).gen_values)

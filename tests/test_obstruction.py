@@ -129,3 +129,24 @@ def test_twisted_cayley_graphs_are_inconclusive(seed):
     g = twisted_cayley(group, gens, sigma)
     res = classical_obstruction(g)
     assert isinstance(res, Inconclusive), (group.orders, gens)
+
+
+def test_diagonal_scan_runs_without_the_matrix_schur_product(monkeypatch):
+    # a twisted hypercube's closure is diagonal: its scan convolves diagonal
+    # vectors and never hands N x N matrices to schur_product
+    import qgraphs.obstruction
+    from qgraphs.clifford import cube_like_graph
+
+    g = cube_like_graph(6, preset="hypercube")
+    ops, _ = schur_closure(g)
+    dense = max(max_abs(schur_product(g.set, a, b) - schur_product(g.set, b, a))
+                for i, (_, a) in enumerate(ops) for _, b in ops[i + 1:])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("matrix Schur product called on a diagonal closure")
+
+    monkeypatch.setattr(qgraphs.obstruction, "schur_product", refuse)
+    res = classical_obstruction(g)
+    assert isinstance(res, Inconclusive)
+    assert res.closure_dim == 7
+    assert res.max_residual == dense

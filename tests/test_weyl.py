@@ -40,8 +40,13 @@ def test_weyl_n2_equals_clifford_n2():
 
 
 def test_weyl_rejects_small_n():
+    # the bicharacter is defined (and trivial) on Z_1 x Z_1; the
+    # isomorphism onto M_n needs n >= 2
+    assert np.array_equal(weyl_bicharacter(1).gen_values, np.ones((2, 2)))
     with pytest.raises(InvalidInput):
-        weyl_bicharacter(1)
+        weyl_bicharacter(0)
+    with pytest.raises(InvalidInput):
+        phi_isomorphism(1)
 
 
 def test_phi_generators_at_n2():
