@@ -11,6 +11,7 @@ overrides the default 1e-9; ``--seed`` fixes the RNG of randomized checks.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Callable, Optional
@@ -334,6 +335,7 @@ def _cmd_iso_check(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # built once per process, however often main() runs
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qgraph",

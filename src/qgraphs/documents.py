@@ -11,8 +11,14 @@ keys) is refused with a ``DocumentError``.
 
 The builders keep matrices and vectors as complex numpy arrays, and
 :func:`dumps` writes each array from a table of its distinct values, so no
-Python object is made per entry.  Reading is ``json.loads`` plus one
-``np.asarray`` per array.
+Python object is made per entry.  :func:`loads` reads the matrices back the
+same way: the value of each key that holds one (``adjacency``, ``matrix``,
+``bicharacter``, ``gen_values``), if it is a rectangular array of [re, im]
+pairs, is checked as text against the JSON grammar and converted through a
+table of its distinct pairs into a float64 array; only the text of each pair
+becomes a Python object.  ``json.loads`` parses the rest of the document and
+every array that fails a check, so values and error messages are those of
+``json.loads`` plus ``np.asarray``.
 """
 
 from __future__ import annotations
@@ -20,7 +26,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from typing import Any, Optional
+import re
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -312,13 +319,20 @@ def _stack_texts(stack: np.ndarray) -> list[str]:
     flat = np.ascontiguousarray(stack).reshape(-1)
     if not np.isfinite(flat).all():
         raise ValueError("Out of range float values are not JSON compliant")
-    bits = flat.view(np.uint64)  # re, im, re, im, ...: -0.0 and 0.0 stay apart
-    re, re_code = np.unique(bits[0::2], return_inverse=True)
-    im, im_code = np.unique(bits[1::2], return_inverse=True)
-    pairs, code = np.unique(re_code * im.size + im_code, return_inverse=True)
-    re_vals = re.view(np.float64)[pairs // im.size].tolist()
-    im_vals = im.view(np.float64)[pairs % im.size].tolist()
-    entries = [f"[{x!r},{y!r}]" for x, y in zip(re_vals, im_vals)]
+    pairs = flat.view(np.uint64).reshape(-1, 2)  # (re, im) bits: -0.0 and 0.0 stay apart
+    # One stable sort (fast on the long runs of equal values that structured
+    # matrices have) of a key that mixes in the imaginary part brings equal
+    # pairs together; neighbours are compared as pairs, so two pairs that
+    # share a key only split a group and every group holds one value.
+    order = np.argsort(pairs[:, 0] ^ (pairs[:, 1] * np.uint64(0x9E3779B97F4A7C15)),
+                       kind="stable")
+    ranked = pairs[order]
+    starts = np.ones(len(ranked), dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    code = np.empty(len(ranked), dtype=np.intp)
+    code[order] = np.cumsum(starts) - 1
+    values = ranked[starts].view(np.float64)
+    entries = [f"[{x!r},{y!r}]" for x, y in zip(values[:, 0].tolist(), values[:, 1].tolist())]
     shape = stack.shape
     while len(shape) > 1 and shape[-1] == 1:  # a unit axis wraps the table, not each entry
         entries = ["[" + e + "]" for e in entries]
@@ -335,20 +349,107 @@ def _reject_constant(name: str):
     raise DocumentError(f"non-finite number {name!r} is not allowed in documents")
 
 
-def _parse(text: str) -> Any:
+# The keys whose values the readers decode with ``_array``; only these values
+# are read with numpy.  Elsewhere an array would reach a consumer that expects
+# a list or a scalar (``kind``, ``blocks``, a projection entry [0, 0]) and
+# change its error message, so projection lists are left to json.loads too.
+_ARRAY_KEYS = ("adjacency", "bicharacter", "gen_values", "matrix")
+# a JSON string, or one of those keys with a value of numbers and brackets
+_STRING_OR_ARRAY = re.compile(r'"(?:(?:%s)"[ \t\n\r]*:[ \t\n\r]*(\[[-+.0-9eE \t\n\r,\[\]]*\])'
+                              r'|(?:[^"\\]|\\.)*")' % "|".join(_ARRAY_KEYS), re.DOTALL)
+_NUMBER = r"[ \t\n\r]*(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)[ \t\n\r]*"
+# the text from the "[" of an innermost [re, im] pair to the next "["
+_PAIR = re.compile(_NUMBER + "," + _NUMBER + r"\][\], \t\n\r]*")
+_NOT_SKELETON = str.maketrans("", "", "-+.0123456789eE \t\n\r")
+
+
+def _number(token: str) -> Optional[float]:
+    """The float that ``_numbers`` makes of a JSON number; None for an integer beyond 18 digits."""
+    digits = token.lstrip("-")
+    if not digits.isdigit():
+        return float(token)
+    return float(int(token)) if len(digits) <= 18 else None  # -0 reads as +0.0
+
+
+def _lift(region: str) -> Optional[np.ndarray]:
+    """The float64 array that ``region`` spells if it is a rectangular array of
+    [re, im] pairs of JSON numbers, else None.
+
+    The values are bit for bit those :func:`_numbers` makes of
+    ``json.loads(region)``.  Each distinct pair text is checked against the
+    JSON number grammar and converted once.
+    """
+    skeleton = region.translate(_NOT_SKELETON)
+    shape: list[int] = []
+    leaves = 1
+    for depth in range(1, len(skeleton) - len(skeleton.lstrip("[")) + 1):
+        inner = skeleton.count(",", 0, skeleton.find("]" * depth)) + 1
+        shape.insert(0, inner // leaves)
+        leaves = inner
+    expected = ""
+    for n in reversed(shape):
+        expected = "[" + ",".join([expected] * n) + "]"
+    if len(shape) < 2 or shape[-1] != 2 or skeleton != expected:
+        return None
+    opens = np.frombuffer(skeleton.encode(), np.uint8) == ord("[")
+    innermost = (opens[:-1] & ~opens[1:])[opens[:-1]].tolist()  # one flag per "["
+    pairs = list(itertools.compress(region.split("[")[1:], innermost))
+    table = {}
+    for pair in set(pairs):
+        match = _PAIR.fullmatch(pair)
+        re_im = match and (_number(match[1]), _number(match[2]))
+        if not re_im or None in re_im:
+            return None
+        table[pair] = complex(*re_im)
+    values = np.fromiter(map(table.__getitem__, pairs), np.complex128, len(pairs))
+    return values.view(np.float64).reshape(shape)
+
+
+def _decode(text: str, object_hook: Optional[Callable[[dict], Any]] = None) -> Any:
     try:
-        value = json.loads(text, parse_constant=_reject_constant)
+        return json.loads(text, parse_constant=_reject_constant, object_hook=object_hook)
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+
+
+def _parse(text: str) -> Any:
+    """The JSON value of ``text``; arrays under ``_ARRAY_KEYS`` come back as float64 arrays.
+
+    Each array that :func:`_lift` reads is replaced in the text by the string
+    NUL + its index, which ``json.loads`` parses with the rest; a text that
+    spells NUL itself is read entirely by ``json.loads``.
+    """
+    arrays: list[np.ndarray] = []
+
+    def lift(match: re.Match) -> str:
+        array = None if match[1] is None else _lift(match[1])
+        if array is None:
+            return match[0]
+        arrays.append(array)
+        return text[match.start():match.start(1)] + f'"\\u0000{len(arrays) - 1}"'
+
+    def restore(obj: dict) -> dict:
+        for key in _ARRAY_KEYS:
+            v = obj.get(key)
+            if type(v) is str and v[:1] == _STAND_IN:
+                obj[key] = arrays[int(v[1:])]
+        return obj
+
+    rest = text if "\\u0000" in text else _STRING_OR_ARRAY.sub(lift, text)
+    try:
+        value = _decode(rest, restore if arrays else None)
+    except DocumentError:
+        value = _decode(text)  # raises the same error, placed in the original text
     # no list of a document holds booleans; scan only texts that spell one
-    if ("true" in text or "false" in text) and _holds_boolean(value):
+    if ("true" in rest or "false" in rest) and _holds_boolean(value):
         raise DocumentError("true or false stands where a number is expected")
     return value
 
 
 def loads(text: str) -> dict:
+    """The document ``text`` holds; its matrices come back as float64 arrays of [re, im] pairs."""
     doc = _parse(text)
     if not isinstance(doc, dict):
         raise DocumentError("document root must be a JSON object")

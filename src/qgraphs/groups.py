@@ -126,14 +126,27 @@ class AbelianGroup:
     def fourier_matrix(self) -> np.ndarray:
         """F[alpha, mu] = tau_mu(alpha); symmetric, with F Finv = id."""
         if self._fourier is None:
-            c = self.coords()
-            f = np.ones((self.size, self.size), dtype=complex)
-            for k, n in enumerate(self.orders):
-                roots = _root_table(n)
-                f = f * roots[(c[:, None, k] * c[None, :, k]) % n]
-            self._fourier = f
+            self._fourier = self.fourier_rows(self.coords())
             self._fourier.setflags(write=False)
         return self._fourier
+
+    def fourier_rows(self, alphas: np.ndarray) -> np.ndarray:
+        """The rows F[alpha, :] for the coordinate rows ``alphas``, one cyclic factor at a time.
+
+        A complex product rounds differently in its two operand orders (the
+        SIMD loops use FMA), so the order is fixed per group: the phases t of
+        each factor multiply the product so far as t * f once the N x N table
+        holds 256 KiB (N >= 128), f * t below.  Those are the orders numpy gave
+        the expression ``f = f * t`` for the full matrix: from that size on it
+        evaluates a product in place in its temporary operand, operands swapped.
+        """
+        c = self.coords()
+        swap = self.size * self.size * np.dtype(complex).itemsize >= 256 * 1024
+        f = np.ones((len(alphas), self.size), dtype=complex)
+        for k, n in enumerate(self.orders):
+            t = _root_table(n)[(alphas[:, None, k] * c[None, :, k]) % n]
+            f = np.multiply(t, f) if swap else np.multiply(f, t)
+        return f
 
 
 def characters_fourier(group: AbelianGroup) -> tuple[np.ndarray, np.ndarray]:
@@ -250,11 +263,10 @@ def classical_cayley(group: AbelianGroup, gens: Iterable[Sequence[int]],
 
 def cayley_spectrum(group: AbelianGroup, gens: Iterable[Sequence[int]]) -> np.ndarray:
     """Eigenvalues lambda_mu = sum_{theta in S} tau_mu(-theta), mu ordered as elements()."""
-    f = group.fourier_matrix()
-    neg = group.negation()
+    thetas = group.coords()[[group.index(theta) for theta in _as_elements(group, gens)]]
     lam = np.zeros(group.size, dtype=complex)
-    for theta in _as_elements(group, gens):
-        lam += f[neg[group.index(theta)], :]
+    for row in group.fourier_rows(-thetas % group.orders):
+        lam += row
     return lam
 
 

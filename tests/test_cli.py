@@ -357,3 +357,29 @@ def test_weyl_preset_is_weyl_bicharacter(capsys):
     assert code == 0
     g = docs.graph_from_document(docs.loads(out))
     assert np.array_equal(g.set.bicharacter.gen_values, weyl_bicharacter(3).gen_values)
+
+
+def test_one_parser_serves_many_calls(capsys):
+    from qgraphs import cli
+
+    argvs = [["catalog", "m2-edge", "--json"], ["cayley", "--orders", "2,2", "--gens", "10;01"],
+             ["graph-check"], ["catalog", "rook", "--json"], ["set-check", "--blocks", "1,2"],
+             ["catalog", "m2-edge", "--json"]]
+
+    def outcomes(fresh):
+        got = []
+        for argv in argvs:
+            if fresh:
+                cli._build_parser.cache_clear()
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse refusing the argv
+                code = exc.code
+            got.append((code, *capsys.readouterr()))
+        return got
+
+    fresh = outcomes(fresh=True)
+    cli._build_parser.cache_clear()
+    assert outcomes(fresh=False) == fresh
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 2, 0, 0]

@@ -199,6 +199,12 @@ def test_writer_shares_a_table_between_arrays_of_one_shape():
     assert docs.dumps(doc) == stdlib_dumps(doc)
 
 
+def test_writer_tells_apart_pairs_that_share_a_sort_key():
+    # 0.5 + 0j and 4194304 + 1j have the same key in the writer's one sort
+    doc = {"a": np.array([[0.5, 4194304 + 1j, 0.5], [4194304 + 1j, 0.5, 0.5]])}
+    assert docs.dumps(doc) == stdlib_dumps(doc)
+
+
 def test_writer_refuses_objects_and_the_stand_in():
     with pytest.raises(TypeError):
         docs.dumps({"x": np.complex64(1)})
@@ -222,3 +228,134 @@ def test_loads_scans_for_booleans_only_when_the_text_spells_one(monkeypatch):
 
     monkeypatch.setattr(docs, "_holds_boolean", scan)
     assert docs.loads('{"m": [[[1.0, 0.0]]], "note": "t r u e"}')["m"] == [[[1.0, 0.0]]]
+
+
+# ---------------------------------------------------------------------------
+# the reader: rectangular arrays of [re, im] pairs read with numpy
+# ---------------------------------------------------------------------------
+
+
+def reference_loads(text):
+    """The reader before arrays were read with numpy: json.loads and the boolean scan."""
+    try:
+        doc = json.loads(text, parse_constant=docs._reject_constant)
+    except json.JSONDecodeError as exc:
+        raise docs.DocumentError(
+            f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    if docs._holds_boolean(doc):
+        raise docs.DocumentError("true or false stands where a number is expected")
+    if not isinstance(doc, dict):
+        raise docs.DocumentError("document root must be a JSON object")
+    return doc
+
+
+NUMBER_TOKENS = st.one_of(
+    FLOATS.map(repr),                                       # 17-digit reprs, -0.0, 5e-324
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: f"{x:.6e}"),
+    st.integers(-10 ** 18 + 1, 10 ** 18 - 1).map(str),
+    st.integers(2 ** 63, 2 ** 70).map(lambda n: str(n * (-1) ** (n % 3))),
+    st.sampled_from(["-0", "0", "-0.0", "-0e0", "1E+2", "2.5e-3", "-5E-324", "9007199254740993",
+                     "123456789012345678", "1.7976931348623157e308", "0.1e1", "4e-320"]),
+)
+
+
+@st.composite
+def array_texts(draw):
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)) + [2]
+    tokens = iter(draw(st.lists(NUMBER_TOKENS, min_size=int(np.prod(shape)),
+                                max_size=int(np.prod(shape)))))
+    sep = draw(st.sampled_from([",", ", ", " ,\n\t", "\r\n,"]))
+    pad = draw(st.sampled_from(["", " ", "\n  "]))
+
+    def spell(shape):
+        if not shape:
+            return next(tokens)
+        return "[" + pad + sep.join(spell(shape[1:]) for _ in range(shape[0])) + pad + "]"
+
+    return spell(shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(array_texts(), st.sampled_from(['": ', '":', '" :\n ']))
+def test_reader_arrays_are_those_of_json_loads_and_asarray(array_text, colon):
+    text = '{"adjacency' + colon + array_text + ', "m' + colon + array_text + "}"
+    got, want = docs.loads(text), json.loads(text)
+    reference = np.asarray(want["adjacency"]).astype(np.float64)
+    assert docs._numbers(got["adjacency"], "a").tobytes() == reference.tobytes()
+    # integers beyond 18 digits are left to json.loads, and so is every other key
+    entries = np.asarray(want["adjacency"], dtype=object).ravel()
+    big = any(type(v) is int and abs(v) >= 10 ** 18 for v in entries)
+    if not big:
+        assert isinstance(got["adjacency"], np.ndarray)
+        assert got["adjacency"].shape == reference.shape
+    assert got["m"] == want["m"] and not isinstance(got["m"], np.ndarray)
+
+
+def _graph_doc(adjacency="[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]",
+               note='"a note"', kind='"quantum-graph"', blocks="[1, 1]"):
+    return ('{"adjacency": %s, "kind": %s, "metadata": {"note": %s}, "schema_version": 1, '
+            '"set": {"blocks": %s}}' % (adjacency, kind, note, blocks))
+
+
+def _with_entry(token):
+    """A graph document whose last adjacency entry has ``token`` as its real part."""
+    return _graph_doc("[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [%s, 0.0]]]" % token)
+
+
+def _projection_doc(projection):
+    return ('{"kind": "quantum-graph", "metadata": {}, "projection": %s, "schema_version": 1, '
+            '"set": {"blocks": [1]}}' % projection)
+
+
+READER_CORPUS = {
+    "ragged": _graph_doc("[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]"),
+    "empty-leaf": _graph_doc("[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [, 0.0]]]"),
+    "leading-zero": _with_entry("01"),
+    "plus-sign": _with_entry("+1"),
+    "bare-fraction": _with_entry(".5"),
+    "bare-point": _with_entry("1."),
+    "bare-exponent": _with_entry("1e"),
+    "nan": _with_entry("NaN"),
+    "overflow": _with_entry("1e400"),
+    "integer-overflow": _with_entry("1" + "0" * 400),
+    "big-integer": _with_entry("18446744073709551616"),
+    "negative-zero-integer": _with_entry("-0"),
+    "true": _with_entry("true"),
+    "string": _with_entry('"1"'),
+    "space-in-number": _with_entry("1 2"),
+    "unbalanced-open": _graph_doc("[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]"),
+    "unbalanced-close": _graph_doc("[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]"),
+    "trailing-comma": _graph_doc("[[[1.0, 0.0], [0.0, 0.0],], [[0.0, 0.0], [1.0, 0.0]]]"),
+    "triples": _graph_doc("[[[1.0, 0.0, 0.0]]]"),
+    "too-shallow": _graph_doc("[[1.0, 0.0], [0.0, 0.0]]"),
+    "error-after-an-array": _graph_doc(blocks="[1, 01]"),
+    "array-as-root": "[[1.0, 0.0], [0.0, 0.0]]",
+    "array-as-kind": _graph_doc(kind="[[1.0, 0.0]]"),
+    "array-as-blocks": _graph_doc(blocks="[[1, 1]]"),
+    "nul-in-metadata": _graph_doc(note='"\\u0000"'),
+    "stand-in-in-metadata": _graph_doc(note='"\\u00000"'),
+    "key-in-metadata": _graph_doc(note='{"adjacency": [[1.0, 0.0]]}'),
+    "stand-in-as-adjacency": ('{"adjacency": "\\u00000", "kind": "quantum-graph", '
+                              '"schema_version": 1, "set": {"bicharacter": [[[1.0, 0.0]]], '
+                              '"group": {"orders": [2]}}}'),
+    "compact": _graph_doc().replace(", ", ",").replace(": ", ":"),
+    "projection": _projection_doc("[[0, 0, [[[1.0, 0.0]]]]]"),
+    "projection-entry-without-matrix": _projection_doc("[[0, 0]]"),
+}
+
+
+def _outcome(read, text):
+    """What a reader and the consumer make of ``text``: an error message or the array bytes."""
+    try:
+        doc = read(text)
+        if "projection" in doc:
+            return "ok", docs.projection_from_document(doc).blocks[0, 0].tobytes()
+        return "ok", docs.graph_from_document(doc).adjacency.tobytes()
+    except InvalidInput as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(READER_CORPUS))
+def test_reader_gives_the_json_loads_outcome(name):
+    text = READER_CORPUS[name]
+    assert _outcome(docs.loads, text) == _outcome(reference_loads, text)

@@ -57,6 +57,30 @@ def test_fourier_z2xz2_rows_multiplicative():
                 assert f[table[a, b], mu] == f[a, mu] * f[b, mu]
 
 
+def reference_fourier_matrix(group):
+    """The N x N build that cayley_spectrum used to read its rows from."""
+    c = group.coords()
+    f = np.ones((group.size, group.size), dtype=complex)
+    for k, n in enumerate(group.orders):
+        roots = np.asarray([unit_root(j, n) for j in range(n)])
+        f = f * roots[(c[:, None, k] * c[None, :, k]) % n]
+    return f
+
+
+@pytest.mark.parametrize("orders", [(2,) * 6, (6, 6), (16, 16)])
+def test_cayley_spectrum_sums_the_fourier_matrix_rows_bit_for_bit(orders):
+    # from N = 128 on, numpy evaluated the reference's products with the operands swapped
+    group = AbelianGroup(orders)
+    rng = np.random.default_rng(len(orders))
+    gens = [group.elements()[k] for k in rng.integers(0, group.size, 7)] + [(7,) * len(orders)]
+    f = reference_fourier_matrix(group)
+    assert group.fourier_matrix().tobytes() == f.tobytes()
+    want = np.zeros(group.size, dtype=complex)
+    for theta in gens:
+        want += f[group.index(group.neg(theta)), :]
+    assert cayley_spectrum(group, gens).tobytes() == want.tobytes()
+
+
 def test_cayley_four_cycle():
     g = classical_cayley(AbelianGroup((4,)), [(1,), (3,)])
     want = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]],
