@@ -14,6 +14,11 @@ Conventions used everywhere in this package:
   every operator matrix is the plain conjugate transpose.
 * The multiplication tensor ``m`` is stored sparsely as parallel arrays
   (out, left, right, value), never densified above ``DENSE_LIMIT``.
+* The star sends each basis vector to a phase times another basis vector
+  (``e_ab^* = e_ba``, ``tau_mu^* = c_mu tau_{-mu}``), so the duality R is a
+  signed permutation and is stored as one: two length-N arrays with
+  ``e_k^* = star_phase[k] e_{star_src[k]}``.  A set therefore holds
+  O(N + nonzeros of m) numbers; no N x N array is kept.
 
 ``verify_frobenius`` re-derives all the defining identities (specialness,
 Frobenius law, snake identities, unit laws, symmetry, involutivity,
@@ -81,6 +86,11 @@ class QuantumSet:
     units, block-ordered and row-major; it is None for deformed group
     algebras, whose basis is indexed by group elements instead.  All
     operations that need no block data work on either kind.
+
+    The star is the signed permutation ``e_k^* = star_phase[k]
+    e_{star_src[k]}``; construction refuses a ``star_src`` that is not a
+    permutation of ``range(N)``.  Together with the sparse multiplication
+    this keeps a set at O(N + nonzeros of m) memory.
     """
 
     blocks: Optional[tuple[int, ...]]
@@ -90,15 +100,21 @@ class QuantumSet:
     mult_right: np.ndarray  # int64[k]
     mult_val: np.ndarray  # complex128[k]
     unit_vec: np.ndarray  # complex128[N]
-    star_mat: np.ndarray  # complex128[N, N]; row i holds coefficients of e_i^*
+    star_src: np.ndarray  # int64[N]; e_k^* = star_phase[k] e_{star_src[k]}
+    star_phase: np.ndarray  # complex128[N]
     tol: float = DEFAULT_TOL
     group: Optional["AbelianGroup"] = None
     bicharacter: Optional["Bicharacter"] = None
     _dense_mult: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        src = self.star_src
+        if (src.dtype.kind not in "iu" or src.shape != (self.N,)
+                or self.star_phase.shape != (self.N,)
+                or not np.array_equal(np.sort(src), np.arange(self.N))):
+            raise InvalidInput(f"star source is not a permutation of the {self.N} basis slots")
         for a in (self.mult_out, self.mult_left, self.mult_right, self.mult_val,
-                  self.unit_vec, self.star_mat):
+                  self.unit_vec, self.star_src, self.star_phase):
             _readonly(a)
 
     # -- structure tensors ------------------------------------------------
@@ -114,6 +130,12 @@ class QuantumSet:
             m[self.mult_out, self.mult_left, self.mult_right] = self.mult_val
             self._dense_mult = _readonly(m)
         return self._dense_mult
+
+    def dense_star(self) -> np.ndarray:
+        """The duality R as an (N, N) array; row k holds the coefficients of e_k^*."""
+        f = np.zeros((self.N, self.N), dtype=complex)
+        f[np.arange(self.N), self.star_src] = self.star_phase
+        return f
 
     def same_set(self, other: "QuantumSet") -> bool:
         if self.N != other.N or self.blocks != other.blocks:
@@ -244,8 +266,9 @@ def build_quantum_set(blocks: Sequence[int], tol: float = DEFAULT_TOL) -> Quantu
 
     Structure constants in the orthonormal basis e_ab / sqrt(n):
     multiplication couples (i,a,b)(i,b,d) -> (i,a,d) with weight 1/sqrt(n_i),
-    the unit has entry sqrt(n_i) at each diagonal slot, and the star matrix
-    permutes (i,a,b) -> (i,b,a).
+    entries ordered by block, then (a, b, d) row-major; the unit has entry
+    sqrt(n_i) at each diagonal slot, and the star sends (i,a,b) to (i,b,a)
+    with phase 1.
     """
     blocks = tuple(int(n) for n in blocks)
     if len(blocks) == 0:
@@ -255,47 +278,29 @@ def build_quantum_set(blocks: Sequence[int], tol: float = DEFAULT_TOL) -> Quantu
     if not tol > 0:
         raise InvalidInput("tolerance must be positive")
 
-    n_total = sum(n * n for n in blocks)
+    sizes = np.asarray(blocks, dtype=np.int64)
+    slots = sizes * sizes
 
-    out: list[int] = []
-    lft: list[int] = []
-    rgt: list[int] = []
-    val: list[complex] = []
-    offset = 0
-    for i, n in enumerate(blocks):
-        w = 1.0 / math.sqrt(n)
+    def grid(counts: np.ndarray):
+        """(block offset, block size, local index) of each of counts[i] indices per block."""
+        n = np.repeat(sizes, counts)
+        t = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        return np.repeat(np.cumsum(slots) - slots, counts), n, t
 
-        def slot(a: int, b: int, base: int = offset, size: int = n) -> int:
-            return base + a * size + b
-
-        for a in range(n):
-            for b in range(n):
-                for d in range(n):
-                    out.append(slot(a, d))
-                    lft.append(slot(a, b))
-                    rgt.append(slot(b, d))
-                    val.append(w)
-        offset += n * n
-
-    unit = np.zeros(n_total, dtype=complex)
-    star = np.zeros((n_total, n_total), dtype=complex)
-    offset = 0
-    for i, n in enumerate(blocks):
-        for a in range(n):
-            unit[offset + a * n + a] = math.sqrt(n)
-            for b in range(n):
-                star[offset + a * n + b, offset + b * n + a] = 1.0
-        offset += n * n
-
+    o, n, t = grid(slots)  # slot (a, b) of its block: t = a n + b
+    a, b = t // n, t % n
+    unit = np.where(a == b, np.sqrt(n), 0.0).astype(complex)
+    o3, n3, t3 = grid(slots * sizes)  # entry (a, b, d): t = (a n + b) n + d
     return QuantumSet(
         blocks=blocks,
-        N=n_total,
-        mult_out=np.asarray(out, dtype=np.int64),
-        mult_left=np.asarray(lft, dtype=np.int64),
-        mult_right=np.asarray(rgt, dtype=np.int64),
-        mult_val=np.asarray(val, dtype=complex),
+        N=int(slots.sum()),
+        mult_out=o3 + t3 // (n3 * n3) * n3 + t3 % n3,
+        mult_left=o3 + t3 // n3,
+        mult_right=o3 + t3 % (n3 * n3),
+        mult_val=(1.0 / np.sqrt(n3)).astype(complex),
         unit_vec=unit,
-        star_mat=star,
+        star_src=o + b * n + a,
+        star_phase=np.ones(a.size, dtype=complex),
         tol=tol,
     )
 
@@ -321,8 +326,11 @@ def algebra_multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 
 
 def algebra_star(x: AlgebraElement) -> AlgebraElement:
-    """The *-operation: coefficients F^T conj(c), per e_i^* = sum_j F_i^j e_j."""
-    return AlgebraElement(x.set, x.set.star_mat.T @ np.conj(x.coeffs))
+    """The *-operation: c_k e_k goes to conj(c_k) star_phase[k] e_{star_src[k]}."""
+    s = x.set
+    coeffs = np.empty(s.N, dtype=complex)
+    coeffs[s.star_src] = s.star_phase * np.conj(x.coeffs)
+    return AlgebraElement(s, coeffs)
 
 
 def counit_apply(x: AlgebraElement) -> complex:
@@ -373,24 +381,14 @@ def element_to_block_matrices(x: AlgebraElement) -> list[np.ndarray]:
 
 
 def _join(ja: np.ndarray, jb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (ia, ib) with ja[ia] == jb[ib], vectorised per key."""
-    order_a = np.argsort(ja, kind="stable")
+    """Index pairs (ia, ib) with ja[ia] == jb[ib]: ia ascending, ib stable per key."""
     order_b = np.argsort(jb, kind="stable")
-    sa = ja[order_a]
     sb = jb[order_b]
-    ua, sta, cta = np.unique(sa, return_index=True, return_counts=True)
-    ub, stb, ctb = np.unique(sb, return_index=True, return_counts=True)
-    common, pa, pb = np.intersect1d(ua, ub, assume_unique=True, return_indices=True)
-    parts_a = []
-    parts_b = []
-    for k in range(common.size):
-        a0, ca = sta[pa[k]], cta[pa[k]]
-        b0, cb = stb[pb[k]], ctb[pb[k]]
-        parts_a.append(np.repeat(order_a[a0:a0 + ca], cb))
-        parts_b.append(np.tile(order_b[b0:b0 + cb], ca))
-    if not parts_a:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    return np.concatenate(parts_a), np.concatenate(parts_b)
+    lo = np.searchsorted(sb, ja, side="left")
+    count = np.searchsorted(sb, ja, side="right") - lo
+    # pair p of index i takes the (p - first pair of i)-th b of its key run
+    skip = np.repeat(lo - (np.cumsum(count) - count), count)
+    return np.repeat(np.arange(ja.size), count), order_b[np.arange(skip.size) + skip]
 
 
 def _coo_max_diff(keys1, vals1, keys2, vals2) -> float:
@@ -407,11 +405,6 @@ def _coo_max_diff(keys1, vals1, keys2, vals2) -> float:
     return float(np.abs(sums).max())
 
 
-def _r_entries(x: QuantumSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rows, cols = np.nonzero(np.abs(x.star_mat) > 0)
-    return rows.astype(np.int64), cols.astype(np.int64), x.star_mat[rows, cols]
-
-
 def verify_frobenius(x: QuantumSet, tol: Optional[float] = None) -> Report:
     """Numerically verify that the stored tensors form a special symmetric
     Frobenius algebra with counit of the unit equal to N.
@@ -422,8 +415,8 @@ def verify_frobenius(x: QuantumSet, tol: Optional[float] = None) -> Report:
     tol = x.tol if tol is None else tol
     n = x.N
     out, lft, rgt, val = x.mult_out, x.mult_left, x.mult_right, x.mult_val
-    f = x.star_mat
-    scale = scale_of(val, f, x.unit_vec)
+    f = x.dense_star()
+    scale = scale_of(val, x.star_phase, x.unit_vec)
     checks: list[Check] = []
 
     def record(name: str, residual: float) -> None:
@@ -459,10 +452,12 @@ def verify_frobenius(x: QuantumSet, tol: Optional[float] = None) -> Report:
 
     # (c) snake identities for the duality R
     record("snake_left", max_abs(f.conj() @ f - np.eye(n)))
-    record("snake_right", max_abs(f @ f.conj() - np.eye(n)))
+    snake_right = max_abs(f @ f.conj() - np.eye(n))  # also the involutive star
+    record("snake_right", snake_right)
 
-    # (d) comultiplication and multiplication recovered from R
-    rr, rc, rv = _r_entries(x)
+    # (d) comultiplication and multiplication recovered from R, whose one
+    # entry per row k is R^{k, star_src[k]} = star_phase[k]
+    rr, rc, rv = np.arange(n), x.star_src, x.star_phase
     mdag_k = pack3(lft, rgt, out)
     mdag_v = np.conj(val)
     ia, ib = _join(lft, rc)  # sum_l R^{kl} m^p_{la}
@@ -489,7 +484,7 @@ def verify_frobenius(x: QuantumSet, tol: Optional[float] = None) -> Report:
 
     # (f) symmetric duality, (g) involutive star
     record("duality_symmetric", max_abs(f - f.T))
-    record("star_involutive", max_abs(f @ f.conj() - np.eye(n)))
+    record("star_involutive", snake_right)
 
     # (h) associativity
     ia, ib = _join(out, lft)
@@ -516,10 +511,8 @@ def verify_frobenius(x: QuantumSet, tol: Optional[float] = None) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def check_star_homomorphism(
-    f: Operator, unital: bool = True, tol: Optional[float] = None
-) -> Report:
-    """Check that ``f`` is multiplicative, optionally unital, and *-preserving.
+def check_star_homomorphism(f: Operator, tol: Optional[float] = None) -> Report:
+    """Check that ``f`` is multiplicative, unital and *-preserving.
 
     Multiplicativity is the tensor identity f m_X = m_Y (f (x) f); the
     *-condition is checked on the basis as f(e_k^*) = f(e_k)^*, which is
@@ -541,11 +534,12 @@ def check_star_homomorphism(
     res_mult = max_abs(lhs - rhs)
     checks.append(Check("multiplicative", res_mult <= tol * scale, res_mult))
 
-    if unital:
-        res_unit = max_abs(fm @ dom.unit_vec - cod.unit_vec)
-        checks.append(Check("unital", res_unit <= tol * scale, res_unit))
+    res_unit = max_abs(fm @ dom.unit_vec - cod.unit_vec)
+    checks.append(Check("unital", res_unit <= tol * scale, res_unit))
 
-    res_star = max_abs(fm @ dom.star_mat.T - cod.star_mat.T @ np.conj(fm))
+    # column k holds f(e_k^*) and f(e_k)^*, both read at rows star_src of Y
+    image_of_star = fm[:, dom.star_src] * dom.star_phase
+    res_star = max_abs(image_of_star[cod.star_src] - cod.star_phase[:, None] * np.conj(fm))
     checks.append(Check("star_preserving", res_star <= tol * scale, res_star))
     return Report(checks=checks, tol=tol)
 

@@ -143,6 +143,8 @@ def _cmd_set_check(args: argparse.Namespace) -> int:
     tol = _resolve_tol(args)
     if (args.file is None) == (args.blocks is None):
         raise InvalidInput("set-check needs exactly one of <file> or --blocks")
+    if args.seed < 0:
+        raise InvalidInput(f"--seed must be a non-negative integer, got {args.seed}")
     if args.blocks is not None:
         x = build_quantum_set(_parse_ints(args.blocks), tol=tol)
     else:

@@ -154,7 +154,7 @@ def folded_embedding(n: int, tol: float = 1e-9) -> tuple[BlockMap, Report]:
         else:
             mat[gc.index(mu + (1,)), col] = 1j * root2
     op = Operator(domain=dom, codomain=cod, matrix=mat)
-    report = check_star_homomorphism(op, unital=True, tol=tol)
+    report = check_star_homomorphism(op, tol=tol)
     return BlockMap(op=op, kind="subalgebra-embedding"), report
 
 

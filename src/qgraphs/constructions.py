@@ -106,7 +106,7 @@ def quotient_graph(g: QuantumGraph, iota: BlockMap | Operator,
     tol = g.set.tol if tol is None else tol
     if not op.codomain.same_set(g.set):
         raise InvalidInput("quotient_graph: embedding codomain must be the graph's set")
-    hom = check_star_homomorphism(op, unital=True, tol=tol)
+    hom = check_star_homomorphism(op, tol=tol)
     if not hom.all_pass:
         raise InvalidInput(
             f"quotient_graph: iota is not a unital *-homomorphism (failed: {hom.failed()})"
@@ -126,7 +126,7 @@ def check_isomorphism(phi: Operator, g1: QuantumGraph, g2: QuantumGraph,
         raise InvalidInput("check_isomorphism: phi does not map between the graphs' sets")
     if phi.domain.N != phi.codomain.N:
         return False
-    if not check_star_homomorphism(phi, unital=True, tol=tol).all_pass:
+    if not check_star_homomorphism(phi, tol=tol).all_pass:
         return False
     lam, _ = hermitian_eigs(phi.matrix.conj().T @ phi.matrix, tol=tol)
     if lam[0] <= tol * scale_of(phi.matrix):

@@ -255,32 +255,18 @@ def schur_product(x: QuantumSet, a, b) -> np.ndarray:
     return np.einsum("puv,quv->pq", t, np.conj(m))
 
 
-def _monomial_form(f: np.ndarray):
-    """(src, vals) with f[src[i], i] = vals[i] if f has one entry per column."""
-    n = f.shape[0]
-    nz = np.abs(f) > 0
-    if not np.array_equal(nz.sum(axis=0), np.ones(n, dtype=np.int64)):
-        return None
-    if not np.array_equal(nz.sum(axis=1), np.ones(n, dtype=np.int64)):
-        return None
-    src = np.argmax(nz, axis=0)
-    return src, f[src, np.arange(n)]
-
-
 def schur_star(x: QuantumSet, a) -> np.ndarray:
     """The involution of the Schur C*-structure: F^T conj(A) conj(F).
 
-    The star matrix of every set built here is monomial (one phase per
-    row), in which case the triple product reduces to an exact O(N^2)
-    permute-and-phase; a dense fallback covers the general case.
+    The duality F is the stored signed permutation F[k, star_src[k]] =
+    star_phase[k], so the triple product is an exact O(N^2) permute and
+    phase: entry (k, l) of conj(A) moves to (star_src[k], star_src[l]).
     """
     a = _unwrap_endomorphism(x, a)
-    f = x.star_mat
-    mono = _monomial_form(f)
-    if mono is not None:
-        src, vals = mono
-        return (vals[:, None] * np.conj(vals)[None, :]) * np.conj(a)[np.ix_(src, src)]
-    return f.T @ np.conj(a) @ np.conj(f)
+    p = x.star_phase
+    out = np.empty((x.N, x.N), dtype=complex)
+    out[np.ix_(x.star_src, x.star_src)] = np.outer(p, np.conj(p)) * np.conj(a)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +275,19 @@ def schur_star(x: QuantumSet, a) -> np.ndarray:
 
 
 def rotate_to_edge(x: QuantumSet, a: np.ndarray) -> np.ndarray:
-    """Edge element of A as coefficients on e_p (x) e_q (an N x N matrix)."""
-    return np.asarray(a, dtype=complex) @ x.star_mat
+    """Edge element of A as coefficients on e_p (x) e_q (an N x N matrix): A F."""
+    a = np.asarray(a, dtype=complex)
+    out = np.empty_like(a)
+    out[:, x.star_src] = a * x.star_phase
+    return out
 
 
 def rotate_from_edge(x: QuantumSet, a_tilde: np.ndarray) -> np.ndarray:
-    """Inverse rotation; round-trips with :func:`rotate_to_edge`."""
-    return np.asarray(a_tilde, dtype=complex) @ np.conj(x.star_mat)
+    """Inverse rotation A~ conj(F); round-trips with :func:`rotate_to_edge`."""
+    a_tilde = np.asarray(a_tilde, dtype=complex)
+    out = np.empty_like(a_tilde)
+    out[:, x.star_src] = a_tilde * np.conj(x.star_phase)
+    return out
 
 
 def adjacency_to_projection(g: QuantumGraph) -> EdgeProjection:

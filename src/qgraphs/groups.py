@@ -276,10 +276,11 @@ def twist_quantum_set(group: AbelianGroup, sigma: Bicharacter,
 
     Orthonormal basis b_mu indexed by group elements, with multiplication
     ``b_mu b_nu = conj(sigma(mu,nu)) b_{mu+nu} / sqrt(N)``, unit sqrt(N) b_0
-    and counit sqrt(N) delta_{mu,0}.  The star matrix is solved numerically
-    from unitarity of the scaled basis (each tau_mu must satisfy
-    tau_mu^* tau_mu = 1 with tau_mu^* a multiple of tau_{-mu}); consistency
-    is certified by verify_frobenius rather than by a symbolic phase rule.
+    and counit sqrt(N) delta_{mu,0}.  The star is the signed permutation
+    mu -> -mu whose phases are solved numerically from unitarity of the
+    scaled basis (each tau_mu must satisfy tau_mu^* tau_mu = 1 with
+    tau_mu^* a multiple of tau_{-mu}); consistency is certified by
+    verify_frobenius rather than by a symbolic phase rule.
     """
     if sigma.group is not group and sigma.group.orders != group.orders:
         raise InvalidInput("bicharacter is defined on a different group")
@@ -302,9 +303,7 @@ def twist_quantum_set(group: AbelianGroup, sigma: Bicharacter,
     # the stored product coefficient of tau_{-mu} tau_mu on tau_0 is
     # conj(sigma(-mu, mu)), so c_mu is its reciprocal.
     neg = group.negation()
-    star = np.zeros((n, n), dtype=complex)
-    prod_coeff = np.conj(sig[neg, np.arange(n)])  # tau_{-mu} tau_mu = this * tau_0
-    star[np.arange(n), neg] = 1.0 / prod_coeff
+    phase = 1.0 / np.conj(sig[neg, np.arange(n)])
 
     return QuantumSet(
         blocks=None,
@@ -314,7 +313,8 @@ def twist_quantum_set(group: AbelianGroup, sigma: Bicharacter,
         mult_right=rgt,
         mult_val=val,
         unit_vec=unit,
-        star_mat=star,
+        star_src=neg,
+        star_phase=phase,
         tol=tol,
         group=group,
         bicharacter=sigma,

@@ -152,7 +152,7 @@ def rook_spectrum(n: int) -> np.ndarray:
 def transported_duality(wd: WeylData) -> np.ndarray:
     """The twisted duality tensor moved through phi: (U (x) U) R_breve."""
     u = wd.phi.matrix
-    return u @ wd.twisted.star_mat @ u.T
+    return u @ wd.twisted.dense_star() @ u.T
 
 
 def transported_mult(wd: WeylData) -> np.ndarray:

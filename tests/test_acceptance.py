@@ -182,13 +182,13 @@ def test_criterion_05_phi_isomorphism():
     with _Stopwatch("05 phi isomorphism"):
         for n in range(2, 7):
             wd = phi_isomorphism(n)
-            report = check_star_homomorphism(wd.phi, unital=True, tol=1e-9)
+            report = check_star_homomorphism(wd.phi, tol=1e-9)
             assert report.all_pass
             assert max(c.residual for c in report.checks) <= 1e-9
             u = wd.phi.matrix
             assert max_abs(u @ u.conj().T - np.eye(n * n)) <= 1e-9
             mn = wd.matrix_set
-            assert max_abs(transported_duality(wd) - mn.star_mat) <= 1e-9
+            assert max_abs(transported_duality(wd) - mn.dense_star()) <= 1e-9
             assert max_abs(transported_mult(wd) - mn.dense_mult()) <= 1e-9
 
 
@@ -218,7 +218,7 @@ def test_criterion_06_clifford_relations():
         assert np.array_equal(cl2.mult_left, w2.mult_left)
         assert np.array_equal(cl2.mult_right, w2.mult_right)
         assert np.array_equal(cl2.mult_val, w2.mult_val)
-        assert np.array_equal(cl2.star_mat, w2.star_mat)
+        assert np.array_equal(cl2.dense_star(), w2.dense_star())
         assert np.array_equal(cl2.unit_vec, w2.unit_vec)
 
 
@@ -366,7 +366,7 @@ def test_criterion_13_property_suites():
         rng = np.random.default_rng(1313)
         for label, x in sets:
             n = x.N
-            f = x.star_mat
+            f = x.dense_star()
             j = schur_unit(x)
             for _ in range(100):
                 a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

@@ -22,6 +22,9 @@ from qgraphs import (
     element_is_positive,
     element_to_block_matrices,
     is_positive_element,
+    rotate_from_edge,
+    rotate_to_edge,
+    schur_star,
     verify_frobenius,
 )
 from qgraphs.algebra import left_mult_matrix, random_element, random_positive_element
@@ -36,7 +39,7 @@ from qgraphs.errors import InvalidInput
 def test_classical_four_points():
     x = build_quantum_set([1, 1, 1, 1])
     assert x.N == 4
-    assert np.array_equal(x.star_mat, np.eye(4))
+    assert np.array_equal(x.dense_star(), np.eye(4))
     # multiplication is the diagonal delta tensor
     m = x.dense_mult()
     want = np.zeros((4, 4, 4))
@@ -65,6 +68,130 @@ def test_build_rejects_bad_input():
         build_quantum_set([2, 0])
     with pytest.raises(InvalidInput):
         build_quantum_set([2], tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the star as a signed permutation
+# ---------------------------------------------------------------------------
+
+W3 = complex(-0.5, math.sqrt(3) / 2)
+W6 = complex(0.5, math.sqrt(3) / 2)
+
+
+def _per_entry_blocks(blocks):
+    """The block set's tensors built entry by entry, with a dense star matrix."""
+    n_total = sum(n * n for n in blocks)
+    out, lft, rgt, val = [], [], [], []
+    unit = np.zeros(n_total, dtype=complex)
+    star = np.zeros((n_total, n_total), dtype=complex)
+    offset = 0
+    for n in blocks:
+        for a in range(n):
+            unit[offset + a * n + a] = math.sqrt(n)
+            for b in range(n):
+                star[offset + a * n + b, offset + b * n + a] = 1.0
+                for d in range(n):
+                    out.append(offset + a * n + d)
+                    lft.append(offset + a * n + b)
+                    rgt.append(offset + b * n + d)
+                    val.append(1.0 / math.sqrt(n))
+        offset += n * n
+    return out, lft, rgt, np.asarray(val, dtype=complex), unit, star
+
+
+def _twisted(orders, gen_values):
+    from qgraphs import make_bicharacter, twist_quantum_set
+    from qgraphs.groups import AbelianGroup
+
+    group = AbelianGroup(orders)
+    return twist_quantum_set(group, make_bicharacter(group, gen_values))
+
+
+def _dense_twisted_star(x):
+    """tau_mu^* = c_mu tau_{-mu} with c_mu = 1 / conj(sigma(-mu, mu)), as a matrix."""
+    n, neg = x.N, x.group.negation()
+    star = np.zeros((n, n), dtype=complex)
+    star[np.arange(n), neg] = 1.0 / np.conj(x.bicharacter.table()[neg, np.arange(n)])
+    return star
+
+
+TWISTED_SETS = {
+    "weyl-3x3": lambda: _twisted((3, 3), [[1, W3], [np.conj(W3), 1]]),
+    "z6xz6-nonsymmetric": lambda: _twisted((6, 6), [[1, W6], [W3, -1]]),
+    "z4xz2xz3": lambda: _twisted((4, 2, 3), [[1j, -1, 1], [1, -1, 1], [1, 1, W3]]),
+    "clifford-3": lambda: _twisted((2, 2, 2), [[-1, -1, -1], [1, -1, -1], [1, 1, -1]]),
+}
+
+
+@pytest.mark.parametrize("blocks", [[1], [3], [1, 1, 1, 1], [2, 1, 2, 3], [4, 1]])
+def test_block_set_matches_per_entry_construction(blocks):
+    x = build_quantum_set(blocks)
+    out, lft, rgt, val, unit, star = _per_entry_blocks(blocks)
+    assert np.array_equal(x.mult_out, out) and np.array_equal(x.mult_left, lft)
+    assert np.array_equal(x.mult_right, rgt)
+    assert x.mult_val.tobytes() == val.tobytes()
+    assert x.unit_vec.tobytes() == unit.tobytes()
+    assert np.array_equal(x.dense_star(), star)
+    assert np.array_equal(x.star_phase, np.ones(x.N))
+
+
+def _star_consumers_match_dense(x, f):
+    """Every reader of the stored star agrees with the dense-matrix formula."""
+    rng = np.random.default_rng(x.N)
+    c = rng.standard_normal(x.N) + 1j * rng.standard_normal(x.N)
+    a = rng.standard_normal((x.N, x.N)) + 1j * rng.standard_normal((x.N, x.N))
+    assert np.abs(algebra_star(AlgebraElement(x, c)).coeffs - f.T @ np.conj(c)).max() < 1e-12
+    assert np.abs(schur_star(x, a) - f.T @ np.conj(a) @ np.conj(f)).max() < 1e-12
+    assert np.abs(rotate_to_edge(x, a) - a @ f).max() < 1e-12
+    assert np.abs(rotate_from_edge(x, a) - a @ np.conj(f)).max() < 1e-12
+    if x.N <= 64:
+        u = rng.standard_normal((x.N, x.N)) + 1j * rng.standard_normal((x.N, x.N))
+        got = check_star_homomorphism(Operator(x, x, u)).residual("star_preserving")
+        assert abs(got - np.abs(u @ f.T - f.T @ np.conj(u)).max()) < 1e-12
+
+
+@pytest.mark.parametrize("blocks", [[2, 1, 2, 3], [3, 2]])
+def test_block_star_consumers_match_dense_star(blocks):
+    _star_consumers_match_dense(build_quantum_set(blocks), _per_entry_blocks(blocks)[-1])
+
+
+@pytest.mark.parametrize("name", sorted(TWISTED_SETS))
+def test_twisted_star_matches_dense_star(name):
+    x = TWISTED_SETS[name]()
+    f = _dense_twisted_star(x)
+    assert np.array_equal(x.dense_star(), f)
+    for mu, el in enumerate(x.group.elements()):  # the source is the group negation
+        assert x.star_src[mu] == x.group.index(x.group.neg(el))
+    _star_consumers_match_dense(x, f)
+    assert verify_frobenius(x).all_pass
+
+
+def test_star_source_must_be_a_permutation():
+    import dataclasses
+
+    x = build_quantum_set([2, 1])
+    for src in ([0, 0, 2, 3, 4], [1, 2, 3, 4, 5], [0, 2, 1, 3], [-1, 2, 1, 3, 4],
+                [0.0, 2.0, 1.0, 3.0, 4.0]):
+        with pytest.raises(InvalidInput):
+            dataclasses.replace(x, star_src=np.asarray(src), _dense_mult=None)
+    with pytest.raises(InvalidInput):
+        dataclasses.replace(x, star_phase=np.ones(4, dtype=complex), _dense_mult=None)
+    y = dataclasses.replace(x, star_src=np.asarray([0, 2, 1, 3, 4]), _dense_mult=None)
+    assert np.array_equal(y.star_src, [0, 2, 1, 3, 4])
+
+
+@pytest.mark.parametrize("blocks,limit_mib", [([1] * 4096, 1), ([64], 12)])
+def test_quantum_set_holds_no_dense_star(blocks, limit_mib):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        x = build_quantum_set(blocks)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.N == sum(n * n for n in blocks)
+    assert held < limit_mib * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +306,7 @@ def test_counit_pairs_with_multiplication():
     pair = np.zeros((x.N, x.N), dtype=complex)
     np.add.at(pair, (x.mult_left, x.mult_right),
               x.mult_val * np.conj(x.unit_vec[x.mult_out]))
-    assert np.abs(pair - np.conj(x.star_mat)).max() < 1e-12
+    assert np.abs(pair - np.conj(x.dense_star())).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +318,19 @@ def test_counit_pairs_with_multiplication():
 def test_verify_frobenius_passes(blocks):
     report = verify_frobenius(build_quantum_set(blocks))
     assert report.all_pass, report.failed()
+
+
+@pytest.mark.parametrize("sizes", [(0, 5), (5, 0), (1, 1), (40, 30), (200, 300)])
+def test_join_matches_per_key_loop(sizes):
+    from qgraphs.algebra import _join
+
+    rng = np.random.default_rng(sum(sizes))
+    ja = rng.integers(0, 12, size=sizes[0])
+    jb = rng.integers(0, 12, size=sizes[1])
+    want = [(i, j) for i in range(ja.size) for j in range(jb.size) if ja[i] == jb[j]]
+    ia, ib = _join(ja, jb)
+    assert ia.dtype == ib.dtype == np.int64
+    assert list(zip(ia.tolist(), ib.tolist())) == want
 
 
 def test_verify_frobenius_catches_corruption():
@@ -213,15 +353,15 @@ def test_verify_frobenius_catches_corruption():
 def test_transpose_is_not_multiplicative():
     x = build_quantum_set([2])
     # transpose in matrix-unit coordinates permutes the orthonormal basis
-    mat = x.star_mat.copy()  # (i,j) -> (j,i) permutation, entries 1
-    report = check_star_homomorphism(Operator(x, x, mat), unital=True)
+    mat = x.dense_star()  # (i,j) -> (j,i) permutation, entries 1
+    report = check_star_homomorphism(Operator(x, x, mat))
     assert not report.all_pass
     assert "multiplicative" in report.failed()
 
 
 def test_identity_is_star_homomorphism():
     x = build_quantum_set([1, 2])
-    report = check_star_homomorphism(Operator(x, x, np.eye(x.N)), unital=True)
+    report = check_star_homomorphism(Operator(x, x, np.eye(x.N)))
     assert report.all_pass
 
 

@@ -317,6 +317,7 @@ def test_malformed_documents_exit_2_with_one_error_line(capsys, tmp_path, name):
     ["cayley", "--orders", "2,2", "--gens", "1x"],
     ["twist", "--orders", "2,2", "--gens", "1,,1", "--bichar", "trivial"],
     ["set-check", "--blocks", "1,a"],
+    ["set-check", "--blocks", "1", "--seed", "-1"],
     ["subgraph", "-", "--keep", "a"],
     ["obstruct", "-", "--max-dim", "-1"],
     ["obstruct", "-", "--max-dim", "0"],

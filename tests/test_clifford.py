@@ -81,7 +81,7 @@ def test_cl2_constants_equal_weyl2_twist_exactly():
     wy = twist_quantum_set(wsigma.group, wsigma)
     assert np.array_equal(cl.mult_val, wy.mult_val)
     assert np.array_equal(cl.mult_out, wy.mult_out)
-    assert np.array_equal(cl.star_mat, wy.star_mat)
+    assert np.array_equal(cl.dense_star(), wy.dense_star())
     assert np.array_equal(cl.unit_vec, wy.unit_vec)
 
 

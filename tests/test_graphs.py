@@ -257,7 +257,7 @@ def test_schur_star_monomial_path_matches_dense():
         rng = np.random.default_rng(x.N)
         a = _random_op(x, rng)
         fast = schur_star(x, a)
-        f = x.star_mat
+        f = x.dense_star()
         dense = f.T @ np.conj(a) @ np.conj(f)
         assert np.abs(fast - dense).max() < 1e-12
 

@@ -68,7 +68,7 @@ def test_phi_is_unitary_star_isomorphism(n):
     wd = phi_isomorphism(n)
     u = wd.phi.matrix
     assert np.abs(u @ u.conj().T - np.eye(n * n)).max() < 1e-12
-    report = check_star_homomorphism(wd.phi, unital=True)
+    report = check_star_homomorphism(wd.phi)
     assert report.all_pass, report.failed()
     assert np.abs((wd.phi @ wd.phi_inv).matrix - np.eye(n * n)).max() < 1e-12
 
@@ -103,7 +103,7 @@ def test_transported_tensors_match_closed_forms(n):
         for j in range(n):
             want_r[i * n + j, j * n + i] = 1.0
     assert np.abs(transported_duality(wd) - want_r).max() < 1e-9
-    assert np.abs(want_r - mn.star_mat).max() == 0.0
+    assert np.abs(want_r - mn.dense_star()).max() == 0.0
     # m~^{rs}_{ijkl} = delta_{ri} delta_{kj} delta_{sl} / sqrt(n)
     want_m = np.zeros((n * n, n * n, n * n), dtype=complex)
     for i in range(n):
