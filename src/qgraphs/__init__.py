@@ -21,7 +21,6 @@ from .algebra import (
     element_from_block_matrices,
     element_is_positive,
     element_to_block_matrices,
-    identity_operator,
     is_positive_element,
     left_mult_matrix,
     verify_frobenius,
@@ -81,7 +80,6 @@ from .groups import (
     AbelianGroup,
     Bicharacter,
     cayley_spectrum,
-    characters_fourier,
     classical_cayley,
     make_bicharacter,
     trivial_bicharacter,

@@ -43,6 +43,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "DENSE_LIMIT",
+    "MAX_N",
+    "admit_dimension",
     "DEFAULT_TOL",
     "QuantumSet",
     "AlgebraElement",
@@ -60,12 +62,22 @@ __all__ = [
     "left_mult_matrix",
     "element_from_block_matrices",
     "element_to_block_matrices",
-    "identity_operator",
 ]
 
 DEFAULT_TOL = 1e-9
 #: largest N for which the multiplication tensor may be densified
 DENSE_LIMIT = 64
+#: largest dimension N of a quantum set that any constructor admits: 2^12,
+#: the largest set a preset builds (Q_12, the block [64], the rook's graph on
+#: M_64).  Constructors check it before allocating anything proportional to N.
+MAX_N = 4096
+
+
+def admit_dimension(n: int) -> None:
+    """Raise ResourceLimit when a quantum set of dimension ``n`` exceeds MAX_N."""
+    if n > MAX_N:
+        shown = n if n < 2**64 else "2**64 or more"
+        raise ResourceLimit(f"quantum set of dimension N = {shown} refused; the limit is {MAX_N}")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -224,10 +236,6 @@ class Operator:
         return AlgebraElement(self.codomain, self.matrix @ x.coeffs)
 
 
-def identity_operator(x: QuantumSet) -> Operator:
-    return Operator(x, x, np.eye(x.N, dtype=complex))
-
-
 @dataclass
 class Check:
     name: str
@@ -275,6 +283,7 @@ def build_quantum_set(blocks: Sequence[int], tol: float = DEFAULT_TOL) -> Quantu
         raise InvalidInput("block list must be nonempty")
     if any(n <= 0 for n in blocks):
         raise InvalidInput(f"block sizes must be positive, got {blocks}")
+    admit_dimension(sum(n * n for n in blocks))
     if not tol > 0:
         raise InvalidInput("tolerance must be positive")
 

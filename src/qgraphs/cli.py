@@ -5,7 +5,8 @@ stdin (``-``), write a single JSON document to stdout with ``--json`` (a
 short table otherwise), and exit 0 on success / passing checks, 1 when a
 verification failed (the report is still emitted), 2 on input or usage
 errors.  ``--tol`` overrides the QG_TOL environment variable, which
-overrides the default 1e-9; ``--seed`` fixes the RNG of randomized checks.
+overrides the default 1e-9.  ``set-check``, the only command with
+randomized checks, takes ``--seed`` to fix their RNG.
 """
 
 from __future__ import annotations
@@ -349,13 +350,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit a JSON document")
         p.add_argument("--tol", type=float, default=None,
                        help="comparison tolerance (default: QG_TOL or 1e-9)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized checks")
 
     p = sub.add_parser("set-check", help="verify the Frobenius axioms of a quantum set")
     p.add_argument("file", nargs="?", default=None, help="quantum-set document or -")
     p.add_argument("--blocks", default=None, help="block sizes, e.g. 1,2,3")
     common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed for the randomized checks")
     p.set_defaults(func=_cmd_set_check)
 
     p = sub.add_parser("graph-check", help="run the quantum-graph predicate battery")

@@ -1,41 +1,42 @@
-"""Finite abelian groups, characters, Cayley graphs and bicharacter twists.
+"""Finite abelian groups, Cayley graphs and bicharacter twists.
 
-The group Z_{n_1} x ... x Z_{n_m} is enumerated row-major over residue
-tuples.  Characters are tau_mu(alpha) = prod_i omega_i^{alpha_i mu_i} with
-omega_i = exp(2 pi i / n_i); all phases are produced by looking up exact
-integer exponents in root-of-unity tables, so that order-2 and order-4
-values are exact and a table is bit-identical however its exponents were
-summed.
+The group Z_{n_1} x ... x Z_{n_m} is enumerated in numpy's C order over
+``orders`` (row-major over residue tuples): element k is entry k of the
+raveled ``np.indices(orders)`` grid, and the per-element tables
+(coordinates, indices, negation, addition) are index arithmetic on it.  The
+Cayley spectrum lambda_mu = sum_{theta in S} tau_mu(-theta), with the
+characters tau_mu(alpha) = prod_i omega_i^{alpha_i mu_i} and
+omega_i = exp(2 pi i / n_i), is the FFT (``np.fft.fftn``) of the generator
+counts over that grid, the transform ``graphs.edge_spectrum`` inverts.
 
 A unitary bicharacter is stored through its values on the generators,
 snapped to exact roots of unity of order dividing gcd(n_i, n_j) (the
 well-definedness condition for the multiplicative extension); its N x N
-table is one integer matrix product of the coordinates.  Twisting the
-function algebra by a bicharacter deforms the multiplication in the
-Fourier basis to ``b_mu b_nu = conj(sigma(mu,nu)) b_{mu+nu} / sqrt(N)``
-and leaves counit and Cayley adjacency untouched, which is how the
-twisted quantum sets and twisted Cayley graphs below are built: the
-structure constants are the addition and bicharacter tables read in
-row-major order.
+table is one integer matrix product of the coordinates, turned into
+phases by a lookup in a root-of-unity table, so order-2 and order-4 values
+are exact.  Twisting the function algebra by a bicharacter deforms the
+multiplication in the Fourier basis to
+``b_mu b_nu = conj(sigma(mu,nu)) b_{mu+nu} / sqrt(N)`` and leaves counit
+and Cayley adjacency untouched, which is how the twisted quantum sets and
+twisted Cayley graphs below are built: the structure constants are the
+addition and bicharacter tables read in row-major order.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, QuantumSet
+from .algebra import DEFAULT_TOL, QuantumSet, admit_dimension
 from .errors import InvalidInput
-from .kernels import unit_root
+from .kernels import unit_root, unit_roots
 
 __all__ = [
     "AbelianGroup",
     "Bicharacter",
-    "characters_fourier",
     "classical_cayley",
     "cayley_spectrum",
     "make_bicharacter",
@@ -47,55 +48,41 @@ __all__ = [
 ]
 
 
-def _root_table(order: int) -> np.ndarray:
-    return np.asarray([unit_root(k, order) for k in range(order)], dtype=complex)
-
-
 @dataclass(eq=False)
 class AbelianGroup:
-    """Z_{n_1} x ... x Z_{n_m} with componentwise arithmetic."""
+    """Z_{n_1} x ... x Z_{n_m} with componentwise arithmetic, elements in C order."""
 
     orders: tuple[int, ...]
-    _elements: Optional[tuple[tuple[int, ...], ...]] = field(default=None, repr=False)
-    _index: Optional[dict] = field(default=None, repr=False)
     _add_table: Optional[np.ndarray] = field(default=None, repr=False)
-    _neg: Optional[np.ndarray] = field(default=None, repr=False)
-    _fourier: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.orders = tuple(int(n) for n in self.orders)
         if len(self.orders) == 0 or any(n <= 0 for n in self.orders):
             raise InvalidInput(f"cyclic factor orders must be positive, got {self.orders}")
+        admit_dimension(self.size)  # before any table of the elements is built
+        if self.rank > 31:  # np.indices(orders) has rank + 1 axes; numpy 1.x allows 32
+            raise InvalidInput(f"at most 31 cyclic factors are supported, got {self.rank}")
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.orders))
+        return math.prod(self.orders)
 
     @property
     def rank(self) -> int:
         return len(self.orders)
 
+    def coords(self) -> np.ndarray:
+        """The (N, rank) coordinate rows of the elements, in order."""
+        return np.indices(self.orders, dtype=np.int64).reshape(self.rank, -1).T
+
     def elements(self) -> tuple[tuple[int, ...], ...]:
-        if self._elements is None:
-            self._elements = tuple(itertools.product(*(range(n) for n in self.orders)))
-        return self._elements
+        return tuple(map(tuple, self.coords().tolist()))
 
     def index(self, el: Sequence[int]) -> int:
-        if self._index is None:
-            self._index = {e: k for k, e in enumerate(self.elements())}
-        key = tuple(x % n for x, n in zip(el, self.orders))
-        if len(key) != self.rank:
+        """Position of the element ``el``, its coordinates taken modulo the orders."""
+        if len(el) != self.rank:
             raise InvalidInput(f"element {tuple(el)} has wrong rank for orders {self.orders}")
-        return self._index[key]
-
-    def add(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        return tuple((x + y) % n for x, y, n in zip(a, b, self.orders))
-
-    def neg(self, a: Sequence[int]) -> tuple[int, ...]:
-        return tuple((-x) % n for x, n in zip(a, self.orders))
-
-    def coords(self) -> np.ndarray:
-        return np.asarray(self.elements(), dtype=np.int64)
+        return int(np.ravel_multi_index([x % n for x, n in zip(el, self.orders)], self.orders))
 
     def addition_table(self) -> np.ndarray:
         """table[i, j] = index(el_i + el_j).
@@ -117,37 +104,7 @@ class AbelianGroup:
 
     def negation(self) -> np.ndarray:
         """neg[i] = index(-el_i)."""
-        if self._neg is None:
-            self._neg = np.asarray([self.index(self.neg(e)) for e in self.elements()],
-                                   dtype=np.int64)
-            self._neg.setflags(write=False)
-        return self._neg
-
-    def fourier_matrix(self) -> np.ndarray:
-        """F[alpha, mu] = tau_mu(alpha); symmetric, with F Finv = id."""
-        if self._fourier is None:
-            self._fourier = self.fourier_rows(self.coords())
-            self._fourier.setflags(write=False)
-        return self._fourier
-
-    def fourier_rows(self, alphas: np.ndarray) -> np.ndarray:
-        """The rows F[alpha, :] for the coordinate rows ``alphas``, one cyclic factor at a time.
-
-        Each factor's phases t multiply the product so far as ``f * t``: a
-        complex product can round differently in its two operand orders, so
-        the order is spelled out rather than left to numpy.
-        """
-        c = self.coords()
-        f = np.ones((len(alphas), self.size), dtype=complex)
-        for k, n in enumerate(self.orders):
-            f = np.multiply(f, _root_table(n)[(alphas[:, None, k] * c[None, :, k]) % n])
-        return f
-
-
-def characters_fourier(group: AbelianGroup) -> tuple[np.ndarray, np.ndarray]:
-    """The Fourier matrix and its inverse (1/N) conj(F)^T."""
-    f = group.fourier_matrix()
-    return f, f.conj().T / group.size
+        return np.ravel_multi_index(tuple(-self.coords().T), self.orders, mode="wrap")
 
 
 @dataclass(eq=False)
@@ -181,7 +138,7 @@ class Bicharacter:
             c = self.group.coords()
             lcm = math.lcm(*(int(d) for d in self._exp_den.ravel()))
             w = (self._exp_num * (lcm // self._exp_den)) % lcm
-            self._table = _root_table(lcm)[((c @ w) @ c.T) % lcm]
+            self._table = unit_roots(lcm)[((c @ w) @ c.T) % lcm]
             self._table.setflags(write=False)
         return self._table
 
@@ -233,8 +190,9 @@ def trivial_bicharacter(group: AbelianGroup) -> Bicharacter:
 # ---------------------------------------------------------------------------
 
 
-def _as_elements(group: AbelianGroup, gens: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
-    return [tuple(x % n for x, n in zip(el, group.orders)) for el in gens]
+def _generator_indices(group: AbelianGroup, gens: Iterable[Sequence[int]]) -> np.ndarray:
+    """Positions of the multiset ``gens`` in the group."""
+    return np.asarray([group.index(theta) for theta in gens], dtype=np.int64)
 
 
 def classical_cayley(group: AbelianGroup, gens: Iterable[Sequence[int]],
@@ -246,23 +204,24 @@ def classical_cayley(group: AbelianGroup, gens: Iterable[Sequence[int]],
     from .algebra import build_quantum_set
     from .graphs import QuantumGraph
 
+    thetas = _generator_indices(group, gens)
     n = group.size
     x = build_quantum_set([1] * n, tol=tol)
     a = np.zeros((n, n), dtype=complex)
-    table = group.addition_table()
-    for theta in _as_elements(group, gens):
-        rows = table[group.index(theta), :]
-        a[rows, np.arange(n)] += 1.0
+    c = group.coords().T
+    for k in thetas:  # column alpha has a one in row alpha + theta
+        a[np.ravel_multi_index(tuple(c + c[:, k, None]), group.orders, mode="wrap"),
+          np.arange(n)] += 1.0
     return QuantumGraph(set=x, adjacency=a)
 
 
 def cayley_spectrum(group: AbelianGroup, gens: Iterable[Sequence[int]]) -> np.ndarray:
-    """Eigenvalues lambda_mu = sum_{theta in S} tau_mu(-theta), mu ordered as elements()."""
-    thetas = group.coords()[[group.index(theta) for theta in _as_elements(group, gens)]]
-    lam = np.zeros(group.size, dtype=complex)
-    for row in group.fourier_rows(-thetas % group.orders):
-        lam += row
-    return lam
+    """Eigenvalues lambda_mu = sum_{theta in S} tau_mu(-theta), mu ordered as elements().
+
+    The FFT of the generator counts over the group's cyclic factors.
+    """
+    counts = np.bincount(_generator_indices(group, gens), minlength=group.size)
+    return np.fft.fftn(counts.reshape(group.orders)).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +255,7 @@ def twist_quantum_set(group: AbelianGroup, sigma: Bicharacter,
     val = np.conj(sig.ravel()) / sqrt_n
 
     unit = np.zeros(n, dtype=complex)
-    zero = group.index((0,) * group.rank)
-    unit[zero] = sqrt_n
+    unit[0] = sqrt_n  # element 0 is the identity
 
     # solve tau_mu^* = c_mu tau_{-mu} from (c_mu tau_{-mu}) tau_mu = 1:
     # the stored product coefficient of tau_{-mu} tau_mu on tau_0 is

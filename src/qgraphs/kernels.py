@@ -17,6 +17,7 @@ from .errors import InvalidInput
 
 __all__ = [
     "unit_root",
+    "unit_roots",
     "max_abs",
     "scale_of",
     "hermitian_eigs",
@@ -38,6 +39,11 @@ def unit_root(k: int, n: int) -> complex:
     if (4 * k) % n == 0:
         return (1 + 0j, 1j, -1 + 0j, -1j)[(4 * k) // n]
     return cmath.exp(2j * math.pi * k / n)
+
+
+def unit_roots(n: int) -> np.ndarray:
+    """The table ``[unit_root(k, n) for k in range(n)]``, indexed by exponents mod n."""
+    return np.asarray([unit_root(k, n) for k in range(n)], dtype=complex)
 
 
 def max_abs(a: np.ndarray) -> float:

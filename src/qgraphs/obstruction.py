@@ -155,9 +155,9 @@ def schur_closure(
     linearly independent generating family, plus a completeness flag which
     is False when ``max_dim`` (1 to N^2) stopped the iteration early.  When
     A is diagonal on a group-indexed set the closure runs on diagonal
-    vectors: on twisted hypercubes Q_9 / Q_10 (N = 512 / 1024, closure
-    dimension 10 / 11) ``classical_obstruction`` took about 1.1 / 7 s with
-    one thread on a shared 2-vCPU host.
+    vectors, and each Schur product is one convolution over the group, N^2
+    multiply-adds through the addition table; a round over d members makes
+    d^2 of them (twisted Q_9 / Q_10: N = 512 / 1024, d up to 10 / 11).
     """
     members, complete, _, to_matrix = _closure(g, max_dim)
     return [(t, to_matrix(m)) for t, m in members], complete

@@ -27,7 +27,7 @@ from .groups import (
     twist_quantum_set,
     twisted_cayley,
 )
-from .kernels import max_abs, scale_of, unit_root
+from .kernels import max_abs, scale_of, unit_root, unit_roots
 
 __all__ = [
     "WeylData",
@@ -73,12 +73,8 @@ def phi_isomorphism(n: int, tol: float = 1e-9) -> WeylData:
 
     mat = np.zeros((n * n, n * n), dtype=complex)
     inv_sqrt_n = 1.0 / math.sqrt(n)
-    for a in range(n):
-        for b in range(n):
-            col = group.index((a, b))
-            for i in range(n):
-                j = (i - b) % n
-                mat[i * n + j, col] = unit_root(i * a, n) * inv_sqrt_n
+    a, b, i = np.indices((n, n, n)).reshape(3, -1)  # column (a, b), row (i, i - b)
+    mat[i * n + (i - b) % n, a * n + b] = unit_roots(n)[(i * a) % n] * inv_sqrt_n
     phi = Operator(domain=twisted, codomain=mn, matrix=mat)
     phi_inv = Operator(domain=mn, codomain=twisted, matrix=mat.conj().T)
     return WeylData(
@@ -100,19 +96,10 @@ def rook_generators(n: int) -> list[tuple[int, int]]:
 
 def rook_adjacency_closed_form(n: int) -> np.ndarray:
     """A[(i,j),(k,l)] = d_{i-j,k-l mod n} + n d_{ijkl} - 2 d_{ik} d_{jl}."""
-    a = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    v = 0.0
-                    if (i - j) % n == (k - l) % n:
-                        v += 1.0
-                    if i == j == k == l:
-                        v += n
-                    if i == k and j == l:
-                        v -= 2.0
-                    a[i * n + j, k * n + l] = v
+    i, j = np.indices((n, n)).reshape(2, -1)  # row (i, j) and column (k, l) coordinates
+    d = (i - j) % n
+    a = (d[:, None] == d).astype(complex)
+    a[np.diag_indices(n * n)] += np.where(i == j, n, 0) - 2.0
     return a
 
 
@@ -125,8 +112,8 @@ def quantum_rook(n: int, tol: float = 1e-9) -> QuantumGraph:
     """
     if n < 2:
         raise InvalidInput("quantum_rook requires n >= 2")
+    wd = phi_isomorphism(n, tol=tol)  # admits the n^2-point set before the closed form
     a = rook_adjacency_closed_form(n)
-    wd = phi_isomorphism(n, tol=tol)
     b = rook_pipeline_adjacency(wd)
     if max_abs(a - b) > tol * scale_of(a):
         raise InvalidInput(
@@ -145,8 +132,7 @@ def rook_pipeline_adjacency(wd: WeylData) -> np.ndarray:
 
 def rook_spectrum(n: int) -> np.ndarray:
     """lambda_{ab} = n d_{a0} + n d_{b0} - 2 for the rook's graph."""
-    lam = cayley_spectrum(AbelianGroup((n, n)), rook_generators(n))
-    return lam
+    return cayley_spectrum(AbelianGroup((n, n)), rook_generators(n))
 
 
 def transported_duality(wd: WeylData) -> np.ndarray:

@@ -1,4 +1,6 @@
-"""Shared helpers for sampling twisted Cayley instances."""
+"""Shared helpers for sampling twisted Cayley instances, and reference group tables."""
+
+import itertools
 
 import numpy as np
 
@@ -43,7 +45,7 @@ def random_generating_multiset(group: AbelianGroup, rng: np.random.Generator,
         # close under inversion so roughly half the samples are undirected
         closed = list(gens)
         for el in gens:
-            neg = group.neg(el)
+            neg = tuple((-x) % n for x, n in zip(el, group.orders))
             if neg not in closed or allow_repeats:
                 if neg not in closed:
                     closed.append(neg)
@@ -57,3 +59,22 @@ def random_twist_instance(rng: np.random.Generator, allow_repeats: bool = True):
     sigma = random_bicharacter(group, rng)
     gens = random_generating_multiset(group, rng, allow_repeats=allow_repeats)
     return group, gens, sigma
+
+
+def reference_elements(orders) -> list[tuple[int, ...]]:
+    """The group's elements by their definition: residue tuples, row-major."""
+    return list(itertools.product(*(range(n) for n in orders)))
+
+
+def reference_fourier_matrix(group: AbelianGroup) -> np.ndarray:
+    """F[alpha, mu] = tau_mu(alpha) = prod_i omega_i^(alpha_i mu_i), one cyclic factor at a time.
+
+    Each factor's phases t multiply the product so far as ``f * t``: a
+    complex product can round differently in its two operand orders.
+    """
+    c = np.asarray(reference_elements(group.orders)).reshape(group.size, group.rank)
+    f = np.ones((group.size, group.size), dtype=complex)
+    for k, n in enumerate(group.orders):
+        roots = np.asarray([unit_root(j, n) for j in range(n)])
+        f = f * roots[(c[:, None, k] * c[None, :, k]) % n]
+    return f

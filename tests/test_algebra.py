@@ -28,7 +28,7 @@ from qgraphs import (
     verify_frobenius,
 )
 from qgraphs.algebra import left_mult_matrix, random_element, random_positive_element
-from qgraphs.errors import InvalidInput
+from qgraphs.errors import InvalidInput, ResourceLimit
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +68,18 @@ def test_build_rejects_bad_input():
         build_quantum_set([2, 0])
     with pytest.raises(InvalidInput):
         build_quantum_set([2], tol=0.0)
+
+
+def test_dimension_limit_is_checked_on_the_set_size():
+    from qgraphs.algebra import MAX_N
+    from qgraphs.groups import AbelianGroup, cayley_spectrum
+
+    assert build_quantum_set([64]).N == MAX_N == 4096
+    with pytest.raises(ResourceLimit, match="limit is 4096"):
+        build_quantum_set([64, 1])
+    assert cayley_spectrum(AbelianGroup((MAX_N,)), [(1,)]).shape == (MAX_N,)
+    with pytest.raises(ResourceLimit, match="limit is 4096"):
+        cayley_spectrum(AbelianGroup((MAX_N + 1,)), [(1,)])
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +173,7 @@ def test_twisted_star_matches_dense_star(name):
     f = _dense_twisted_star(x)
     assert np.array_equal(x.dense_star(), f)
     for mu, el in enumerate(x.group.elements()):  # the source is the group negation
-        assert x.star_src[mu] == x.group.index(x.group.neg(el))
+        assert x.star_src[mu] == x.group.index(tuple(-v for v in el))
     _star_consumers_match_dense(x, f)
     assert verify_frobenius(x).all_pass
 

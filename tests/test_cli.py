@@ -152,6 +152,44 @@ def test_seed_reproducibility(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("argv", [
+    ["catalog", "m2-edge", "--seed", "5"],
+    ["cayley", "--orders", "2", "--gens", "1", "--seed", "5"],
+    ["graph-check", "-", "--seed", "5"],
+])
+def test_seed_is_refused_where_no_check_is_randomized(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
+
+# Sizes whose first allocation numpy or Python would refuse outright without
+# the admission check: N = 10^10 for the block, N = 2^80 for the groups, a
+# 1.6 PB index grid for the rook's closed form, and a 10^12-tuple of orders
+# or a 10^12 x 10^12 identity of generators for the cubes.
+@pytest.mark.parametrize("argv", [
+    ["set-check", "--blocks", "100000"],
+    ["cayley", "--orders", "1099511627776,1099511627776", "--gens", "1,0"],
+    ["twist", "--orders", "1099511627776,1099511627776", "--gens", "1,0", "--bichar", "trivial"],
+    ["catalog", "hypercube", "--n", "1000000000000"],
+    ["catalog", "squared", "--n", "1000000000000"],
+    ["catalog", "rook", "--n", "10000000"],
+])
+def test_oversized_sets_are_refused_before_allocation(capsys, argv):
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "the limit is 4096" in err
+
+
+def test_more_cyclic_factors_than_numpy_dimensions_are_refused(capsys):
+    code, out, err = run(capsys, "cayley", "--orders", ",".join(["1"] * 32 + ["2"]),
+                         "--gens", ",".join(["0"] * 32 + ["1"]), "--json")
+    assert code == 2 and out == ""
+    assert err == "error: at most 31 cyclic factors are supported, got 33\n"
+
+
 def test_rotate_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "catalog", "m2-edge", "--json")
     path = tmp_path / "edge.json"

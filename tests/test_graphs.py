@@ -217,14 +217,14 @@ def test_exact_diagonality_of_off_diagonal_entries(entry, diagonal):
 def test_twisted_edge_spectrum_is_the_fourier_transform_of_the_diagonal(orders):
     from qgraphs.groups import AbelianGroup, cayley_spectrum, twisted_cayley
     from qgraphs.graphs import edge_spectrum
-    from conftest import random_bicharacter
+    from conftest import random_bicharacter, reference_fourier_matrix
 
     rng = np.random.default_rng(len(orders))
     group = AbelianGroup(orders)
     gens = [tuple(int(v) for v in rng.integers(0, orders)) for _ in range(4)]
-    gens += [group.neg(el) for el in gens]  # symmetric, so the spectrum is real
+    gens += [tuple(-v for v in el) for el in gens]  # symmetric, so the spectrum is real
     g = twisted_cayley(group, gens, random_bicharacter(group, rng))
-    fourier = group.fourier_matrix()
+    fourier = reference_fourier_matrix(group)
     want = np.sort((fourier @ np.diagonal(g.adjacency) / group.size).real)
     assert np.abs(edge_spectrum(g) - want).max() < 1e-12
     assert np.array_equal(np.diagonal(g.adjacency), cayley_spectrum(group, gens))

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
-from conftest import random_bicharacter, random_twist_instance
+from conftest import (
+    random_bicharacter,
+    random_twist_instance,
+    reference_elements,
+    reference_fourier_matrix,
+)
 
 from qgraphs import (
     AlgebraElement,
     algebra_multiply,
     cayley_spectrum,
-    characters_fourier,
     classical_cayley,
     graph_report,
     make_bicharacter,
@@ -21,7 +25,7 @@ from qgraphs import (
     verify_frobenius,
 )
 from qgraphs.clifford import clifford_bicharacter
-from qgraphs.errors import InvalidInput
+from qgraphs.errors import InvalidInput, ResourceLimit
 from qgraphs.groups import AbelianGroup, leg_phases
 from qgraphs.kernels import unit_root
 from qgraphs.weyl import weyl_bicharacter
@@ -32,21 +36,65 @@ from qgraphs.weyl import weyl_bicharacter
 # ---------------------------------------------------------------------------
 
 
+def _reference_index(orders, el):
+    return reference_elements(orders).index(tuple(x % n for x, n in zip(el, orders)))
+
+
+@pytest.mark.parametrize("orders", [(1,), (3, 1, 2), (4, 2, 3), (6, 6), (2,) * 5])
+def test_group_arithmetic_follows_the_element_definitions(orders):
+    group = AbelianGroup(orders)
+    els = reference_elements(orders)
+    neg = group.negation()
+    assert group.size == len(els)
+    assert group.elements() == tuple(els)
+    assert all(type(v) is int for el in group.elements() for v in el)
+    assert np.array_equal(group.coords(), np.asarray(els).reshape(len(els), len(orders)))
+    for k, el in enumerate(els):
+        assert group.index(el) == k
+        shifted = tuple(x + 3 * n for x, n in zip(el, orders))  # coordinates are residues
+        assert group.index(shifted) == k
+        assert group.index(tuple(x - n for x, n in zip(el, orders))) == k
+        assert neg[k] == _reference_index(orders, tuple(-x for x in el))
+    with pytest.raises(InvalidInput):
+        group.index((0,) * (len(orders) + 1))
+
+
+def test_group_size_is_exact_beyond_64_bits():
+    # an int64 product wraps 2**32 * 2**32 to 0, which the size check would admit
+    with pytest.raises(ResourceLimit, match="N = 2\\*\\*64 or more refused"):
+        AbelianGroup((2**32, 2**32))
+    with pytest.raises(ResourceLimit, match=f"N = {2**62} refused"):
+        AbelianGroup((2**31, 2**31))
+
+
+def test_group_rank_stays_within_numpy_dimensions():
+    group = AbelianGroup((1,) * 30 + (2,))
+    assert group.elements() == ((0,) * 31, (0,) * 30 + (1,))
+    assert np.array_equal(cayley_spectrum(group, [(0,) * 30 + (1,)]), [1.0, -1.0])
+    with pytest.raises(InvalidInput, match="at most 31 cyclic factors"):
+        AbelianGroup((1,) * 31 + (2,))
+
+
 def test_fourier_z2():
-    f, finv = characters_fourier(AbelianGroup((2,)))
+    group = AbelianGroup((2,))
+    f = reference_fourier_matrix(group)
     assert np.array_equal(f, np.array([[1, 1], [1, -1]], dtype=complex))
-    assert np.abs(f @ finv - np.eye(2)).max() < 1e-15
+    assert np.abs(f @ f.conj().T / 2 - np.eye(2)).max() < 1e-15
+    # the spectrum of S = {theta} is the row F[-theta, :]
+    assert np.array_equal(cayley_spectrum(group, [(1,)]), f[1])
 
 
 def test_fourier_z4_column():
-    f, finv = characters_fourier(AbelianGroup((4,)))
+    group = AbelianGroup((4,))
+    f = reference_fourier_matrix(group)
     assert np.allclose(f[:, 1], [1, 1j, -1, -1j])
-    assert np.abs(f @ finv - np.eye(4)).max() < 1e-15
+    assert np.abs(f @ f.conj().T / 4 - np.eye(4)).max() < 1e-15
+    assert np.array_equal(cayley_spectrum(group, [(3,)]), [1, 1j, -1, -1j])
 
 
 def test_fourier_z2xz2_rows_multiplicative():
     group = AbelianGroup((2, 2))
-    f, _ = characters_fourier(group)
+    f = reference_fourier_matrix(group)
     assert np.array_equal(f.imag, np.zeros((4, 4)))
     assert set(np.unique(f.real)) == {-1.0, 1.0}
     # each row is multiplicative: tau_mu(a + b) = tau_mu(a) tau_mu(b)
@@ -57,28 +105,22 @@ def test_fourier_z2xz2_rows_multiplicative():
                 assert f[table[a, b], mu] == f[a, mu] * f[b, mu]
 
 
-def reference_fourier_matrix(group):
-    """The N x N build that cayley_spectrum used to read its rows from."""
-    c = group.coords()
-    f = np.ones((group.size, group.size), dtype=complex)
-    for k, n in enumerate(group.orders):
-        roots = np.asarray([unit_root(j, n) for j in range(n)])
-        t = roots[(c[:, None, k] * c[None, :, k]) % n]
-        f = f * t  # both operands named: numpy keeps the order f * t
-    return f
-
-
-@pytest.mark.parametrize("orders", [(2,) * 6, (6, 6), (16, 16)])
+@pytest.mark.parametrize("orders", [(2,) * 6, (6, 6), (16, 16), (4, 2, 3), (5,), (4, 4), (1, 2, 4)])
 def test_cayley_spectrum_sums_the_fourier_matrix_rows_bit_for_bit(orders):
+    """The FFT gives the character-row sum exactly when every factor has order 1, 2
+    or 4 (all its twiddle factors are exact); other orders round differently."""
     group = AbelianGroup(orders)
     rng = np.random.default_rng(len(orders))
     gens = [group.elements()[k] for k in rng.integers(0, group.size, 7)] + [(7,) * len(orders)]
     f = reference_fourier_matrix(group)
-    assert group.fourier_matrix().tobytes() == f.tobytes()
     want = np.zeros(group.size, dtype=complex)
     for theta in gens:
-        want += f[group.index(group.neg(theta)), :]
-    assert cayley_spectrum(group, gens).tobytes() == want.tobytes()
+        want += f[_reference_index(orders, tuple(-x for x in theta)), :]
+    got = cayley_spectrum(group, gens)
+    if set(orders) <= {1, 2, 4}:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.abs(got - want).max() < 1e-12
 
 
 def test_cayley_four_cycle():
@@ -101,6 +143,21 @@ def test_cayley_cube():
 def test_cayley_zero_generator_gives_loops():
     g = classical_cayley(AbelianGroup((3,)), [(0,)])
     assert np.array_equal(g.adjacency, np.eye(3, dtype=complex))
+
+
+@pytest.mark.parametrize("orders, gens", [
+    ((4, 2, 3), [(1, 0, 2), (1, 0, 2), (0, 0, 0), (3, 1, 1), (5, -1, 7)]),
+    ((6, 6), [(0, 0), (0, 0), (1, 5), (5, 1), (2, 0), (2, 0), (2, 0)]),
+    ((2,) * 5, [(1, 0, 0, 1, 1), (0,) * 5, (1, 0, 0, 1, 1)]),
+    ((3, 1, 2), []),
+])
+def test_classical_cayley_adds_one_addition_table_row_per_generator(orders, gens):
+    group = AbelianGroup(orders)
+    table = group.addition_table()
+    want = np.zeros((group.size, group.size), dtype=complex)
+    for theta in gens:
+        want[table[_reference_index(orders, theta), :], np.arange(group.size)] += 1.0
+    assert np.array_equal(classical_cayley(group, gens).adjacency, want)
 
 
 def test_cayley_spectrum_formulas():
@@ -126,7 +183,7 @@ def test_cayley_eigen_relation():
         if group.size > 40:
             continue
         g = classical_cayley(group, gens)
-        f, _ = characters_fourier(group)
+        f = reference_fourier_matrix(group)
         lam = cayley_spectrum(group, gens)
         resid = np.abs(g.adjacency @ f - f * lam[None, :]).max()
         assert resid < 1e-9 * max(1.0, np.abs(lam).max())
@@ -281,8 +338,8 @@ def test_trivial_twist_is_fourier_conjugated_classical():
     gens = [(1, 0), (0, 1)]
     g_classical = classical_cayley(group, gens)
     g_twisted = twisted_cayley(group, gens, trivial_bicharacter(group))
-    f, finv = characters_fourier(group)
-    conj = finv @ g_classical.adjacency @ f
+    f = reference_fourier_matrix(group)
+    conj = f.conj().T @ g_classical.adjacency @ f / group.size
     assert np.abs(conj - g_twisted.adjacency).max() < 1e-12
 
 
@@ -438,6 +495,6 @@ def test_leg_phases_match_pairwise_products():
 @pytest.mark.parametrize("orders", [(2,), (2, 2, 2), (4, 2, 3), (3, 5), (2, 4, 8)])
 def test_addition_table_adds_coordinates(orders):
     group = AbelianGroup(orders)
-    els = group.elements()
-    want = [[group.index(group.add(a, b)) for b in els] for a in els]
+    els = reference_elements(orders)
+    want = [[_reference_index(orders, [x + y for x, y in zip(a, b)]) for b in els] for a in els]
     assert np.array_equal(group.addition_table(), want)
