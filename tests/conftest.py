@@ -78,3 +78,102 @@ def reference_fourier_matrix(group: AbelianGroup) -> np.ndarray:
         roots = np.asarray([unit_root(j, n) for j in range(n)])
         f = f * roots[(c[:, None, k] * c[None, :, k]) % n]
     return f
+
+
+# ---------------------------------------------------------------------------
+# reference Frobenius battery: sums over sorted COO keys and dense matrices
+# ---------------------------------------------------------------------------
+
+
+def _join(ja, jb):
+    """Index pairs (ia, ib) with ja[ia] == jb[ib]: ia ascending, ib stable per key."""
+    order_b = np.argsort(jb, kind="stable")
+    sb = jb[order_b]
+    lo = np.searchsorted(sb, ja, side="left")
+    count = np.searchsorted(sb, ja, side="right") - lo
+    # pair p of index i takes the (p - first pair of i)-th b of its key run
+    skip = np.repeat(lo - (np.cumsum(count) - count), count)
+    return np.repeat(np.arange(ja.size), count), order_b[np.arange(skip.size) + skip]
+
+
+def _coo_max_diff(keys1, vals1, keys2, vals2):
+    """Max |entry| of the difference of two COO tensors over the key union."""
+    keys = np.concatenate([keys1, keys2])
+    vals = np.concatenate([vals1, -np.asarray(vals2)])
+    if keys.size == 0:
+        return 0.0
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    vals = vals[order]
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(keys)) + 1])
+    return float(np.abs(np.add.reduceat(vals, starts)).max())
+
+
+def reference_frobenius_residuals(x):
+    """Every residual of ``verify_frobenius`` by the direct construction.
+
+    Each tensor identity lists the terms of both sides under packed integer
+    keys, sorts the union and sums each key; the star, unit and pairing
+    checks build N x N matrices.  Memory is O(N^3) on group-indexed sets.
+    """
+    n = x.N
+    out, lft, rgt, val = x.mult_out, x.mult_left, x.mult_right, x.mult_val
+    f = np.zeros((n, n), dtype=complex)
+    f[np.arange(n), x.star_src] = x.star_phase
+    res = {}
+
+    def pack(*idx):
+        key = np.zeros_like(idx[0])
+        for i in idx:
+            key = key * n + i
+        return key
+
+    ia, ib = _join(pack(lft, rgt), pack(lft, rgt))
+    mm = np.zeros((n, n), dtype=complex)
+    np.add.at(mm, (out[ia], out[ib]), val[ia] * np.conj(val[ib]))
+    res["specialness_mmdag"] = float(np.abs(mm - np.eye(n)).max())
+
+    ia, ib = _join(out, out)
+    rhs_k = pack(lft[ib], rgt[ib], lft[ia], rgt[ia])
+    rhs_v = val[ia] * np.conj(val[ib])
+    ia, ib = _join(rgt, lft)
+    res["frobenius_law_left"] = _coo_max_diff(
+        pack(out[ia], rgt[ib], lft[ia], out[ib]), val[ia] * np.conj(val[ib]), rhs_k, rhs_v)
+    res["frobenius_law_right"] = _coo_max_diff(
+        pack(lft[ia], out[ib], out[ia], rgt[ib]), np.conj(val[ia]) * val[ib], rhs_k, rhs_v)
+
+    res["snake_left"] = float(np.abs(f.conj() @ f - np.eye(n)).max())
+    res["snake_right"] = float(np.abs(f @ f.conj() - np.eye(n)).max())
+
+    rr, rc, rv = np.arange(n), x.star_src, x.star_phase
+    mdag_k, mdag_v = pack(lft, rgt, out), np.conj(val)
+    ia, ib = _join(lft, rc)
+    res["comult_from_r_left"] = _coo_max_diff(
+        pack(rr[ib], out[ia], rgt[ia]), val[ia] * rv[ib], mdag_k, mdag_v)
+    res["mult_from_r_left"] = _coo_max_diff(
+        pack(rgt[ia], rr[ib], out[ia]), np.conj(val[ia] * rv[ib]), pack(out, lft, rgt), val)
+    ia, ib = _join(rgt, rr)
+    res["comult_from_r_right"] = _coo_max_diff(
+        pack(out[ia], rc[ib], lft[ia]), val[ia] * rv[ib], mdag_k, mdag_v)
+    res["mult_from_r_right"] = _coo_max_diff(
+        pack(lft[ia], out[ia], rc[ib]), np.conj(val[ia] * rv[ib]), pack(out, lft, rgt), val)
+
+    for name, cols, other in (("unit_left", rgt, lft), ("unit_right", lft, rgt)):
+        unit = np.zeros((n, n), dtype=complex)
+        np.add.at(unit, (out, cols), val * x.unit_vec[other])
+        res[name] = float(np.abs(unit - np.eye(n)).max())
+
+    res["duality_symmetric"] = float(np.abs(f - f.T).max())
+    res["star_involutive"] = res["snake_right"]
+
+    ia, ib = _join(out, lft)
+    al_k, al_v = pack(out[ib], lft[ia], rgt[ia], rgt[ib]), val[ia] * val[ib]
+    ia, ib = _join(out, rgt)
+    ar_k, ar_v = pack(out[ib], lft[ib], lft[ia], rgt[ia]), val[ia] * val[ib]
+    res["associativity"] = _coo_max_diff(al_k, al_v, ar_k, ar_v)
+
+    res["vertex_count"] = abs(np.vdot(x.unit_vec, x.unit_vec) - n)
+    pair = np.zeros((n, n), dtype=complex)
+    np.add.at(pair, (lft, rgt), val * np.conj(x.unit_vec[out]))
+    res["pairing_from_counit"] = float(np.abs(pair - f.conj()).max())
+    return res

@@ -334,7 +334,7 @@ def test_verify_frobenius_passes(blocks):
 
 @pytest.mark.parametrize("sizes", [(0, 5), (5, 0), (1, 1), (40, 30), (200, 300)])
 def test_join_matches_per_key_loop(sizes):
-    from qgraphs.algebra import _join
+    from conftest import _join  # the reference battery's join
 
     rng = np.random.default_rng(sum(sizes))
     ja = rng.integers(0, 12, size=sizes[0])
@@ -358,6 +358,179 @@ def test_verify_frobenius_catches_corruption():
 
 
 # ---------------------------------------------------------------------------
+# the battery against the sorted-key reference
+# ---------------------------------------------------------------------------
+
+#: read off a dense star product in the reference, whose rounding can differ in the last bits
+STAR_CHECKS = ("snake_left", "snake_right", "star_involutive", "duality_symmetric")
+EPS = np.finfo(float).eps
+
+
+def _reference_corpus():
+    from qgraphs.clifford import clifford_set
+    from qgraphs.weyl import weyl_bicharacter
+    from qgraphs.groups import twist_quantum_set
+
+    def weyl_set(n):
+        sigma = weyl_bicharacter(n)
+        return twist_quantum_set(sigma.group, sigma)
+
+    sets = {f"clifford-{n}": (lambda n=n: clifford_set(n)) for n in range(2, 8)}
+    sets.update({f"weyl-{n}": (lambda n=n: weyl_set(n)) for n in (3, 5)})
+    sets["z6xz6"] = TWISTED_SETS["z6xz6-nonsymmetric"]
+    sets["z4xz2xz3"] = TWISTED_SETS["z4xz2xz3"]
+    for blocks in ([1, 2, 3, 4], [8] * 4, [16], [2, 1, 2, 3]):
+        sets["blocks-" + "-".join(map(str, blocks))] = (lambda b=blocks: build_quantum_set(b))
+    return sets
+
+
+REFERENCE_CORPUS = _reference_corpus()
+
+
+def _with_entries(x, out=None, lft=None, rgt=None, val=None):
+    import dataclasses
+
+    return dataclasses.replace(
+        x, mult_out=x.mult_out if out is None else out, mult_left=x.mult_left if lft is None else lft,
+        mult_right=x.mult_right if rgt is None else rgt, mult_val=x.mult_val if val is None else val,
+        _dense_mult=None)
+
+
+def _assert_matches_reference(x):
+    from conftest import reference_frobenius_residuals
+
+    report = verify_frobenius(x)
+    want = reference_frobenius_residuals(x)
+    assert sorted(c.name for c in report.checks) == sorted(want)
+    for c in report.checks:
+        if c.name in STAR_CHECKS:
+            assert abs(c.residual - want[c.name]) <= 8 * EPS, c.name
+        else:
+            assert c.residual == want[c.name], c.name
+    return report
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CORPUS))
+def test_battery_matches_sorted_key_reference(name):
+    assert _assert_matches_reference(REFERENCE_CORPUS[name]()).all_pass
+
+
+def _corruptions(x, rng):
+    """One value perturbed, one output misrouted (to a random slot and to slot 0),
+    one entry dropped, and one row sent wholly to a single output."""
+    k = x.mult_val.size
+    for i in rng.integers(0, k, 3):
+        val = x.mult_val.copy()
+        val[i] += 1e-3 * (1 - 2j)
+        yield "value", _with_entries(x, val=val)
+        out = x.mult_out.copy()
+        out[i] = (out[i] + 1 + rng.integers(0, x.N - 1)) % x.N if x.N > 1 else out[i]
+        yield "misrouted", _with_entries(x, out=out)
+        out = x.mult_out.copy()
+        out[i] = 0 if out[i] else 1
+        yield "misrouted-to-0", _with_entries(x, out=out)
+        keep = np.arange(k) != i
+        yield "dropped", _with_entries(x, x.mult_out[keep], x.mult_left[keep],
+                                       x.mult_right[keep], x.mult_val[keep])
+    out = x.mult_out.copy()
+    out[x.mult_left == x.mult_left[k // 2]] = x.mult_out[k // 2]
+    yield "row-to-one-output", _with_entries(x, out=out)
+
+
+@pytest.mark.parametrize("name", ["clifford-3", "clifford-4", "weyl-3", "z4xz2xz3",
+                                  "blocks-2-1-2-3", "blocks-1-2-3-4"])
+def test_battery_matches_reference_on_corrupted_sets(name):
+    x = REFERENCE_CORPUS[name]()
+    rng = np.random.default_rng(x.N)
+    for kind, broken in _corruptions(x, rng):
+        report = _assert_matches_reference(broken)
+        assert not report.all_pass, kind
+        assert report.residual("associativity") > 1e-6 or report.residual(
+            "frobenius_law_left") > 1e-6, kind
+
+
+def test_battery_needs_no_entry_order():
+    x = REFERENCE_CORPUS["z4xz2xz3"]()
+    p = np.random.default_rng(1).permutation(x.mult_val.size)
+    shuffled = _with_entries(x, x.mult_out[p], x.mult_left[p], x.mult_right[p], x.mult_val[p])
+    assert _assert_matches_reference(shuffled).all_pass
+    out = x.mult_out.copy()
+    out[5] = 0
+    out = out[p]
+    assert not _assert_matches_reference(_with_entries(shuffled, out=out)).all_pass
+
+
+@pytest.mark.parametrize("breakage", ["duplicate-pair", "duplicate-entry", "output-out-of-range"])
+def test_layout_violation_fails_every_check_of_m(breakage):
+    x = build_quantum_set([2, 1])
+    if breakage == "duplicate-pair":  # (left, right) of entry 0 again, with another output
+        broken = _with_entries(x, np.append(x.mult_out, 1), np.append(x.mult_left, x.mult_left[0]),
+                               np.append(x.mult_right, x.mult_right[0]), np.append(x.mult_val, 0.5))
+    elif breakage == "duplicate-entry":  # entry 0 split in two halves
+        val = x.mult_val.copy()
+        val[0] /= 2
+        broken = _with_entries(x, np.append(x.mult_out, x.mult_out[0]),
+                               np.append(x.mult_left, x.mult_left[0]),
+                               np.append(x.mult_right, x.mult_right[0]), np.append(val, val[0]))
+    else:
+        out = x.mult_out.copy()
+        out[3] = x.N
+        broken = _with_entries(x, out=out)
+    report = verify_frobenius(broken)
+    assert not report.all_pass
+    star_only = {"snake_left", "snake_right", "star_involutive", "duality_symmetric",
+                 "vertex_count"}
+    for c in report.checks:
+        if c.name in star_only:
+            assert c.passed
+        else:
+            assert not c.passed and c.residual == math.inf
+
+
+def test_entry_lookup_matches_a_dict():
+    from qgraphs.algebra import _Entries
+
+    x = REFERENCE_CORPUS["blocks-2-1-2-3"]()
+    keep = np.random.default_rng(4).random(x.mult_val.size) < 0.7  # rows with gaps
+    x = _with_entries(x, x.mult_out[keep], x.mult_left[keep], x.mult_right[keep],
+                      x.mult_val[keep])
+    e = _Entries.of(x)
+    want = {(l, r): i for i, (l, r) in enumerate(zip(x.mult_left.tolist(), x.mult_right.tolist()))}
+    # rows -1..N-1 (-1 is a missing entry's output) and right indices -1..N
+    ls, rs = (a.ravel() for a in np.meshgrid(np.arange(-1, x.N), np.arange(-1, x.N + 1)))
+    for l, r, i in zip(ls.tolist(), rs.tolist(), e.at(ls, rs).tolist()):
+        assert i == want.get((l, r), e.k)
+    assert e.out[e.k] == -1 and e.val[e.k] == 0
+
+
+@pytest.mark.parametrize("counts", [[], [0, 0], [3, 0, 5, 1], [70000, 2, 0, 65536, 1]])
+def test_expand_enumerates_every_offset_in_bounded_chunks(counts):
+    from qgraphs.algebra import _CHUNK, _expand
+
+    counts = np.asarray(counts, dtype=np.int64)
+    chunks = list(_expand(counts))
+    got = [(i, t) for item, off in chunks for i, t in zip(item.tolist(), off.tolist())]
+    assert got == [(i, t) for i, c in enumerate(counts.tolist()) for t in range(c)]
+    assert all(item.size <= max(_CHUNK, int(counts.max(initial=0))) for item, _ in chunks)
+
+
+@pytest.mark.parametrize("make", [lambda: REFERENCE_CORPUS["clifford-6"](),
+                                  lambda: build_quantum_set([1] * 4096)])
+def test_verify_frobenius_memory_is_bounded(make):
+    import tracemalloc
+
+    x = make()
+    tracemalloc.start()
+    try:
+        report = verify_frobenius(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.all_pass
+    assert peak <= 16 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
 # homomorphism checks
 # ---------------------------------------------------------------------------
 
@@ -375,6 +548,30 @@ def test_identity_is_star_homomorphism():
     x = build_quantum_set([1, 2])
     report = check_star_homomorphism(Operator(x, x, np.eye(x.N)))
     assert report.all_pass
+
+
+def test_multiplicativity_counts_zero_products():
+    # e_0 e_1 = 0 in C(X_2), but both points map to the unit of C(X_1)
+    x, y = build_quantum_set([1, 1]), build_quantum_set([1])
+    report = check_star_homomorphism(Operator(x, y, np.ones((1, 2))))
+    assert "multiplicative" in report.failed()
+
+
+@pytest.mark.parametrize("pair", [([1, 2], [2, 1]), ([2], [1, 1, 1, 1]), ("clifford-3", "weyl-3")])
+def test_multiplicativity_matches_dense_contraction(pair):
+    def make(spec):
+        return REFERENCE_CORPUS[spec]() if isinstance(spec, str) else build_quantum_set(spec)
+
+    x, y = make(pair[0]), make(pair[1])
+    rng = np.random.default_rng(x.N * y.N)
+    mx, my = x.dense_mult(), y.dense_mult()
+    for fm in (rng.standard_normal((y.N, x.N)) + 1j * rng.standard_normal((y.N, x.N)),
+               np.eye(y.N, x.N)):
+        lhs = np.einsum("yp,prs->yrs", fm, mx)
+        rhs = np.einsum("qrv,vs->qrs", np.einsum("quv,ur->qrv", my, fm), fm)
+        want = np.abs(lhs - rhs).max()
+        got = check_star_homomorphism(Operator(x, y, fm)).residual("multiplicative")
+        assert abs(got - want) <= 64 * EPS * max(1.0, np.abs(rhs).max())
 
 
 # ---------------------------------------------------------------------------

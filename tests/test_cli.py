@@ -129,6 +129,13 @@ def test_set_check_exit_codes(capsys):
     assert code == 2
 
 
+def test_set_check_at_the_size_limit(capsys):
+    # N = 4096 points: the battery builds no N x N array
+    code, out, _ = run(capsys, "set-check", "--blocks", ",".join(["1"] * 4096), "--json")
+    assert code == 0
+    assert json.loads(out)["summary"]["all_pass"] is True
+
+
 def test_malformed_json_is_exit_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"kind": "quantum-graph",')
