@@ -126,7 +126,7 @@ class QuantumSet:
     tol: float = DEFAULT_TOL
     group: Optional["AbelianGroup"] = None
     bicharacter: Optional["Bicharacter"] = None
-    _dense_mult: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _dense_mult: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         src = self.star_src

@@ -430,10 +430,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
-    except (InvalidInput, ResourceLimit, docs.DocumentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (InvalidInput, ResourceLimit, docs.DocumentError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
@@ -443,6 +440,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         print("error: stdout was closed before the output was written", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an input that cannot be read: missing, a directory, ...
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -180,19 +180,12 @@ def halved_square_check(n: int, tol: float = 1e-9) -> Report:
     a = cube.adjacency
     b = 0.5 * (a @ a - (n + 1) * np.eye(x.N))
     scale = scale_of(b)
-    eye = np.eye(x.N, dtype=complex)
-    checks = [
-        Check("schur_idempotent", max_abs(schur_product(x, b, b) - b) <= tol * scale,
-              float(max_abs(schur_product(x, b, b) - b))),
-        Check("schur_selfadjoint", max_abs(schur_star(x, b) - b) <= tol * scale,
-              float(max_abs(schur_star(x, b) - b))),
-        Check("undirected", max_abs(b - b.conj().T) <= tol * scale,
-              float(max_abs(b - b.conj().T))),
-        Check("no_loops", max_abs(schur_product(x, b, eye)) <= tol * scale,
-              float(max_abs(schur_product(x, b, eye)))),
-    ]
-    lam = np.diag(b).real
-    want = lambda_squared(n, x.group.coords().sum(axis=1))
-    res = float(np.abs(lam - want).max())
-    checks.append(Check("squared_spectrum", res <= tol * max(scale, 1.0), res))
-    return Report(checks=checks, tol=tol)
+    residuals = {
+        "schur_idempotent": max_abs(schur_product(x, b, b) - b),
+        "schur_selfadjoint": max_abs(schur_star(x, b) - b),
+        "undirected": max_abs(b - b.conj().T),
+        "no_loops": max_abs(schur_product(x, b, np.eye(x.N, dtype=complex))),
+        "squared_spectrum": max_abs(np.diag(b).real - lambda_squared(n, x.group.coords().sum(axis=1))),
+    }
+    return Report(checks=[Check(name, res <= tol * scale, res) for name, res in residuals.items()],
+                  tol=tol)

@@ -40,7 +40,7 @@ from .algebra import (
     build_quantum_set,
 )
 from .errors import InvalidInput, ResourceLimit
-from .kernels import gram_schmidt, hermitian_eigs, max_abs, scale_of, span_residual
+from .kernels import gram_schmidt, hermitian_eigs, max_abs, orthogonal_part, scale_of, span_residual
 
 __all__ = [
     "QuantumGraph",
@@ -546,15 +546,10 @@ def selfadjoint_basis(
     chosen_ortho: list[np.ndarray] = []
     for b in mats:
         for cand in (0.5 * (b + b.conj().T), 0.5j * (b.conj().T - b)):
-            if not chosen_ortho:
-                nrm = math.sqrt(abs(np.vdot(cand, cand).real))
-                if nrm > tol * scale_of(cand):
-                    chosen.append(cand)
-                    chosen_ortho = gram_schmidt(chosen, tol=tol)
-                continue
-            if span_residual(cand, chosen_ortho) > tol * max(scale_of(cand), 1.0):
+            w, nrm = orthogonal_part(cand, chosen_ortho)
+            if nrm > tol * scale_of(cand):
                 chosen.append(cand)
-                chosen_ortho = gram_schmidt(chosen, tol=tol)
+                chosen_ortho.append(w / nrm)
     if len(chosen) != len(ortho):
         raise InvalidInput("selfadjoint_basis: failed to span with self-adjoint parts")
     return chosen

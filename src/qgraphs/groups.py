@@ -53,7 +53,7 @@ class AbelianGroup:
     """Z_{n_1} x ... x Z_{n_m} with componentwise arithmetic, elements in C order."""
 
     orders: tuple[int, ...]
-    _add_table: Optional[np.ndarray] = field(default=None, repr=False)
+    _add_table: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.orders = tuple(int(n) for n in self.orders)
@@ -120,7 +120,7 @@ class Bicharacter:
     gen_values: np.ndarray
     _exp_num: np.ndarray = field(repr=False, default=None)  # k_ij
     _exp_den: np.ndarray = field(repr=False, default=None)  # gcd(n_i, n_j)
-    _table: Optional[np.ndarray] = field(default=None, repr=False)
+    _table: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def value(self, mu: Sequence[int], nu: Sequence[int]) -> complex:
         return self.table()[self.group.index(mu), self.group.index(nu)]

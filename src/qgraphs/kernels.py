@@ -21,6 +21,7 @@ __all__ = [
     "max_abs",
     "scale_of",
     "hermitian_eigs",
+    "orthogonal_part",
     "gram_schmidt",
     "span_residual",
 ]
@@ -89,6 +90,15 @@ def hermitian_eigs(h: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.nda
     return lam, v * (np.conj(piv) / np.abs(piv))
 
 
+def orthogonal_part(vector: np.ndarray, basis: list[np.ndarray]) -> tuple[np.ndarray, float]:
+    """One modified Gram-Schmidt step: ``vector`` minus its projection onto an
+    orthonormal basis (flattened inner product), and that part's norm."""
+    v = np.asarray(vector, dtype=complex).copy()
+    for b in basis:
+        v -= np.vdot(b, v) * b
+    return v, math.sqrt(abs(np.vdot(v, v).real))
+
+
 def gram_schmidt(vectors: list[np.ndarray], tol: float = 1e-9) -> list[np.ndarray]:
     """Orthonormalise ``vectors`` (any shape, flattened inner product).
 
@@ -97,19 +107,12 @@ def gram_schmidt(vectors: list[np.ndarray], tol: float = 1e-9) -> list[np.ndarra
     """
     basis: list[np.ndarray] = []
     for vec in vectors:
-        v = np.asarray(vec, dtype=complex).copy()
-        s = scale_of(v)
-        for b in basis:
-            v -= np.vdot(b, v) * b
-        nrm = math.sqrt(abs(np.vdot(v, v).real))
-        if nrm > tol * s:
+        v, nrm = orthogonal_part(vec, basis)
+        if nrm > tol * scale_of(vec):
             basis.append(v / nrm)
     return basis
 
 
 def span_residual(vector: np.ndarray, basis: list[np.ndarray]) -> float:
     """Norm of ``vector`` minus its projection onto an orthonormal basis."""
-    v = np.asarray(vector, dtype=complex).copy()
-    for b in basis:
-        v -= np.vdot(b, v) * b
-    return math.sqrt(abs(np.vdot(v, v).real))
+    return orthogonal_part(vector, basis)[1]

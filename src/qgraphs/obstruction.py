@@ -10,6 +10,10 @@ isomorphic to any classical one.  We grow a conservative
 under-approximation of that space from {I, J, A} and scan it for a
 noncommuting pair; a Certificate is therefore sound, while Inconclusive
 never claims classicality.
+
+The closure is a semi-naive fixpoint (each round combines only what the
+round before added with the rest), and the scan stops at the first combined
+trace length that holds a witness.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 from .errors import InvalidInput
 from .graphs import (QuantumGraph, _group_convolve, _is_exactly_diagonal, schur_product,
                      schur_star, schur_unit)
-from .kernels import max_abs
+from .kernels import max_abs, orthogonal_part
 
 __all__ = ["Certificate", "Inconclusive", "schur_closure", "classical_obstruction"]
 
@@ -32,7 +36,6 @@ __all__ = ["Certificate", "Inconclusive", "schur_closure", "classical_obstructio
 RANK_TOL = 1e-8
 #: residual above which a Schur commutator counts as a witness
 DEFAULT_THRESHOLD = 1e-6
-MAX_ROUNDS = 20
 
 
 @dataclass
@@ -65,13 +68,6 @@ class Inconclusive:
     max_residual: float
 
 
-def _normalise(mat: np.ndarray, floor: float) -> Optional[np.ndarray]:
-    nrm = math.sqrt(abs(np.vdot(mat, mat).real))
-    if nrm <= floor:
-        return None
-    return mat / nrm
-
-
 def _closure(g: QuantumGraph, max_dim: Optional[int]) -> tuple[list, bool, Callable, Callable]:
     """(members, complete, schur, to_matrix): the closure of {I, J, A} in one
     representation, with that representation's Schur product and member ->
@@ -79,6 +75,11 @@ def _closure(g: QuantumGraph, max_dim: Optional[int]) -> tuple[list, bool, Calla
     closure stays diagonal (composition is pointwise, the Schur product a
     convolution over the group) and members are diagonal vectors; otherwise
     they are N x N matrices.
+
+    Each round offers the images of the members the round before added and
+    their products with every member so far (an older pair only repeats a
+    candidate in the span); diagonal products commute, so there each
+    unordered pair is offered once.
     """
     x = g.set
     n2 = x.N * x.N
@@ -88,7 +89,8 @@ def _closure(g: QuantumGraph, max_dim: Optional[int]) -> tuple[list, bool, Calla
         raise InvalidInput(f"max_dim must lie in 1..N^2 = {n2}, got {max_dim}")
 
     j, a = schur_unit(x), g.adjacency
-    if x.group is not None and _is_exactly_diagonal(a) and _is_exactly_diagonal(j):
+    diagonal = x.group is not None and _is_exactly_diagonal(a) and _is_exactly_diagonal(j)
+    if diagonal:
         neg = x.group.negation()
         # contiguous copies: vdot on a strided view rounds differently
         seeds = [np.ones(x.N, dtype=complex), np.diag(j).copy(), np.diag(a).copy()]
@@ -106,43 +108,39 @@ def _closure(g: QuantumGraph, max_dim: Optional[int]) -> tuple[list, bool, Calla
     ortho: list[np.ndarray] = []
     blocked = False
 
-    def try_add(trace: str, mat: np.ndarray, floor: float = RANK_TOL) -> bool:
+    def try_add(trace: str, mat: np.ndarray, floor: float = RANK_TOL) -> None:
         # closure members have unit norm, so a product or image of them this
         # small is rounding noise (e.g. I . A on a loopless graph), not a new
         # operator; seeds come at any scale and are refused only when zero
         nonlocal blocked
-        unit = _normalise(mat, floor)
-        if unit is None:
-            return False
-        w = unit.copy()  # modified Gram-Schmidt, once per candidate
-        for b in ortho:
-            w -= np.vdot(b, w) * b
-        residual = math.sqrt(abs(np.vdot(w, w).real))
+        nrm = math.sqrt(abs(np.vdot(mat, mat).real))
+        if nrm <= floor:
+            return
+        unit = mat / nrm
+        w, residual = orthogonal_part(unit, ortho)
         if residual <= RANK_TOL:
-            return False
+            return
         if len(members) >= max_dim:
             blocked = True  # an independent candidate was refused by the cap
-            return False
+            return
         members.append((trace, unit))
         ortho.append(w / residual)
-        return True
 
     for trace, mat in zip("IJA", seeds):
         try_add(trace, mat, floor=0.0)
 
-    for _ in range(MAX_ROUNDS):
-        grew = False
+    start = 0  # members[start:] were added by the previous round
+    while start < len(members) and not blocked:
         snapshot = list(members)
-        for trace, mat in snapshot:
-            grew |= try_add(f"{trace}†", dagger(mat))
-            grew |= try_add(f"{trace}*", star(mat))
-        for (ta, ma), (tb, mb) in itertools.product(snapshot, snapshot):
-            grew |= try_add(f"({ta}∘{tb})", compose(ma, mb))
-            grew |= try_add(f"({ta}•{tb})", schur(ma, mb))
-        if blocked or not grew:
-            break
-    # a cap that refused an independent candidate, or MAX_ROUNDS still growing
-    return members, not (blocked or grew), schur, to_matrix
+        for trace, mat in snapshot[start:]:
+            try_add(f"{trace}†", dagger(mat))
+            try_add(f"{trace}*", star(mat))
+        for i, (ta, ma) in enumerate(snapshot):
+            for tb, mb in snapshot[start if i < start else i if diagonal else 0:]:
+                try_add(f"({ta}∘{tb})", compose(ma, mb))
+                try_add(f"({ta}•{tb})", schur(ma, mb))
+        start = len(snapshot)
+    return members, not blocked, schur, to_matrix
 
 
 def schur_closure(
@@ -156,45 +154,50 @@ def schur_closure(
     is False when ``max_dim`` (1 to N^2) stopped the iteration early.  When
     A is diagonal on a group-indexed set the closure runs on diagonal
     vectors, and each Schur product is one convolution over the group, N^2
-    multiply-adds through the addition table; a round over d members makes
-    d^2 of them (twisted Q_9 / Q_10: N = 512 / 1024, d up to 10 / 11).
+    multiply-adds through the addition table.  Each ordered pair of members
+    is combined once, so a closure of dimension d makes d^2 compositions
+    and d^2 Schur products, d(d + 1)/2 of each on diagonal vectors, where
+    both commute (twisted Q_9 / Q_10: N = 512 / 1024, d up to 10 / 11).
     """
     members, complete, _, to_matrix = _closure(g, max_dim)
     return [(t, to_matrix(m)) for t, m in members], complete
 
 
 def classical_obstruction(
-    g: QuantumGraph,
-    max_dim: Optional[int] = None,
-    threshold: float = DEFAULT_THRESHOLD,
+    g: QuantumGraph, max_dim: Optional[int] = None
 ) -> Union[Certificate, Inconclusive]:
     """Scan the closure for a Schur-noncommuting pair.
 
-    Any pair with residual above ``threshold`` is a sound certificate, so
-    among those the SIMPLEST pair is reported: minimal combined trace
-    length, then maximal residual, then trace order.  This keeps witnesses
-    human-readable (an operator that fails to Schur-commute with the
-    identity or with its own square beats an equally valid but opaque
-    combination) and is deterministic.  The scan runs in the closure's own
-    representation; only the two witnesses become matrices.
+    Any pair with residual above ``DEFAULT_THRESHOLD`` is a sound
+    certificate, so among those the SIMPLEST pair is reported: minimal
+    combined trace length, then maximal residual, then trace order.  This
+    keeps witnesses human-readable (an operator that fails to Schur-commute
+    with the identity or with its own square beats an equally valid but
+    opaque combination) and is deterministic.  Pairs are scanned shortest
+    first, up to the first length that holds a witness (Inconclusive scans
+    all), in the closure's own representation; only witnesses become matrices.
     """
     members, complete, schur, to_matrix = _closure(g, max_dim)
+    pairs = sorted(itertools.combinations(members, 2), key=lambda p: len(p[0][0]) + len(p[1][0]))
     best: Optional[tuple[tuple, np.ndarray, np.ndarray, float]] = None
     max_residual = 0.0
-    for (ta, ma), (tb, mb) in itertools.combinations(members, 2):
+    for (ta, ma), (tb, mb) in pairs:
+        length = len(ta) + len(tb)
+        if best is not None and length > best[0][0]:
+            break
         res = max_abs(schur(ma, mb) - schur(mb, ma))
         max_residual = max(max_residual, res)
-        if res <= threshold:
+        if res <= DEFAULT_THRESHOLD:
             continue
         # residuals compared at a 1e-9 grain so that genuine ties are
         # broken by trace order, not by the last floating-point ulp
-        key = (len(ta) + len(tb), -round(res, 9), ta, tb)
+        key = (length, -round(res, 9), ta, tb)
         if best is None or key < best[0]:
             best = (key, ma, mb, res)
     if best is not None:
         (_, _, ta, tb), ma, mb, res = best
         return Certificate(witness_x=to_matrix(ma), witness_y=to_matrix(mb), trace_x=ta,
-                           trace_y=tb, residual=float(res), threshold=threshold)
+                           trace_y=tb, residual=float(res), threshold=DEFAULT_THRESHOLD)
     note = "closure is Schur-commutative; this does not certify classicality"
     if not complete:
         note = "closure truncated at max_dim; " + note

@@ -1,6 +1,7 @@
-"""Shared helpers for sampling twisted Cayley instances, and reference group tables."""
+"""Shared helpers for sampling twisted Cayley instances, and reference implementations."""
 
 import itertools
+import math
 
 import numpy as np
 
@@ -177,3 +178,107 @@ def reference_frobenius_residuals(x):
     np.add.at(pair, (lft, rgt), val * np.conj(x.unit_vec[out]))
     res["pairing_from_counit"] = float(np.abs(pair - f.conj()).max())
     return res
+
+
+# ---------------------------------------------------------------------------
+# reference obstruction: the round-based closure and the full pair scan
+# ---------------------------------------------------------------------------
+
+#: the round cap of the round-based closure
+REFERENCE_MAX_ROUNDS = 20
+
+
+def reference_closure(g, max_dim=None):
+    """(members, complete, schur, to_matrix, rounds) of the closure of {I, J, A}.
+
+    Every round offers the dagger and star of every member and both products
+    of every ordered pair of members, up to ``REFERENCE_MAX_ROUNDS`` rounds;
+    ``rounds`` counts the rounds run.
+    """
+    from qgraphs.errors import InvalidInput
+    from qgraphs.graphs import (_group_convolve, _is_exactly_diagonal, schur_product,
+                                schur_star, schur_unit)
+    from qgraphs.obstruction import RANK_TOL
+
+    x = g.set
+    n2 = x.N * x.N
+    if max_dim is None:
+        max_dim = n2
+    if not 1 <= max_dim <= n2:
+        raise InvalidInput(f"max_dim must lie in 1..N^2 = {n2}, got {max_dim}")
+    j, a = schur_unit(x), g.adjacency
+    if x.group is not None and _is_exactly_diagonal(a) and _is_exactly_diagonal(j):
+        neg = x.group.negation()
+        seeds = [np.ones(x.N, dtype=complex), np.diag(j).copy(), np.diag(a).copy()]
+        max_dim = min(max_dim, x.N)
+        compose, schur, dagger, star, to_matrix = (
+            np.multiply, lambda u, v: _group_convolve(x, u, v), np.conj,
+            lambda u: np.conj(u[neg]), np.diag)
+    else:
+        seeds = [np.eye(x.N, dtype=complex), j, a]
+        compose, schur, dagger, star, to_matrix = (
+            np.matmul, lambda u, v: schur_product(x, u, v), lambda u: u.conj().T,
+            lambda u: schur_star(x, u), lambda u: u)
+
+    members, ortho = [], []
+    blocked = False
+
+    def try_add(trace, mat, floor=RANK_TOL):
+        nonlocal blocked
+        nrm = math.sqrt(abs(np.vdot(mat, mat).real))
+        if nrm <= floor:
+            return False
+        unit = mat / nrm
+        w = unit.copy()
+        for b in ortho:
+            w -= np.vdot(b, w) * b
+        residual = math.sqrt(abs(np.vdot(w, w).real))
+        if residual <= RANK_TOL:
+            return False
+        if len(members) >= max_dim:
+            blocked = True
+            return False
+        members.append((trace, unit))
+        ortho.append(w / residual)
+        return True
+
+    for trace, mat in zip("IJA", seeds):
+        try_add(trace, mat, floor=0.0)
+    rounds = 0
+    for rounds in range(1, REFERENCE_MAX_ROUNDS + 1):
+        grew = False
+        snapshot = list(members)
+        for trace, mat in snapshot:
+            grew |= try_add(f"{trace}†", dagger(mat))
+            grew |= try_add(f"{trace}*", star(mat))
+        for (ta, ma), (tb, mb) in itertools.product(snapshot, snapshot):
+            grew |= try_add(f"({ta}∘{tb})", compose(ma, mb))
+            grew |= try_add(f"({ta}•{tb})", schur(ma, mb))
+        if blocked or not grew:
+            break
+    return members, not (blocked or grew), schur, to_matrix, rounds
+
+
+def reference_scan(closure, threshold=1e-6):
+    """The simplest Schur-noncommuting pair of a ``reference_closure`` result, every pair scanned."""
+    from qgraphs.obstruction import Certificate, Inconclusive
+
+    members, complete, schur, to_matrix, _ = closure
+    best = None
+    max_residual = 0.0
+    for (ta, ma), (tb, mb) in itertools.combinations(members, 2):
+        res = float(np.abs(schur(ma, mb) - schur(mb, ma)).max())
+        max_residual = max(max_residual, res)
+        if res <= threshold:
+            continue
+        key = (len(ta) + len(tb), -round(res, 9), ta, tb)
+        if best is None or key < best[0]:
+            best = (key, ma, mb, res)
+    if best is not None:
+        (_, _, ta, tb), ma, mb, res = best
+        return Certificate(witness_x=to_matrix(ma), witness_y=to_matrix(mb), trace_x=ta,
+                           trace_y=tb, residual=res, threshold=threshold)
+    note = "closure is Schur-commutative; this does not certify classicality"
+    if not complete:
+        note = "closure truncated at max_dim; " + note
+    return Inconclusive(note=note, closure_dim=len(members), max_residual=max_residual)

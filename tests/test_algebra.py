@@ -185,11 +185,26 @@ def test_star_source_must_be_a_permutation():
     for src in ([0, 0, 2, 3, 4], [1, 2, 3, 4, 5], [0, 2, 1, 3], [-1, 2, 1, 3, 4],
                 [0.0, 2.0, 1.0, 3.0, 4.0]):
         with pytest.raises(InvalidInput):
-            dataclasses.replace(x, star_src=np.asarray(src), _dense_mult=None)
+            dataclasses.replace(x, star_src=np.asarray(src))
     with pytest.raises(InvalidInput):
-        dataclasses.replace(x, star_phase=np.ones(4, dtype=complex), _dense_mult=None)
-    y = dataclasses.replace(x, star_src=np.asarray([0, 2, 1, 3, 4]), _dense_mult=None)
+        dataclasses.replace(x, star_phase=np.ones(4, dtype=complex))
+    y = dataclasses.replace(x, star_src=np.asarray([0, 2, 1, 3, 4]))
     assert np.array_equal(y.star_src, [0, 2, 1, 3, 4])
+
+
+def test_replace_rebuilds_the_dense_multiplication():
+    import dataclasses
+
+    from qgraphs import schur_product
+    from qgraphs.clifford import clifford_set
+
+    x = clifford_set(2)
+    rng = np.random.default_rng(3)
+    a, b = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(2))
+    before = schur_product(x, a, b)  # the generic path, which caches the dense tensor
+    y = dataclasses.replace(x, mult_val=2 * x.mult_val)
+    assert np.array_equal(y.dense_mult(), 2 * x.dense_mult())
+    assert np.allclose(schur_product(y, a, b), 4 * before)
 
 
 @pytest.mark.parametrize("blocks,limit_mib", [([1] * 4096, 1), ([64], 12)])
@@ -350,7 +365,7 @@ def test_verify_frobenius_catches_corruption():
     vals = x.mult_val.copy()
     vals[0] += 1e-3
     import dataclasses
-    broken = dataclasses.replace(x, mult_val=vals, _dense_mult=None)
+    broken = dataclasses.replace(x, mult_val=vals)
     report = verify_frobenius(broken)
     failed = report.failed()
     assert "specialness_mmdag" in failed
@@ -392,8 +407,7 @@ def _with_entries(x, out=None, lft=None, rgt=None, val=None):
 
     return dataclasses.replace(
         x, mult_out=x.mult_out if out is None else out, mult_left=x.mult_left if lft is None else lft,
-        mult_right=x.mult_right if rgt is None else rgt, mult_val=x.mult_val if val is None else val,
-        _dense_mult=None)
+        mult_right=x.mult_right if rgt is None else rgt, mult_val=x.mult_val if val is None else val)
 
 
 def _assert_matches_reference(x):

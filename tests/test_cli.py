@@ -375,6 +375,24 @@ def test_bad_integer_arguments_exit_2_with_one_error_line(capsys, monkeypatch, a
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("case", ["directory-document", "directory-bichar", "utf-16-document"])
+def test_unreadable_inputs_exit_2_with_one_error_line(capsys, tmp_path, case):
+    # exit 1 means a failed verification, so an input that cannot be read
+    # or decoded must not end in a traceback
+    utf16 = tmp_path / "doc.json"
+    utf16.write_bytes(b"\xff\xfe" + _graph_text().encode("utf-16-le"))
+    argv = {
+        "directory-document": ["graph-check", str(tmp_path)],
+        "directory-bichar": ["twist", "--orders", "2,2", "--gens", "10;01", "--bichar",
+                             str(tmp_path)],
+        "utf-16-document": ["graph-check", str(utf16)],
+    }[case]
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_closed_stdout_is_exit_2_without_traceback():
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -498,3 +498,12 @@ def test_addition_table_adds_coordinates(orders):
     els = reference_elements(orders)
     want = [[_reference_index(orders, [x + y for x, y in zip(a, b)]) for b in els] for a in els]
     assert np.array_equal(group.addition_table(), want)
+
+
+def test_replace_rebuilds_the_addition_table():
+    import dataclasses
+
+    group = AbelianGroup((2, 2))
+    group.addition_table()
+    cyclic = dataclasses.replace(group, orders=(4,))
+    assert np.array_equal(cyclic.addition_table(), AbelianGroup((4,)).addition_table())

@@ -150,3 +150,88 @@ def test_diagonal_scan_runs_without_the_matrix_schur_product(monkeypatch):
     assert isinstance(res, Inconclusive)
     assert res.closure_dim == 7
     assert res.max_residual == dense
+
+
+def _random_block_graph(blocks, fraction, seed):
+    """One random edge projection of rank round(fraction n_i n_j) per ordered block pair."""
+    from qgraphs.graphs import EdgeProjection, projection_to_adjacency
+
+    rng = np.random.default_rng(seed)
+    projections = {}
+    for i, ni in enumerate(blocks):
+        for j, nj in enumerate(blocks):
+            z = rng.standard_normal((ni * nj, ni * nj)) + 1j * rng.standard_normal((ni * nj, ni * nj))
+            q, _ = np.linalg.qr(z)
+            q = q[:, :int(round(fraction * ni * nj))]
+            projections[(i, j)] = q @ q.conj().T
+    return projection_to_adjacency(EdgeProjection(build_quantum_set(blocks), projections))
+
+
+def _reference_corpus():
+    from qgraphs import m2_graph
+    from qgraphs.clifford import clifford_bicharacter, hypercube_generators, squared_generators
+    from qgraphs.weyl import rook_generators, weyl_bicharacter
+
+    cases = {f"m2-{m}": (lambda m=m: m2_graph(m), None) for m in range(4)}
+    cases["anticommutative-square"] = (anticommutative_square, None)
+    for m in (1, 2, 3):
+        for t in (0.0, 0.3, math.pi / 4, math.pi / 2):
+            cases[f"partial-{m}-{t:.2f}"] = (lambda m=m, t=t: m2_partial_family(m, t), None)
+    cases["gell-mann"] = (gell_mann_graph, None)
+    cases["gell-mann-1e-10"] = (
+        lambda: QuantumGraph(gell_mann_graph().set, 1e-10 * gell_mann_graph().adjacency), None)
+    cases["gell-mann-max-dim-4"] = (gell_mann_graph, 4)
+    # the block sizes, rank fractions and caps of the benchmark's certificate searches
+    for blocks, fraction, cap in (([1, 3], 0.5, 24), ([2], 0.5, 16), ([3], 0.25, 24),
+                                  ([1, 1, 2], 0.5, 20), ([2, 2], 0.5, 20), ([1, 2], 0.5, 24)):
+        for max_dim in (None, cap):
+            name = f"random-{'-'.join(map(str, blocks))}-{max_dim}"
+            cases[name] = (lambda b=blocks, f=fraction: _random_block_graph(b, f, seed=len(b)),
+                           max_dim)
+    pairs = {f"hypercube-{n}": (clifford_bicharacter(n), hypercube_generators(n))
+             for n in range(2, 8)}
+    pairs["squared-4"] = (clifford_bicharacter(4), squared_generators(4))
+    pairs["rook-4"] = (weyl_bicharacter(4), rook_generators(4))
+    for name, (sigma, gens) in pairs.items():
+        cases[f"twisted-{name}"] = (lambda s=sigma, g=gens: twisted_cayley(s.group, g, s), None)
+        cases[f"classical-{name}"] = (lambda s=sigma, g=gens: classical_cayley(s.group, g), None)
+    return cases
+
+
+REFERENCE_CORPUS = _reference_corpus()
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CORPUS))
+def test_closure_and_scan_match_the_round_based_reference(name, monkeypatch):
+    # the fixpoint skips only pairs an earlier round offered, so it must
+    # add the same members in the same order as the round-based loop
+    import qgraphs.obstruction
+    from conftest import REFERENCE_MAX_ROUNDS, reference_closure, reference_scan
+
+    make, max_dim = REFERENCE_CORPUS[name]
+    g = make()
+    closure, closures = qgraphs.obstruction._closure, []
+
+    def record(*args):
+        closures.append(closure(*args))
+        return closures[-1]
+
+    monkeypatch.setattr(qgraphs.obstruction, "_closure", record)
+    got = classical_obstruction(g, max_dim)
+    members, complete, _, _ = closures[0]
+    want = reference_closure(g, max_dim)
+    assert want[4] < REFERENCE_MAX_ROUNDS
+    assert [t for t, _ in members] == [t for t, _ in want[0]]
+    assert all(m.tobytes() == w.tobytes() for (_, m), (_, w) in zip(members, want[0]))
+    assert complete == want[1]
+
+    ref = reference_scan(want)
+    assert type(got) is type(ref)
+    if isinstance(ref, Certificate):
+        assert (got.trace_x, got.trace_y, got.threshold) == (ref.trace_x, ref.trace_y, ref.threshold)
+        assert np.float64(got.residual).tobytes() == np.float64(ref.residual).tobytes()
+        assert got.witness_x.tobytes() == ref.witness_x.tobytes()
+        assert got.witness_y.tobytes() == ref.witness_y.tobytes()
+    else:
+        assert (got.note, got.closure_dim) == (ref.note, ref.closure_dim)
+        assert np.float64(got.max_residual).tobytes() == np.float64(ref.max_residual).tobytes()
