@@ -4,9 +4,11 @@ All commands are composable filters: they read documents from files or
 stdin (``-``), write a single JSON document to stdout with ``--json`` (a
 short table otherwise), and exit 0 on success / passing checks, 1 when a
 verification failed (the report is still emitted), 2 on input or usage
-errors.  ``--tol`` overrides the QG_TOL environment variable, which
-overrides the default 1e-9.  ``set-check``, the only command with
-randomized checks, takes ``--seed`` to fix their RNG.
+errors, and 3 with one ``error: internal error:`` line (no traceback) on
+any other exception, so exit 1 always means a failed verification.
+``--tol`` overrides the QG_TOL environment variable, which overrides the
+default 1e-9.  ``set-check``, the only command with randomized checks,
+takes ``--seed`` to fix their RNG.
 """
 
 from __future__ import annotations
@@ -444,6 +446,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:  # an input that cannot be read: missing, a directory, ...
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, not of the input or a check
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ addition and bicharacter tables read in row-major order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -111,16 +111,51 @@ class AbelianGroup:
 class Bicharacter:
     """A unitary bicharacter, stored exactly through snapped generator values.
 
-    ``gen_values[i][j]`` holds sigma(eps_i, eps_j); internally each value is
-    an integer exponent over gcd(n_i, n_j), so every evaluation is an exact
-    root of unity.
+    ``gen_values[i][j]`` holds sigma(eps_i, eps_j).  Each must be a root of
+    unity of order dividing gcd(n_i, n_j); anything else cannot extend to a
+    homomorphism in both arguments and is rejected naming the offending
+    pair.  The values are snapped to those roots, and each is kept as an
+    integer exponent over gcd(n_i, n_j), so every evaluation is an exact
+    root of unity.  The exponents are derived from ``gen_values`` on every
+    construction, ``dataclasses.replace`` included.
     """
 
     group: AbelianGroup
     gen_values: np.ndarray
-    _exp_num: np.ndarray = field(repr=False, default=None)  # k_ij
-    _exp_den: np.ndarray = field(repr=False, default=None)  # gcd(n_i, n_j)
+    tol: InitVar[float] = DEFAULT_TOL
+    _exp_num: np.ndarray = field(init=False, repr=False)  # k_ij
+    _exp_den: np.ndarray = field(init=False, repr=False)  # gcd(n_i, n_j)
     _table: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+
+    def __post_init__(self, tol: float) -> None:
+        g = self.group
+        vals = np.asarray(self.gen_values, dtype=complex)
+        if vals.shape != (g.rank, g.rank):
+            raise InvalidInput(
+                f"gen_values must be {g.rank} x {g.rank} for orders {g.orders}, got {vals.shape}"
+            )
+        num = np.zeros((g.rank, g.rank), dtype=np.int64)
+        den = np.zeros((g.rank, g.rank), dtype=np.int64)
+        for i in range(g.rank):
+            for j in range(g.rank):
+                d = math.gcd(g.orders[i], g.orders[j])
+                v = vals[i, j]
+                if abs(abs(v) - 1.0) > tol:
+                    raise InvalidInput(f"bicharacter value at ({i},{j}) is not unimodular: {v}")
+                theta = np.angle(v) / (2 * math.pi)
+                k = int(round(theta * d)) % d
+                if abs(v - unit_root(k, d)) > tol:
+                    raise InvalidInput(
+                        f"bicharacter value at ({i},{j}) violates the order condition: "
+                        f"{v} is not a root of unity of order dividing "
+                        f"gcd{g.orders[i], g.orders[j]}={d}"
+                    )
+                num[i, j] = k
+                den[i, j] = d
+        self.gen_values = np.asarray(
+            [[unit_root(int(num[i, j]), int(den[i, j])) for j in range(g.rank)]
+             for i in range(g.rank)], dtype=complex)
+        self._exp_num, self._exp_den = num, den
 
     def value(self, mu: Sequence[int], nu: Sequence[int]) -> complex:
         return self.table()[self.group.index(mu), self.group.index(nu)]
@@ -146,39 +181,9 @@ class Bicharacter:
 def make_bicharacter(
     group: AbelianGroup, gen_values: Sequence[Sequence[complex]], tol: float = DEFAULT_TOL
 ) -> Bicharacter:
-    """Validate generator values and build the multiplicative extension.
-
-    Each sigma(eps_i, eps_j) must be a root of unity of order dividing
-    gcd(n_i, n_j); anything else cannot extend to a homomorphism in both
-    arguments and is rejected naming the offending pair.
-    """
-    g = group
-    vals = np.asarray(gen_values, dtype=complex)
-    if vals.shape != (g.rank, g.rank):
-        raise InvalidInput(
-            f"gen_values must be {g.rank} x {g.rank} for orders {g.orders}, got {vals.shape}"
-        )
-    num = np.zeros((g.rank, g.rank), dtype=np.int64)
-    den = np.zeros((g.rank, g.rank), dtype=np.int64)
-    for i in range(g.rank):
-        for j in range(g.rank):
-            d = math.gcd(g.orders[i], g.orders[j])
-            v = vals[i, j]
-            if abs(abs(v) - 1.0) > tol:
-                raise InvalidInput(f"bicharacter value at ({i},{j}) is not unimodular: {v}")
-            theta = np.angle(v) / (2 * math.pi)
-            k = int(round(theta * d)) % d
-            if abs(v - unit_root(k, d)) > tol:
-                raise InvalidInput(
-                    f"bicharacter value at ({i},{j}) violates the order condition: "
-                    f"{v} is not a root of unity of order dividing gcd{g.orders[i], g.orders[j]}={d}"
-                )
-            num[i, j] = k
-            den[i, j] = d
-    snapped = np.asarray(
-        [[unit_root(int(num[i, j]), int(den[i, j])) for j in range(g.rank)]
-         for i in range(g.rank)], dtype=complex)
-    return Bicharacter(group=g, gen_values=snapped, _exp_num=num, _exp_den=den)
+    """Validate generator values and build the multiplicative extension
+    (see ``Bicharacter``)."""
+    return Bicharacter(group, gen_values, tol)
 
 
 def trivial_bicharacter(group: AbelianGroup) -> Bicharacter:

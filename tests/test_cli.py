@@ -447,3 +447,17 @@ def test_one_parser_serves_many_calls(capsys):
     assert outcomes(fresh=False) == fresh
     assert cli._build_parser.cache_info().misses == 1
     assert [code for code, _, _ in fresh] == [0, 0, 2, 2, 0, 0]
+
+
+def test_unexpected_exception_is_exit_3_with_one_error_line(capsys, monkeypatch):
+    # exit 1 means a failed verification, so a fault of the program gets its
+    # own code; the cached parser binds the _cmd_* functions, so the fault is
+    # planted in a library call they make
+    def fail(*args, **kwargs):
+        raise RuntimeError("planted fault")
+
+    monkeypatch.setattr("qgraphs.cli.graph_report", fail)
+    monkeypatch.setattr("sys.stdin", io.StringIO(_graph_text()))
+    code, out, err = run(capsys, "graph-check", "-", "--json")
+    assert code == 3 and out == ""
+    assert err == "error: internal error: RuntimeError: planted fault\n"

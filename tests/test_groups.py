@@ -216,6 +216,17 @@ def test_bicharacter_rejects_non_unimodular():
         make_bicharacter(AbelianGroup((2, 2)), [[1, 1], [0.5, 1]])
 
 
+def test_replaced_gen_values_rebuild_the_exponents():
+    import dataclasses
+
+    sigma = clifford_bicharacter(2)
+    replaced = dataclasses.replace(sigma, gen_values=np.ones((2, 2)))
+    assert np.array_equal(replaced.table(), trivial_bicharacter(sigma.group).table())
+    with pytest.raises(InvalidInput) as err:
+        dataclasses.replace(sigma, gen_values=[[1, 1], [1j, 1]])
+    assert "(1,0)" in str(err.value)
+
+
 def test_bicharacter_laws_spot_checked():
     rng = np.random.default_rng(3)
     for _ in range(5):

@@ -235,3 +235,56 @@ def test_closure_and_scan_match_the_round_based_reference(name, monkeypatch):
     else:
         assert (got.note, got.closure_dim) == (ref.note, ref.closure_dim)
         assert np.float64(got.max_residual).tobytes() == np.float64(ref.max_residual).tobytes()
+
+
+def _orthogonalisations(monkeypatch) -> list:
+    """Record (basis size, residual) of every candidate the closure orthogonalises."""
+    import qgraphs.obstruction
+
+    calls = []
+    orthogonal_part = qgraphs.obstruction.orthogonal_part
+
+    def record(vector, basis):
+        w, residual = orthogonal_part(vector, basis)
+        calls.append((len(basis), residual))
+        return w, residual
+
+    monkeypatch.setattr(qgraphs.obstruction, "orthogonal_part", record)
+    return calls
+
+
+def test_closure_stops_at_the_caps_first_refusal(monkeypatch):
+    # once the cap refuses an independent candidate the member list is full,
+    # so no later candidate can change the closure
+    from qgraphs.obstruction import RANK_TOL
+
+    make, max_dim = REFERENCE_CORPUS["random-1-3-24"]
+    g = make()
+    calls = _orthogonalisations(monkeypatch)
+    ops, complete = schur_closure(g, max_dim)
+    assert len(ops) == max_dim and not complete
+    refused = [k for k, (size, residual) in enumerate(calls)
+               if size == max_dim and residual > RANK_TOL]
+    assert refused == [len(calls) - 1]
+
+
+def _twisted_z2z2_full_span():
+    # weights 2 and 1 on two generators separate all four points, so the
+    # diagonal closure is every function on Z_2^2
+    from qgraphs.clifford import clifford_bicharacter
+
+    sigma = clifford_bicharacter(2)
+    return twisted_cayley(sigma.group, [(1, 0), (1, 0), (0, 1)], sigma)
+
+
+@pytest.mark.parametrize("name, dim", [("random-2-None", 16), ("random-1-3-None", 100),
+                                       ("twisted-z2z2-full", 4)])
+def test_closure_stops_at_the_full_span(name, dim, monkeypatch):
+    # N^2 matrices (N diagonal vectors) span the whole space: every further
+    # candidate would be refused, so none is orthogonalised against them
+    make, max_dim = {**REFERENCE_CORPUS, "twisted-z2z2-full": (_twisted_z2z2_full_span, None)}[name]
+    g = make()
+    calls = _orthogonalisations(monkeypatch)
+    ops, complete = schur_closure(g, max_dim)
+    assert complete is True and len(ops) == dim
+    assert max(size for size, _ in calls) < dim
