@@ -48,7 +48,6 @@ from .clifford import (
     halved_square_check,
 )
 from .constructions import (
-    BlockMap,
     check_isomorphism,
     conjugation_map,
     diagonal_embedding,

@@ -24,6 +24,8 @@ Conventions used everywhere in this package:
   signed permutation and is stored as one: two length-N arrays with
   ``e_k^* = star_phase[k] e_{star_src[k]}``.  A set therefore holds
   O(N + nonzeros of m) numbers; no N x N array is kept.
+* A set holds no tolerance.  Each check takes the one it compares with as
+  ``tol``, default ``DEFAULT_TOL``.
 
 ``verify_frobenius`` re-derives all the defining identities (specialness,
 Frobenius law, snake identities, unit laws, symmetry, involutivity,
@@ -123,7 +125,6 @@ class QuantumSet:
     unit_vec: np.ndarray  # complex128[N]
     star_src: np.ndarray  # int64[N]; e_k^* = star_phase[k] e_{star_src[k]}
     star_phase: np.ndarray  # complex128[N]
-    tol: float = DEFAULT_TOL
     group: Optional["AbelianGroup"] = None
     bicharacter: Optional["Bicharacter"] = None
     _dense_mult: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
@@ -278,7 +279,7 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
-def build_quantum_set(blocks: Sequence[int], tol: float = DEFAULT_TOL) -> QuantumSet:
+def build_quantum_set(blocks: Sequence[int]) -> QuantumSet:
     """Quantum set for the algebra M_{n_1} + ... + M_{n_a}.
 
     Structure constants in the orthonormal basis e_ab / sqrt(n):
@@ -293,8 +294,6 @@ def build_quantum_set(blocks: Sequence[int], tol: float = DEFAULT_TOL) -> Quantu
     if any(n <= 0 for n in blocks):
         raise InvalidInput(f"block sizes must be positive, got {blocks}")
     admit_dimension(sum(n * n for n in blocks))
-    if not tol > 0:
-        raise InvalidInput("tolerance must be positive")
 
     sizes = np.asarray(blocks, dtype=np.int64)
     slots = sizes * sizes
@@ -319,7 +318,6 @@ def build_quantum_set(blocks: Sequence[int], tol: float = DEFAULT_TOL) -> Quantu
         unit_vec=unit,
         star_src=o + b * n + a,
         star_phase=np.ones(a.size, dtype=complex),
-        tol=tol,
     )
 
 
@@ -584,7 +582,7 @@ def _frobenius_law(e: _Entries) -> float:
     return worst
 
 
-def verify_frobenius(x: QuantumSet, tol: Optional[float] = None) -> Report:
+def verify_frobenius(x: QuantumSet, tol: float = DEFAULT_TOL) -> Report:
     """Numerically verify that the stored tensors form a special symmetric
     Frobenius algebra with counit of the unit equal to N.
 
@@ -604,7 +602,6 @@ def verify_frobenius(x: QuantumSet, tol: Optional[float] = None) -> Report:
     for the builders' sets).  The star, duality, unit and counit checks read
     ``star_src``/``star_phase`` and the entries of m; no N x N array is built.
     """
-    tol = x.tol if tol is None else tol
     n = x.N
     src, ph = x.star_src, x.star_phase
     scale = scale_of(x.mult_val, ph, x.unit_vec)
@@ -690,7 +687,7 @@ def _unit_law(n: int, rows: np.ndarray, cols: np.ndarray, w: np.ndarray) -> floa
 # ---------------------------------------------------------------------------
 
 
-def check_star_homomorphism(f: Operator, tol: Optional[float] = None) -> Report:
+def check_star_homomorphism(f: Operator, tol: float = DEFAULT_TOL) -> Report:
     """Check that ``f`` is multiplicative, unital and *-preserving.
 
     Multiplicativity is f(e_r e_s) = f(e_r) f(e_s) on all N_X^2 basis pairs,
@@ -701,7 +698,6 @@ def check_star_homomorphism(f: Operator, tol: Optional[float] = None) -> Report:
     equivalent to the adjoint formulation.
     """
     dom, cod = f.domain, f.codomain
-    tol = dom.tol if tol is None else tol
     fm = f.matrix
     scale = scale_of(fm, dom.mult_val)
     checks = []
@@ -739,17 +735,11 @@ def is_positive_element(rep: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return bool(lam[0] >= -tol * scale)
 
 
-def element_is_positive(x: AlgebraElement, tol: Optional[float] = None) -> bool:
+def element_is_positive(x: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:
     """Positivity of an abstract element via its left regular representation."""
-    tol = x.set.tol if tol is None else tol
     return is_positive_element(left_mult_matrix(x), tol=tol)
 
 
 def random_element(x_set: QuantumSet, rng: np.random.Generator) -> AlgebraElement:
     coeffs = rng.standard_normal(x_set.N) + 1j * rng.standard_normal(x_set.N)
     return AlgebraElement(x_set, coeffs)
-
-
-def random_positive_element(x_set: QuantumSet, rng: np.random.Generator) -> AlgebraElement:
-    x = random_element(x_set, rng)
-    return algebra_multiply(algebra_star(x), x)

@@ -4,10 +4,9 @@ families, the Gell-Mann graph, and the complete M_2 classifier."""
 from __future__ import annotations
 
 import math
-from typing import Optional
-
 import numpy as np
 
+from .algebra import DEFAULT_TOL
 from .errors import InvalidInput
 from .graphs import (
     QuantumGraph,
@@ -41,11 +40,11 @@ LAMBDA_8 = np.diag([1, 1, -2]).astype(complex) / math.sqrt(2)
 _PAULIS = (SIGMA_1, SIGMA_2, SIGMA_3)
 
 
-def pauli_edge(i: int, tol: float = 1e-9) -> QuantumGraph:
+def pauli_edge(i: int) -> QuantumGraph:
     """The quantum edge P_i = sigma_i (x) sigma_i^* on M_2 (i in 1..3)."""
     if i not in (1, 2, 3):
         raise InvalidInput("pauli_edge index must be 1, 2 or 3")
-    return quantum_edge(2, _PAULIS[i - 1], tol=tol)
+    return quantum_edge(2, _PAULIS[i - 1])
 
 
 def m2_graph(m: int, tol: float = 1e-9) -> QuantumGraph:
@@ -64,7 +63,7 @@ def anticommutative_square(tol: float = 1e-9) -> QuantumGraph:
     return graph_from_subspace(2, [SIGMA_1, SIGMA_3], tol=tol)
 
 
-def m2_partial_family(m: int, t: float, tol: float = 1e-9) -> QuantumGraph:
+def m2_partial_family(m: int, t: float) -> QuantumGraph:
     """The one-parameter families of undirected graphs with partial loops.
 
     A(t) starts from the edge of sigma_3(t) = sigma_3 sin t + id cos t and
@@ -76,16 +75,16 @@ def m2_partial_family(m: int, t: float, tol: float = 1e-9) -> QuantumGraph:
     if not 0.0 <= t <= math.pi / 2 + 1e-12:
         raise InvalidInput(f"m2_partial_family: t must lie in [0, pi/2], got {t}")
     sigma_3_t = math.sin(t) * SIGMA_3 + math.cos(t) * IOTA_2
-    g = quantum_edge(2, sigma_3_t, tol=tol)
+    g = quantum_edge(2, sigma_3_t)
     a = g.adjacency.copy()
     if m >= 2:
-        a += quantum_edge(2, SIGMA_2, tol=tol).adjacency
+        a += quantum_edge(2, SIGMA_2).adjacency
     if m == 3:
-        a += quantum_edge(2, SIGMA_1, tol=tol).adjacency
+        a += quantum_edge(2, SIGMA_1).adjacency
     return QuantumGraph(set=g.set, adjacency=a)
 
 
-def classify_m2(g: QuantumGraph, tol: Optional[float] = None) -> int:
+def classify_m2(g: QuantumGraph, tol: float = DEFAULT_TOL) -> int:
     """The number of quantum edges, a complete invariant for simple M_2 graphs."""
     if g.set.blocks != (2,):
         raise InvalidInput("classify_m2 expects a graph on the single-block set M_2")
@@ -99,9 +98,9 @@ def classify_m2(g: QuantumGraph, tol: Optional[float] = None) -> int:
     return int(report.quantum_edges)
 
 
-def gell_mann_graph(tol: float = 1e-9) -> QuantumGraph:
+def gell_mann_graph() -> QuantumGraph:
     """The simple one-edge graph on M_3 generated by the diagonal Gell-Mann matrix."""
-    return quantum_edge(3, LAMBDA_8, tol=tol)
+    return quantum_edge(3, LAMBDA_8)
 
 
 def random_su2(rng: np.random.Generator) -> np.ndarray:

@@ -7,14 +7,17 @@ verification failed (the report is still emitted), 2 on input or usage
 errors, and 3 with one ``error: internal error:`` line (no traceback) on
 any other exception, so exit 1 always means a failed verification.
 ``--tol`` overrides the QG_TOL environment variable, which overrides the
-default 1e-9.  ``set-check``, the only command with randomized checks,
-takes ``--seed`` to fix their RNG.
+default 1e-9; the value must be a finite positive number, else the command
+exits 2.  Every check a command runs compares at that tolerance, and so
+does the snapping of bicharacter values.  ``set-check``, the only command
+with randomized checks, takes ``--seed`` to fix their RNG.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from typing import Callable, Optional
@@ -60,15 +63,20 @@ from .weyl import quantum_rook, weyl_bicharacter
 
 
 def _resolve_tol(args: argparse.Namespace) -> float:
+    """--tol, else QG_TOL, else DEFAULT_TOL; InvalidInput unless finite and positive."""
     if args.tol is not None:
-        return args.tol
-    env = os.environ.get("QG_TOL")
-    if env is not None:
+        tol, source = args.tol, "--tol"
+    else:
+        env = os.environ.get("QG_TOL")
+        if env is None:
+            return DEFAULT_TOL
         try:
-            return float(env)
+            tol, source = float(env), "QG_TOL"
         except ValueError:
             raise InvalidInput(f"QG_TOL is not a number: {env!r}") from None
-    return DEFAULT_TOL
+    if not 0.0 < tol < math.inf:  # false for nan too
+        raise InvalidInput(f"{source} must be a finite positive number, got {tol!r}")
+    return tol
 
 
 def _read_text(path: str) -> str:
@@ -127,8 +135,8 @@ def _report_table(doc: dict) -> list[str]:
     return lines
 
 
-def _graph_table(g: QuantumGraph, doc: dict) -> list[str]:
-    rep = graph_report(g)
+def _graph_table(g: QuantumGraph, doc: dict, tol: float) -> list[str]:
+    rep = graph_report(g, tol=tol)
     lines = [f"set: {doc['set']}", f"vertices: {rep.vertices}",
              f"edges: {rep.edges.real:g}" + (f"+{rep.edges.imag:g}i" if abs(rep.edges.imag) > 1e-12 else "")]
     if rep.quantum_edges is not None:
@@ -149,7 +157,7 @@ def _cmd_set_check(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise InvalidInput(f"--seed must be a non-negative integer, got {args.seed}")
     if args.blocks is not None:
-        x = build_quantum_set(_parse_ints(args.blocks), tol=tol)
+        x = build_quantum_set(_parse_ints(args.blocks))
     else:
         doc = _load(args.file)
         spec = doc.get("set") if "set" in doc else doc
@@ -198,7 +206,7 @@ def _cmd_rotate(args: argparse.Namespace) -> int:
     if "projection" in doc:
         g = projection_to_adjacency(docs.projection_from_document(doc, tol=tol))
         out = docs.graph_to_document(g, metadata={"command": "rotate", "form": "adjacency"})
-        _emit(args, out, lambda: _graph_table(g, out))
+        _emit(args, out, lambda: _graph_table(g, out, tol))
         return 0
     raise InvalidInput("rotate: document has neither 'adjacency' nor 'projection'")
 
@@ -207,30 +215,30 @@ def _cmd_cayley(args: argparse.Namespace) -> int:
     tol = _resolve_tol(args)
     group = AbelianGroup(tuple(_parse_ints(args.orders)))
     gens = _parse_elements(args.gens, group.rank)
-    g = classical_cayley(group, gens, tol=tol)
+    g = classical_cayley(group, gens)
     meta = {"command": "cayley", "orders": args.orders, "gens": args.gens}
     doc = docs.graph_to_document(g, metadata=meta)
     if args.spectrum:
         doc["spectrum"] = cayley_spectrum(group, gens)
-    _emit(args, doc, lambda: _graph_table(g, doc))
+    _emit(args, doc, lambda: _graph_table(g, doc, tol))
     return 0
 
 
-def _bicharacter_for(args: argparse.Namespace, group: AbelianGroup):
+def _bicharacter_for(args: argparse.Namespace, group: AbelianGroup, tol: float):
     name = args.bichar
     if name == "trivial":
         return trivial_bicharacter(group)
     if name == "clifford":
-        return make_bicharacter(group, clifford_bicharacter(group.rank).gen_values)
+        return make_bicharacter(group, clifford_bicharacter(group.rank).gen_values, tol=tol)
     if name == "weyl":
         if group.rank != 2 or group.orders[0] != group.orders[1]:
             raise InvalidInput("the weyl preset needs a group Z_n x Z_n")
-        return make_bicharacter(group, weyl_bicharacter(group.orders[0]).gen_values)
+        return make_bicharacter(group, weyl_bicharacter(group.orders[0]).gen_values, tol=tol)
     if name.lstrip().startswith("["):
-        return docs.bicharacter_from_text(name, group)
+        return docs.bicharacter_from_text(name, group, tol=tol)
     doc = _load(name)
     if doc.get("kind") == "bicharacter":
-        return docs.bicharacter_from_document(doc, group)
+        return docs.bicharacter_from_document(doc, group, tol=tol)
     raise InvalidInput(
         "--bichar must be trivial|clifford|weyl, an inline [[...]] matrix, or a "
         f"bicharacter document, got {name!r}"
@@ -241,12 +249,12 @@ def _cmd_twist(args: argparse.Namespace) -> int:
     tol = _resolve_tol(args)
     group = AbelianGroup(tuple(_parse_ints(args.orders)))
     gens = _parse_elements(args.gens, group.rank)
-    sigma = _bicharacter_for(args, group)
-    g = twisted_cayley(group, gens, sigma, tol=tol)
+    sigma = _bicharacter_for(args, group, tol)
+    g = twisted_cayley(group, gens, sigma)
     meta = {"command": "twist", "orders": args.orders, "gens": args.gens,
             "bichar": args.bichar}
     doc = docs.graph_to_document(g, metadata=meta)
-    _emit(args, doc, lambda: _graph_table(g, doc))
+    _emit(args, doc, lambda: _graph_table(g, doc, tol))
     return 0
 
 
@@ -267,24 +275,24 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     elif preset == "m2-partial":
         if args.m is None or args.t is None:
             raise InvalidInput("catalog m2-partial needs --m and --t")
-        g = m2_partial_family(args.m, args.t, tol=tol)
+        g = m2_partial_family(args.m, args.t)
     elif preset == "anticommutative-square":
         g = anticommutative_square(tol=tol)
     elif preset == "gell-mann":
-        g = gell_mann_graph(tol=tol)
+        g = gell_mann_graph()
     elif preset == "rook":
         g = quantum_rook(args.n, tol=tol)
     elif preset in ("hypercube", "folded", "squared"):
-        g = cube_like_graph(args.n, preset=preset, tol=tol)
+        g = cube_like_graph(args.n, preset=preset)
     elif preset == "cube":
         if args.gens is None:
             raise InvalidInput("catalog cube needs --gens")
         gens = _parse_elements(args.gens, args.n)
-        g = cube_like_graph(args.n, gens=gens, tol=tol)
+        g = cube_like_graph(args.n, gens=gens)
     else:
         raise InvalidInput(f"unknown catalog preset {preset!r}")
     doc = docs.graph_to_document(g, metadata={"command": "catalog", "preset": preset})
-    _emit(args, doc, lambda: _graph_table(g, doc))
+    _emit(args, doc, lambda: _graph_table(g, doc, tol))
     return 0
 
 
@@ -294,7 +302,7 @@ def _cmd_quotient(args: argparse.Namespace) -> int:
     op = docs.operator_from_document(_load(args.map), tol=tol)
     out = quotient_graph(g, op, tol=tol)
     doc = docs.graph_to_document(out, metadata={"command": "quotient"})
-    _emit(args, doc, lambda: _graph_table(out, doc))
+    _emit(args, doc, lambda: _graph_table(out, doc, tol))
     return 0
 
 
@@ -302,10 +310,10 @@ def _cmd_subgraph(args: argparse.Namespace) -> int:
     tol = _resolve_tol(args)
     g = docs.graph_from_document(_load(args.graph), tol=tol)
     keep = _parse_ints(args.keep)
-    out = induced_subgraph(g, keep, tol=tol)
+    out = induced_subgraph(g, keep)
     doc = docs.graph_to_document(out, metadata={"command": "subgraph",
                                                 "keep": args.keep})
-    _emit(args, doc, lambda: _graph_table(out, doc))
+    _emit(args, doc, lambda: _graph_table(out, doc, tol))
     return 0
 
 
@@ -351,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", action="store_true", help="emit a JSON document")
         p.add_argument("--tol", type=float, default=None,
-                       help="comparison tolerance (default: QG_TOL or 1e-9)")
+                       help="comparison tolerance, finite and positive (default: QG_TOL or 1e-9)")
 
     p = sub.add_parser("set-check", help="verify the Frobenius axioms of a quantum set")
     p.add_argument("file", nargs="?", default=None, help="quantum-set document or -")

@@ -18,8 +18,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import Check, Operator, QuantumSet, Report, admit_dimension, check_star_homomorphism
-from .constructions import BlockMap, quotient_graph
+from .algebra import (DEFAULT_TOL, Check, Operator, QuantumSet, Report, admit_dimension,
+                      check_star_homomorphism)
+from .constructions import quotient_graph
 from .errors import InvalidInput
 from .graphs import QuantumGraph, schur_product, schur_star
 from .groups import (
@@ -38,8 +39,6 @@ __all__ = [
     "hypercube_generators",
     "folded_generators",
     "squared_generators",
-    "lambda_hypercube",
-    "lambda_folded",
     "lambda_squared",
     "cube_like_graph",
     "folded_embedding",
@@ -60,10 +59,10 @@ def clifford_bicharacter(n: int) -> Bicharacter:
     return make_bicharacter(group, vals)
 
 
-def clifford_set(n: int, tol: float = 1e-9) -> QuantumSet:
+def clifford_set(n: int) -> QuantumSet:
     """The twisted set of Z_2^n with the sign bicharacter (dimension 2^n)."""
     sigma = clifford_bicharacter(n)
-    return twist_quantum_set(sigma.group, sigma, tol=tol)
+    return twist_quantum_set(sigma.group, sigma)
 
 
 def degree(mu: Sequence[int]) -> int:
@@ -91,14 +90,6 @@ def squared_generators(n: int) -> list[tuple[int, ...]]:
     return gens + pairs
 
 
-def lambda_hypercube(n: int, d: int) -> float:
-    return float(n - 2 * d)
-
-
-def lambda_folded(n: int, d: int) -> float:
-    return float(n + 1 - 4 * math.ceil(d / 2))
-
-
 def lambda_squared(n: int, d: int) -> float:
     return ((n + 1 - 2 * d) ** 2 - n - 1) / 2
 
@@ -114,7 +105,6 @@ def cube_like_graph(
     n: int,
     preset: Optional[str] = None,
     gens: Optional[Iterable[Sequence[int]]] = None,
-    tol: float = 1e-9,
 ) -> QuantumGraph:
     """Anticommutative deformation of a cube-like Cayley graph on Z_2^n."""
     if n < 1:
@@ -129,10 +119,10 @@ def cube_like_graph(
             raise InvalidInput(
                 f"unknown preset {preset!r}; choose from {sorted(_PRESETS)}"
             ) from None
-    return twisted_cayley(sigma.group, gens, sigma, tol=tol)
+    return twisted_cayley(sigma.group, gens, sigma)
 
 
-def folded_embedding(n: int, tol: float = 1e-9) -> tuple[BlockMap, Report]:
+def folded_embedding(n: int, tol: float = DEFAULT_TOL) -> tuple[Operator, Report]:
     """The unital *-embedding of Cl_n into Cl_{n+1} behind the folded quotient.
 
     Basis elements of even degree map across unchanged, odd-degree ones pick
@@ -141,8 +131,8 @@ def folded_embedding(n: int, tol: float = 1e-9) -> tuple[BlockMap, Report]:
     """
     if n < 1:
         raise InvalidInput("folded_embedding requires n >= 1")
-    dom = clifford_set(n, tol=tol)
-    cod = clifford_set(n + 1, tol=tol)
+    dom = clifford_set(n)
+    cod = clifford_set(n + 1)
     c = dom.group.coords()
     odd = c.sum(axis=1) % 2
     mat = np.zeros((cod.N, dom.N), dtype=complex)
@@ -150,15 +140,14 @@ def folded_embedding(n: int, tol: float = 1e-9) -> tuple[BlockMap, Report]:
     rows = np.ravel_multi_index((*c.T, odd), cod.group.orders)  # mu -> (mu, deg mu mod 2)
     mat[rows, np.arange(dom.N)] = np.where(odd, 1j * root2, root2)
     op = Operator(domain=dom, codomain=cod, matrix=mat)
-    report = check_star_homomorphism(op, tol=tol)
-    return BlockMap(op=op, kind="subalgebra-embedding"), report
+    return op, check_star_homomorphism(op, tol=tol)
 
 
-def folded_quotient_check(n: int, tol: float = 1e-9) -> Report:
+def folded_quotient_check(n: int, tol: float = DEFAULT_TOL) -> Report:
     """Verify iota^dag A_{hypercube(n+1)} iota = 2 A_{folded(n)} and edge totals."""
     iota, hom = folded_embedding(n, tol=tol)
-    cube = cube_like_graph(n + 1, preset="hypercube", tol=tol)
-    folded = cube_like_graph(n, preset="folded", tol=tol)
+    cube = cube_like_graph(n + 1, preset="hypercube")
+    folded = cube_like_graph(n, preset="folded")
     quot = quotient_graph(cube, iota, tol=tol)
     scale = scale_of(quot.adjacency)
     res = max_abs(quot.adjacency - 2.0 * folded.adjacency)
@@ -172,10 +161,10 @@ def folded_quotient_check(n: int, tol: float = 1e-9) -> Report:
     return Report(checks=checks, tol=tol)
 
 
-def halved_square_check(n: int, tol: float = 1e-9) -> Report:
+def halved_square_check(n: int, tol: float = DEFAULT_TOL) -> Report:
     """Checks that (A^2 - (n+1) I)/2 on the deformed (n+1)-hypercube is a
     simple quantum graph whose spectrum follows the squared-hypercube rule."""
-    cube = cube_like_graph(n + 1, preset="hypercube", tol=tol)
+    cube = cube_like_graph(n + 1, preset="hypercube")
     x = cube.set
     a = cube.adjacency
     b = 0.5 * (a @ a - (n + 1) * np.eye(x.N))

@@ -11,12 +11,12 @@ convention automatically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .algebra import (
+    DEFAULT_TOL,
     Operator,
     QuantumSet,
     build_quantum_set,
@@ -27,7 +27,6 @@ from .graphs import QuantumGraph, is_quantum_graph, schur_product
 from .kernels import hermitian_eigs, max_abs, scale_of
 
 __all__ = [
-    "BlockMap",
     "edge_subgraph",
     "induced_subgraph",
     "quotient_graph",
@@ -37,26 +36,13 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
-class BlockMap:
-    """A structure-respecting map between quantum sets.
-
-    kind is one of "quotient-surjection" (q with q q^dag = id on the
-    target), "subalgebra-embedding" (a unital *-homomorphism), or "iso".
-    """
-
-    op: Operator
-    kind: str
-
-
-def edge_subgraph(g: QuantumGraph, h: QuantumGraph, tol: Optional[float] = None) -> bool:
+def edge_subgraph(g: QuantumGraph, h: QuantumGraph, tol: float = DEFAULT_TOL) -> bool:
     """Whether h is a subgraph of g made by removing edges (H_tilde <= G_tilde).
 
     Checked in the Schur calculus as A_H . A_G = A_H = A_G . A_H.
     """
     if not g.set.same_set(h.set):
         raise InvalidInput("edge_subgraph: graphs live on different quantum sets")
-    tol = g.set.tol if tol is None else tol
     if not (is_quantum_graph(g, tol=tol) and is_quantum_graph(h, tol=tol)):
         raise InvalidInput("edge_subgraph expects quantum graphs on both sides")
     a, b = g.adjacency, h.adjacency
@@ -67,8 +53,8 @@ def edge_subgraph(g: QuantumGraph, h: QuantumGraph, tol: Optional[float] = None)
     )
 
 
-def block_surjection(x: QuantumSet, keep: Sequence[int], tol: Optional[float] = None) -> BlockMap:
-    """The surjection q : C(X) -> C(Y) onto a subset of blocks."""
+def block_surjection(x: QuantumSet, keep: Sequence[int]) -> Operator:
+    """The surjection q : C(X) -> C(Y) onto a subset of blocks, with q q^dag = id."""
     if x.blocks is None:
         raise InvalidInput("block surjections need a matrix-unit basis")
     keep = sorted(set(int(k) for k in keep))
@@ -76,8 +62,7 @@ def block_surjection(x: QuantumSet, keep: Sequence[int], tol: Optional[float] = 
         raise InvalidInput("keep must name at least one block")
     if keep[0] < 0 or keep[-1] >= len(x.blocks):
         raise InvalidInput(f"block indices {keep} out of range for {len(x.blocks)} blocks")
-    tol = x.tol if tol is None else tol
-    y = build_quantum_set([x.blocks[i] for i in keep], tol=tol)
+    y = build_quantum_set([x.blocks[i] for i in keep])
     mat = np.zeros((y.N, x.N), dtype=complex)
     row = 0
     for i in keep:
@@ -85,43 +70,38 @@ def block_surjection(x: QuantumSet, keep: Sequence[int], tol: Optional[float] = 
         for k in range(x.blocks[i] ** 2):
             mat[row, off + k] = 1.0
             row += 1
-    return BlockMap(op=Operator(domain=x, codomain=y, matrix=mat), kind="quotient-surjection")
+    return Operator(domain=x, codomain=y, matrix=mat)
 
 
-def induced_subgraph(g: QuantumGraph, keep: Sequence[int],
-                     tol: Optional[float] = None) -> QuantumGraph:
+def induced_subgraph(g: QuantumGraph, keep: Sequence[int]) -> QuantumGraph:
     """Induced subgraph on the kept blocks, A_Y = q A_X q^dag."""
-    q = block_surjection(g.set, keep, tol=tol).op
+    q = block_surjection(g.set, keep)
     return QuantumGraph(set=q.codomain, adjacency=q.matrix @ g.adjacency @ q.matrix.conj().T)
 
 
-def quotient_graph(g: QuantumGraph, iota: BlockMap | Operator,
-                   tol: Optional[float] = None) -> QuantumGraph:
+def quotient_graph(g: QuantumGraph, iota: Operator, tol: float = DEFAULT_TOL) -> QuantumGraph:
     """Quotient (generally weighted) graph along an embedding iota: C(Y) -> C(X).
 
     A_Y = iota^dag A_X iota; the edge total eta^dag A eta is conserved
     because iota is unital.
     """
-    op = iota.op if isinstance(iota, BlockMap) else iota
-    tol = g.set.tol if tol is None else tol
-    if not op.codomain.same_set(g.set):
+    if not iota.codomain.same_set(g.set):
         raise InvalidInput("quotient_graph: embedding codomain must be the graph's set")
-    hom = check_star_homomorphism(op, tol=tol)
+    hom = check_star_homomorphism(iota, tol=tol)
     if not hom.all_pass:
         raise InvalidInput(
             f"quotient_graph: iota is not a unital *-homomorphism (failed: {hom.failed()})"
         )
-    mat = op.matrix
-    return QuantumGraph(set=op.domain, adjacency=mat.conj().T @ g.adjacency @ mat)
+    mat = iota.matrix
+    return QuantumGraph(set=iota.domain, adjacency=mat.conj().T @ g.adjacency @ mat)
 
 
 def check_isomorphism(phi: Operator, g1: QuantumGraph, g2: QuantumGraph,
-                      tol: Optional[float] = None) -> bool:
+                      tol: float = DEFAULT_TOL) -> bool:
     """Whether phi realises an isomorphism of quantum graphs g1 -> g2.
 
     phi must be an invertible unital *-homomorphism with phi A_1 = A_2 phi.
     """
-    tol = g1.set.tol if tol is None else tol
     if not (phi.domain.same_set(g1.set) and phi.codomain.same_set(g2.set)):
         raise InvalidInput("check_isomorphism: phi does not map between the graphs' sets")
     if phi.domain.N != phi.codomain.N:
@@ -147,11 +127,11 @@ def conjugation_map(u: np.ndarray, x: QuantumSet) -> Operator:
     return Operator(domain=x, codomain=x, matrix=mat)
 
 
-def diagonal_embedding(n: int, tol: float = 1e-9) -> BlockMap:
+def diagonal_embedding(n: int) -> Operator:
     """The unital *-embedding of the classical set X_n into M_n by diagonals."""
-    xn = build_quantum_set([1] * n, tol=tol)
-    mn = build_quantum_set([n], tol=tol)
+    xn = build_quantum_set([1] * n)
+    mn = build_quantum_set([n])
     mat = np.zeros((mn.N, n), dtype=complex)
     for a in range(n):
         mat[a * n + a, a] = math.sqrt(n)
-    return BlockMap(op=Operator(domain=xn, codomain=mn, matrix=mat), kind="subalgebra-embedding")
+    return Operator(domain=xn, codomain=mn, matrix=mat)

@@ -149,12 +149,12 @@ def set_from_spec(spec: Any, tol: float = 1e-9) -> QuantumSet:
     if not isinstance(spec, dict):
         raise DocumentError(f"set spec must be an object, got {type(spec).__name__}")
     if "blocks" in spec:
-        return build_quantum_set(_int_list(spec["blocks"], "set blocks"), tol=tol)
+        return build_quantum_set(_int_list(spec["blocks"], "set blocks"))
     if "group" in spec:
         group_spec, gen_values = _entries(spec, "a group set spec", "group", "bicharacter")
         group = _group(group_spec)
         sigma = make_bicharacter(group, _array(gen_values, "bicharacter"), tol=tol)
-        return twist_quantum_set(group, sigma, tol=tol)
+        return twist_quantum_set(group, sigma)
     raise DocumentError("set spec needs either 'blocks' or 'group' + 'bicharacter'")
 
 
@@ -246,20 +246,20 @@ def bicharacter_to_document(group: AbelianGroup, gen_values: np.ndarray,
                     gen_values=array_to_json(gen_values))
 
 
-def bicharacter_from_document(doc: Any, group: AbelianGroup) -> Bicharacter:
+def bicharacter_from_document(doc: Any, group: AbelianGroup, tol: float = 1e-9) -> Bicharacter:
     """The bicharacter a document defines on ``group``, which must be its group."""
     group_spec, gen_values = _open(doc, "bicharacter", "group", "gen_values")
     if _group(group_spec).orders != group.orders:
         raise DocumentError("bicharacter document is for a different group")
-    return make_bicharacter(group, _array(gen_values, "gen_values"))
+    return make_bicharacter(group, _array(gen_values, "gen_values"), tol=tol)
 
 
-def bicharacter_from_text(text: str, group: AbelianGroup) -> Bicharacter:
+def bicharacter_from_text(text: str, group: AbelianGroup, tol: float = 1e-9) -> Bicharacter:
     """A bicharacter from inline JSON generator values: real numbers or [re, im] pairs."""
     arr = _numbers(_parse(text), "generator values")
     if arr.ndim == 3:
         arr = _pairs(arr, "generator values")
-    return make_bicharacter(group, arr)
+    return make_bicharacter(group, arr, tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .algebra import (
+    DEFAULT_TOL,
     DENSE_LIMIT,
     Operator,
     QuantumSet,
@@ -61,7 +62,6 @@ __all__ = [
     "selfadjoint_basis",
     "check_bimodule",
     "edge_spectrum",
-    "projection_is_positive",
 ]
 
 
@@ -329,7 +329,7 @@ def projection_to_adjacency(p: EdgeProjection) -> QuantumGraph:
     return QuantumGraph(set=x, adjacency=adjacency)
 
 
-def edge_spectrum(g: QuantumGraph, tol: Optional[float] = None) -> Optional[np.ndarray]:
+def edge_spectrum(g: QuantumGraph, tol: float = DEFAULT_TOL) -> Optional[np.ndarray]:
     """Spectrum of the edge element, when cheaply computable.
 
     Matrix-unit sets: eigenvalues of the realigned blocks, or None if some
@@ -343,7 +343,6 @@ def edge_spectrum(g: QuantumGraph, tol: Optional[float] = None) -> Optional[np.n
     Returns None otherwise.  Raises InvalidInput on non-finite entries.
     """
     x = g.set
-    tol = x.tol if tol is None else tol
     if not np.isfinite(g.adjacency).all():
         raise InvalidInput("adjacency has non-finite entries")
     if x.blocks is not None:
@@ -365,27 +364,14 @@ def edge_spectrum(g: QuantumGraph, tol: Optional[float] = None) -> Optional[np.n
     return None
 
 
-def projection_is_positive(g: QuantumGraph, tol: Optional[float] = None) -> bool:
-    """Whether the edge element of ``g`` is a positive element (weighted graph)."""
-    x = g.set
-    tol = x.tol if tol is None else tol
-    spec = edge_spectrum(g, tol=tol)
-    if spec is None:
-        raise ResourceLimit("edge-element spectrum not available for this graph")
-    if spec.size == 0:
-        return True
-    return bool(spec[0] >= -tol * scale_of(g.adjacency))
-
-
 # ---------------------------------------------------------------------------
 # predicate battery
 # ---------------------------------------------------------------------------
 
 
-def is_quantum_graph(g: QuantumGraph, tol: Optional[float] = None) -> bool:
+def is_quantum_graph(g: QuantumGraph, tol: float = DEFAULT_TOL) -> bool:
     """A . A = A and A = A* in the Schur calculus."""
     x = g.set
-    tol = x.tol if tol is None else tol
     a = g.adjacency
     scale = scale_of(a)
     return (
@@ -394,10 +380,9 @@ def is_quantum_graph(g: QuantumGraph, tol: Optional[float] = None) -> bool:
     )
 
 
-def graph_report(g: QuantumGraph, tol: Optional[float] = None) -> GraphReport:
+def graph_report(g: QuantumGraph, tol: float = DEFAULT_TOL) -> GraphReport:
     """Evaluate the full predicate battery on ``g``."""
     x = g.set
-    tol = x.tol if tol is None else tol
     a = g.adjacency
     scale = scale_of(a)
     eye = np.eye(x.N, dtype=complex)
@@ -459,7 +444,7 @@ def graph_report(g: QuantumGraph, tol: Optional[float] = None) -> GraphReport:
 # ---------------------------------------------------------------------------
 
 
-def quantum_edge(n: int, xi: np.ndarray, tol: float = 1e-9) -> QuantumGraph:
+def quantum_edge(n: int, xi: np.ndarray) -> QuantumGraph:
     """The quantum edge on M_n attached to a nonzero matrix xi.
 
     Adjacency P[(i,j),(k,l)] = n / Tr(xi^dag xi) * xi[i,k] conj(xi[j,l]);
@@ -472,7 +457,7 @@ def quantum_edge(n: int, xi: np.ndarray, tol: float = 1e-9) -> QuantumGraph:
     norm = np.trace(xi.conj().T @ xi).real
     if norm <= 0.0:
         raise InvalidInput("quantum_edge: xi must be nonzero")
-    x = build_quantum_set([n], tol=tol)
+    x = build_quantum_set([n])
     p = (n / norm) * np.einsum("ik,jl->ijkl", xi, np.conj(xi)).reshape(n * n, n * n)
     return QuantumGraph(set=x, adjacency=p)
 
@@ -493,7 +478,7 @@ def graph_from_subspace(
     ortho = gram_schmidt(mats, tol=tol)
     if len(ortho) != len(mats):
         raise InvalidInput("graph_from_subspace: basis is linearly dependent")
-    x = build_quantum_set([n], tol=tol)
+    x = build_quantum_set([n])
     a = np.zeros((n * n, n * n), dtype=complex)
     for xi in ortho:
         xi = xi * math.sqrt(n)  # Tr(xi^dag xi) = n
@@ -502,7 +487,7 @@ def graph_from_subspace(
 
 
 def subspace_from_graph(
-    g: QuantumGraph, tol: Optional[float] = None
+    g: QuantumGraph, tol: float = DEFAULT_TOL
 ) -> dict[tuple[int, int], list[np.ndarray]]:
     """Recover the block-pair operator spaces V_ij from a quantum graph.
 
@@ -511,7 +496,6 @@ def subspace_from_graph(
     Tr(xi^dag xi) = sqrt(n_i n_j).
     """
     x = g.set
-    tol = x.tol if tol is None else tol
     if not is_quantum_graph(g, tol=tol):
         raise InvalidInput("subspace_from_graph expects a quantum graph")
     proj = adjacency_to_projection(g)
@@ -556,7 +540,7 @@ def selfadjoint_basis(
 
 
 def check_bimodule(
-    x: QuantumSet, basis: Sequence[np.ndarray], tol: Optional[float] = None
+    x: QuantumSet, basis: Sequence[np.ndarray], tol: float = DEFAULT_TOL
 ) -> bool:
     """Closure of an operator space under the commutant bimodule action.
 
@@ -564,7 +548,6 @@ def check_bimodule(
     the block projections; V is a bimodule over it iff compressing every
     basis element to any block pair stays inside the span.
     """
-    tol = x.tol if tol is None else tol
     if x.blocks is None:
         raise InvalidInput("check_bimodule needs a matrix-unit basis")
     small = sum(x.blocks)

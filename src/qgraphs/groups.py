@@ -200,8 +200,7 @@ def _generator_indices(group: AbelianGroup, gens: Iterable[Sequence[int]]) -> np
     return np.asarray([group.index(theta) for theta in gens], dtype=np.int64)
 
 
-def classical_cayley(group: AbelianGroup, gens: Iterable[Sequence[int]],
-                     tol: float = DEFAULT_TOL) -> "QuantumGraph":
+def classical_cayley(group: AbelianGroup, gens: Iterable[Sequence[int]]) -> "QuantumGraph":
     """Cayley graph of the classical set: A[beta, alpha] = #{theta in S : beta = alpha + theta}.
 
     ``gens`` is a multiset; repeats produce multigraphs and 0 produces loops.
@@ -211,7 +210,7 @@ def classical_cayley(group: AbelianGroup, gens: Iterable[Sequence[int]],
 
     thetas = _generator_indices(group, gens)
     n = group.size
-    x = build_quantum_set([1] * n, tol=tol)
+    x = build_quantum_set([1] * n)
     a = np.zeros((n, n), dtype=complex)
     c = group.coords().T
     for k in thetas:  # column alpha has a one in row alpha + theta
@@ -234,8 +233,7 @@ def cayley_spectrum(group: AbelianGroup, gens: Iterable[Sequence[int]]) -> np.nd
 # ---------------------------------------------------------------------------
 
 
-def twist_quantum_set(group: AbelianGroup, sigma: Bicharacter,
-                      tol: float = DEFAULT_TOL) -> QuantumSet:
+def twist_quantum_set(group: AbelianGroup, sigma: Bicharacter) -> QuantumSet:
     """The quantum set deforming C(Gamma) by the bicharacter sigma.
 
     Orthonormal basis b_mu indexed by group elements, with multiplication
@@ -278,18 +276,17 @@ def twist_quantum_set(group: AbelianGroup, sigma: Bicharacter,
         unit_vec=unit,
         star_src=neg,
         star_phase=phase,
-        tol=tol,
         group=group,
         bicharacter=sigma,
     )
 
 
 def twisted_cayley(group: AbelianGroup, gens: Iterable[Sequence[int]],
-                   sigma: Bicharacter, tol: float = DEFAULT_TOL) -> "QuantumGraph":
+                   sigma: Bicharacter) -> "QuantumGraph":
     """Twisted Cayley graph: diagonal adjacency with the classical eigenvalues."""
     from .graphs import QuantumGraph
 
-    x = twist_quantum_set(group, sigma, tol=tol)
+    x = twist_quantum_set(group, sigma)
     lam = cayley_spectrum(group, gens)
     return QuantumGraph(set=x, adjacency=np.diag(lam))
 

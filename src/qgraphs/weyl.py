@@ -12,17 +12,15 @@ structure tensors through it is plain conjugation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Operator, QuantumSet, build_quantum_set
+from .algebra import DEFAULT_TOL, Operator, build_quantum_set
 from .errors import InvalidInput
 from .graphs import QuantumGraph
 from .groups import (
     AbelianGroup,
     Bicharacter,
-    cayley_spectrum,
     make_bicharacter,
     twist_quantum_set,
     twisted_cayley,
@@ -30,7 +28,6 @@ from .groups import (
 from .kernels import max_abs, scale_of, unit_root, unit_roots
 
 __all__ = [
-    "WeylData",
     "weyl_bicharacter",
     "phi_isomorphism",
     "rook_generators",
@@ -39,18 +36,6 @@ __all__ = [
     "transported_duality",
     "transported_mult",
 ]
-
-
-@dataclass(eq=False)
-class WeylData:
-    n: int
-    omega: complex
-    group: AbelianGroup
-    sigma: Bicharacter
-    twisted: QuantumSet
-    matrix_set: QuantumSet
-    phi: Operator  # twisted -> M_n
-    phi_inv: Operator  # M_n -> twisted
 
 
 def weyl_bicharacter(n: int) -> Bicharacter:
@@ -62,31 +47,23 @@ def weyl_bicharacter(n: int) -> Bicharacter:
     return make_bicharacter(group, [[1.0, 1.0], [omega, 1.0]])
 
 
-def phi_isomorphism(n: int, tol: float = 1e-9) -> WeylData:
-    """The unitary *-isomorphism from the twisted n^2-point set onto M_n."""
+def phi_isomorphism(n: int) -> Operator:
+    """The unitary *-isomorphism phi from the twisted n^2-point set onto M_n.
+
+    ``phi.domain`` is the twisted set, carrying the group and the Weyl
+    bicharacter; ``phi.codomain`` is M_n and ``phi.dagger()`` the inverse.
+    """
     if n < 2:
         raise InvalidInput("phi_isomorphism requires n >= 2")
     sigma = weyl_bicharacter(n)
-    group = sigma.group
-    twisted = twist_quantum_set(group, sigma, tol=tol)
-    mn = build_quantum_set([n], tol=tol)
+    twisted = twist_quantum_set(sigma.group, sigma)
+    mn = build_quantum_set([n])
 
     mat = np.zeros((n * n, n * n), dtype=complex)
     inv_sqrt_n = 1.0 / math.sqrt(n)
     a, b, i = np.indices((n, n, n)).reshape(3, -1)  # column (a, b), row (i, i - b)
     mat[i * n + (i - b) % n, a * n + b] = unit_roots(n)[(i * a) % n] * inv_sqrt_n
-    phi = Operator(domain=twisted, codomain=mn, matrix=mat)
-    phi_inv = Operator(domain=mn, codomain=twisted, matrix=mat.conj().T)
-    return WeylData(
-        n=n,
-        omega=unit_root(1, n),
-        group=group,
-        sigma=sigma,
-        twisted=twisted,
-        matrix_set=mn,
-        phi=phi,
-        phi_inv=phi_inv,
-    )
+    return Operator(domain=twisted, codomain=mn, matrix=mat)
 
 
 def rook_generators(n: int) -> list[tuple[int, int]]:
@@ -103,7 +80,7 @@ def rook_adjacency_closed_form(n: int) -> np.ndarray:
     return a
 
 
-def quantum_rook(n: int, tol: float = 1e-9) -> QuantumGraph:
+def quantum_rook(n: int, tol: float = DEFAULT_TOL) -> QuantumGraph:
     """The quantum rook's graph on M_n.
 
     Built from the closed-form adjacency; the twist pipeline (twisted
@@ -112,39 +89,35 @@ def quantum_rook(n: int, tol: float = 1e-9) -> QuantumGraph:
     """
     if n < 2:
         raise InvalidInput("quantum_rook requires n >= 2")
-    wd = phi_isomorphism(n, tol=tol)  # admits the n^2-point set before the closed form
+    phi = phi_isomorphism(n)  # admits the n^2-point set before the closed form
     a = rook_adjacency_closed_form(n)
-    b = rook_pipeline_adjacency(wd)
+    b = rook_pipeline_adjacency(phi)
     if max_abs(a - b) > tol * scale_of(a):
         raise InvalidInput(
             f"rook closed form and twist pipeline disagree by {max_abs(a - b):.3e}, "
             f"more than the tolerance {tol:g} allows"
         )
-    return QuantumGraph(set=wd.matrix_set, adjacency=a)
+    return QuantumGraph(set=phi.codomain, adjacency=a)
 
 
-def rook_pipeline_adjacency(wd: WeylData) -> np.ndarray:
+def rook_pipeline_adjacency(phi: Operator) -> np.ndarray:
     """Adjacency of the twisted rook Cayley graph transported to M_n via phi."""
-    g = twisted_cayley(wd.group, rook_generators(wd.n), wd.sigma)
-    u = wd.phi.matrix
+    x = phi.domain
+    g = twisted_cayley(x.group, rook_generators(phi.codomain.blocks[0]), x.bicharacter)
+    u = phi.matrix
     return u @ g.adjacency @ u.conj().T
 
 
-def rook_spectrum(n: int) -> np.ndarray:
-    """lambda_{ab} = n d_{a0} + n d_{b0} - 2 for the rook's graph."""
-    return cayley_spectrum(AbelianGroup((n, n)), rook_generators(n))
-
-
-def transported_duality(wd: WeylData) -> np.ndarray:
+def transported_duality(phi: Operator) -> np.ndarray:
     """The twisted duality tensor moved through phi: (U (x) U) R_breve."""
-    u = wd.phi.matrix
-    return u @ wd.twisted.dense_star() @ u.T
+    u = phi.matrix
+    return u @ phi.domain.dense_star() @ u.T
 
 
-def transported_mult(wd: WeylData) -> np.ndarray:
+def transported_mult(phi: Operator) -> np.ndarray:
     """The twisted multiplication moved through phi, as an (N, N, N) tensor."""
-    u = wd.phi.matrix
-    m = wd.twisted.dense_mult()
+    u = phi.matrix
+    m = phi.domain.dense_mult()
     t = np.einsum("pk,kmn->pmn", u, m)
     t = np.einsum("pmn,qm->pqn", t, np.conj(u))
     return np.einsum("pqn,rn->pqr", t, np.conj(u))

@@ -282,3 +282,44 @@ def reference_scan(closure, threshold=1e-6):
     if not complete:
         note = "closure truncated at max_dim; " + note
     return Inconclusive(note=note, closure_dim=len(members), max_residual=max_residual)
+
+
+# ---------------------------------------------------------------------------
+# closed forms and helpers that only the tests use
+# ---------------------------------------------------------------------------
+
+
+def lambda_hypercube(n: int, d: int) -> float:
+    """Eigenvalue of the n-cube at a character of degree d."""
+    return float(n - 2 * d)
+
+
+def lambda_folded(n: int, d: int) -> float:
+    """Eigenvalue of the folded n-cube at a character of degree d."""
+    return float(n + 1 - 4 * math.ceil(d / 2))
+
+
+def rook_spectrum(n: int) -> np.ndarray:
+    """lambda_{ab} = n d_{a0} + n d_{b0} - 2 for the rook's graph."""
+    from qgraphs.groups import cayley_spectrum
+    from qgraphs.weyl import rook_generators
+
+    return cayley_spectrum(AbelianGroup((n, n)), rook_generators(n))
+
+
+def random_positive_element(x_set, rng: np.random.Generator):
+    """x* x for a random element x of C(X)."""
+    from qgraphs.algebra import algebra_multiply, algebra_star, random_element
+
+    x = random_element(x_set, rng)
+    return algebra_multiply(algebra_star(x), x)
+
+
+def projection_is_positive(g, tol: float = 1e-9) -> bool:
+    """Whether the edge element of ``g`` is a positive element (weighted graph)."""
+    from qgraphs.graphs import edge_spectrum
+    from qgraphs.kernels import scale_of
+
+    spec = edge_spectrum(g, tol=tol)
+    assert spec is not None, "edge-element spectrum not available for this graph"
+    return spec.size == 0 or bool(spec[0] >= -tol * scale_of(g.adjacency))

@@ -11,7 +11,14 @@ import time
 
 import numpy as np
 import pytest
-from conftest import GROUP_POOL, random_bicharacter, random_generating_multiset
+from conftest import (
+    GROUP_POOL,
+    lambda_folded,
+    lambda_hypercube,
+    random_bicharacter,
+    random_generating_multiset,
+    rook_spectrum,
+)
 
 from qgraphs import (
     AlgebraElement,
@@ -49,8 +56,6 @@ from qgraphs.clifford import (
     folded_generators,
     halved_square_check,
     hypercube_generators,
-    lambda_folded,
-    lambda_hypercube,
     lambda_squared,
     squared_generators,
 )
@@ -61,7 +66,6 @@ from qgraphs.weyl import (
     phi_isomorphism,
     rook_adjacency_closed_form,
     rook_pipeline_adjacency,
-    rook_spectrum,
     transported_duality,
     transported_mult,
 )
@@ -181,15 +185,15 @@ def test_criterion_04_rook_two_path():
 def test_criterion_05_phi_isomorphism():
     with _Stopwatch("05 phi isomorphism"):
         for n in range(2, 7):
-            wd = phi_isomorphism(n)
-            report = check_star_homomorphism(wd.phi, tol=1e-9)
+            phi = phi_isomorphism(n)
+            report = check_star_homomorphism(phi, tol=1e-9)
             assert report.all_pass
             assert max(c.residual for c in report.checks) <= 1e-9
-            u = wd.phi.matrix
+            u = phi.matrix
             assert max_abs(u @ u.conj().T - np.eye(n * n)) <= 1e-9
-            mn = wd.matrix_set
-            assert max_abs(transported_duality(wd) - mn.dense_star()) <= 1e-9
-            assert max_abs(transported_mult(wd) - mn.dense_mult()) <= 1e-9
+            mn = phi.codomain
+            assert max_abs(transported_duality(phi) - mn.dense_star()) <= 1e-9
+            assert max_abs(transported_mult(phi) - mn.dense_mult()) <= 1e-9
 
 
 def test_criterion_06_clifford_relations():

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import random_positive_element
 
 from qgraphs import (
     AlgebraElement,
@@ -27,7 +28,7 @@ from qgraphs import (
     schur_star,
     verify_frobenius,
 )
-from qgraphs.algebra import left_mult_matrix, random_element, random_positive_element
+from qgraphs.algebra import left_mult_matrix, random_element
 from qgraphs.errors import InvalidInput, ResourceLimit
 
 
@@ -66,8 +67,6 @@ def test_build_rejects_bad_input():
         build_quantum_set([])
     with pytest.raises(InvalidInput):
         build_quantum_set([2, 0])
-    with pytest.raises(InvalidInput):
-        build_quantum_set([2], tol=0.0)
 
 
 def test_dimension_limit_is_checked_on_the_set_size():

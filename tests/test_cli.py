@@ -1,5 +1,8 @@
 """CLI: pipelines, exit codes, document round trips, determinism."""
 
+import contextlib
+import copy
+import functools
 import io
 import json
 import math
@@ -9,11 +12,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qgraphs import documents as docs
 from qgraphs.algebra import Operator, build_quantum_set
 from qgraphs.catalog import anticommutative_square
 from qgraphs.cli import main
+from qgraphs.clifford import cube_like_graph
 from qgraphs.constructions import diagonal_embedding
 from qgraphs.graphs import QuantumGraph, adjacency_to_projection
 
@@ -224,8 +229,7 @@ def test_quotient_command(capsys, tmp_path):
     gpath.write_text(docs.dumps(docs.graph_to_document(QuantumGraph(x, a_x))))
     iota = diagonal_embedding(2)
     mpath = tmp_path / "iota.json"
-    mpath.write_text(docs.dumps(docs.operator_to_document(
-        iota.op, map_kind=iota.kind)))
+    mpath.write_text(docs.dumps(docs.operator_to_document(iota, map_kind="subalgebra-embedding")))
     code, out, _ = run(capsys, "quotient", str(gpath), str(mpath), "--json")
     assert code == 0
     g = docs.graph_from_document(docs.loads(out))
@@ -278,6 +282,52 @@ def test_tol_environment_and_flag(capsys, tmp_path, monkeypatch):
     # the flag beats the environment variable
     code, _, _ = run(capsys, "graph-check", str(gpath), "--tol", "1e-9", "--json")
     assert code == 1
+
+
+@pytest.mark.parametrize("kind", ["block", "twisted"])
+@pytest.mark.parametrize("source, value", [("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"),
+                                           ("--tol", "inf"), ("QG_TOL", "inf")])
+def test_tol_must_be_finite_and_positive(capsys, tmp_path, monkeypatch, kind, source, value):
+    g = anticommutative_square() if kind == "block" else cube_like_graph(2, preset="hypercube")
+    path = tmp_path / "g.json"
+    path.write_text(docs.dumps(docs.graph_to_document(g)))
+    argv = ["graph-check", str(path), "--json"]
+    if source == "QG_TOL":
+        monkeypatch.setenv("QG_TOL", value)
+    else:
+        argv += ["--tol", value]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {source} must be a finite positive number, got {float(value)!r}\n"
+
+
+def test_twist_bicharacter_is_snapped_at_tol(capsys, tmp_path):
+    from qgraphs.groups import AbelianGroup
+
+    near = [[1, 1], [-0.99999, 1]]
+    argv = ["twist", "--orders", "2,2", "--gens", "10;01", "--json"]
+    code, _, err = run(capsys, *argv, "--bichar", json.dumps(near))
+    assert code == 2 and "not unimodular" in err
+    code, inline, _ = run(capsys, *argv, "--bichar", json.dumps(near), "--tol", "1e-3")
+    assert code == 0
+    g = docs.graph_from_document(docs.loads(inline))
+    assert np.array_equal(g.set.bicharacter.gen_values, [[1, 1], [-1, 1]])
+    path = tmp_path / "near.json"
+    path.write_text(docs.dumps(docs.bicharacter_to_document(AbelianGroup((2, 2)),
+                                                             np.array(near, dtype=complex))))
+    code, _, _ = run(capsys, *argv, "--bichar", str(path))
+    assert code == 2
+    code, from_doc, _ = run(capsys, *argv, "--bichar", str(path), "--tol", "1e-3")
+    assert code == 0
+    assert {k: v for k, v in json.loads(from_doc).items() if k != "metadata"} \
+        == {k: v for k, v in json.loads(inline).items() if k != "metadata"}
+    # a graph document's bicharacter is snapped at the same tolerance
+    graph = json.loads(inline)
+    graph["set"]["bicharacter"] = [[[v, 0.0] for v in row] for row in near]
+    gpath = tmp_path / "graph.json"
+    gpath.write_text(json.dumps(graph))
+    assert run(capsys, "graph-check", str(gpath), "--json")[0] == 2
+    assert run(capsys, "graph-check", str(gpath), "--tol", "1e-3", "--json")[0] == 0
 
 
 def test_documents_forbid_nan(tmp_path):
@@ -461,3 +511,72 @@ def test_unexpected_exception_is_exit_3_with_one_error_line(capsys, monkeypatch)
     code, out, err = run(capsys, "graph-check", "-", "--json")
     assert code == 3 and out == ""
     assert err == "error: internal error: RuntimeError: planted fault\n"
+
+
+# -- fuzzing the exit contract ------------------------------------------------
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8)
+_TOLS = st.one_of(st.none(), st.floats(min_value=1e-12, max_value=1e-3),
+                  st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf]), st.floats())
+
+
+def _fuzz_bases():
+    """Small valid documents: graphs on a block set and a twisted set, and an operator."""
+    block = anticommutative_square()
+    twisted = cube_like_graph(1, preset="hypercube")
+    op = Operator(block.set, block.set, np.eye(4, dtype=complex))
+    return {name: json.loads(docs.dumps(doc)) for name, doc in (
+        ("block", docs.graph_to_document(block)),
+        ("twisted", docs.graph_to_document(twisted)),
+        ("operator", docs.operator_to_document(op)))}
+
+
+_FUZZ_BASES = _fuzz_bases()
+
+
+def _slots(value, path=()):
+    """The path of every value nested in a document, the root's entries first."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return []
+    out = []
+    for key, child in items:
+        out.append(path + (key,))
+        out.extend(_slots(child, path + (key,)))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.sampled_from(sorted(_FUZZ_BASES)), data=st.data(), value=_JSON_VALUES,
+       tol=_TOLS, command=st.sampled_from(["graph-check", "rotate", "obstruct", "iso-check"]))
+def test_cli_exit_contract_under_fuzzed_documents(tmp_path_factory, base, data, value, tol,
+                                                  command):
+    doc = copy.deepcopy(_FUZZ_BASES[base])
+    path = data.draw(st.sampled_from(_slots(doc)))
+    parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+    parent[path[-1]] = value
+    where = tmp_path_factory.mktemp("fuzz")
+    fuzzed = where / "fuzzed.json"
+    fuzzed.write_text(json.dumps(doc))
+    graph = where / "graph.json"
+    graph.write_text(json.dumps(_FUZZ_BASES["block"]))
+    operator = where / "operator.json"
+    operator.write_text(json.dumps(_FUZZ_BASES["operator"]))
+    if command == "iso-check":
+        files = [graph, graph, fuzzed] if base == "operator" else [fuzzed, graph, operator]
+    else:
+        files = [fuzzed]
+    argv = [command, *map(str, files), "--json"] + ([] if tol is None else [f"--tol={tol!r}"])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, doc, err.getvalue())
+    assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue(), \
+        (argv, doc, err.getvalue())

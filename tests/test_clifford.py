@@ -3,6 +3,7 @@ halving."""
 
 import numpy as np
 import pytest
+from conftest import lambda_folded, lambda_hypercube
 
 from qgraphs import (
     AlgebraElement,
@@ -22,8 +23,6 @@ from qgraphs.clifford import (
     folded_quotient_check,
     halved_square_check,
     hypercube_generators,
-    lambda_folded,
-    lambda_hypercube,
     lambda_squared,
     squared_generators,
 )
@@ -145,8 +144,8 @@ def test_folded_embedding_is_star_homomorphism(n):
     for check in report.checks:
         assert check.residual < 1e-12
     # iota(1) = 1 and <iota x, iota y> = 2 <x, y>
-    mat = iota.op.matrix
-    dom, cod = iota.op.domain, iota.op.codomain
+    mat = iota.matrix
+    dom, cod = iota.domain, iota.codomain
     assert np.abs(mat @ dom.unit_vec - cod.unit_vec).max() < 1e-12
     assert np.abs(mat.conj().T @ mat - 2.0 * np.eye(dom.N)).max() < 1e-12
 
@@ -155,10 +154,10 @@ def test_folded_embedding_explicit_images():
     # as an algebra map: tau_mu -> tau_(mu,0) on even degree and
     # tau_mu -> i tau_mu tau_{n+1} = i tau_(mu,1) on odd degree
     iota, _ = folded_embedding(2)
-    dom, cod = iota.op.domain, iota.op.codomain
-    img = iota.op.matrix @ _tau(dom, (1, 1)).coeffs
+    dom, cod = iota.domain, iota.codomain
+    img = iota.matrix @ _tau(dom, (1, 1)).coeffs
     assert np.abs(img - _tau(cod, (1, 1, 0)).coeffs).max() < 1e-12
-    img_odd = iota.op.matrix @ _tau(dom, (1, 0)).coeffs
+    img_odd = iota.matrix @ _tau(dom, (1, 0)).coeffs
     assert np.abs(img_odd - 1j * _tau(cod, (1, 0, 1)).coeffs).max() < 1e-12
     # i tau_(mu,1) really is the product i tau_mu tau_3 in Cl_3
     prod = algebra_multiply(_tau(cod, (1, 0, 0)), _tau(cod, (0, 0, 1)))
@@ -176,7 +175,7 @@ def test_folded_quotient_diagonal_entries_n3():
     cube = cube_like_graph(4, preset="hypercube")
     quot = quotient_graph(cube, iota)
     diag = np.diag(quot.adjacency).real
-    for k, mu in enumerate(iota.op.domain.group.elements()):
+    for k, mu in enumerate(iota.domain.group.elements()):
         d = degree(mu)
         want = 2 * (4 - 2 * d) if d % 2 == 0 else 2 * (2 - 2 * d)
         assert abs(diag[k] - want) < 1e-12

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import projection_is_positive
 
 from qgraphs import (
     Operator,
@@ -21,7 +22,6 @@ from qgraphs import (
 )
 from qgraphs.catalog import SIGMA_1, SIGMA_2, SIGMA_3, random_su2
 from qgraphs.errors import InvalidInput
-from qgraphs.graphs import projection_is_positive
 from qgraphs.weyl import phi_isomorphism
 
 R3 = np.sqrt(3.0)
@@ -139,7 +139,7 @@ def test_quotient_positivity_and_edge_conservation_random():
 
     rng = np.random.default_rng(99)
     # the two embeddings with checkable targets: X_2 -> M_2 and M_2 -> twist
-    embeddings = [diagonal_embedding(2).op, phi_isomorphism(2).phi_inv]
+    embeddings = [diagonal_embedding(2), phi_isomorphism(2).dagger()]
     for emb in embeddings:
         big = emb.codomain
         for _ in range(50):

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+from conftest import random_positive_element
 from hypothesis import given, settings, strategies as st
 
 from qgraphs import (
@@ -14,7 +15,6 @@ from qgraphs import (
     twist_quantum_set,
     verify_frobenius,
 )
-from qgraphs.algebra import random_positive_element
 from qgraphs.clifford import folded_embedding
 from qgraphs.constructions import diagonal_embedding
 from qgraphs.groups import AbelianGroup
@@ -74,9 +74,9 @@ def test_positivity_transports_along_embedding_adjoints():
     # for each library-built unital *-embedding iota, the adjoint iota^dag
     # maps positive elements of the codomain to positive elements
     embeddings = [
-        diagonal_embedding(2).op,
-        folded_embedding(2)[0].op,
-        phi_isomorphism(3).phi_inv,  # M_3 -> twisted set
+        diagonal_embedding(2),
+        folded_embedding(2)[0],
+        phi_isomorphism(3),  # twisted set -> M_3
     ]
     rng = np.random.default_rng(4242)
     for emb in embeddings:

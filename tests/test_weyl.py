@@ -3,6 +3,7 @@ M_n, closed-form transported tensors, and the quantum rook's graph."""
 
 import numpy as np
 import pytest
+from conftest import rook_spectrum
 
 from qgraphs import (
     check_star_homomorphism,
@@ -20,7 +21,6 @@ from qgraphs.weyl import (
     rook_adjacency_closed_form,
     rook_generators,
     rook_pipeline_adjacency,
-    rook_spectrum,
     transported_duality,
     transported_mult,
 )
@@ -50,13 +50,13 @@ def test_weyl_rejects_small_n():
 
 
 def test_phi_generators_at_n2():
-    wd = phi_isomorphism(2)
-    u = wd.phi.matrix
+    phi = phi_isomorphism(2)
+    u = phi.matrix
 
     def phi_of(mu):
         # phi(tau_mu) = sqrt(N) * (column of U in the orthonormal basis);
         # matrix-unit coordinates divide by a further sqrt(n)
-        col = u[:, wd.group.index(mu)]
+        col = u[:, phi.domain.group.index(mu)]
         return col.reshape(2, 2) * np.sqrt(2)
 
     assert np.abs(phi_of((1, 0)) - SIGMA_3).max() < 1e-12
@@ -65,21 +65,20 @@ def test_phi_generators_at_n2():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_phi_is_unitary_star_isomorphism(n):
-    wd = phi_isomorphism(n)
-    u = wd.phi.matrix
+    phi = phi_isomorphism(n)
+    u = phi.matrix
     assert np.abs(u @ u.conj().T - np.eye(n * n)).max() < 1e-12
-    report = check_star_homomorphism(wd.phi)
+    report = check_star_homomorphism(phi)
     assert report.all_pass, report.failed()
-    assert np.abs((wd.phi @ wd.phi_inv).matrix - np.eye(n * n)).max() < 1e-12
+    assert np.abs((phi @ phi.dagger()).matrix - np.eye(n * n)).max() < 1e-12
 
 
 def test_phi_multiplicative_on_generators():
-    wd = phi_isomorphism(4)
-    u = wd.phi.matrix
-    x = wd.twisted
+    phi = phi_isomorphism(4)
+    u = phi.matrix
 
     def phi_of(mu):
-        col = u[:, wd.group.index(mu)]
+        col = u[:, phi.domain.group.index(mu)]
         return col.reshape(4, 4) * 2.0  # times sqrt(n) for matrix units
 
     t1, t2, t12 = phi_of((1, 0)), phi_of((0, 1)), phi_of((1, 1))
@@ -95,14 +94,14 @@ def test_phi_multiplicative_on_generators():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_transported_tensors_match_closed_forms(n):
-    wd = phi_isomorphism(n)
-    mn = wd.matrix_set
+    phi = phi_isomorphism(n)
+    mn = phi.codomain
     # R~^{ijkl} = delta_{jk} delta_{il}
     want_r = np.zeros((n * n, n * n), dtype=complex)
     for i in range(n):
         for j in range(n):
             want_r[i * n + j, j * n + i] = 1.0
-    assert np.abs(transported_duality(wd) - want_r).max() < 1e-9
+    assert np.abs(transported_duality(phi) - want_r).max() < 1e-9
     assert np.abs(want_r - mn.dense_star()).max() == 0.0
     # m~^{rs}_{ijkl} = delta_{ri} delta_{kj} delta_{sl} / sqrt(n)
     want_m = np.zeros((n * n, n * n, n * n), dtype=complex)
@@ -110,14 +109,13 @@ def test_transported_tensors_match_closed_forms(n):
         for j in range(n):
             for l in range(n):
                 want_m[i * n + l, i * n + j, j * n + l] = 1.0 / np.sqrt(n)
-    assert np.abs(transported_mult(wd) - want_m).max() < 1e-9
+    assert np.abs(transported_mult(phi) - want_m).max() < 1e-9
     assert np.abs(want_m - mn.dense_mult()).max() == 0.0
 
 
 def test_twisted_set_passes_frobenius_for_weyl():
     for n in (2, 3, 4):
-        wd = phi_isomorphism(n)
-        assert verify_frobenius(wd.twisted).all_pass
+        assert verify_frobenius(phi_isomorphism(n).domain).all_pass
 
 
 def test_rook_n2_is_the_anticommutative_square():
