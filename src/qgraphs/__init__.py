@@ -83,7 +83,6 @@ from .groups import (
     make_bicharacter,
     trivial_bicharacter,
     twist_quantum_set,
-    twist_tensor,
     twisted_cayley,
 )
 from .kernels import hermitian_eigs, unit_root

@@ -17,8 +17,8 @@ Conventions used everywhere in this package:
   most one entry, in (left, right) order with each left index's right
   indices in one contiguous run, so an entry is found from its pair by index
   arithmetic.  Only ``QuantumSet.dense_mult`` densifies m, for the generic
-  Schur product of :mod:`qgraphs.graphs` and the Weyl transport, and it
-  refuses N above ``DENSE_LIMIT``.
+  Schur product of :mod:`qgraphs.graphs`, and it refuses N above
+  ``DENSE_LIMIT``.
 * The star sends each basis vector to a phase times another basis vector
   (``e_ab^* = e_ba``, ``tau_mu^* = c_mu tau_{-mu}``), so the duality R is a
   signed permutation and is stored as one: two length-N arrays with
@@ -152,12 +152,6 @@ class QuantumSet:
             m[self.mult_out, self.mult_left, self.mult_right] = self.mult_val
             self._dense_mult = _readonly(m)
         return self._dense_mult
-
-    def dense_star(self) -> np.ndarray:
-        """The duality R as an (N, N) array; row k holds the coefficients of e_k^*."""
-        f = np.zeros((self.N, self.N), dtype=complex)
-        f[np.arange(self.N), self.star_src] = self.star_phase
-        return f
 
     def same_set(self, other: "QuantumSet") -> bool:
         if self.N != other.N or self.blocks != other.blocks:

@@ -11,6 +11,13 @@ default 1e-9; the value must be a finite positive number, else the command
 exits 2.  Every check a command runs compares at that tolerance, and so
 does the snapping of bicharacter values.  ``set-check``, the only command
 with randomized checks, takes ``--seed`` to fix their RNG.
+
+Each ``_cmd_*`` function maps the parsed arguments and the tolerance to a
+``Result``: the document, a zero-argument callable that builds the table's
+lines (called only without ``--json``), and the exit code.  ``main`` does
+what is the same for every command: it resolves the tolerance before any
+input is read, writes the subcommand's name as ``metadata.command``, prints
+the document or the table, and maps exceptions to exit codes.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from . import documents as docs
 from .algebra import (
     DEFAULT_TOL,
     Check,
+    Report,
     algebra_multiply,
     algebra_star,
     build_quantum_set,
@@ -44,6 +52,7 @@ from .clifford import clifford_bicharacter, cube_like_graph
 from .constructions import check_isomorphism, induced_subgraph, quotient_graph
 from .errors import InvalidInput, ResourceLimit
 from .graphs import (
+    GraphReport,
     QuantumGraph,
     adjacency_to_projection,
     graph_report,
@@ -51,15 +60,18 @@ from .graphs import (
 )
 from .groups import (
     AbelianGroup,
+    Bicharacter,
     cayley_spectrum,
     classical_cayley,
     make_bicharacter,
-    trivial_bicharacter,
     twisted_cayley,
 )
 from .kernels import max_abs, scale_of
 from .obstruction import Certificate, classical_obstruction
 from .weyl import quantum_rook, weyl_bicharacter
+
+#: what a command returns: (document, table lines built on demand, exit code)
+Result = tuple[dict, Callable[[], list[str]], int]
 
 
 def _resolve_tol(args: argparse.Namespace) -> float:
@@ -79,15 +91,15 @@ def _resolve_tol(args: argparse.Namespace) -> float:
     return tol
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _load(path: str) -> dict:
-    return docs.loads(_read_text(path))
+    if path == "-":
+        return docs.loads(sys.stdin.read())
+    with open(path, "r", encoding="utf-8") as fh:
+        return docs.loads(fh.read())
+
+
+def _load_graph(path: str, tol: float) -> QuantumGraph:
+    return docs.graph_from_document(_load(path), tol=tol)
 
 
 def _int(token: str, text: str) -> int:
@@ -115,34 +127,87 @@ def _parse_elements(text: str, rank: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _emit(args: argparse.Namespace, doc: dict, table: Callable[[], list[str]]) -> None:
-    """Print ``doc`` as JSON with --json, else the table, built only then."""
-    if args.json:
-        print(docs.dumps(doc))
-    else:
-        for line in table():
-            print(line)
+def _report_result(report: Report | GraphReport, passed: bool) -> Result:
+    """A report document; its table lists the summary, then each check."""
+    doc = docs.report_to_document(report)
+
+    def table() -> list[str]:
+        summary = doc.get("summary", {})
+        lines = [f"{key:>16}: {summary[key]}" for key in sorted(summary)]
+        for check in doc.get("checks", []):
+            status = "pass" if check["passed"] else "FAIL"
+            lines.append(f"{status}  {check['name']:<24} residual={check['residual']:.3e}")
+        return lines
+
+    return doc, table, 0 if passed else 1
 
 
-def _report_table(doc: dict) -> list[str]:
-    lines = []
-    summary = doc.get("summary", {})
-    for key in sorted(summary):
-        lines.append(f"{key:>16}: {summary[key]}")
-    for check in doc.get("checks", []):
-        status = "pass" if check["passed"] else "FAIL"
-        lines.append(f"{status}  {check['name']:<24} residual={check['residual']:.3e}")
-    return lines
+def _graph_result(g: QuantumGraph, tol: float, **metadata: str) -> Result:
+    """A graph document; its table holds the counts of ``graph_report``."""
+    doc = docs.graph_to_document(g, metadata=metadata)
+
+    def table() -> list[str]:
+        rep = graph_report(g, tol=tol)
+        imag = f"+{rep.edges.imag:g}i" if abs(rep.edges.imag) > 1e-12 else ""
+        lines = [f"set: {doc['set']}", f"vertices: {rep.vertices}",
+                 f"edges: {rep.edges.real:g}{imag}"]
+        if rep.quantum_edges is not None:
+            lines.append(f"quantum edges: {rep.quantum_edges}")
+        return lines + [f"simple: {rep.is_simple}"]
+
+    return doc, table, 0
 
 
-def _graph_table(g: QuantumGraph, doc: dict, tol: float) -> list[str]:
-    rep = graph_report(g, tol=tol)
-    lines = [f"set: {doc['set']}", f"vertices: {rep.vertices}",
-             f"edges: {rep.edges.real:g}" + (f"+{rep.edges.imag:g}i" if abs(rep.edges.imag) > 1e-12 else "")]
-    if rep.quantum_edges is not None:
-        lines.append(f"quantum edges: {rep.quantum_edges}")
-    lines.append(f"simple: {rep.is_simple}")
-    return lines
+# ---------------------------------------------------------------------------
+# presets
+# ---------------------------------------------------------------------------
+
+
+def _weyl_values(group: AbelianGroup) -> np.ndarray:
+    if group.rank != 2 or group.orders[0] != group.orders[1]:
+        raise InvalidInput("the weyl preset needs a group Z_n x Z_n")
+    return weyl_bicharacter(group.orders[0]).gen_values
+
+
+#: --bichar preset -> its generator values on the given group
+_BICHARS: dict[str, Callable[[AbelianGroup], np.ndarray]] = {
+    "trivial": lambda group: np.ones((group.rank, group.rank)),
+    "clifford": lambda group: clifford_bicharacter(group.rank).gen_values,
+    "weyl": _weyl_values,
+}
+
+_N = (("n",),)
+
+#: catalog preset -> (the groups of options it needs, checked in turn; builder(args, tol))
+_PRESETS = {
+    "m2-empty": ((), lambda a, tol: m2_graph(0, tol=tol)),
+    "m2-edge": ((), lambda a, tol: m2_graph(1, tol=tol)),
+    "m2-two": ((), lambda a, tol: m2_graph(2, tol=tol)),
+    "m2-full": ((), lambda a, tol: m2_graph(3, tol=tol)),
+    "m2-partial": ((("m", "t"),), lambda a, tol: m2_partial_family(a.m, a.t)),
+    "anticommutative-square": ((), lambda a, tol: anticommutative_square(tol=tol)),
+    "gell-mann": ((), lambda a, tol: gell_mann_graph()),
+    "rook": (_N, lambda a, tol: quantum_rook(a.n, tol=tol)),
+    "hypercube": (_N, lambda a, tol: cube_like_graph(a.n, preset="hypercube")),
+    "folded": (_N, lambda a, tol: cube_like_graph(a.n, preset="folded")),
+    "squared": (_N, lambda a, tol: cube_like_graph(a.n, preset="squared")),
+    "cube": (_N + (("gens",),),
+             lambda a, tol: cube_like_graph(a.n, gens=_parse_elements(a.gens, a.n))),
+}
+
+
+def _bicharacter_for(name: str, group: AbelianGroup, tol: float) -> Bicharacter:
+    if name in _BICHARS:
+        return make_bicharacter(group, _BICHARS[name](group), tol=tol)
+    if name.lstrip().startswith("["):
+        return docs.bicharacter_from_text(name, group, tol=tol)
+    doc = _load(name)
+    if doc.get("kind") == "bicharacter":
+        return docs.bicharacter_from_document(doc, group, tol=tol)
+    raise InvalidInput(
+        f"--bichar must be {'|'.join(_BICHARS)}, an inline [[...]] matrix, or a "
+        f"bicharacter document, got {name!r}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +215,7 @@ def _graph_table(g: QuantumGraph, doc: dict, tol: float) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_set_check(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args)
+def _cmd_set_check(args: argparse.Namespace, tol: float) -> Result:
     if (args.file is None) == (args.blocks is None):
         raise InvalidInput("set-check needs exactly one of <file> or --blocks")
     if args.seed < 0:
@@ -178,169 +242,82 @@ def _cmd_set_check(args: argparse.Namespace) -> int:
         worst_star = max(worst_star, max_abs(anti - ref) / scale)
     report.checks.append(Check("random_associativity", worst_assoc <= tol, worst_assoc))
     report.checks.append(Check("random_star_antiautomorphism", worst_star <= tol, worst_star))
-
-    doc = docs.report_to_document(report, metadata={"command": "set-check"})
-    _emit(args, doc, lambda: _report_table(doc))
-    return 0 if report.all_pass else 1
+    return _report_result(report, report.all_pass)
 
 
-def _cmd_graph_check(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args)
-    g = docs.graph_from_document(_load(args.file), tol=tol)
-    rep = graph_report(g, tol=tol)
-    doc = docs.report_to_document(rep, metadata={"command": "graph-check"})
-    _emit(args, doc, lambda: _report_table(doc))
-    return 0 if rep.is_graph else 1
+def _cmd_graph_check(args: argparse.Namespace, tol: float) -> Result:
+    rep = graph_report(_load_graph(args.file, tol), tol=tol)
+    return _report_result(rep, rep.is_graph)
 
 
-def _cmd_rotate(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args)
+def _cmd_rotate(args: argparse.Namespace, tol: float) -> Result:
     doc = _load(args.file)
     if "adjacency" in doc:
-        g = docs.graph_from_document(doc, tol=tol)
-        proj = adjacency_to_projection(g)
-        out = docs.projection_to_document(proj, metadata={"command": "rotate",
-                                                          "form": "projection"})
-        _emit(args, out, lambda: [f"projection blocks: {len(proj.blocks)}"])
-        return 0
+        proj = adjacency_to_projection(docs.graph_from_document(doc, tol=tol))
+        return (docs.projection_to_document(proj, metadata={"form": "projection"}),
+                lambda: [f"projection blocks: {len(proj.blocks)}"], 0)
     if "projection" in doc:
         g = projection_to_adjacency(docs.projection_from_document(doc, tol=tol))
-        out = docs.graph_to_document(g, metadata={"command": "rotate", "form": "adjacency"})
-        _emit(args, out, lambda: _graph_table(g, out, tol))
-        return 0
+        return _graph_result(g, tol, form="adjacency")
     raise InvalidInput("rotate: document has neither 'adjacency' nor 'projection'")
 
 
-def _cmd_cayley(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args)
+def _cmd_cayley(args: argparse.Namespace, tol: float) -> Result:
     group = AbelianGroup(tuple(_parse_ints(args.orders)))
     gens = _parse_elements(args.gens, group.rank)
-    g = classical_cayley(group, gens)
-    meta = {"command": "cayley", "orders": args.orders, "gens": args.gens}
-    doc = docs.graph_to_document(g, metadata=meta)
+    result = _graph_result(classical_cayley(group, gens), tol,
+                           orders=args.orders, gens=args.gens)
     if args.spectrum:
-        doc["spectrum"] = cayley_spectrum(group, gens)
-    _emit(args, doc, lambda: _graph_table(g, doc, tol))
-    return 0
+        result[0]["spectrum"] = cayley_spectrum(group, gens)
+    return result
 
 
-def _bicharacter_for(args: argparse.Namespace, group: AbelianGroup, tol: float):
-    name = args.bichar
-    if name == "trivial":
-        return trivial_bicharacter(group)
-    if name == "clifford":
-        return make_bicharacter(group, clifford_bicharacter(group.rank).gen_values, tol=tol)
-    if name == "weyl":
-        if group.rank != 2 or group.orders[0] != group.orders[1]:
-            raise InvalidInput("the weyl preset needs a group Z_n x Z_n")
-        return make_bicharacter(group, weyl_bicharacter(group.orders[0]).gen_values, tol=tol)
-    if name.lstrip().startswith("["):
-        return docs.bicharacter_from_text(name, group, tol=tol)
-    doc = _load(name)
-    if doc.get("kind") == "bicharacter":
-        return docs.bicharacter_from_document(doc, group, tol=tol)
-    raise InvalidInput(
-        "--bichar must be trivial|clifford|weyl, an inline [[...]] matrix, or a "
-        f"bicharacter document, got {name!r}"
-    )
-
-
-def _cmd_twist(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args)
+def _cmd_twist(args: argparse.Namespace, tol: float) -> Result:
     group = AbelianGroup(tuple(_parse_ints(args.orders)))
     gens = _parse_elements(args.gens, group.rank)
-    sigma = _bicharacter_for(args, group, tol)
-    g = twisted_cayley(group, gens, sigma)
-    meta = {"command": "twist", "orders": args.orders, "gens": args.gens,
-            "bichar": args.bichar}
-    doc = docs.graph_to_document(g, metadata=meta)
-    _emit(args, doc, lambda: _graph_table(g, doc, tol))
-    return 0
+    g = twisted_cayley(group, gens, _bicharacter_for(args.bichar, group, tol))
+    return _graph_result(g, tol, orders=args.orders, gens=args.gens, bichar=args.bichar)
 
 
-def _cmd_catalog(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args)
-    preset = args.preset
-    need_n = {"rook", "hypercube", "folded", "squared", "cube"}
-    if preset in need_n and args.n is None:
-        raise InvalidInput(f"catalog {preset} needs --n")
-    if preset == "m2-empty":
-        g = m2_graph(0, tol=tol)
-    elif preset == "m2-edge":
-        g = m2_graph(1, tol=tol)
-    elif preset == "m2-two":
-        g = m2_graph(2, tol=tol)
-    elif preset == "m2-full":
-        g = m2_graph(3, tol=tol)
-    elif preset == "m2-partial":
-        if args.m is None or args.t is None:
-            raise InvalidInput("catalog m2-partial needs --m and --t")
-        g = m2_partial_family(args.m, args.t)
-    elif preset == "anticommutative-square":
-        g = anticommutative_square(tol=tol)
-    elif preset == "gell-mann":
-        g = gell_mann_graph()
-    elif preset == "rook":
-        g = quantum_rook(args.n, tol=tol)
-    elif preset in ("hypercube", "folded", "squared"):
-        g = cube_like_graph(args.n, preset=preset)
-    elif preset == "cube":
-        if args.gens is None:
-            raise InvalidInput("catalog cube needs --gens")
-        gens = _parse_elements(args.gens, args.n)
-        g = cube_like_graph(args.n, gens=gens)
-    else:
-        raise InvalidInput(f"unknown catalog preset {preset!r}")
-    doc = docs.graph_to_document(g, metadata={"command": "catalog", "preset": preset})
-    _emit(args, doc, lambda: _graph_table(g, doc, tol))
-    return 0
+def _cmd_catalog(args: argparse.Namespace, tol: float) -> Result:
+    if args.preset not in _PRESETS:
+        raise InvalidInput(f"unknown catalog preset {args.preset!r}")
+    needs, build = _PRESETS[args.preset]
+    for options in needs:
+        if any(getattr(args, opt) is None for opt in options):
+            missing = " and ".join(f"--{opt}" for opt in options)
+            raise InvalidInput(f"catalog {args.preset} needs {missing}")
+    return _graph_result(build(args, tol), tol, preset=args.preset)
 
 
-def _cmd_quotient(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args)
-    g = docs.graph_from_document(_load(args.graph), tol=tol)
+def _cmd_quotient(args: argparse.Namespace, tol: float) -> Result:
+    g = _load_graph(args.graph, tol)
     op = docs.operator_from_document(_load(args.map), tol=tol)
-    out = quotient_graph(g, op, tol=tol)
-    doc = docs.graph_to_document(out, metadata={"command": "quotient"})
-    _emit(args, doc, lambda: _graph_table(out, doc, tol))
-    return 0
+    return _graph_result(quotient_graph(g, op, tol=tol), tol)
 
 
-def _cmd_subgraph(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args)
-    g = docs.graph_from_document(_load(args.graph), tol=tol)
-    keep = _parse_ints(args.keep)
-    out = induced_subgraph(g, keep)
-    doc = docs.graph_to_document(out, metadata={"command": "subgraph",
-                                                "keep": args.keep})
-    _emit(args, doc, lambda: _graph_table(out, doc, tol))
-    return 0
+def _cmd_subgraph(args: argparse.Namespace, tol: float) -> Result:
+    g = _load_graph(args.graph, tol)
+    return _graph_result(induced_subgraph(g, _parse_ints(args.keep)), tol, keep=args.keep)
 
 
-def _cmd_obstruct(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args)
-    g = docs.graph_from_document(_load(args.graph), tol=tol)
-    res = classical_obstruction(g, max_dim=args.max_dim)
-    doc = docs.certificate_to_document(res, metadata={"command": "obstruct"})
+def _cmd_obstruct(args: argparse.Namespace, tol: float) -> Result:
+    res = classical_obstruction(_load_graph(args.graph, tol), max_dim=args.max_dim)
     if isinstance(res, Certificate):
         table = [f"certificate: {res.trace_x} , {res.trace_y}",
                  f"residual: {res.residual:.6e}"]
     else:
         table = [f"inconclusive (closure dim {res.closure_dim}, "
                  f"max residual {res.max_residual:.3e})"]
-    _emit(args, doc, lambda: table)
-    return 0
+    return docs.certificate_to_document(res), lambda: table, 0
 
 
-def _cmd_iso_check(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args)
-    g1 = docs.graph_from_document(_load(args.graph1), tol=tol)
-    g2 = docs.graph_from_document(_load(args.graph2), tol=tol)
+def _cmd_iso_check(args: argparse.Namespace, tol: float) -> Result:
+    g1, g2 = _load_graph(args.graph1, tol), _load_graph(args.graph2, tol)
     phi = docs.operator_from_document(_load(args.map), tol=tol)
     ok = check_isomorphism(phi, g1, g2, tol=tol)
-    doc = docs.document("report", {"command": "iso-check"}, summary={"isomorphism": bool(ok)})
-    _emit(args, doc, lambda: [f"isomorphism: {ok}"])
-    return 0 if ok else 1
+    doc = docs.document("report", None, summary={"isomorphism": bool(ok)})
+    return doc, lambda: [f"isomorphism: {ok}"], 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +333,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, func: Callable[..., Result]) -> None:
+        p.set_defaults(func=func)
         p.add_argument("--json", action="store_true", help="emit a JSON document")
         p.add_argument("--tol", type=float, default=None,
                        help="comparison tolerance, finite and positive (default: QG_TOL or 1e-9)")
@@ -364,80 +342,69 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("set-check", help="verify the Frobenius axioms of a quantum set")
     p.add_argument("file", nargs="?", default=None, help="quantum-set document or -")
     p.add_argument("--blocks", default=None, help="block sizes, e.g. 1,2,3")
-    common(p)
+    common(p, _cmd_set_check)
     p.add_argument("--seed", type=int, default=0, help="seed for the randomized checks")
-    p.set_defaults(func=_cmd_set_check)
 
     p = sub.add_parser("graph-check", help="run the quantum-graph predicate battery")
     p.add_argument("file", help="quantum-graph document or -")
-    common(p)
-    p.set_defaults(func=_cmd_graph_check)
+    common(p, _cmd_graph_check)
 
     p = sub.add_parser("rotate", help="rotate between adjacency and edge projection")
     p.add_argument("file", help="quantum-graph document or -")
-    common(p)
-    p.set_defaults(func=_cmd_rotate)
+    common(p, _cmd_rotate)
 
     p = sub.add_parser("cayley", help="classical Cayley graph of a finite abelian group")
     p.add_argument("--orders", required=True, help="cyclic factor orders, e.g. 2,2,2")
     p.add_argument("--gens", required=True, help="generators, e.g. 110;011")
     p.add_argument("--spectrum", action="store_true", help="include the eigenvalues")
-    common(p)
-    p.set_defaults(func=_cmd_cayley)
+    common(p, _cmd_cayley)
 
     p = sub.add_parser("twist", help="bicharacter twist of a Cayley graph")
     p.add_argument("--orders", required=True)
     p.add_argument("--gens", required=True)
     p.add_argument("--bichar", required=True,
-                   help="trivial | clifford | weyl | inline [[...]] matrix of "
+                   help=" | ".join(_BICHARS) + " | inline [[...]] matrix of "
                         "generator values | <bicharacter document>")
-    common(p)
-    p.set_defaults(func=_cmd_twist)
+    common(p, _cmd_twist)
 
     p = sub.add_parser("catalog", help="named example graphs")
-    p.add_argument("preset", help="m2-empty|m2-edge|m2-two|m2-full|m2-partial|"
-                                  "anticommutative-square|gell-mann|rook|hypercube|"
-                                  "folded|squared|cube")
+    p.add_argument("preset", help="|".join(_PRESETS))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--gens", default=None)
-    common(p)
-    p.set_defaults(func=_cmd_catalog)
+    common(p, _cmd_catalog)
 
     p = sub.add_parser("quotient", help="quotient graph along an embedding")
     p.add_argument("graph")
     p.add_argument("map", help="operator document for the embedding")
-    common(p)
-    p.set_defaults(func=_cmd_quotient)
+    common(p, _cmd_quotient)
 
     p = sub.add_parser("subgraph", help="induced subgraph on a subset of blocks")
     p.add_argument("graph")
     p.add_argument("--keep", required=True, help="block indices, e.g. 0,2")
-    common(p)
-    p.set_defaults(func=_cmd_subgraph)
+    common(p, _cmd_subgraph)
 
     p = sub.add_parser("obstruct", help="Schur-noncommutativity obstruction scan")
     p.add_argument("graph")
     p.add_argument("--max-dim", type=int, default=None)
-    common(p)
-    p.set_defaults(func=_cmd_obstruct)
+    common(p, _cmd_obstruct)
 
     p = sub.add_parser("iso-check", help="verify a *-isomorphism between two graphs")
     p.add_argument("graph1")
     p.add_argument("graph2")
     p.add_argument("map")
-    common(p)
-    p.set_defaults(func=_cmd_iso_check)
+    common(p, _cmd_iso_check)
 
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        doc, table, code = args.func(args, _resolve_tol(args))
+        doc["metadata"]["command"] = args.command
+        print(docs.dumps(doc) if args.json else "\n".join(table()))
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except (InvalidInput, ResourceLimit, docs.DocumentError, UnicodeDecodeError) as exc:

@@ -23,7 +23,7 @@ from .algebra import (
     check_star_homomorphism,
 )
 from .errors import InvalidInput
-from .graphs import QuantumGraph, is_quantum_graph, schur_product
+from .graphs import QuantumGraph, _tensor_with_conj, is_quantum_graph, schur_product
 from .kernels import hermitian_eigs, max_abs, scale_of
 
 __all__ = [
@@ -123,8 +123,7 @@ def conjugation_map(u: np.ndarray, x: QuantumSet) -> Operator:
     u = np.asarray(u, dtype=complex)
     if u.shape != (n, n):
         raise InvalidInput(f"unitary has shape {u.shape}, expected ({n}, {n})")
-    mat = np.einsum("ik,jl->ijkl", u, np.conj(u)).reshape(n * n, n * n)
-    return Operator(domain=x, codomain=x, matrix=mat)
+    return Operator(domain=x, codomain=x, matrix=_tensor_with_conj(u))
 
 
 def diagonal_embedding(n: int) -> Operator:

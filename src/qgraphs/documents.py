@@ -202,11 +202,9 @@ def projection_from_document(doc: Any, tol: float = 1e-9) -> EdgeProjection:
     return EdgeProjection(set=x, blocks=blocks)
 
 
-def operator_to_document(op: Operator, map_kind: str = "iso",
-                         metadata: Optional[dict] = None) -> dict:
+def operator_to_document(op: Operator, metadata: Optional[dict] = None) -> dict:
     return document("operator", metadata, domain=set_to_spec(op.domain),
-                    codomain=set_to_spec(op.codomain), matrix=op.matrix,
-                    map_kind=map_kind)
+                    codomain=set_to_spec(op.codomain), matrix=op.matrix)
 
 
 def operator_from_document(doc: Any, tol: float = 1e-9) -> Operator:

@@ -444,6 +444,12 @@ def graph_report(g: QuantumGraph, tol: float = DEFAULT_TOL) -> GraphReport:
 # ---------------------------------------------------------------------------
 
 
+def _tensor_with_conj(xi: np.ndarray) -> np.ndarray:
+    """xi (x) conj(xi) as an (n^2, n^2) matrix: entry [(i,j),(k,l)] = xi[i,k] conj(xi[j,l])."""
+    n = xi.shape[0]
+    return np.einsum("ik,jl->ijkl", xi, np.conj(xi)).reshape(n * n, n * n)
+
+
 def quantum_edge(n: int, xi: np.ndarray) -> QuantumGraph:
     """The quantum edge on M_n attached to a nonzero matrix xi.
 
@@ -458,7 +464,7 @@ def quantum_edge(n: int, xi: np.ndarray) -> QuantumGraph:
     if norm <= 0.0:
         raise InvalidInput("quantum_edge: xi must be nonzero")
     x = build_quantum_set([n])
-    p = (n / norm) * np.einsum("ik,jl->ijkl", xi, np.conj(xi)).reshape(n * n, n * n)
+    p = (n / norm) * _tensor_with_conj(xi)
     return QuantumGraph(set=x, adjacency=p)
 
 
@@ -482,7 +488,7 @@ def graph_from_subspace(
     a = np.zeros((n * n, n * n), dtype=complex)
     for xi in ortho:
         xi = xi * math.sqrt(n)  # Tr(xi^dag xi) = n
-        a += np.einsum("ik,jl->ijkl", xi, np.conj(xi)).reshape(n * n, n * n)
+        a += _tensor_with_conj(xi)
     return QuantumGraph(set=x, adjacency=a)
 
 

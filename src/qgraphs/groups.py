@@ -43,8 +43,6 @@ __all__ = [
     "trivial_bicharacter",
     "twist_quantum_set",
     "twisted_cayley",
-    "twist_tensor",
-    "leg_phases",
 ]
 
 
@@ -290,38 +288,3 @@ def twisted_cayley(group: AbelianGroup, gens: Iterable[Sequence[int]],
     lam = cayley_spectrum(group, gens)
     return QuantumGraph(set=x, adjacency=np.diag(lam))
 
-
-def leg_phases(group: AbelianGroup, sigma: Bicharacter, legs: int) -> np.ndarray:
-    """Multi-index phases sigma_i = prod_{a<b} sigma(g_{i_a}, g_{i_b}).
-
-    Returned as a vector over row-major multi-indices of length ``legs``.
-    """
-    n = group.size
-    if legs == 0:
-        return np.ones(1, dtype=complex)
-    table = group.addition_table()
-    sig = sigma.table()
-    phases = np.ones(n, dtype=complex)
-    sums = np.arange(n, dtype=np.int64)
-    for _ in range(legs - 1):
-        phases = (phases[:, None] * sig[sums[:, None], np.arange(n)[None, :]]).ravel()
-        sums = table[sums[:, None], np.arange(n)[None, :]].ravel()
-    return phases
-
-
-def twist_tensor(tensor: np.ndarray, out_legs: int, in_legs: int,
-                 group: AbelianGroup, sigma: Bicharacter) -> np.ndarray:
-    """Entrywise twist of a tensor with group-graded legs.
-
-    ``tensor`` is an (N^out_legs) x (N^in_legs) matrix over row-major
-    multi-indices; the twisted tensor multiplies each entry by
-    sigma_i conj(sigma_j) for output multi-index i and input multi-index j.
-    """
-    n = group.size
-    t = np.asarray(tensor, dtype=complex)
-    expected = (n ** out_legs, n ** in_legs)
-    if t.shape != expected:
-        raise InvalidInput(f"tensor has shape {t.shape}, expected {expected}")
-    po = leg_phases(group, sigma, out_legs)
-    pi = leg_phases(group, sigma, in_legs)
-    return (po[:, None] * t) * np.conj(pi)[None, :]

@@ -33,8 +33,6 @@ __all__ = [
     "rook_generators",
     "quantum_rook",
     "rook_adjacency_closed_form",
-    "transported_duality",
-    "transported_mult",
 ]
 
 
@@ -107,17 +105,3 @@ def rook_pipeline_adjacency(phi: Operator) -> np.ndarray:
     u = phi.matrix
     return u @ g.adjacency @ u.conj().T
 
-
-def transported_duality(phi: Operator) -> np.ndarray:
-    """The twisted duality tensor moved through phi: (U (x) U) R_breve."""
-    u = phi.matrix
-    return u @ phi.domain.dense_star() @ u.T
-
-
-def transported_mult(phi: Operator) -> np.ndarray:
-    """The twisted multiplication moved through phi, as an (N, N, N) tensor."""
-    u = phi.matrix
-    m = phi.domain.dense_mult()
-    t = np.einsum("pk,kmn->pmn", u, m)
-    t = np.einsum("pmn,qm->pqn", t, np.conj(u))
-    return np.einsum("pqn,rn->pqr", t, np.conj(u))

@@ -193,7 +193,9 @@ def reference_closure(g, max_dim=None):
 
     Every round offers the dagger and star of every member and both products
     of every ordered pair of members, up to ``REFERENCE_MAX_ROUNDS`` rounds;
-    ``rounds`` counts the rounds run.
+    ``rounds`` counts the rounds run.  Once the members span the whole space
+    (N^2 matrices, or N diagonal vectors) no candidate can be independent, so
+    the closure stops there, complete.
     """
     from qgraphs.errors import InvalidInput
     from qgraphs.graphs import (_group_convolve, _is_exactly_diagonal, schur_product,
@@ -222,6 +224,10 @@ def reference_closure(g, max_dim=None):
 
     members, ortho = [], []
     blocked = False
+    full = seeds[0].size  # the dimension of the space: N^2 matrices or N diagonal vectors
+
+    class Full(Exception):
+        pass
 
     def try_add(trace, mat, floor=RANK_TOL):
         nonlocal blocked
@@ -240,22 +246,27 @@ def reference_closure(g, max_dim=None):
             return False
         members.append((trace, unit))
         ortho.append(w / residual)
+        if len(members) == full:
+            raise Full
         return True
 
-    for trace, mat in zip("IJA", seeds):
-        try_add(trace, mat, floor=0.0)
     rounds = 0
-    for rounds in range(1, REFERENCE_MAX_ROUNDS + 1):
-        grew = False
-        snapshot = list(members)
-        for trace, mat in snapshot:
-            grew |= try_add(f"{trace}†", dagger(mat))
-            grew |= try_add(f"{trace}*", star(mat))
-        for (ta, ma), (tb, mb) in itertools.product(snapshot, snapshot):
-            grew |= try_add(f"({ta}∘{tb})", compose(ma, mb))
-            grew |= try_add(f"({ta}•{tb})", schur(ma, mb))
-        if blocked or not grew:
-            break
+    try:
+        for trace, mat in zip("IJA", seeds):
+            try_add(trace, mat, floor=0.0)
+        for rounds in range(1, REFERENCE_MAX_ROUNDS + 1):
+            grew = False
+            snapshot = list(members)
+            for trace, mat in snapshot:
+                grew |= try_add(f"{trace}†", dagger(mat))
+                grew |= try_add(f"{trace}*", star(mat))
+            for (ta, ma), (tb, mb) in itertools.product(snapshot, snapshot):
+                grew |= try_add(f"({ta}∘{tb})", compose(ma, mb))
+                grew |= try_add(f"({ta}•{tb})", schur(ma, mb))
+            if blocked or not grew:
+                break
+    except Full:
+        return members, True, schur, to_matrix, rounds
     return members, not (blocked or grew), schur, to_matrix, rounds
 
 
@@ -287,6 +298,62 @@ def reference_scan(closure, threshold=1e-6):
 # ---------------------------------------------------------------------------
 # closed forms and helpers that only the tests use
 # ---------------------------------------------------------------------------
+
+
+def dense_star(x) -> np.ndarray:
+    """The duality R of a quantum set as an (N, N) array; row k holds the coefficients of e_k^*."""
+    f = np.zeros((x.N, x.N), dtype=complex)
+    f[np.arange(x.N), x.star_src] = x.star_phase
+    return f
+
+
+def transported_duality(phi) -> np.ndarray:
+    """The twisted duality tensor moved through phi: (U (x) U) R_breve."""
+    u = phi.matrix
+    return u @ dense_star(phi.domain) @ u.T
+
+
+def transported_mult(phi) -> np.ndarray:
+    """The twisted multiplication moved through phi, as an (N, N, N) tensor."""
+    u = phi.matrix
+    m = phi.domain.dense_mult()
+    t = np.einsum("pk,kmn->pmn", u, m)
+    t = np.einsum("pmn,qm->pqn", t, np.conj(u))
+    return np.einsum("pqn,rn->pqr", t, np.conj(u))
+
+
+def leg_phases(group: AbelianGroup, sigma: Bicharacter, legs: int) -> np.ndarray:
+    """Multi-index phases sigma_i = prod_{a<b} sigma(g_{i_a}, g_{i_b}).
+
+    Returned as a vector over row-major multi-indices of length ``legs``.
+    """
+    n = group.size
+    if legs == 0:
+        return np.ones(1, dtype=complex)
+    table = group.addition_table()
+    sig = sigma.table()
+    phases = np.ones(n, dtype=complex)
+    sums = np.arange(n, dtype=np.int64)
+    for _ in range(legs - 1):
+        phases = (phases[:, None] * sig[sums[:, None], np.arange(n)[None, :]]).ravel()
+        sums = table[sums[:, None], np.arange(n)[None, :]].ravel()
+    return phases
+
+
+def twist_tensor(tensor: np.ndarray, out_legs: int, in_legs: int,
+                 group: AbelianGroup, sigma: Bicharacter) -> np.ndarray:
+    """Entrywise twist of a tensor with group-graded legs (the twist of graded morphisms).
+
+    ``tensor`` is an (N^out_legs) x (N^in_legs) matrix over row-major
+    multi-indices; the twisted tensor multiplies each entry by
+    sigma_i conj(sigma_j) for output multi-index i and input multi-index j.
+    """
+    n = group.size
+    t = np.asarray(tensor, dtype=complex)
+    assert t.shape == (n ** out_legs, n ** in_legs)
+    po = leg_phases(group, sigma, out_legs)
+    pi = leg_phases(group, sigma, in_legs)
+    return (po[:, None] * t) * np.conj(pi)[None, :]
 
 
 def lambda_hypercube(n: int, d: int) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgraphs import documents as docs
+from qgraphs import cli, documents as docs
 from qgraphs.algebra import Operator, build_quantum_set
 from qgraphs.catalog import anticommutative_square
 from qgraphs.cli import main
@@ -229,7 +229,7 @@ def test_quotient_command(capsys, tmp_path):
     gpath.write_text(docs.dumps(docs.graph_to_document(QuantumGraph(x, a_x))))
     iota = diagonal_embedding(2)
     mpath = tmp_path / "iota.json"
-    mpath.write_text(docs.dumps(docs.operator_to_document(iota, map_kind="subalgebra-embedding")))
+    mpath.write_text(docs.dumps(docs.operator_to_document(iota)))
     code, out, _ = run(capsys, "quotient", str(gpath), str(mpath), "--json")
     assert code == 0
     g = docs.graph_from_document(docs.loads(out))
@@ -580,3 +580,115 @@ def test_cli_exit_contract_under_fuzzed_documents(tmp_path_factory, base, data, 
     assert code in (0, 1, 2), (argv, doc, err.getvalue())
     assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue(), \
         (argv, doc, err.getvalue())
+
+
+# -- the command pipeline and the preset tables -------------------------------
+
+_MINIMAL_OPTIONS = {"n": "3", "m": "2", "t": "0.5", "gens": "110;011"}
+
+
+@pytest.mark.parametrize("preset", list(cli._PRESETS))
+def test_every_catalog_preset_builds_with_minimal_options(capsys, preset):
+    needs, _ = cli._PRESETS[preset]
+    options = [tok for group in needs for opt in group for tok in (f"--{opt}", _MINIMAL_OPTIONS[opt])]
+    code, out, err = run(capsys, "catalog", preset, *options, "--json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["metadata"] == {"command": "catalog", "preset": preset}
+    assert run(capsys, "catalog", preset, *options)[0] == 0  # the table as well
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["catalog", "cube"], "--n"),
+    (["catalog", "cube", "--n", "3"], "--gens"),
+    (["catalog", "m2-partial", "--m", "1"], "--m and --t"),
+    (["catalog", "m2-partial", "--t", "0.5"], "--m and --t"),
+    (["catalog", "rook"], "--n"),
+])
+def test_missing_catalog_options_name_what_is_needed(capsys, argv, missing):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: catalog {argv[1]} needs {missing}\n"
+
+
+def test_catalog_help_lists_the_preset_table(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog", "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    listed = "".join(text.split("positional arguments:")[1].split("options:")[0].split())
+    assert listed.removeprefix("preset").split("|") == list(cli._PRESETS)
+    code, _, err = run(capsys, "catalog", "nope")
+    assert code == 2 and err == "error: unknown catalog preset 'nope'\n"
+
+
+@pytest.mark.parametrize("name, orders", [("trivial", "2,4,3"), ("clifford", "2,2,2"),
+                                          ("weyl", "3,3")])
+def test_bichar_presets_give_their_generator_values(capsys, name, orders):
+    from qgraphs.clifford import clifford_bicharacter
+    from qgraphs.weyl import weyl_bicharacter
+
+    rank = len(orders.split(","))
+    code, out, _ = run(capsys, "twist", "--orders", orders, "--gens", "0" * rank,
+                       "--bichar", name, "--json")
+    assert code == 0
+    want = {"trivial": lambda: np.ones((rank, rank)),
+            "clifford": lambda: clifford_bicharacter(rank).gen_values,
+            "weyl": lambda: weyl_bicharacter(3).gen_values}[name]()
+    got = docs.graph_from_document(docs.loads(out)).set.bicharacter.gen_values
+    assert np.array_equal(got, want)
+
+
+def test_weyl_preset_needs_a_square_group(capsys):
+    code, out, err = run(capsys, "twist", "--orders", "2,4", "--gens", "1,0", "--bichar", "weyl")
+    assert code == 2 and out == ""
+    assert err == "error: the weyl preset needs a group Z_n x Z_n\n"
+
+
+def test_every_command_names_itself_in_its_document(capsys, tmp_path):
+    graph = tmp_path / "g.json"
+    graph.write_text(run(capsys, "catalog", "m2-edge", "--json")[1])
+    proj = tmp_path / "p.json"
+    proj.write_text(run(capsys, "rotate", str(graph), "--json")[1])
+    x = build_quantum_set([2])
+    op = tmp_path / "op.json"
+    op.write_text(docs.dumps(docs.operator_to_document(Operator(x, x, np.eye(4, dtype=complex)))))
+    embed = tmp_path / "embed.json"
+    embed.write_text(docs.dumps(docs.operator_to_document(diagonal_embedding(2))))
+    argvs = {
+        "set-check": ["--blocks", "1,2"],
+        "graph-check": [str(graph)],
+        "rotate": [str(proj)],
+        "cayley": ["--orders", "4", "--gens", "1;3", "--spectrum"],
+        "twist": ["--orders", "2,2", "--gens", "10;01", "--bichar", "clifford"],
+        "catalog": ["gell-mann"],
+        "quotient": [str(graph), str(embed)],
+        "subgraph": [str(graph), "--keep", "0"],
+        "obstruct": [str(graph)],
+        "iso-check": [str(graph), str(graph), str(op)],
+    }
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    usage = capsys.readouterr().out
+    assert usage.split("{")[1].split("}")[0].split(",") == list(argvs)
+    for command, args in argvs.items():
+        code, out, err = run(capsys, command, *args, "--json")
+        assert code == 0, (command, err)
+        assert json.loads(out)["metadata"]["command"] == command
+
+
+def test_operator_documents_with_a_map_kind_entry_still_read(capsys, tmp_path):
+    # documents written before the entry was dropped carry "map_kind": "iso"
+    g = anticommutative_square()
+    gpath = tmp_path / "g.json"
+    gpath.write_text(docs.dumps(docs.graph_to_document(g)))
+    op = json.loads(docs.dumps(docs.operator_to_document(
+        Operator(g.set, g.set, np.eye(4, dtype=complex)))))
+    assert "map_kind" not in op
+    op["map_kind"] = "iso"
+    mpath = tmp_path / "op.json"
+    mpath.write_text(json.dumps(op))
+    assert np.array_equal(docs.operator_from_document(docs.loads(mpath.read_text())).matrix,
+                          np.eye(4))
+    code, out, _ = run(capsys, "iso-check", str(gpath), str(gpath), str(mpath), "--json")
+    assert code == 0 and json.loads(out)["summary"]["isomorphism"] is True

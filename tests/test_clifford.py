@@ -3,7 +3,7 @@ halving."""
 
 import numpy as np
 import pytest
-from conftest import lambda_folded, lambda_hypercube
+from conftest import dense_star, lambda_folded, lambda_hypercube
 
 from qgraphs import (
     AlgebraElement,
@@ -80,7 +80,7 @@ def test_cl2_constants_equal_weyl2_twist_exactly():
     wy = twist_quantum_set(wsigma.group, wsigma)
     assert np.array_equal(cl.mult_val, wy.mult_val)
     assert np.array_equal(cl.mult_out, wy.mult_out)
-    assert np.array_equal(cl.dense_star(), wy.dense_star())
+    assert np.array_equal(dense_star(cl), dense_star(wy))
     assert np.array_equal(cl.unit_vec, wy.unit_vec)
 
 

@@ -9,6 +9,7 @@ against that route.
 
 import numpy as np
 import pytest
+from conftest import dense_star
 
 from qgraphs import (
     QuantumGraph,
@@ -257,7 +258,7 @@ def test_schur_star_monomial_path_matches_dense():
         rng = np.random.default_rng(x.N)
         a = _random_op(x, rng)
         fast = schur_star(x, a)
-        f = x.dense_star()
+        f = dense_star(x)
         dense = f.T @ np.conj(a) @ np.conj(f)
         assert np.abs(fast - dense).max() < 1e-12
 

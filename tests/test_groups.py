@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 from conftest import (
+    leg_phases,
     random_bicharacter,
     random_twist_instance,
     reference_elements,
     reference_fourier_matrix,
+    twist_tensor,
 )
 
 from qgraphs import (
@@ -20,13 +22,12 @@ from qgraphs import (
     schur_star,
     trivial_bicharacter,
     twist_quantum_set,
-    twist_tensor,
     twisted_cayley,
     verify_frobenius,
 )
 from qgraphs.clifford import clifford_bicharacter
 from qgraphs.errors import InvalidInput, ResourceLimit
-from qgraphs.groups import AbelianGroup, leg_phases
+from qgraphs.groups import AbelianGroup
 from qgraphs.kernels import unit_root
 from qgraphs.weyl import weyl_bicharacter
 

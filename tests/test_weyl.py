@@ -3,7 +3,7 @@ M_n, closed-form transported tensors, and the quantum rook's graph."""
 
 import numpy as np
 import pytest
-from conftest import rook_spectrum
+from conftest import dense_star, rook_spectrum, transported_duality, transported_mult
 
 from qgraphs import (
     check_star_homomorphism,
@@ -21,8 +21,6 @@ from qgraphs.weyl import (
     rook_adjacency_closed_form,
     rook_generators,
     rook_pipeline_adjacency,
-    transported_duality,
-    transported_mult,
 )
 
 
@@ -102,7 +100,7 @@ def test_transported_tensors_match_closed_forms(n):
         for j in range(n):
             want_r[i * n + j, j * n + i] = 1.0
     assert np.abs(transported_duality(phi) - want_r).max() < 1e-9
-    assert np.abs(want_r - mn.dense_star()).max() == 0.0
+    assert np.abs(want_r - dense_star(mn)).max() == 0.0
     # m~^{rs}_{ijkl} = delta_{ri} delta_{kj} delta_{sl} / sqrt(n)
     want_m = np.zeros((n * n, n * n, n * n), dtype=complex)
     for i in range(n):
