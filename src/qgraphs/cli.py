@@ -27,6 +27,7 @@ import functools
 import math
 import os
 import sys
+import textwrap
 from typing import Callable, Optional
 
 import numpy as np
@@ -325,6 +326,13 @@ def _cmd_iso_check(args: argparse.Namespace, tol: float) -> Result:
 # ---------------------------------------------------------------------------
 
 
+class _SpaceWrapFormatter(argparse.HelpFormatter):
+    """Wraps help text at spaces only, so a hyphenated preset name prints whole."""
+
+    def _split_lines(self, text: str, width: int) -> list[str]:
+        return textwrap.wrap(" ".join(text.split()), width, break_on_hyphens=False)
+
+
 @functools.cache  # built once per process, however often main() runs
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -367,8 +375,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "generator values | <bicharacter document>")
     common(p, _cmd_twist)
 
-    p = sub.add_parser("catalog", help="named example graphs")
-    p.add_argument("preset", help="|".join(_PRESETS))
+    p = sub.add_parser("catalog", help="named example graphs", formatter_class=_SpaceWrapFormatter)
+    p.add_argument("preset", help=" | ".join(_PRESETS))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--t", type=float, default=None)

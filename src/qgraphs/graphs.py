@@ -21,6 +21,13 @@ spectrum of those sets.  Group-indexed (twisted) sets have no block pairs:
 there the Schur product of diagonal operators is a convolution over the
 group, and any other pair of operators goes through the dense contraction
 ``m (A (x) B) m^dag``, which is capped at N <= DENSE_LIMIT.
+
+On the connection function f = F d / N of a diagonal d (an inverse FFT
+over the group's cyclic factors) the convolution is pointwise.  So the
+predicate battery checks a diagonal adjacency on a group-indexed set,
+such as a twisted Cayley graph, in N-vectors: one pass over A for
+finiteness and diagonality, then O(N log N).  Every other graph is checked
+in the matrix calculus above.  Both refuse non-finite entries first.
 """
 
 from __future__ import annotations
@@ -329,22 +336,59 @@ def projection_to_adjacency(p: EdgeProjection) -> QuantumGraph:
     return QuantumGraph(set=x, adjacency=adjacency)
 
 
+def _finite_diagonal(g: QuantumGraph) -> Optional[np.ndarray]:
+    """The diagonal d of A when the set is group-indexed and A is exactly diagonal.
+
+    One pass over A decides it: a NaN or infinity off the diagonal counts as
+    a nonzero entry, so only d itself is left to check for finiteness.
+    Returns None for any other finite adjacency; raises InvalidInput on
+    non-finite entries.
+    """
+    a = g.adjacency
+    if g.set.group is not None and _is_exactly_diagonal(a):
+        d = np.diagonal(a)
+        if np.isfinite(d).all():
+            return d
+    elif np.isfinite(a).all():
+        return None
+    raise InvalidInput("adjacency has non-finite entries")
+
+
+def _connection(x: QuantumSet, d: np.ndarray) -> np.ndarray:
+    """f = F d / N, the inverse FFT of a diagonal over the group's cyclic factors.
+
+    On diagonals the Schur product is convolution, so on f it is pointwise:
+    diag(A) . diag(B) = fftn(f_A f_B).
+    """
+    return np.fft.ifftn(d.reshape(x.group.orders)).ravel()
+
+
+def _real_values(f: np.ndarray, bound: float) -> Optional[np.ndarray]:
+    """The sorted real parts of f, or None if some imaginary part exceeds bound."""
+    if max_abs(f.imag) > bound:
+        return None
+    return np.sort(f.real)
+
+
 def edge_spectrum(g: QuantumGraph, tol: float = DEFAULT_TOL) -> Optional[np.ndarray]:
     """Spectrum of the edge element, when cheaply computable.
 
     Matrix-unit sets: eigenvalues of the realigned blocks, or None if some
     block is not Hermitian within tol.  Group-indexed sets with diagonal
-    adjacency: the inverse Fourier transform F d / N of the diagonal d
-    (the Schur calculus restricted to diagonals is the convolution
-    algebra, so these are exactly the spectral values), computed as an
-    FFT over the group's cyclic factors without forming F; it agrees with
-    the matrix product up to rounding, and callers only compare its values
-    against tolerances.  None if the transform is not real within tol.
-    Returns None otherwise.  Raises InvalidInput on non-finite entries.
+    adjacency: the values of the connection function f = F d / N of the
+    diagonal d (the Schur calculus restricted to diagonals is the
+    convolution algebra, so these are exactly the spectral values),
+    computed as an FFT over the group's cyclic factors without forming F
+    (:func:`_connection`, which the diagonal branch of :func:`graph_report`
+    shares); it agrees with the matrix product up to rounding, and callers
+    only compare its values against tolerances.  None if the transform is
+    not real within tol.  Returns None otherwise.  Raises InvalidInput on
+    non-finite entries.
     """
     x = g.set
-    if not np.isfinite(g.adjacency).all():
-        raise InvalidInput("adjacency has non-finite entries")
+    d = _finite_diagonal(g)
+    if d is not None:
+        return _real_values(_connection(x, d), tol * scale_of(d))
     if x.blocks is not None:
         lams = []
         for cls in _realignment(x.blocks):
@@ -356,11 +400,6 @@ def edge_spectrum(g: QuantumGraph, tol: float = DEFAULT_TOL) -> Optional[np.ndar
                 return None
             lams.append(np.linalg.eigvalsh(herm).ravel())
         return np.sort(np.concatenate(lams))
-    if x.group is not None and _is_exactly_diagonal(g.adjacency):
-        vals = np.fft.ifftn(np.diagonal(g.adjacency).reshape(x.group.orders)).ravel()
-        if max_abs(np.asarray(vals).imag) > tol * scale_of(g.adjacency):
-            return None
-        return np.sort(vals.real)
     return None
 
 
@@ -370,9 +409,19 @@ def edge_spectrum(g: QuantumGraph, tol: float = DEFAULT_TOL) -> Optional[np.ndar
 
 
 def is_quantum_graph(g: QuantumGraph, tol: float = DEFAULT_TOL) -> bool:
-    """A . A = A and A = A* in the Schur calculus."""
+    """A . A = A and A = A* in the Schur calculus.
+
+    Raises InvalidInput on non-finite entries.  A diagonal adjacency on a
+    group-indexed set is checked on its diagonal, as in :func:`graph_report`.
+    """
     x = g.set
-    a = g.adjacency
+    d = _finite_diagonal(g)
+    if d is None:
+        return _schur_is_graph(x, g.adjacency, tol)
+    return _diagonal_is_graph(x, d, _connection(x, d), scale_of(d), tol)
+
+
+def _schur_is_graph(x: QuantumSet, a: np.ndarray, tol: float) -> bool:
     scale = scale_of(a)
     return (
         max_abs(schur_product(x, a, a) - a) <= tol * scale
@@ -380,23 +429,75 @@ def is_quantum_graph(g: QuantumGraph, tol: float = DEFAULT_TOL) -> bool:
     )
 
 
+def _diagonal_is_graph(x: QuantumSet, d: np.ndarray, f: np.ndarray, scale: float,
+                       tol: float) -> bool:
+    """:func:`_schur_is_graph` on a diagonal d with connection function f.
+
+    A . A is fftn(f f), and A* keeps the diagonal: d_k moves to slot
+    star_src[k], conjugated and phased by |star_phase[k]|^2.
+    """
+    square = np.fft.fftn((f * f).reshape(x.group.orders)).ravel()
+    star = np.empty_like(d)
+    star[x.star_src] = x.star_phase * np.conj(x.star_phase) * np.conj(d)
+    return max_abs(square - d) <= tol * scale and max_abs(star - d) <= tol * scale
+
+
 def graph_report(g: QuantumGraph, tol: float = DEFAULT_TOL) -> GraphReport:
-    """Evaluate the full predicate battery on ``g``."""
+    """Evaluate the full predicate battery on ``g``.
+
+    Raises InvalidInput on non-finite entries before any arithmetic.  On a
+    group-indexed set with an exactly diagonal adjacency (a twisted Cayley
+    graph), the battery runs on N-vectors after one pass over A: the
+    diagonal d and its connection function f (:func:`_connection`) give
+    A . A = fftn(f f), A . I = I . A = f(0) 1, the star and the adjoint as
+    permuted and conjugated copies of d, and the counts from d u.  No
+    N x N array is formed and no Schur product is called.  Every other
+    graph is evaluated with the matrix Schur calculus.
+    """
+    d = _finite_diagonal(g)
+    if d is None:
+        return _schur_report(g, tol)
+    x = g.set
+    scale = scale_of(d)
+    f = _connection(x, d)
+    return _report(
+        x, tol, scale,
+        graph_flag=_diagonal_is_graph(x, d, f, scale, tol),
+        undirected=max_abs(d - np.conj(d)) <= tol * scale,
+        no_loops=abs(f[0]) <= tol * scale,
+        all_loops=abs(f[0] - 1) <= tol * scale,
+        a_eta=d * x.unit_vec,
+        eta_a=np.conj(x.unit_vec) * d,
+        spec=_real_values(f, tol * scale),
+    )
+
+
+def _schur_report(g: QuantumGraph, tol: float) -> GraphReport:
+    """The battery in the matrix Schur calculus, for any finite adjacency."""
     x = g.set
     a = g.adjacency
     scale = scale_of(a)
     eye = np.eye(x.N, dtype=complex)
-
-    graph_flag = is_quantum_graph(g, tol=tol)
-    undirected = max_abs(a - a.conj().T) <= tol * scale
-
+    graph_flag = _schur_is_graph(x, a, tol)
     loops_left = schur_product(x, a, eye)
     loops_right = schur_product(x, eye, a)
-    no_loops = max_abs(loops_left) <= tol * scale and max_abs(loops_right) <= tol * scale
-    all_loops = (
-        max_abs(loops_left - eye) <= tol * scale
-        and max_abs(loops_right - eye) <= tol * scale
+    return _report(
+        x, tol, scale,
+        graph_flag=graph_flag,
+        undirected=max_abs(a - a.conj().T) <= tol * scale,
+        no_loops=max_abs(loops_left) <= tol * scale and max_abs(loops_right) <= tol * scale,
+        all_loops=(max_abs(loops_left - eye) <= tol * scale
+                   and max_abs(loops_right - eye) <= tol * scale),
+        a_eta=a @ x.unit_vec,
+        eta_a=np.conj(x.unit_vec) @ a,  # eta^dag A
+        spec=edge_spectrum(g, tol=tol),
     )
+
+
+def _report(x: QuantumSet, tol: float, scale: float, *, graph_flag: bool, undirected: bool,
+            no_loops: bool, all_loops: bool, a_eta: np.ndarray, eta_a: np.ndarray,
+            spec: Optional[np.ndarray]) -> GraphReport:
+    """The report from the battery's tests, A eta, eta^dag A and the edge spectrum."""
     if no_loops:
         loop_status = "none"
     elif all_loops:
@@ -407,16 +508,14 @@ def graph_report(g: QuantumGraph, tol: float = DEFAULT_TOL) -> GraphReport:
         loop_status = "mixed-weighted"
 
     vertices = int(round(np.vdot(x.unit_vec, x.unit_vec).real))
-    edges = complex(np.vdot(x.unit_vec, a @ x.unit_vec))
+    edges = complex(np.vdot(x.unit_vec, a_eta))
 
-    eta_row = np.conj(x.unit_vec) @ a  # eta^dag A
     degree = edges / vertices
-    if max_abs(eta_row - degree * np.conj(x.unit_vec)) <= tol * max(scale, 1.0):
+    if max_abs(eta_a - degree * np.conj(x.unit_vec)) <= tol * max(scale, 1.0):
         regular: Optional[float] = float(degree.real)
     else:
         regular = None
 
-    spec = edge_spectrum(g, tol=tol)
     quantum_edges: Optional[int] = None
     if spec is None:
         multigraph: Optional[bool] = None

@@ -29,6 +29,27 @@ def random_bicharacter(group: AbelianGroup, rng: np.random.Generator) -> Bichara
     return make_bicharacter(group, vals)
 
 
+def twisted_family():
+    """Representative family of (label, twisted set) with N <= 64."""
+    from qgraphs.clifford import clifford_set
+    from qgraphs.groups import trivial_bicharacter, twist_quantum_set
+    from qgraphs.weyl import weyl_bicharacter
+
+    sets = []
+    for n in range(2, 9):
+        sigma = weyl_bicharacter(n)
+        sets.append((f"weyl({n})", twist_quantum_set(sigma.group, sigma)))
+    for n in range(1, 7):
+        sets.append((f"clifford({n})", clifford_set(n)))
+    rng = np.random.default_rng(2024)
+    for orders in [(2, 4), (2, 2, 3), (6, 6), (2,) * 6, (8, 8), (4, 4, 4)]:
+        group = AbelianGroup(orders)
+        sigma = random_bicharacter(group, rng)
+        sets.append((f"random{orders}", twist_quantum_set(group, sigma)))
+        sets.append((f"trivial{orders}", twist_quantum_set(group, trivial_bicharacter(group))))
+    return sets
+
+
 def random_generating_multiset(group: AbelianGroup, rng: np.random.Generator,
                                allow_repeats: bool = True,
                                allow_zero: bool = True) -> list[tuple[int, ...]]:

@@ -21,6 +21,7 @@ from conftest import (
     rook_spectrum,
     transported_duality,
     transported_mult,
+    twisted_family,
 )
 
 from qgraphs import (
@@ -63,7 +64,7 @@ from qgraphs.clifford import (
     squared_generators,
 )
 from qgraphs.constructions import diagonal_embedding, quotient_graph
-from qgraphs.groups import AbelianGroup, cayley_spectrum, trivial_bicharacter
+from qgraphs.groups import AbelianGroup, cayley_spectrum
 from qgraphs.kernels import max_abs
 from qgraphs.weyl import (
     phi_isomorphism,
@@ -92,23 +93,6 @@ class _Stopwatch:
         return False
 
 
-def _twisted_family():
-    """Representative family of twisted sets with N <= 64."""
-    sets = []
-    for n in range(2, 9):
-        sigma = weyl_bicharacter(n)
-        sets.append((f"weyl({n})", twist_quantum_set(sigma.group, sigma)))
-    for n in range(1, 7):
-        sets.append((f"clifford({n})", clifford_set(n)))
-    rng = np.random.default_rng(2024)
-    for orders in [(2, 4), (2, 2, 3), (6, 6), (2,) * 6, (8, 8), (4, 4, 4)]:
-        group = AbelianGroup(orders)
-        sigma = random_bicharacter(group, rng)
-        sets.append((f"random{orders}", twist_quantum_set(group, sigma)))
-        sets.append((f"trivial{orders}", twist_quantum_set(group, trivial_bicharacter(group))))
-    return sets
-
-
 def test_criterion_01_frobenius_suite():
     with _Stopwatch("01 frobenius suite"):
         cases = [[1] * 16, [2], [3], [4], [1, 2, 3], [2, 2, 4]]
@@ -118,7 +102,7 @@ def test_criterion_01_frobenius_suite():
             assert report.all_pass, (blocks, report.failed())
             assert max(c.residual for c in report.checks) <= 1e-9
             assert time.perf_counter() - t0 < 1.0, blocks
-        for label, x in _twisted_family():
+        for label, x in twisted_family():
             t0 = time.perf_counter()
             report = verify_frobenius(x, tol=1e-9)
             assert report.all_pass, (label, report.failed())

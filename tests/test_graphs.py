@@ -338,6 +338,101 @@ def test_empty_graph_is_zero_regular():
     assert rep.regular_degree == 0.0
 
 
+def _twisted_graphs():
+    """(label, graph) for a Cayley graph on every twisted set of the family, and perturbations.
+
+    The perturbations keep the adjacency diagonal (scaled, one diagonal
+    entry phased or raised, loops, a non-integral spectrum), except the last:
+    an off-diagonal 1e-300 that sends the graph to the matrix calculus.  It
+    is added on the sets with N <= 16 only, since the dense contraction
+    costs N^4 per product and runs the same code at every N.
+    """
+    from conftest import random_generating_multiset, twisted_family
+    from qgraphs.groups import cayley_spectrum
+
+    rng = np.random.default_rng(14)
+    for label, x in twisted_family():
+        d = cayley_spectrum(x.group, random_generating_multiset(x.group, rng))
+        k = int(rng.integers(0, x.N))
+        phased, raised = d.copy(), d.copy()
+        phased[k] *= 1j
+        raised[k] += 1
+        variants = {"cayley": np.diag(d), "x2": np.diag(2 * d), "phased": np.diag(phased),
+                    "plus-I": np.diag(d + 1), "one-raised": np.diag(raised),
+                    "non-integral": np.diag(0.5 * d + 0.25)}
+        if x.N <= 16:
+            variants["off-diagonal-1e-300"] = np.diag(d)
+            variants["off-diagonal-1e-300"][0, x.N - 1] = 1e-300
+        for name, a in variants.items():
+            yield f"{label}-{name}", QuantumGraph(x, a)
+
+
+def _bits(value):
+    return None if value is None else np.asarray(value, dtype=complex).tobytes()
+
+
+def test_diagonal_battery_matches_the_matrix_calculus():
+    # the matrix Schur calculus is the reference for the diagonal branch
+    from qgraphs import graphs
+
+    seen = set()
+    for label, g in _twisted_graphs():
+        rep = graph_report(g)
+        ref = graphs._schur_report(g, 1e-9)
+        assert rep == ref, label
+        assert _bits(rep.edges) == _bits(ref.edges), label
+        assert _bits(rep.regular_degree) == _bits(ref.regular_degree), label
+        assert graphs.is_quantum_graph(g) == graphs._schur_is_graph(g.set, g.adjacency, 1e-9)
+        seen.add((rep.is_graph, rep.is_undirected, rep.loop_status, rep.is_multigraph))
+    # the corpus reaches both verdicts of every test
+    assert {s[0] for s in seen} == {True, False}
+    assert {s[1] for s in seen} == {True, False}
+    assert {s[2] for s in seen} == {"none", "all", "mixed-weighted"}
+    assert {s[3] for s in seen} == {True, False, None}
+
+
+def test_twisted_diagonal_report_makes_no_schur_product(monkeypatch):
+    from qgraphs import graphs
+    from qgraphs.clifford import cube_like_graph
+
+    g = cube_like_graph(6, preset="hypercube")
+    want = graphs._schur_report(g, 1e-9)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("matrix Schur calculus called on a twisted diagonal")
+
+    for name in ("schur_product", "schur_star", "_group_convolve"):
+        monkeypatch.setattr(graphs, name, refuse)
+    assert graph_report(g) == want
+    assert graphs.is_quantum_graph(g)
+
+
+def _non_finite_cases():
+    from qgraphs.clifford import cube_like_graph
+
+    for label, g in [("block", QuantumGraph(build_quantum_set([1, 2]), np.eye(5))),
+                     ("twisted-256", cube_like_graph(8, preset="hypercube"))]:
+        off = g.adjacency.copy()
+        off[0, 1] = np.nan
+        diag = g.adjacency.copy()
+        diag[1, 1] = np.inf
+        yield pytest.param(QuantumGraph(g.set, off), id=f"{label}-nan-off-diagonal")
+        yield pytest.param(QuantumGraph(g.set, diag), id=f"{label}-inf-on-diagonal")
+
+
+@pytest.mark.parametrize("g", list(_non_finite_cases()))
+def test_non_finite_adjacency_is_refused_before_any_arithmetic(g):
+    import warnings
+
+    from qgraphs import is_quantum_graph
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        for check in (graph_report, is_quantum_graph):
+            with pytest.raises(InvalidInput, match="^adjacency has non-finite entries$"):
+                check(g)
+
+
 # ---------------------------------------------------------------------------
 # quantum edges and subspaces
 # ---------------------------------------------------------------------------
