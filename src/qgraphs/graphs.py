@@ -18,16 +18,19 @@ C(X) (x) C(X)^op, so on matrix-unit sets ``realign(A . B)`` is the blockwise
 matrix product ``realign(A) realign(B)``.  One cached gather layout
 (:func:`_realignment`) serves the Schur product, the rotation and the edge
 spectrum of those sets.  Group-indexed (twisted) sets have no block pairs:
-there the Schur product of diagonal operators is a convolution over the
-group, and any other pair of operators goes through the dense contraction
+there diagonal operators have their own Schur product and star, below, and
+any other pair of operators goes through the dense contraction
 ``m (A (x) B) m^dag``, which is capped at N <= DENSE_LIMIT.
 
-On the connection function f = F d / N of a diagonal d (an inverse FFT
-over the group's cyclic factors) the convolution is pointwise.  So the
-predicate battery checks a diagonal adjacency on a group-indexed set,
-such as a twisted Cayley graph, in N-vectors: one pass over A for
-finiteness and diagonality, then O(N log N).  Every other graph is checked
-in the matrix calculus above.  Both refuse non-finite entries first.
+On diagonals the Schur product is a convolution over the group, and on the
+connection function f = F d / N of a diagonal d (an inverse FFT over the
+group's cyclic factors) it is pointwise.  :func:`_diagonal_schur` and
+:func:`_diagonal_star` are the one product and star of diagonals: they serve
+``schur_product``, the predicate battery and the obstruction's closure, in
+N-vectors and O(N log N).  The battery checks a diagonal adjacency on a
+group-indexed set, such as a twisted Cayley graph, after one pass over A for
+finiteness and diagonality.  Every other graph is checked in the matrix
+calculus above.  Both refuse non-finite entries first.
 """
 
 from __future__ import annotations
@@ -149,16 +152,6 @@ def _unwrap_endomorphism(x: QuantumSet, a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
 
-def _group_convolve(x: QuantumSet, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a . b)_kappa = (1/N) sum_{mu+nu=kappa} a_mu b_nu for diagonal operators."""
-    table = x.group.addition_table()
-    weights = np.outer(a, b).ravel()
-    idx = table.ravel()
-    re = np.bincount(idx, weights=weights.real, minlength=x.N)
-    im = np.bincount(idx, weights=weights.imag, minlength=x.N)
-    return (re + 1j * im) / x.N
-
-
 class _PairClass(NamedTuple):
     """The ordered block pairs (i, j) with (n_i, n_j) = (p, q).
 
@@ -239,7 +232,7 @@ def schur_product(x: QuantumSet, a, b) -> np.ndarray:
     On matrix-unit sets the product is computed in the edge-projection
     picture, one matrix product per ordered block pair (the entrywise
     product on classical sets).  On group-indexed sets diagonal operators
-    reduce to a convolution; other operators there use the dense
+    reduce to a convolution (:func:`_diagonal_schur`); others use the dense
     contraction, refused above N = DENSE_LIMIT.  Both fast paths are
     cross-checked against the dense contraction in the test suite.
     """
@@ -250,7 +243,7 @@ def schur_product(x: QuantumSet, a, b) -> np.ndarray:
     if x.blocks is not None:
         return _realigned_product(x.blocks, a, b)
     if x.group is not None and _is_exactly_diagonal(a) and _is_exactly_diagonal(b):
-        return np.diag(_group_convolve(x, np.diag(a), np.diag(b)))
+        return np.diag(_diagonal_schur(x, np.diag(a), np.diag(b)))
     if x.N > DENSE_LIMIT:
         raise ResourceLimit(
             f"generic Schur product refused for N={x.N} > {DENSE_LIMIT}; "
@@ -363,6 +356,18 @@ def _connection(x: QuantumSet, d: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(d.reshape(x.group.orders)).ravel()
 
 
+def _diagonal_schur(x: QuantumSet, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """diag(a) . diag(b), a convolution over the group: pointwise on connection functions."""
+    return np.fft.fftn((_connection(x, a) * _connection(x, b)).reshape(x.group.orders)).ravel()
+
+
+def _diagonal_star(x: QuantumSet, d: np.ndarray) -> np.ndarray:
+    """The Schur star of diag(d), a diagonal: star_src[k] gets |star_phase[k]|^2 conj(d_k)."""
+    star = np.empty_like(d)
+    star[x.star_src] = x.star_phase * np.conj(x.star_phase) * np.conj(d)
+    return star
+
+
 def _real_values(f: np.ndarray, bound: float) -> Optional[np.ndarray]:
     """The sorted real parts of f, or None if some imaginary part exceeds bound."""
     if max_abs(f.imag) > bound:
@@ -433,13 +438,10 @@ def _diagonal_is_graph(x: QuantumSet, d: np.ndarray, f: np.ndarray, scale: float
                        tol: float) -> bool:
     """:func:`_schur_is_graph` on a diagonal d with connection function f.
 
-    A . A is fftn(f f), and A* keeps the diagonal: d_k moves to slot
-    star_src[k], conjugated and phased by |star_phase[k]|^2.
+    A . A is fftn(f f), as in :func:`_diagonal_schur`; A* is :func:`_diagonal_star`.
     """
     square = np.fft.fftn((f * f).reshape(x.group.orders)).ravel()
-    star = np.empty_like(d)
-    star[x.star_src] = x.star_phase * np.conj(x.star_phase) * np.conj(d)
-    return max_abs(square - d) <= tol * scale and max_abs(star - d) <= tol * scale
+    return max_abs(square - d) <= tol * scale and max_abs(_diagonal_star(x, d) - d) <= tol * scale
 
 
 def graph_report(g: QuantumGraph, tol: float = DEFAULT_TOL) -> GraphReport:

@@ -219,8 +219,8 @@ def reference_closure(g, max_dim=None):
     the closure stops there, complete.
     """
     from qgraphs.errors import InvalidInput
-    from qgraphs.graphs import (_group_convolve, _is_exactly_diagonal, schur_product,
-                                schur_star, schur_unit)
+    from qgraphs.graphs import (_diagonal_schur, _diagonal_star, _is_exactly_diagonal,
+                                schur_product, schur_star, schur_unit)
     from qgraphs.obstruction import RANK_TOL
 
     x = g.set
@@ -231,12 +231,11 @@ def reference_closure(g, max_dim=None):
         raise InvalidInput(f"max_dim must lie in 1..N^2 = {n2}, got {max_dim}")
     j, a = schur_unit(x), g.adjacency
     if x.group is not None and _is_exactly_diagonal(a) and _is_exactly_diagonal(j):
-        neg = x.group.negation()
         seeds = [np.ones(x.N, dtype=complex), np.diag(j).copy(), np.diag(a).copy()]
         max_dim = min(max_dim, x.N)
         compose, schur, dagger, star, to_matrix = (
-            np.multiply, lambda u, v: _group_convolve(x, u, v), np.conj,
-            lambda u: np.conj(u[neg]), np.diag)
+            np.multiply, lambda u, v: _diagonal_schur(x, u, v), np.conj,
+            lambda u: _diagonal_star(x, u), np.diag)
     else:
         seeds = [np.eye(x.N, dtype=complex), j, a]
         compose, schur, dagger, star, to_matrix = (

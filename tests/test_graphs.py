@@ -401,7 +401,7 @@ def test_twisted_diagonal_report_makes_no_schur_product(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("matrix Schur calculus called on a twisted diagonal")
 
-    for name in ("schur_product", "schur_star", "_group_convolve"):
+    for name in ("schur_product", "schur_star", "_diagonal_schur"):
         monkeypatch.setattr(graphs, name, refuse)
     assert graph_report(g) == want
     assert graphs.is_quantum_graph(g)

@@ -9,6 +9,7 @@ from conftest import (
     reference_elements,
     reference_fourier_matrix,
     twist_tensor,
+    twisted_family,
 )
 
 from qgraphs import (
@@ -392,10 +393,12 @@ def test_multiset_generators_make_multigraphs():
 
 def test_diagonal_convolution_matches_generic_schur():
     rng = np.random.default_rng(11)
+    sets = []
     for orders in [(2, 2), (3,), (2, 2, 2), (4, 4)]:
         group = AbelianGroup(orders)
-        sigma = random_bicharacter(group, rng)
-        x = twist_quantum_set(group, sigma)
+        sets.append(twist_quantum_set(group, random_bicharacter(group, rng)))
+    sets += [x for _, x in twisted_family()]  # every one has N <= 64
+    for x in sets:
         dx = rng.standard_normal(x.N) + 1j * rng.standard_normal(x.N)
         dy = rng.standard_normal(x.N) + 1j * rng.standard_normal(x.N)
         a, b = np.diag(dx), np.diag(dy)

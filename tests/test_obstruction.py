@@ -20,6 +20,7 @@ from qgraphs import (
     twisted_cayley,
 )
 from qgraphs.catalog import anticommutative_square
+from qgraphs.errors import InvalidInput
 from qgraphs.groups import AbelianGroup
 from qgraphs.kernels import max_abs, span_residual, gram_schmidt
 
@@ -36,15 +37,47 @@ def test_gell_mann_certificate():
     assert abs(max_abs(comm) - res.residual) < 1e-12
 
 
-@pytest.mark.parametrize("scale", [1e-10, 1e-6])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-170, 1e-100, 1e-10, 1e-6, 1.0, 1e150, 1e300])
 def test_scaled_down_gell_mann_still_certifies(scale):
-    # seeds enter the closure at any non-zero norm; only products and images
-    # of unit-norm members are cut at rounding level
+    # seeds enter the closure at any non-zero norm, also where their plain
+    # norm under- or overflows (outside about 1e+-154); only products and
+    # images of unit-norm members are cut at rounding level
     g = gell_mann_graph()
     res = classical_obstruction(QuantumGraph(g.set, scale * g.adjacency))
     assert isinstance(res, Certificate)
     assert {res.trace_x, res.trace_y} == {"A", "(A∘A)"}
     assert res.residual > 1e-6
+
+
+def _twisted_cube():
+    from qgraphs.clifford import cube_like_graph
+
+    return cube_like_graph(3, preset="hypercube")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-170, 1e-100, 1.0, 1e150, 1e300])
+def test_scaled_twisted_cube_keeps_its_diagonal_closure(scale):
+    q = _twisted_cube()
+    scaled = QuantumGraph(q.set, scale * q.adjacency)
+    assert len(schur_closure(scaled)[0]) == 4
+    res = classical_obstruction(scaled)
+    assert isinstance(res, Inconclusive) and res.closure_dim == 4
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("run", [classical_obstruction, schur_closure])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", [(1, 1), (0, 1)], ids=["diagonal", "off-diagonal"])
+@pytest.mark.parametrize("make", [gell_mann_graph, _twisted_cube], ids=["gell-mann", "twisted-q3"])
+def test_non_finite_adjacency_is_refused(make, entry, value, run):
+    # refused before any arithmetic, in either representation of the closure
+    g = make()
+    a = g.adjacency.copy()
+    a[entry] = value
+    with pytest.raises(InvalidInput, match="non-finite"):
+        run(QuantumGraph(g.set, a))
 
 
 def test_partial_loop_certificate_with_identity_witness():
@@ -132,8 +165,9 @@ def test_twisted_cayley_graphs_are_inconclusive(seed):
 
 
 def test_diagonal_scan_runs_without_the_matrix_schur_product(monkeypatch):
-    # a twisted hypercube's closure is diagonal: its scan convolves diagonal
-    # vectors and never hands N x N matrices to schur_product
+    # a twisted hypercube's closure is diagonal, where both products commute:
+    # classical_obstruction forms no Schur product beyond the closure's own,
+    # never hands N x N matrices to schur_product, and reports 0.0
     import qgraphs.obstruction
     from qgraphs.clifford import cube_like_graph
 
@@ -141,15 +175,46 @@ def test_diagonal_scan_runs_without_the_matrix_schur_product(monkeypatch):
     ops, _ = schur_closure(g)
     dense = max(max_abs(schur_product(g.set, a, b) - schur_product(g.set, b, a))
                 for i, (_, a) in enumerate(ops) for _, b in ops[i + 1:])
+    assert dense < 1e-12
 
     def refuse(*args, **kwargs):
         raise AssertionError("matrix Schur product called on a diagonal closure")
 
+    calls = []
+    diagonal_schur = qgraphs.obstruction._diagonal_schur
+
+    def count(*args):
+        calls.append(None)
+        return diagonal_schur(*args)
+
     monkeypatch.setattr(qgraphs.obstruction, "schur_product", refuse)
+    monkeypatch.setattr(qgraphs.obstruction, "_diagonal_schur", count)
+    schur_closure(g)
+    in_closure = len(calls)
     res = classical_obstruction(g)
+    assert len(calls) == 2 * in_closure
     assert isinstance(res, Inconclusive)
     assert res.closure_dim == 7
-    assert res.max_residual == dense
+    assert res.max_residual == 0.0
+    assert res.note == ("closure is diagonal on a group-indexed set, hence Schur-commutative; "
+                        "this does not certify classicality")
+
+
+def test_diagonal_obstruction_runs_in_bounded_memory():
+    # twisted Q_9 (N = 512): the closure holds N-vectors, never an N x N array
+    import tracemalloc
+
+    from qgraphs.clifford import cube_like_graph
+
+    g = cube_like_graph(9, preset="hypercube")
+    tracemalloc.start()
+    try:
+        res = classical_obstruction(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(res, Inconclusive) and res.closure_dim == 10
+    assert peak < 2**20
 
 
 def _random_block_graph(blocks, fraction, seed):
@@ -218,7 +283,7 @@ def test_closure_and_scan_match_the_round_based_reference(name, monkeypatch):
 
     monkeypatch.setattr(qgraphs.obstruction, "_closure", record)
     got = classical_obstruction(g, max_dim)
-    members, complete, _, _ = closures[0]
+    members, complete, diagonal = closures[0]
     want = reference_closure(g, max_dim)
     assert want[4] < REFERENCE_MAX_ROUNDS
     assert [t for t, _ in members] == [t for t, _ in want[0]]
@@ -227,7 +292,13 @@ def test_closure_and_scan_match_the_round_based_reference(name, monkeypatch):
 
     ref = reference_scan(want)
     assert type(got) is type(ref)
-    if isinstance(ref, Certificate):
+    assert diagonal == (members[0][1].ndim == 1)
+    if diagonal:
+        # the library skips the scan, as both products commute on diagonals;
+        # the reference scans every pair and finds rounding noise only
+        assert (got.closure_dim, got.max_residual) == (ref.closure_dim, 0.0)
+        assert got.note.startswith("closure is diagonal") and ref.max_residual < 1e-12
+    elif isinstance(ref, Certificate):
         assert (got.trace_x, got.trace_y, got.threshold) == (ref.trace_x, ref.trace_y, ref.threshold)
         assert np.float64(got.residual).tobytes() == np.float64(ref.residual).tobytes()
         assert got.witness_x.tobytes() == ref.witness_x.tobytes()
