@@ -1,5 +1,6 @@
 """Named small graphs on M_2 and M_3: Pauli edges, the partial-loop
-families, the Gell-Mann graph, and the complete M_2 classifier."""
+families, the Gell-Mann graph, and the complete M_2 classifier.  The
+constructors take no tolerance: the Pauli bases are orthonormal."""
 
 from __future__ import annotations
 
@@ -47,7 +48,7 @@ def pauli_edge(i: int) -> QuantumGraph:
     return quantum_edge(2, _PAULIS[i - 1])
 
 
-def m2_graph(m: int, tol: float = 1e-9) -> QuantumGraph:
+def m2_graph(m: int) -> QuantumGraph:
     """The simple graph on M_2 with m quantum edges, m in 0..3.
 
     These are complete isomorphism representatives: the empty graph,
@@ -55,12 +56,12 @@ def m2_graph(m: int, tol: float = 1e-9) -> QuantumGraph:
     """
     if m not in (0, 1, 2, 3):
         raise InvalidInput(f"m2_graph: m must be in 0..3, got {m}")
-    return graph_from_subspace(2, list(_PAULIS[:m]), tol=tol)
+    return graph_from_subspace(2, list(_PAULIS[:m]))
 
 
-def anticommutative_square(tol: float = 1e-9) -> QuantumGraph:
+def anticommutative_square() -> QuantumGraph:
     """The two-edge graph built from sigma_1 and sigma_3 (the P_1 + P_3 square)."""
-    return graph_from_subspace(2, [SIGMA_1, SIGMA_3], tol=tol)
+    return graph_from_subspace(2, [SIGMA_1, SIGMA_3])
 
 
 def m2_partial_family(m: int, t: float) -> QuantumGraph:

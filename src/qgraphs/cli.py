@@ -179,21 +179,21 @@ _BICHARS: dict[str, Callable[[AbelianGroup], np.ndarray]] = {
 
 _N = (("n",),)
 
-#: catalog preset -> (the groups of options it needs, checked in turn; builder(args, tol))
+#: catalog preset -> (the groups of options it needs, checked in turn; builder(args))
 _PRESETS = {
-    "m2-empty": ((), lambda a, tol: m2_graph(0, tol=tol)),
-    "m2-edge": ((), lambda a, tol: m2_graph(1, tol=tol)),
-    "m2-two": ((), lambda a, tol: m2_graph(2, tol=tol)),
-    "m2-full": ((), lambda a, tol: m2_graph(3, tol=tol)),
-    "m2-partial": ((("m", "t"),), lambda a, tol: m2_partial_family(a.m, a.t)),
-    "anticommutative-square": ((), lambda a, tol: anticommutative_square(tol=tol)),
-    "gell-mann": ((), lambda a, tol: gell_mann_graph()),
-    "rook": (_N, lambda a, tol: quantum_rook(a.n, tol=tol)),
-    "hypercube": (_N, lambda a, tol: cube_like_graph(a.n, preset="hypercube")),
-    "folded": (_N, lambda a, tol: cube_like_graph(a.n, preset="folded")),
-    "squared": (_N, lambda a, tol: cube_like_graph(a.n, preset="squared")),
+    "m2-empty": ((), lambda a: m2_graph(0)),
+    "m2-edge": ((), lambda a: m2_graph(1)),
+    "m2-two": ((), lambda a: m2_graph(2)),
+    "m2-full": ((), lambda a: m2_graph(3)),
+    "m2-partial": ((("m", "t"),), lambda a: m2_partial_family(a.m, a.t)),
+    "anticommutative-square": ((), lambda a: anticommutative_square()),
+    "gell-mann": ((), lambda a: gell_mann_graph()),
+    "rook": (_N, lambda a: quantum_rook(a.n)),
+    "hypercube": (_N, lambda a: cube_like_graph(a.n, preset="hypercube")),
+    "folded": (_N, lambda a: cube_like_graph(a.n, preset="folded")),
+    "squared": (_N, lambda a: cube_like_graph(a.n, preset="squared")),
     "cube": (_N + (("gens",),),
-             lambda a, tol: cube_like_graph(a.n, gens=_parse_elements(a.gens, a.n))),
+             lambda a: cube_like_graph(a.n, gens=_parse_elements(a.gens, a.n))),
 }
 
 
@@ -288,7 +288,7 @@ def _cmd_catalog(args: argparse.Namespace, tol: float) -> Result:
         if any(getattr(args, opt) is None for opt in options):
             missing = " and ".join(f"--{opt}" for opt in options)
             raise InvalidInput(f"catalog {args.preset} needs {missing}")
-    return _graph_result(build(args, tol), tol, preset=args.preset)
+    return _graph_result(build(args), tol, preset=args.preset)
 
 
 def _cmd_quotient(args: argparse.Namespace, tol: float) -> Result:

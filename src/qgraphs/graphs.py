@@ -294,7 +294,8 @@ def adjacency_to_projection(g: QuantumGraph) -> EdgeProjection:
     """Realign the adjacency into per-block-pair matrices.
 
     Block pair (i, j) acts on C^{n_i} (x) C^{n_j} with entries
-    A[(i,a,b),(j,c,d)] / sqrt(n_i n_j) at row (a,c), column (b,d).
+    A[(i,a,b),(j,c,d)] / sqrt(n_i n_j) at row (a,c), column (b,d), in
+    gather order (the document writer sorts them).
     """
     x = g.set
     if x.blocks is None:
@@ -302,7 +303,7 @@ def adjacency_to_projection(g: QuantumGraph) -> EdgeProjection:
     blocks: dict[tuple[int, int], np.ndarray] = {}
     for cls in _realignment(x.blocks):
         blocks.update(zip(cls.pairs(), cls.gather(g.adjacency) / cls.root))
-    return EdgeProjection(set=x, blocks=dict(sorted(blocks.items())))
+    return EdgeProjection(set=x, blocks=blocks)
 
 
 def projection_to_adjacency(p: EdgeProjection) -> QuantumGraph:
@@ -351,14 +352,19 @@ def _connection(x: QuantumSet, d: np.ndarray) -> np.ndarray:
     """f = F d / N, the inverse FFT of a diagonal over the group's cyclic factors.
 
     On diagonals the Schur product is convolution, so on f it is pointwise:
-    diag(A) . diag(B) = fftn(f_A f_B).
+    diag(A) . diag(B) = _diagonal(f_A f_B).
     """
     return np.fft.ifftn(d.reshape(x.group.orders)).ravel()
 
 
+def _diagonal(x: QuantumSet, f: np.ndarray) -> np.ndarray:
+    """The diagonal with connection function f: the inverse of :func:`_connection`."""
+    return np.fft.fftn(f.reshape(x.group.orders)).ravel()
+
+
 def _diagonal_schur(x: QuantumSet, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """diag(a) . diag(b), a convolution over the group: pointwise on connection functions."""
-    return np.fft.fftn((_connection(x, a) * _connection(x, b)).reshape(x.group.orders)).ravel()
+    return _diagonal(x, _connection(x, a) * _connection(x, b))
 
 
 def _diagonal_star(x: QuantumSet, d: np.ndarray) -> np.ndarray:
@@ -394,18 +400,23 @@ def edge_spectrum(g: QuantumGraph, tol: float = DEFAULT_TOL) -> Optional[np.ndar
     d = _finite_diagonal(g)
     if d is not None:
         return _real_values(_connection(x, d), tol * scale_of(d))
-    if x.blocks is not None:
-        lams = []
-        for cls in _realignment(x.blocks):
-            stack = cls.gather(g.adjacency) / cls.root
-            herm = 0.5 * (stack + np.conj(stack.swapaxes(1, 2)))
-            dev = np.abs(herm - stack).max(axis=(1, 2))
-            scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
-            if np.any(dev > tol * scale):
-                return None
-            lams.append(np.linalg.eigvalsh(herm).ravel())
-        return np.sort(np.concatenate(lams))
-    return None
+    return _block_spectrum(x, g.adjacency, tol)
+
+
+def _block_spectrum(x: QuantumSet, a: np.ndarray, tol: float) -> Optional[np.ndarray]:
+    """:func:`edge_spectrum` of a finite A that is not checked on its diagonal."""
+    if x.blocks is None:
+        return None
+    lams = []
+    for cls in _realignment(x.blocks):
+        stack = cls.gather(a) / cls.root
+        herm = 0.5 * (stack + np.conj(stack.swapaxes(1, 2)))
+        dev = np.abs(herm - stack).max(axis=(1, 2))
+        scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+        if np.any(dev > tol * scale):
+            return None
+        lams.append(np.linalg.eigvalsh(herm).ravel())
+    return np.sort(np.concatenate(lams))
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +449,9 @@ def _diagonal_is_graph(x: QuantumSet, d: np.ndarray, f: np.ndarray, scale: float
                        tol: float) -> bool:
     """:func:`_schur_is_graph` on a diagonal d with connection function f.
 
-    A . A is fftn(f f), as in :func:`_diagonal_schur`; A* is :func:`_diagonal_star`.
+    A . A is _diagonal(f f), as in :func:`_diagonal_schur`; A* is :func:`_diagonal_star`.
     """
-    square = np.fft.fftn((f * f).reshape(x.group.orders)).ravel()
+    square = _diagonal(x, f * f)
     return max_abs(square - d) <= tol * scale and max_abs(_diagonal_star(x, d) - d) <= tol * scale
 
 
@@ -492,7 +503,7 @@ def _schur_report(g: QuantumGraph, tol: float) -> GraphReport:
                    and max_abs(loops_right - eye) <= tol * scale),
         a_eta=a @ x.unit_vec,
         eta_a=np.conj(x.unit_vec) @ a,  # eta^dag A
-        spec=edge_spectrum(g, tol=tol),
+        spec=_block_spectrum(x, a, tol),  # graph_report has checked A once
     )
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class AbelianGroup:
     """Z_{n_1} x ... x Z_{n_m} with componentwise arithmetic, elements in C order."""
 
     orders: tuple[int, ...]
-    _add_table: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.orders = tuple(int(n) for n in self.orders)
@@ -83,22 +82,19 @@ class AbelianGroup:
         return int(np.ravel_multi_index([x % n for x, n in zip(el, self.orders)], self.orders))
 
     def addition_table(self) -> np.ndarray:
-        """table[i, j] = index(el_i + el_j).
+        """table[i, j] = index(el_i + el_j), built anew on each call.
 
         Built one cyclic factor at a time: row-major indices satisfy
         index(a, a_k) = index(a) n_k + a_k, so appending Z_{n_k} expands
         every entry of the table so far into an n_k x n_k block.
         """
-        if self._add_table is None:
-            idx = np.zeros((1, 1), dtype=np.int64)
-            for n in self.orders:
-                r = np.arange(n, dtype=np.int64)
-                m = idx.shape[0]
-                idx = (idx[:, None, :, None] * n + ((r[:, None] + r) % n)[None, :, None, :]
-                       ).reshape(m * n, m * n)
-            self._add_table = idx
-            self._add_table.setflags(write=False)
-        return self._add_table
+        idx = np.zeros((1, 1), dtype=np.int64)
+        for n in self.orders:
+            r = np.arange(n, dtype=np.int64)
+            m = idx.shape[0]
+            idx = (idx[:, None, :, None] * n + ((r[:, None] + r) % n)[None, :, None, :]
+                   ).reshape(m * n, m * n)
+        return idx
 
     def negation(self) -> np.ndarray:
         """neg[i] = index(-el_i)."""
@@ -123,7 +119,6 @@ class Bicharacter:
     tol: InitVar[float] = DEFAULT_TOL
     _exp_num: np.ndarray = field(init=False, repr=False)  # k_ij
     _exp_den: np.ndarray = field(init=False, repr=False)  # gcd(n_i, n_j)
-    _table: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self, tol: float) -> None:
         g = self.group
@@ -156,24 +151,26 @@ class Bicharacter:
         self._exp_num, self._exp_den = num, den
 
     def value(self, mu: Sequence[int], nu: Sequence[int]) -> complex:
-        return self.table()[self.group.index(mu), self.group.index(nu)]
+        """sigma(mu, nu), the entry of :meth:`table` at (index(mu), index(nu))."""
+        g = self.group
+        return self._phases(*(np.unravel_index(g.index(el), g.orders) for el in (mu, nu)))
 
     def table(self) -> np.ndarray:
-        """sigma(mu, nu) for all pairs of group elements.
+        """sigma(mu, nu) for all pairs of group elements, built anew on each call."""
+        c = self.group.coords()
+        return self._phases(c, c.T)
 
-        sigma(mu, nu) = zeta^(mu^T W nu) with zeta a primitive root of
-        unity of order L = lcm of the gcd(n_i, n_j) and W[i, j] the
-        generator exponents over L, so the whole exponent table is one
-        integer product (c W) c^T of the coordinate matrix c, exact, and a
-        lookup in the root table turns it into phases.
+    def _phases(self, mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
+        """sigma of coordinate rows mu and columns nu: zeta^(mu W nu), exact.
+
+        zeta is a primitive root of unity of order L = lcm of the gcd(n_i,
+        n_j) and W[i, j] the generator exponents over L, so the exponents
+        are one integer product and a lookup in the root table turns them
+        into phases.
         """
-        if self._table is None:
-            c = self.group.coords()
-            lcm = math.lcm(*(int(d) for d in self._exp_den.ravel()))
-            w = (self._exp_num * (lcm // self._exp_den)) % lcm
-            self._table = unit_roots(lcm)[((c @ w) @ c.T) % lcm]
-            self._table.setflags(write=False)
-        return self._table
+        lcm = math.lcm(*(int(d) for d in self._exp_den.ravel()))
+        w = (self._exp_num * (lcm // self._exp_den)) % lcm
+        return unit_roots(lcm)[((mu @ w) @ nu) % lcm]
 
 
 def make_bicharacter(
@@ -245,14 +242,13 @@ def twist_quantum_set(group: AbelianGroup, sigma: Bicharacter) -> QuantumSet:
     if sigma.group is not group and sigma.group.orders != group.orders:
         raise InvalidInput("bicharacter is defined on a different group")
     n = group.size
-    table = group.addition_table()
     sig = sigma.table()
     sqrt_n = math.sqrt(n)
 
     # every ordered pair (mu, nu), row-major: the tables in raveled order
     lft = np.repeat(np.arange(n, dtype=np.int64), n)
     rgt = np.tile(np.arange(n, dtype=np.int64), n)
-    out = table.ravel()
+    out = group.addition_table().ravel()
     val = np.conj(sig.ravel()) / sqrt_n
 
     unit = np.zeros(n, dtype=complex)

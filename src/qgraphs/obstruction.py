@@ -15,9 +15,9 @@ The closure is a semi-naive fixpoint (each round combines only what the
 round before added with the rest) that stops once its span is final: at the
 first candidate the ``max_dim`` cap refuses, and when the members span the
 whole space.  When A and J are diagonal on a group-indexed set, the closure
-stays diagonal and uses the diagonal Schur product and star of
-:mod:`qgraphs.graphs`.  There the Schur product is a convolution over an
-abelian group, which commutes, so the closure is not scanned.  Otherwise
+stays diagonal: its members are N-vectors, under the diagonal Schur product
+and star of :mod:`qgraphs.graphs`.  That Schur product is a convolution over
+an abelian group, which commutes, so the closure is not scanned.  Otherwise
 the scan stops at the first combined trace length that holds a witness.
 Both entry points refuse non-finite adjacency entries before any arithmetic.
 """
@@ -75,21 +75,34 @@ class Inconclusive:
     max_residual: float
 
 
-def _closure(g: QuantumGraph, max_dim: Optional[int]) -> tuple[list, bool, bool]:
-    """(members, complete, diagonal): the closure of {I, J, A} in one
-    representation.  When A and J are diagonal on a group-indexed set
-    (:func:`_finite_diagonal`, and eta with at most one nonzero entry) the
-    closure stays diagonal and members are diagonal vectors: composition is
-    pointwise, the Schur product :func:`_diagonal_schur` and the Schur star
-    :func:`_diagonal_star`.  Otherwise members are N x N matrices.  Raises
-    InvalidInput on non-finite adjacency entries.
+def schur_closure(
+    g: QuantumGraph, max_dim: Optional[int] = None
+) -> tuple[list[tuple[str, np.ndarray]], bool]:
+    """Grow the span of {I, J, A} closed under composition, Schur product,
+    dagger and Schur star.
+
+    Returns the list of (construction trace, unit-norm operator) for a
+    linearly independent generating family, plus a completeness flag which
+    is False when ``max_dim`` (1 to N^2) stopped the iteration early.  Each
+    member is returned as the closure holds it: when A and J are diagonal on
+    a group-indexed set (:func:`_finite_diagonal`, and eta with at most one
+    nonzero entry) that is the N-vector of its diagonal, with pointwise
+    composition, the Schur product :func:`_diagonal_schur` (three FFTs of
+    length N) and the Schur star :func:`_diagonal_star`, and no N x N array
+    is formed (twisted Q_10, N = 1024: 0.16 s on one core, a ``tracemalloc``
+    peak of 0.48 MiB); otherwise an N x N matrix.  Raises InvalidInput on
+    non-finite adjacency entries.
 
     Each round offers the images of the members the round before added and
     their products with every member so far (an older pair only repeats a
-    candidate in the span); diagonal products commute, so there each
-    unordered pair is offered once.  The loop ends as soon as the members
-    are final: at the cap's first refusal of an independent candidate, and
-    when they span the whole space (N^2 matrices, N diagonal vectors).
+    candidate in the span), so a closure of dimension d makes at most d^2
+    compositions and d^2 Schur products, d(d + 1)/2 of each on diagonal
+    vectors, where both commute.  The loop ends as soon as the members are
+    final: at the cap's first refusal of an independent candidate, and when
+    they span the whole space (N^2 matrices, N diagonal vectors).  So the
+    uncapped closure of a random graph on blocks [1, 3] (all N^2 = 100
+    operators) ends after 218 candidates, where running every round to its
+    end would offer 20,203.
     """
     x = g.set
     n2 = x.N * x.N
@@ -165,36 +178,7 @@ def _closure(g: QuantumGraph, max_dim: Optional[int]) -> tuple[list, bool, bool]
             if final():
                 break
         start = len(snapshot)
-    return members, not blocked, diagonal
-
-
-def schur_closure(
-    g: QuantumGraph, max_dim: Optional[int] = None
-) -> tuple[list[tuple[str, np.ndarray]], bool]:
-    """Grow the span of {I, J, A} closed under composition, Schur product,
-    dagger and Schur star.
-
-    Returns the list of (construction trace, unit-norm operator) for a
-    linearly independent generating family, plus a completeness flag which
-    is False when ``max_dim`` (1 to N^2) stopped the iteration early.  When
-    A is diagonal on a group-indexed set the closure runs on diagonal
-    vectors, and each Schur product is a convolution over the group, taken
-    pointwise on the connection functions: three FFTs of length N.  Only the
-    returned members are N x N; :func:`classical_obstruction` forms no N x N
-    array there (twisted Q_9 / Q_10: 0.08 / 0.16 s on one core, against
-    0.9 / 3.7 s with an N^2 convolution, and a ``tracemalloc`` peak of
-    0.22 / 0.48 MiB).  Each ordered pair of members
-    is combined at most once, so a closure of dimension d makes at most d^2
-    compositions and d^2 Schur products, d(d + 1)/2 of each on diagonal
-    vectors, where both commute (twisted Q_9 / Q_10: N = 512 / 1024, d up
-    to 10 / 11).  The iteration stops at the first candidate ``max_dim``
-    refuses and once the members span the whole space, so a capped closure
-    or the full algebra offers far fewer: the uncapped closure of a random
-    graph on blocks [1, 3] (all N^2 = 100 operators) ends after 218
-    candidates, where running every round to its end would offer 20,203.
-    """
-    members, complete, diagonal = _closure(g, max_dim)
-    return [(t, np.diag(m) if diagonal else m) for t, m in members], complete
+    return members, not blocked
 
 
 def classical_obstruction(
@@ -209,12 +193,13 @@ def classical_obstruction(
     with the identity or with its own square beats an equally valid but
     opaque combination) and is deterministic.  Pairs are scanned shortest
     first, up to the first length that holds a witness (Inconclusive scans
-    all).  A diagonal closure on a group-indexed set is not scanned: its Schur
-    products are convolutions, which commute, so the result is Inconclusive
-    with ``max_residual`` 0.0 and a note that says so.  Raises InvalidInput on
-    non-finite adjacency entries.
+    all).  A diagonal closure, whose members :func:`schur_closure` returns as
+    N-vectors, is not scanned: its Schur products are convolutions, which
+    commute, so the result is Inconclusive with ``max_residual`` 0.0 and a
+    note that says so.  Raises InvalidInput on non-finite adjacency entries.
     """
-    members, complete, diagonal = _closure(g, max_dim)
+    members, complete = schur_closure(g, max_dim)
+    diagonal = members[0][1].ndim == 1  # the seed I, as the closure holds it
     pairs = [] if diagonal else sorted(itertools.combinations(members, 2),
                                        key=lambda p: len(p[0][0]) + len(p[1][0]))
     best: Optional[tuple[tuple, np.ndarray, np.ndarray, float]] = None

@@ -1,6 +1,7 @@
 """The Z_n x Z_n specialisation: the phase bicharacter whose twist turns the
 classical n^2-point set into M_n, the explicit isomorphism realising that,
-and the quantum rook's graph.
+and the quantum rook's graph (its closed form; the twist pipeline through
+phi is the reference it is tested against).
 
 The isomorphism phi sends the first deformed generator to
 diag(1, w, ..., w^{n-1}) and the second one to the cyclic shift; entrywise
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, Operator, build_quantum_set
+from .algebra import Operator, build_quantum_set
 from .errors import InvalidInput
 from .graphs import QuantumGraph
 from .groups import (
@@ -25,7 +26,7 @@ from .groups import (
     twist_quantum_set,
     twisted_cayley,
 )
-from .kernels import max_abs, scale_of, unit_root, unit_roots
+from .kernels import unit_root, unit_roots
 
 __all__ = [
     "weyl_bicharacter",
@@ -78,24 +79,18 @@ def rook_adjacency_closed_form(n: int) -> np.ndarray:
     return a
 
 
-def quantum_rook(n: int, tol: float = DEFAULT_TOL) -> QuantumGraph:
-    """The quantum rook's graph on M_n.
+def quantum_rook(n: int) -> QuantumGraph:
+    """The quantum rook's graph on M_n, from its closed-form adjacency.
 
-    Built from the closed-form adjacency; the twist pipeline (twisted
-    Cayley graph conjugated through phi) is evaluated as well and the two
-    are required to agree within tolerance, else InvalidInput.
+    The set is built first, so an oversized n is refused (``MAX_N``) before
+    any n^2 x n^2 array exists.  :func:`rook_pipeline_adjacency` derives the
+    same graph through the twist (the reference the test suite compares
+    against).
     """
     if n < 2:
         raise InvalidInput("quantum_rook requires n >= 2")
-    phi = phi_isomorphism(n)  # admits the n^2-point set before the closed form
-    a = rook_adjacency_closed_form(n)
-    b = rook_pipeline_adjacency(phi)
-    if max_abs(a - b) > tol * scale_of(a):
-        raise InvalidInput(
-            f"rook closed form and twist pipeline disagree by {max_abs(a - b):.3e}, "
-            f"more than the tolerance {tol:g} allows"
-        )
-    return QuantumGraph(set=phi.codomain, adjacency=a)
+    x = build_quantum_set([n])
+    return QuantumGraph(set=x, adjacency=rook_adjacency_closed_form(n))
 
 
 def rook_pipeline_adjacency(phi: Operator) -> np.ndarray:

@@ -346,10 +346,16 @@ def test_cayley_spectrum_output(capsys):
     assert lams == [-3, -1, -1, -1, 1, 1, 1, 3]
 
 
-def test_catalog_rook_cross_check_failure_is_exit_2(capsys):
-    code, out, err = run(capsys, "catalog", "rook", "--n", "3", "--tol", "1e-20")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "1e-20" in err
+@pytest.mark.parametrize("preset", [["rook", "--n", "3"], ["rook", "--n", "8"], ["m2-empty"],
+                                    ["m2-edge"], ["m2-two"], ["m2-full"],
+                                    ["anticommutative-square"]],
+                         ids=" ".join)
+def test_catalog_graph_does_not_depend_on_tol(capsys, preset):
+    # a catalog graph is built without a tolerance; --tol governs only the checks
+    code, want, _ = run(capsys, "catalog", *preset, "--json")
+    assert code == 0
+    for tol in ("1e-20", "10"):
+        assert run(capsys, "catalog", *preset, "--json", "--tol", tol) == (0, want, "")
 
 
 def _graph_text(edit=None):

@@ -48,6 +48,23 @@ def test_bicharacter_small_cases():
     assert sigma.value((0, 1, 1), (1, 0, 0)) == 1
 
 
+def test_twisted_set_keeps_only_its_multiplication():
+    # the addition and bicharacter tables are built once and held only by m
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        x = clifford_set(9)  # N = 512: each N^2 table is 2 MiB (int) or 4 MiB (complex)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    m = sum(a.nbytes for a in (x.mult_out, x.mult_left, x.mult_right, x.mult_val))
+    assert kept <= m + 64 * 2**10
+    assert np.array_equal(x.mult_out.reshape(x.N, x.N), x.group.addition_table())
+    assert np.array_equal(x.mult_val.reshape(x.N, x.N),
+                          np.conj(x.bicharacter.table()) / np.sqrt(x.N))
+
+
 def test_cl1_is_commutative():
     x = clifford_set(1)
     t = _tau(x, (1,))

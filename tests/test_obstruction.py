@@ -173,8 +173,10 @@ def test_diagonal_scan_runs_without_the_matrix_schur_product(monkeypatch):
 
     g = cube_like_graph(6, preset="hypercube")
     ops, _ = schur_closure(g)
+    assert all(op.shape == (g.set.N,) for _, op in ops)
+    mats = [np.diag(op) for _, op in ops]
     dense = max(max_abs(schur_product(g.set, a, b) - schur_product(g.set, b, a))
-                for i, (_, a) in enumerate(ops) for _, b in ops[i + 1:])
+                for i, a in enumerate(mats) for b in mats[i + 1:])
     assert dense < 1e-12
 
     def refuse(*args, **kwargs):
@@ -215,6 +217,25 @@ def test_diagonal_obstruction_runs_in_bounded_memory():
         tracemalloc.stop()
     assert isinstance(res, Inconclusive) and res.closure_dim == 10
     assert peak < 2**20
+
+
+def test_diagonal_closure_returns_vectors_in_bounded_memory():
+    # twisted Q_10 (N = 1024): schur_closure returns each member as the
+    # closure holds it, an N-vector, and forms no N x N array (16 MiB complex)
+    import tracemalloc
+
+    from qgraphs.clifford import cube_like_graph
+
+    g = cube_like_graph(10, preset="hypercube")
+    tracemalloc.start()
+    try:
+        ops, complete = schur_closure(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert complete and len(ops) == 11
+    assert all(op.shape == (1024,) for _, op in ops)
+    assert peak < 2 * 2**20
 
 
 def _random_block_graph(blocks, fraction, seed):
@@ -275,15 +296,15 @@ def test_closure_and_scan_match_the_round_based_reference(name, monkeypatch):
 
     make, max_dim = REFERENCE_CORPUS[name]
     g = make()
-    closure, closures = qgraphs.obstruction._closure, []
+    closure, closures = qgraphs.obstruction.schur_closure, []
 
     def record(*args):
         closures.append(closure(*args))
         return closures[-1]
 
-    monkeypatch.setattr(qgraphs.obstruction, "_closure", record)
+    monkeypatch.setattr(qgraphs.obstruction, "schur_closure", record)
     got = classical_obstruction(g, max_dim)
-    members, complete, diagonal = closures[0]
+    members, complete = closures[0]
     want = reference_closure(g, max_dim)
     assert want[4] < REFERENCE_MAX_ROUNDS
     assert [t for t, _ in members] == [t for t, _ in want[0]]
@@ -292,7 +313,8 @@ def test_closure_and_scan_match_the_round_based_reference(name, monkeypatch):
 
     ref = reference_scan(want)
     assert type(got) is type(ref)
-    assert diagonal == (members[0][1].ndim == 1)
+    diagonal = want[3] is np.diag  # the reference's members are diagonal vectors
+    assert {m.shape for _, m in members} == {(g.set.N,) if diagonal else (g.set.N, g.set.N)}
     if diagonal:
         # the library skips the scan, as both products commute on diagonals;
         # the reference scans every pair and finds rounding noise only

@@ -121,17 +121,26 @@ def test_rook_n2_is_the_anticommutative_square():
     assert np.array_equal(g.adjacency, anticommutative_square().adjacency)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16])
 def test_rook_two_path_consistency(n):
+    # the twist pipeline through phi is the reference for the closed form
     closed = rook_adjacency_closed_form(n)
     pipeline = rook_pipeline_adjacency(phi_isomorphism(n))
     assert np.abs(closed - pipeline).max() < 1e-9
+    assert np.array_equal(quantum_rook(n).adjacency, closed)
 
 
-def test_rook_cross_check_failure_is_invalid_input():
-    # rounding alone separates the two paths by ~1e-15, more than tol 1e-20 allows
-    with pytest.raises(InvalidInput, match="tolerance 1e-20"):
-        quantum_rook(3, tol=1e-20)
+def test_quantum_rook_32_is_fast():
+    # the closed form alone: no n^2 x n^2 conjugation through phi
+    import time
+
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        g = quantum_rook(32)
+        times.append(time.perf_counter() - start)
+    assert g.set.blocks == (32,)
+    assert min(times) < 0.05
 
 
 def test_rook_spectrum_multiset():
