@@ -22,10 +22,11 @@ from .algebra import (DEFAULT_TOL, Check, Operator, QuantumSet, Report, admit_di
                       check_star_homomorphism)
 from .constructions import quotient_graph
 from .errors import InvalidInput
-from .graphs import QuantumGraph, schur_product, schur_star
+from .graphs import QuantumGraph, _diagonal_calculus
 from .groups import (
     AbelianGroup,
     Bicharacter,
+    cayley_spectrum,
     make_bicharacter,
     twist_quantum_set,
     twisted_cayley,
@@ -163,18 +164,19 @@ def folded_quotient_check(n: int, tol: float = DEFAULT_TOL) -> Report:
 
 def halved_square_check(n: int, tol: float = DEFAULT_TOL) -> Report:
     """Checks that (A^2 - (n+1) I)/2 on the deformed (n+1)-hypercube is a
-    simple quantum graph whose spectrum follows the squared-hypercube rule."""
-    cube = cube_like_graph(n + 1, preset="hypercube")
-    x = cube.set
-    a = cube.adjacency
-    b = 0.5 * (a @ a - (n + 1) * np.eye(x.N))
+    simple quantum graph whose spectrum follows the squared-hypercube rule;
+    both are diagonal, so the checks run in the diagonal Schur calculus."""
+    x = clifford_set(n + 1)
+    lam = cayley_spectrum(x.group, hypercube_generators(n + 1))  # the diagonal of A
+    b = 0.5 * (lam * lam - (n + 1))
+    c = _diagonal_calculus(x, b)
     scale = scale_of(b)
     residuals = {
-        "schur_idempotent": max_abs(schur_product(x, b, b) - b),
-        "schur_selfadjoint": max_abs(schur_star(x, b) - b),
-        "undirected": max_abs(b - b.conj().T),
-        "no_loops": max_abs(schur_product(x, b, np.eye(x.N, dtype=complex))),
-        "squared_spectrum": max_abs(np.diag(b).real - lambda_squared(n, x.group.coords().sum(axis=1))),
+        "schur_idempotent": max_abs(c.schur(b, b) - b),
+        "schur_selfadjoint": max_abs(c.star(b) - b),
+        "undirected": max_abs(b - c.dagger(b)),
+        "no_loops": max_abs(c.loops()[0]),
+        "squared_spectrum": max_abs(b.real - lambda_squared(n, x.group.coords().sum(axis=1))),
     }
     return Report(checks=[Check(name, res <= tol * scale, res) for name, res in residuals.items()],
                   tol=tol)

@@ -25,16 +25,20 @@ any other pair of operators goes through the dense contraction
 On diagonals the Schur product is a convolution over the group, and on the
 connection function f = F d / N of a diagonal d (an inverse FFT over the
 group's cyclic factors) it is pointwise.  :func:`_diagonal_schur` and
-:func:`_diagonal_star` are the one product and star of diagonals: they serve
-``schur_product``, the predicate battery and the obstruction's closure, in
-N-vectors and O(N log N).  The battery checks a diagonal adjacency on a
-group-indexed set, such as a twisted Cayley graph, after one pass over A for
-finiteness and diagonality.  Every other graph is checked in the matrix
-calculus above.  Both refuse non-finite entries first.
+:func:`_diagonal_star` are the one product and star of diagonals, in
+N-vectors and O(N log N); ``schur_product`` uses them on diagonal operands.
+
+A graph's Schur calculus is chosen once, by :func:`_calculus`, after one pass
+over A that refuses non-finite entries: the diagonal calculus on N-vectors
+when the set is group-indexed, A is exactly diagonal and eta has at most one
+nonzero entry (a twisted Cayley graph), and the matrix calculus on N x N
+matrices for every other graph.  The predicate battery, the edge spectrum
+and the obstruction's closure each run one body on the calculus it returns.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -363,8 +367,12 @@ def _diagonal(x: QuantumSet, f: np.ndarray) -> np.ndarray:
 
 
 def _diagonal_schur(x: QuantumSet, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """diag(a) . diag(b), a convolution over the group: pointwise on connection functions."""
-    return _diagonal(x, _connection(x, a) * _connection(x, b))
+    """diag(a) . diag(b), a convolution over the group: pointwise on connection functions.
+
+    A square (b is a) transforms its operand once.
+    """
+    fa = _connection(x, a)
+    return _diagonal(x, fa * (fa if b is a else _connection(x, b)))
 
 
 def _diagonal_star(x: QuantumSet, d: np.ndarray) -> np.ndarray:
@@ -381,30 +389,8 @@ def _real_values(f: np.ndarray, bound: float) -> Optional[np.ndarray]:
     return np.sort(f.real)
 
 
-def edge_spectrum(g: QuantumGraph, tol: float = DEFAULT_TOL) -> Optional[np.ndarray]:
-    """Spectrum of the edge element, when cheaply computable.
-
-    Matrix-unit sets: eigenvalues of the realigned blocks, or None if some
-    block is not Hermitian within tol.  Group-indexed sets with diagonal
-    adjacency: the values of the connection function f = F d / N of the
-    diagonal d (the Schur calculus restricted to diagonals is the
-    convolution algebra, so these are exactly the spectral values),
-    computed as an FFT over the group's cyclic factors without forming F
-    (:func:`_connection`, which the diagonal branch of :func:`graph_report`
-    shares); it agrees with the matrix product up to rounding, and callers
-    only compare its values against tolerances.  None if the transform is
-    not real within tol.  Returns None otherwise.  Raises InvalidInput on
-    non-finite entries.
-    """
-    x = g.set
-    d = _finite_diagonal(g)
-    if d is not None:
-        return _real_values(_connection(x, d), tol * scale_of(d))
-    return _block_spectrum(x, g.adjacency, tol)
-
-
 def _block_spectrum(x: QuantumSet, a: np.ndarray, tol: float) -> Optional[np.ndarray]:
-    """:func:`edge_spectrum` of a finite A that is not checked on its diagonal."""
+    """The edge spectrum of a finite N x N adjacency: realigned block pairs, or None."""
     if x.blocks is None:
         return None
     lams = []
@@ -419,101 +405,108 @@ def _block_spectrum(x: QuantumSet, a: np.ndarray, tol: float) -> Optional[np.nda
     return np.sort(np.concatenate(lams))
 
 
+#: The Schur calculus of a graph's set in one representation, with A in it:
+#: operators are N-vectors of diagonals or N x N matrices, ``eye()`` and
+#: ``unit()`` build I and J on demand, ``loops()`` gives A . I and I . A, and
+#: ``spectrum(tol)`` the edge spectrum of A.
+_Calculus = collections.namedtuple("_Calculus", "a eye unit compose schur dagger star loops spectrum")
+
+
+def _calculus(g: QuantumGraph) -> _Calculus:
+    """The Schur calculus of g's set with A in it: the one choice of representation.
+
+    The diagonal calculus applies when the set is group-indexed, A is
+    exactly diagonal and finite (:func:`_finite_diagonal`) and eta has at
+    most one nonzero entry, so that J is diagonal too; the matrix calculus
+    applies to every other graph.  Raises InvalidInput on non-finite entries.
+    """
+    x = g.set
+    d = _finite_diagonal(g)
+    if d is not None and np.count_nonzero(x.unit_vec) <= 1:
+        # a contiguous copy of d: vdot on a strided view rounds differently
+        return _diagonal_calculus(x, d.copy())
+    a = g.adjacency
+    eye = functools.cache(lambda: np.eye(x.N, dtype=complex))  # N x N: only when asked
+    return _Calculus(
+        a, eye, lambda: schur_unit(x), np.matmul, functools.partial(schur_product, x),
+        lambda u: u.conj().T, functools.partial(schur_star, x),
+        loops=lambda: (schur_product(x, a, eye()), schur_product(x, eye(), a)),
+        spectrum=lambda tol: _block_spectrum(x, a, tol))
+
+
+def _diagonal_calculus(x: QuantumSet, d: np.ndarray) -> _Calculus:
+    """The Schur calculus of diagonals on a group-indexed set, with A = diag(d).
+
+    All in O(N log N) on N-vectors.  With f = :func:`_connection` of d,
+    A . I = I . A = f(0) 1, and the edge spectrum is the values of f (on
+    diagonals the Schur calculus is the convolution algebra).
+    """
+    f = _connection(x, d)
+    loop = np.full(x.N, f[0])
+    return _Calculus(
+        d, lambda: np.ones(x.N, dtype=complex), lambda: x.unit_vec * np.conj(x.unit_vec),
+        np.multiply,
+        functools.partial(_diagonal_schur, x), np.conj, functools.partial(_diagonal_star, x),
+        loops=lambda: (loop, loop),
+        spectrum=lambda tol: _real_values(f, tol * scale_of(d)))
+
+
+def edge_spectrum(g: QuantumGraph, tol: float = DEFAULT_TOL) -> Optional[np.ndarray]:
+    """Spectrum of the edge element, when cheaply computable.
+
+    In the matrix calculus: eigenvalues of the realigned blocks on a
+    matrix-unit set, or None if some block is not Hermitian within tol, and
+    None on any other set.  In the diagonal calculus (:func:`_calculus`):
+    the values of the connection function f = F d / N of the diagonal d,
+    an FFT over the group's cyclic factors, or None if f is not real within
+    tol.  Raises InvalidInput on non-finite entries.
+    """
+    return _calculus(g).spectrum(tol)
+
+
 # ---------------------------------------------------------------------------
 # predicate battery
 # ---------------------------------------------------------------------------
 
 
+def _is_graph(c: _Calculus, scale: float, tol: float) -> bool:
+    """A . A = A and A = A* in the calculus c."""
+    a = c.a
+    return max_abs(c.schur(a, a) - a) <= tol * scale and max_abs(c.star(a) - a) <= tol * scale
+
+
 def is_quantum_graph(g: QuantumGraph, tol: float = DEFAULT_TOL) -> bool:
-    """A . A = A and A = A* in the Schur calculus.
+    """A . A = A and A = A* in the Schur calculus of :func:`_calculus`.
 
-    Raises InvalidInput on non-finite entries.  A diagonal adjacency on a
-    group-indexed set is checked on its diagonal, as in :func:`graph_report`.
+    Raises InvalidInput on non-finite entries.
     """
-    x = g.set
-    d = _finite_diagonal(g)
-    if d is None:
-        return _schur_is_graph(x, g.adjacency, tol)
-    return _diagonal_is_graph(x, d, _connection(x, d), scale_of(d), tol)
-
-
-def _schur_is_graph(x: QuantumSet, a: np.ndarray, tol: float) -> bool:
-    scale = scale_of(a)
-    return (
-        max_abs(schur_product(x, a, a) - a) <= tol * scale
-        and max_abs(schur_star(x, a) - a) <= tol * scale
-    )
-
-
-def _diagonal_is_graph(x: QuantumSet, d: np.ndarray, f: np.ndarray, scale: float,
-                       tol: float) -> bool:
-    """:func:`_schur_is_graph` on a diagonal d with connection function f.
-
-    A . A is _diagonal(f f), as in :func:`_diagonal_schur`; A* is :func:`_diagonal_star`.
-    """
-    square = _diagonal(x, f * f)
-    return max_abs(square - d) <= tol * scale and max_abs(_diagonal_star(x, d) - d) <= tol * scale
+    c = _calculus(g)
+    return _is_graph(c, scale_of(c.a), tol)
 
 
 def graph_report(g: QuantumGraph, tol: float = DEFAULT_TOL) -> GraphReport:
     """Evaluate the full predicate battery on ``g``.
 
-    Raises InvalidInput on non-finite entries before any arithmetic.  On a
-    group-indexed set with an exactly diagonal adjacency (a twisted Cayley
-    graph), the battery runs on N-vectors after one pass over A: the
-    diagonal d and its connection function f (:func:`_connection`) give
-    A . A = fftn(f f), A . I = I . A = f(0) 1, the star and the adjoint as
-    permuted and conjugated copies of d, and the counts from d u.  No
-    N x N array is formed and no Schur product is called.  Every other
-    graph is evaluated with the matrix Schur calculus.
+    Raises InvalidInput on non-finite entries before any arithmetic.  The
+    battery runs once, in the Schur calculus :func:`_calculus` chooses.  On
+    a diagonal adjacency on a group-indexed set (a twisted Cayley graph)
+    that is N-vectors after one pass over A: A . A is one convolution,
+    A . I = I . A = f(0) 1, the star and the adjoint are permuted and
+    conjugated copies of the diagonal d, and the counts come from d u; no
+    N x N array is formed and neither ``schur_product`` nor ``schur_star``
+    is called.
     """
-    d = _finite_diagonal(g)
-    if d is None:
-        return _schur_report(g, tol)
     x = g.set
-    scale = scale_of(d)
-    f = _connection(x, d)
-    return _report(
-        x, tol, scale,
-        graph_flag=_diagonal_is_graph(x, d, f, scale, tol),
-        undirected=max_abs(d - np.conj(d)) <= tol * scale,
-        no_loops=abs(f[0]) <= tol * scale,
-        all_loops=abs(f[0] - 1) <= tol * scale,
-        a_eta=d * x.unit_vec,
-        eta_a=np.conj(x.unit_vec) * d,
-        spec=_real_values(f, tol * scale),
-    )
-
-
-def _schur_report(g: QuantumGraph, tol: float) -> GraphReport:
-    """The battery in the matrix Schur calculus, for any finite adjacency."""
-    x = g.set
-    a = g.adjacency
+    c = _calculus(g)
+    a = c.a
     scale = scale_of(a)
-    eye = np.eye(x.N, dtype=complex)
-    graph_flag = _schur_is_graph(x, a, tol)
-    loops_left = schur_product(x, a, eye)
-    loops_right = schur_product(x, eye, a)
-    return _report(
-        x, tol, scale,
-        graph_flag=graph_flag,
-        undirected=max_abs(a - a.conj().T) <= tol * scale,
-        no_loops=max_abs(loops_left) <= tol * scale and max_abs(loops_right) <= tol * scale,
-        all_loops=(max_abs(loops_left - eye) <= tol * scale
-                   and max_abs(loops_right - eye) <= tol * scale),
-        a_eta=a @ x.unit_vec,
-        eta_a=np.conj(x.unit_vec) @ a,  # eta^dag A
-        spec=_block_spectrum(x, a, tol),  # graph_report has checked A once
-    )
-
-
-def _report(x: QuantumSet, tol: float, scale: float, *, graph_flag: bool, undirected: bool,
-            no_loops: bool, all_loops: bool, a_eta: np.ndarray, eta_a: np.ndarray,
-            spec: Optional[np.ndarray]) -> GraphReport:
-    """The report from the battery's tests, A eta, eta^dag A and the edge spectrum."""
-    if no_loops:
+    graph_flag = _is_graph(c, scale, tol)
+    undirected = max_abs(a - c.dagger(a)) <= tol * scale
+    loops_left, loops_right = c.loops()
+    if max_abs(loops_left) <= tol * scale and max_abs(loops_right) <= tol * scale:
         loop_status = "none"
-    elif all_loops:
+    elif (max_abs(loops_left - c.eye()) <= tol * scale
+          and max_abs(loops_right - c.eye()) <= tol * scale):
         loop_status = "all"
     elif graph_flag:
         loop_status = "partial"
@@ -521,14 +514,16 @@ def _report(x: QuantumSet, tol: float, scale: float, *, graph_flag: bool, undire
         loop_status = "mixed-weighted"
 
     vertices = int(round(np.vdot(x.unit_vec, x.unit_vec).real))
-    edges = complex(np.vdot(x.unit_vec, a_eta))
+    edges = complex(np.vdot(x.unit_vec, c.compose(a, x.unit_vec)))  # eta^dag A eta
 
     degree = edges / vertices
+    eta_a = c.compose(np.conj(x.unit_vec), a)  # eta^dag A
     if max_abs(eta_a - degree * np.conj(x.unit_vec)) <= tol * max(scale, 1.0):
         regular: Optional[float] = float(degree.real)
     else:
         regular = None
 
+    spec = c.spectrum(tol)
     quantum_edges: Optional[int] = None
     if spec is None:
         multigraph: Optional[bool] = None

@@ -14,12 +14,16 @@ never claims classicality.
 The closure is a semi-naive fixpoint (each round combines only what the
 round before added with the rest) that stops once its span is final: at the
 first candidate the ``max_dim`` cap refuses, and when the members span the
-whole space.  When A and J are diagonal on a group-indexed set, the closure
-stays diagonal: its members are N-vectors, under the diagonal Schur product
-and star of :mod:`qgraphs.graphs`.  That Schur product is a convolution over
-an abelian group, which commutes, so the closure is not scanned.  Otherwise
-the scan stops at the first combined trace length that holds a witness.
-Both entry points refuse non-finite adjacency entries before any arithmetic.
+whole space.  It runs in the one Schur calculus that
+:func:`qgraphs.graphs._calculus` chooses for the graph, as the predicate
+battery does: N-vectors when the set is group-indexed, A is exactly diagonal
+and eta has at most one nonzero entry (so J is diagonal too), N x N matrices
+otherwise.  On N-vectors the Schur product is a convolution over an abelian
+group, which commutes, so a diagonal closure is not scanned;
+:func:`classical_obstruction` tells the two forms apart by the members'
+shape.  Otherwise the scan stops at the first combined trace length that
+holds a witness.  Both entry points refuse non-finite adjacency entries
+before any arithmetic.
 """
 
 from __future__ import annotations
@@ -27,14 +31,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Union
 
 import numpy as np
 
 from .errors import InvalidInput
-from .graphs import (QuantumGraph, _diagonal_schur, _diagonal_star, _finite_diagonal,
-                     schur_product, schur_star, schur_unit)
+from .graphs import QuantumGraph, _calculus, schur_product
 from .kernels import max_abs, orthogonal_part
 
 __all__ = ["Certificate", "Inconclusive", "schur_closure", "classical_obstruction"]
@@ -83,15 +85,16 @@ def schur_closure(
 
     Returns the list of (construction trace, unit-norm operator) for a
     linearly independent generating family, plus a completeness flag which
-    is False when ``max_dim`` (1 to N^2) stopped the iteration early.  Each
-    member is returned as the closure holds it: when A and J are diagonal on
-    a group-indexed set (:func:`_finite_diagonal`, and eta with at most one
-    nonzero entry) that is the N-vector of its diagonal, with pointwise
-    composition, the Schur product :func:`_diagonal_schur` (three FFTs of
-    length N) and the Schur star :func:`_diagonal_star`, and no N x N array
-    is formed (twisted Q_10, N = 1024: 0.16 s on one core, a ``tracemalloc``
-    peak of 0.48 MiB); otherwise an N x N matrix.  Raises InvalidInput on
-    non-finite adjacency entries.
+    is False when ``max_dim`` (1 to N^2) stopped the iteration early.  The
+    closure runs in the Schur calculus that :func:`qgraphs.graphs._calculus`
+    chooses once for the graph, the one the predicate battery uses, and each
+    member is returned as that calculus holds it.  When the set is
+    group-indexed, A is exactly diagonal and eta has at most one nonzero
+    entry (so J is diagonal too), that is the N-vector of its diagonal, with
+    pointwise composition and a Schur product of at most three FFTs of
+    length N, and no N x N array is formed (twisted Q_10, N = 1024: 0.16 s
+    on one core, a ``tracemalloc`` peak of 0.48 MiB); otherwise it is an
+    N x N matrix.  Raises InvalidInput on non-finite adjacency entries.
 
     Each round offers the images of the members the round before added and
     their products with every member so far (an older pair only repeats a
@@ -111,18 +114,10 @@ def schur_closure(
     if not 1 <= max_dim <= n2:
         raise InvalidInput(f"max_dim must lie in 1..N^2 = {n2}, got {max_dim}")
 
-    d = _finite_diagonal(g)
-    diagonal = d is not None and np.count_nonzero(x.unit_vec) <= 1  # J = eta eta^dag too
-    if diagonal:
-        # a contiguous copy of d: vdot on a strided view rounds differently
-        seeds = [np.ones(x.N, dtype=complex), x.unit_vec * np.conj(x.unit_vec), d.copy()]
-        max_dim = min(max_dim, x.N)
-        compose, schur, dagger, star = (np.multiply, partial(_diagonal_schur, x), np.conj,
-                                        partial(_diagonal_star, x))
-    else:
-        seeds = [np.eye(x.N, dtype=complex), schur_unit(x), g.adjacency]
-        compose, schur, dagger, star = (np.matmul, partial(schur_product, x),
-                                        lambda u: u.conj().T, partial(schur_star, x))
+    c = _calculus(g)
+    diagonal = c.a.ndim == 1
+    full = c.a.size  # the dimension of the whole space: N^2 matrices or N diagonal vectors
+    max_dim = min(max_dim, full)
 
     members: list[tuple[str, np.ndarray]] = []
     ortho: list[np.ndarray] = []
@@ -146,14 +141,12 @@ def schur_closure(
         members.append((trace, unit))
         ortho.append(w / residual)
 
-    for trace, mat in zip("IJA", seeds):
+    for trace, mat in zip("IJA", (c.eye(), c.unit(), c.a)):
         # the plain norm of a seed under- or overflows outside about 1e+-154:
         # there the seed is measured against its largest entry first
         if math.sqrt(abs(np.vdot(mat, mat).real)) in (0.0, math.inf) and max_abs(mat) > 0:
             mat = mat / max_abs(mat)
         try_add(trace, mat, floor=0.0)
-
-    full = x.N if diagonal else n2  # the dimension of the whole space
 
     def final() -> bool:
         # a refusal by the cap comes only when the member list is full; a
@@ -163,12 +156,12 @@ def schur_closure(
 
     def offers(snapshot: list, start: int):
         for trace, mat in snapshot[start:]:
-            yield f"{trace}†", dagger(mat)
-            yield f"{trace}*", star(mat)
+            yield f"{trace}†", c.dagger(mat)
+            yield f"{trace}*", c.star(mat)
         for i, (ta, ma) in enumerate(snapshot):
             for tb, mb in snapshot[start if i < start else i if diagonal else 0:]:
-                yield f"({ta}∘{tb})", compose(ma, mb)
-                yield f"({ta}•{tb})", schur(ma, mb)
+                yield f"({ta}∘{tb})", c.compose(ma, mb)
+                yield f"({ta}•{tb})", c.schur(ma, mb)
 
     start = 0  # members[start:] were added by the previous round
     while start < len(members) and not final():

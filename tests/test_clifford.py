@@ -28,6 +28,7 @@ from qgraphs.clifford import (
 )
 from qgraphs.constructions import quotient_graph
 from qgraphs.errors import InvalidInput
+from qgraphs.kernels import max_abs
 from qgraphs.groups import cayley_spectrum
 from qgraphs.weyl import weyl_bicharacter
 
@@ -202,6 +203,37 @@ def test_folded_quotient_diagonal_entries_n3():
 def test_halved_square_battery(n):
     report = halved_square_check(n)
     assert report.all_pass, report.failed()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_halved_square_residuals_match_the_matrix_calculus(n):
+    # the halved square is diagonal: its N-vector checks give the residuals
+    # of the N x N Schur calculus bit for bit
+    from qgraphs import schur_product, schur_star
+
+    cube = cube_like_graph(n + 1, preset="hypercube")
+    x, a = cube.set, cube.adjacency
+    b = 0.5 * (a @ a - (n + 1) * np.eye(x.N))
+    want = [max_abs(schur_product(x, b, b) - b), max_abs(schur_star(x, b) - b),
+            max_abs(b - b.conj().T), max_abs(schur_product(x, b, np.eye(x.N, dtype=complex))),
+            max_abs(np.diag(b).real - lambda_squared(n, x.group.coords().sum(axis=1)))]
+    assert [c.residual for c in halved_square_check(n).checks] == want
+
+
+def test_halved_square_check_at_max_n_runs_on_vectors():
+    # n = 11: Cl_12 with N = 4096 = MAX_N.  Its set keeps the N^2 entries of m
+    # (640 MiB, 897 MiB while being built); the checks add only N-vectors,
+    # where one N x N complex array would be another 256 MiB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        report = halved_square_check(11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_pass, report.failed()
+    assert peak < 2**30
 
 
 def test_twisted_hypercube_frobenius():

@@ -371,32 +371,36 @@ def _bits(value):
     return None if value is None else np.asarray(value, dtype=complex).tobytes()
 
 
-def _matrix_report(g, monkeypatch):
-    """The battery in the matrix Schur calculus, the reference for the diagonal branch.
+def _matrix_reference(g, monkeypatch):
+    """(graph_report, is_quantum_graph) in the matrix Schur calculus on np.diag(d).
 
-    Its edge spectrum is :func:`edge_spectrum`'s: the matrix battery reads the
+    The reference for the diagonal calculus: the choice is steered to the
+    matrix calculus, whose adjacency is the N x N np.diag(d).  Its edge
+    spectrum is :func:`edge_spectrum`'s: the matrix calculus reads the
     spectrum off realigned block pairs, and a group-indexed set has none.
     """
     from qgraphs import graphs
 
     spec = graphs.edge_spectrum(g, 1e-9)
     with monkeypatch.context() as m:
+        m.setattr(graphs, "_finite_diagonal", lambda g: None)
         m.setattr(graphs, "_block_spectrum", lambda x, a, tol: spec)
-        return graphs._schur_report(g, 1e-9)
+        assert graphs._calculus(g).a.shape == (g.set.N, g.set.N)
+        return graphs.graph_report(g, 1e-9), graphs.is_quantum_graph(g, 1e-9)
 
 
 def test_diagonal_battery_matches_the_matrix_calculus(monkeypatch):
-    # the matrix Schur calculus is the reference for the diagonal branch
+    # the matrix Schur calculus is the reference for the diagonal calculus
     from qgraphs import graphs
 
     seen = set()
     for label, g in _twisted_graphs():
         rep = graph_report(g)
-        ref = _matrix_report(g, monkeypatch)
+        ref, ref_is_graph = _matrix_reference(g, monkeypatch)
         assert rep == ref, label
         assert _bits(rep.edges) == _bits(ref.edges), label
         assert _bits(rep.regular_degree) == _bits(ref.regular_degree), label
-        assert graphs.is_quantum_graph(g) == graphs._schur_is_graph(g.set, g.adjacency, 1e-9)
+        assert graphs.is_quantum_graph(g) == ref_is_graph, label
         seen.add((rep.is_graph, rep.is_undirected, rep.loop_status, rep.is_multigraph))
     # the corpus reaches both verdicts of every test
     assert {s[0] for s in seen} == {True, False}
@@ -406,19 +410,78 @@ def test_diagonal_battery_matches_the_matrix_calculus(monkeypatch):
 
 
 def test_twisted_diagonal_report_makes_no_schur_product(monkeypatch):
+    # the diagonal calculus forms no N x N array: the matrix Schur product
+    # and star are never called
     from qgraphs import graphs
     from qgraphs.clifford import cube_like_graph
 
     g = cube_like_graph(6, preset="hypercube")
-    want = _matrix_report(g, monkeypatch)
+    want, _ = _matrix_reference(g, monkeypatch)
 
     def refuse(*args, **kwargs):
         raise AssertionError("matrix Schur calculus called on a twisted diagonal")
 
-    for name in ("schur_product", "schur_star", "_diagonal_schur"):
+    for name in ("schur_product", "schur_star"):
         monkeypatch.setattr(graphs, name, refuse)
     assert graph_report(g) == want
     assert graphs.is_quantum_graph(g)
+    assert graphs.edge_spectrum(g) is not None
+
+
+def _counted_calculus(monkeypatch):
+    """Wrap the choice of Schur calculus; return the list of the calculi it gave."""
+    from qgraphs import graphs, obstruction
+
+    chosen = []
+    calculus = graphs._calculus
+
+    def count(g):
+        chosen.append(calculus(g))
+        return chosen[-1]
+
+    monkeypatch.setattr(graphs, "_calculus", count)
+    monkeypatch.setattr(obstruction, "_calculus", count)
+    return chosen
+
+
+@pytest.mark.parametrize("kind", ["block", "twisted-diagonal", "twisted-off-diagonal"])
+def test_each_entry_point_chooses_the_calculus_once(kind, monkeypatch):
+    from qgraphs import graphs, obstruction
+    from qgraphs.clifford import cube_like_graph
+
+    if kind == "block":
+        g = quantum_edge(2, SIGMA_3)
+    else:
+        g = cube_like_graph(3, preset="hypercube")
+        if kind == "twisted-off-diagonal":
+            g = QuantumGraph(g.set, g.adjacency + 0.5 * np.eye(g.set.N)[::-1])
+    chosen = _counted_calculus(monkeypatch)
+    for entry in (graphs.graph_report, graphs.is_quantum_graph, graphs.edge_spectrum,
+                  obstruction.schur_closure, obstruction.classical_obstruction):
+        chosen.clear()
+        entry(g)
+        assert len(chosen) == 1, entry.__name__
+        assert chosen[0].a.ndim == (1 if kind == "twisted-diagonal" else 2)
+
+
+def test_battery_and_closure_share_the_calculus_when_eta_has_two_entries(monkeypatch):
+    # J = eta eta^dag is not diagonal here, so the closure needs N x N
+    # matrices; the battery must not choose N-vectors for the same graph
+    import dataclasses
+
+    from qgraphs.clifford import clifford_set
+    from qgraphs.obstruction import schur_closure
+
+    x = clifford_set(3)
+    eta = np.zeros(x.N, dtype=complex)
+    eta[:2] = np.sqrt(x.N / 2)
+    y = dataclasses.replace(x, unit_vec=eta)
+    g = QuantumGraph(y, np.diag(np.arange(y.N, dtype=complex)))
+    chosen = _counted_calculus(monkeypatch)
+    graph_report(g)
+    members, _ = schur_closure(g)
+    assert [c.a.ndim for c in chosen] == [2, 2]
+    assert all(m.shape == (y.N, y.N) for _, m in members)
 
 
 def _non_finite_cases():

@@ -168,6 +168,7 @@ def test_diagonal_scan_runs_without_the_matrix_schur_product(monkeypatch):
     # a twisted hypercube's closure is diagonal, where both products commute:
     # classical_obstruction forms no Schur product beyond the closure's own,
     # never hands N x N matrices to schur_product, and reports 0.0
+    import qgraphs.graphs
     import qgraphs.obstruction
     from qgraphs.clifford import cube_like_graph
 
@@ -183,14 +184,15 @@ def test_diagonal_scan_runs_without_the_matrix_schur_product(monkeypatch):
         raise AssertionError("matrix Schur product called on a diagonal closure")
 
     calls = []
-    diagonal_schur = qgraphs.obstruction._diagonal_schur
+    diagonal_schur = qgraphs.graphs._diagonal_schur
 
     def count(*args):
         calls.append(None)
         return diagonal_schur(*args)
 
-    monkeypatch.setattr(qgraphs.obstruction, "schur_product", refuse)
-    monkeypatch.setattr(qgraphs.obstruction, "_diagonal_schur", count)
+    for module in (qgraphs.obstruction, qgraphs.graphs):
+        monkeypatch.setattr(module, "schur_product", refuse)
+    monkeypatch.setattr(qgraphs.graphs, "_diagonal_schur", count)
     schur_closure(g)
     in_closure = len(calls)
     res = classical_obstruction(g)
