@@ -12,18 +12,19 @@ Conventions used everywhere in this package:
   block-ordered, row-major family ``e_ab / sqrt(n_i)``; for deformed group
   algebras it is ``tau_mu / sqrt(N)``.  With this choice the adjoint of
   every operator matrix is the plain conjugate transpose.
-* The multiplication tensor ``m`` is stored sparsely as parallel arrays
-  (out, left, right, value).  Both builders give each (left, right) pair at
-  most one entry, in (left, right) order with each left index's right
-  indices in one contiguous run, so an entry is found from its pair by index
-  arithmetic.  Only ``QuantumSet.dense_mult`` densifies m, for the generic
-  Schur product of :mod:`qgraphs.graphs`, and it refuses N above
-  ``DENSE_LIMIT``.
+* The multiplication tensor ``m`` is stored only as sparse entries, the
+  parallel arrays ``QuantumSet.mult`` = (out, left, right, val), derived
+  from the set's presentation (its blocks, or its group and bicharacter) on
+  first read and then kept.  Each (left, right) pair has at most one entry,
+  in (left, right) order with each left index's right indices in one
+  contiguous run, so an entry is found from its pair by index arithmetic.
+  Nothing in this package densifies m.
 * The star sends each basis vector to a phase times another basis vector
   (``e_ab^* = e_ba``, ``tau_mu^* = c_mu tau_{-mu}``), so the duality R is a
   signed permutation and is stored as one: two length-N arrays with
   ``e_k^* = star_phase[k] e_{star_src[k]}``.  A set therefore holds
-  O(N + nonzeros of m) numbers; no N x N array is kept.
+  O(N) numbers until m is read and O(N + nonzeros of m) after; no N x N
+  array is kept.
 * A set holds no tolerance.  Each check takes the one it compares with as
   ``tol``, default ``DEFAULT_TOL``.
 
@@ -40,8 +41,10 @@ for one (left, right) pair) fails instead.
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -76,7 +79,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-#: largest N for which the multiplication tensor may be densified
+#: largest N for which the generic Schur product of graphs is computed
 DENSE_LIMIT = 64
 #: largest dimension N of a quantum set that any constructor admits: 2^12,
 #: the largest set a preset builds (Q_12, the block [64], the rook's graph on
@@ -101,33 +104,34 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+#: the entries of m, int64[k] x 3 and complex128[k]: e_left e_right has val on e_out
+Mult = collections.namedtuple("Mult", "out left right val")
+
+
 @dataclass(eq=False)
 class QuantumSet:
-    """A finite quantum set with precomputed Frobenius structure tensors.
+    """A finite quantum set: its presentation, unit and star.
 
     ``blocks`` is set when the orthonormal basis consists of scaled matrix
     units, block-ordered and row-major; it is None for deformed group
-    algebras, whose basis is indexed by group elements instead.  All
-    operations that need no block data work on either kind.
+    algebras, whose basis is indexed by group elements instead and which
+    carry their ``group`` and ``bicharacter``.  All operations that need no
+    block data work on either kind.
 
     The star is the signed permutation ``e_k^* = star_phase[k]
     e_{star_src[k]}``; construction refuses a ``star_src`` that is not a
-    permutation of ``range(N)``.  Together with the sparse multiplication
-    this keeps a set at O(N + nonzeros of m) memory.
+    permutation of ``range(N)``.  The multiplication ``mult`` is derived
+    from the presentation on first read and then kept, so a set holds O(N)
+    numbers until m is read and O(N + nonzeros of m) after.
     """
 
     blocks: Optional[tuple[int, ...]]
     N: int
-    mult_out: np.ndarray  # int64[k]
-    mult_left: np.ndarray  # int64[k]
-    mult_right: np.ndarray  # int64[k]
-    mult_val: np.ndarray  # complex128[k]
     unit_vec: np.ndarray  # complex128[N]
     star_src: np.ndarray  # int64[N]; e_k^* = star_phase[k] e_{star_src[k]}
     star_phase: np.ndarray  # complex128[N]
     group: Optional["AbelianGroup"] = None
     bicharacter: Optional["Bicharacter"] = None
-    _dense_mult: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         src = self.star_src
@@ -135,23 +139,28 @@ class QuantumSet:
                 or self.star_phase.shape != (self.N,)
                 or not np.array_equal(np.sort(src), np.arange(self.N))):
             raise InvalidInput(f"star source is not a permutation of the {self.N} basis slots")
-        for a in (self.mult_out, self.mult_left, self.mult_right, self.mult_val,
-                  self.unit_vec, self.star_src, self.star_phase):
+        for a in (self.unit_vec, self.star_src, self.star_phase):
             _readonly(a)
 
-    # -- structure tensors ------------------------------------------------
+    @functools.cached_property
+    def mult(self) -> Mult:
+        """The entries of m, read-only, derived from the presentation.
 
-    def dense_mult(self) -> np.ndarray:
-        """The multiplication tensor as an (N, N, N) array m[out, left, right]."""
-        if self.N > DENSE_LIMIT:
-            raise ResourceLimit(
-                f"dense multiplication tensor refused for N={self.N} > {DENSE_LIMIT}"
-            )
-        if self._dense_mult is None:
-            m = np.zeros((self.N, self.N, self.N), dtype=complex)
-            m[self.mult_out, self.mult_left, self.mult_right] = self.mult_val
-            self._dense_mult = _readonly(m)
-        return self._dense_mult
+        On blocks, (i,a,b)(i,b,d) -> (i,a,d) with weight 1/sqrt(n_i), ordered
+        by block, then (a, b, d) row-major.  On a group with bicharacter
+        sigma, b_mu b_nu = conj(sigma(mu,nu)) b_{mu+nu} / sqrt(N), one entry
+        per ordered pair (mu, nu) in row-major order: the addition and
+        bicharacter tables raveled.
+        """
+        if self.blocks is not None:
+            o, n, t = _block_grid(self.blocks, 3)  # entry (a, b, d): t = (a n + b) n + d
+            m = (o + t // (n * n) * n + t % n, o + t // n, o + t % (n * n),
+                 (1.0 / np.sqrt(n)).astype(complex))
+        else:
+            r = np.arange(self.N, dtype=np.int64)
+            m = (self.group.addition_table().ravel(), np.repeat(r, self.N), np.tile(r, self.N),
+                 np.conj(self.bicharacter.table().ravel()) / math.sqrt(self.N))
+        return Mult(*map(_readonly, m))
 
     def same_set(self, other: "QuantumSet") -> bool:
         if self.N != other.N or self.blocks != other.blocks:
@@ -276,11 +285,9 @@ class Report:
 def build_quantum_set(blocks: Sequence[int]) -> QuantumSet:
     """Quantum set for the algebra M_{n_1} + ... + M_{n_a}.
 
-    Structure constants in the orthonormal basis e_ab / sqrt(n):
-    multiplication couples (i,a,b)(i,b,d) -> (i,a,d) with weight 1/sqrt(n_i),
-    entries ordered by block, then (a, b, d) row-major; the unit has entry
-    sqrt(n_i) at each diagonal slot, and the star sends (i,a,b) to (i,b,a)
-    with phase 1.
+    In the orthonormal basis e_ab / sqrt(n) the unit has entry sqrt(n_i) at
+    each diagonal slot and the star sends (i,a,b) to (i,b,a) with phase 1;
+    the multiplication is derived on first read of ``mult``.
     """
     blocks = tuple(int(n) for n in blocks)
     if len(blocks) == 0:
@@ -289,30 +296,24 @@ def build_quantum_set(blocks: Sequence[int]) -> QuantumSet:
         raise InvalidInput(f"block sizes must be positive, got {blocks}")
     admit_dimension(sum(n * n for n in blocks))
 
-    sizes = np.asarray(blocks, dtype=np.int64)
-    slots = sizes * sizes
-
-    def grid(counts: np.ndarray):
-        """(block offset, block size, local index) of each of counts[i] indices per block."""
-        n = np.repeat(sizes, counts)
-        t = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        return np.repeat(np.cumsum(slots) - slots, counts), n, t
-
-    o, n, t = grid(slots)  # slot (a, b) of its block: t = a n + b
+    o, n, t = _block_grid(blocks, 2)  # slot (a, b) of its block: t = a n + b
     a, b = t // n, t % n
-    unit = np.where(a == b, np.sqrt(n), 0.0).astype(complex)
-    o3, n3, t3 = grid(slots * sizes)  # entry (a, b, d): t = (a n + b) n + d
     return QuantumSet(
         blocks=blocks,
-        N=int(slots.sum()),
-        mult_out=o3 + t3 // (n3 * n3) * n3 + t3 % n3,
-        mult_left=o3 + t3 // n3,
-        mult_right=o3 + t3 % (n3 * n3),
-        mult_val=(1.0 / np.sqrt(n3)).astype(complex),
-        unit_vec=unit,
+        N=t.size,
+        unit_vec=np.where(a == b, np.sqrt(n), 0.0).astype(complex),
         star_src=o + b * n + a,
         star_phase=np.ones(a.size, dtype=complex),
     )
+
+
+def _block_grid(blocks: tuple[int, ...], power: int):
+    """(block offset, block size, local index) of the n_i^power indices of each block."""
+    sizes = np.asarray(blocks, dtype=np.int64)
+    slots, counts = sizes * sizes, sizes ** power
+    n = np.repeat(sizes, counts)
+    t = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(np.cumsum(slots) - slots, counts), n, t
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +332,9 @@ def algebra_multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     s = x.set
     if s is not y.set and not s.same_set(y.set):
         raise InvalidInput("algebra_multiply: elements live on different quantum sets")
-    w = s.mult_val * x.coeffs[s.mult_left] * y.coeffs[s.mult_right]
-    return AlgebraElement(s, _scatter_accumulate(s.mult_out, w, s.N))
+    m = s.mult
+    w = m.val * x.coeffs[m.left] * y.coeffs[m.right]
+    return AlgebraElement(s, _scatter_accumulate(m.out, w, s.N))
 
 
 def algebra_star(x: AlgebraElement) -> AlgebraElement:
@@ -350,9 +352,9 @@ def counit_apply(x: AlgebraElement) -> complex:
 
 def left_mult_matrix(x: AlgebraElement) -> np.ndarray:
     """Matrix of left multiplication by ``x`` on l2(X) (a faithful picture)."""
-    s = x.set
+    s, m = x.set, x.set.mult
     mat = np.zeros((s.N, s.N), dtype=complex)
-    np.add.at(mat, (s.mult_out, s.mult_right), s.mult_val * x.coeffs[s.mult_left])
+    np.add.at(mat, (m.out, m.right), m.val * x.coeffs[m.left])
     return mat
 
 
@@ -409,16 +411,17 @@ class _Entries:
     ``k`` = nnz(m) stands for "no entry": its output and indices are -1 and
     its value 0, so it matches no output, and row -1 (the last one) is empty,
     so a lookup in the row of a missing entry's output misses too.  Both set
-    builders give ``span == cnt`` and ``slot == arange(k)``.
+    presentations give ``span == cnt`` and ``slot == arange(k)``.
     """
 
     def __init__(self, x: QuantumSet, order: np.ndarray):
-        n, k = x.N, x.mult_val.size
+        m = x.mult
+        n, k = x.N, m.val.size
         self.n, self.k = n, k
         self.out, self.lft, self.rgt = (np.append(a.astype(np.int64), -1) for a in
-                                        (x.mult_out, x.mult_left, x.mult_right))
-        self.val = np.append(x.mult_val, 0)
-        lft, rgt = x.mult_left, x.mult_right
+                                        (m.out, m.left, m.right))
+        self.val = np.append(m.val, 0)
+        lft, rgt = m.left, m.right
         cnt = np.bincount(lft, minlength=n)
         first = np.cumsum(cnt) - cnt  # a row's first and last entries in (left, right) order
         full = cnt > 0
@@ -429,18 +432,19 @@ class _Entries:
         self.base = np.append(np.cumsum(span) - span, span.sum())
         self.slot = np.full(span.sum() + 1, k, dtype=np.int64)
         self.slot[self.base[lft] + rgt - lo[lft]] = np.arange(k)
-        self.pre = np.bincount(x.mult_out, minlength=n)  # entries per output
+        self.pre = np.bincount(m.out, minlength=n)  # entries per output
 
     @classmethod
     def of(cls, x: QuantumSet) -> Optional["_Entries"]:
         """The index, or None when indices leave range(N) or a (left, right) pair has two entries."""
-        k = x.mult_val.shape[0] if x.mult_val.ndim == 1 else -1
-        idx = (x.mult_out, x.mult_left, x.mult_right)
+        m = x.mult
+        k = m.val.shape[0] if m.val.ndim == 1 else -1
+        idx = (m.out, m.left, m.right)
         if k <= 0 or any(a.dtype.kind != "i" or a.shape != (k,) for a in idx):
             return None
         if any(a.min() < 0 or a.max() >= x.N for a in idx):
             return None
-        pair = x.mult_left.astype(np.int64) * x.N + x.mult_right
+        pair = m.left.astype(np.int64) * x.N + m.right
         order = np.argsort(pair, kind="stable")
         if np.any(pair[order[1:]] == pair[order[:-1]]):
             return None
@@ -581,8 +585,8 @@ def verify_frobenius(x: QuantumSet, tol: float = DEFAULT_TOL) -> Report:
     Frobenius algebra with counit of the unit equal to N.
 
     Layout precondition on m: its indices lie in range(N) and each (left,
-    right) pair has at most one entry, in any order.  Both set builders
-    store m so, in (left, right) order with each left index's right indices
+    right) pair has at most one entry, in any order.  ``QuantumSet.mult``
+    derives m so from either presentation, in (left, right) order with each left index's right indices
     in one contiguous run.  A term of one side of an identity then finds its
     partner on the other side by index arithmetic, and each residual, the
     largest |LHS - RHS| over the keys of either side, is bit for bit what
@@ -598,7 +602,7 @@ def verify_frobenius(x: QuantumSet, tol: float = DEFAULT_TOL) -> Report:
     """
     n = x.N
     src, ph = x.star_src, x.star_phase
-    scale = scale_of(x.mult_val, ph, x.unit_vec)
+    scale = scale_of(x.mult.val, ph, x.unit_vec)
     res = dict.fromkeys(_CHECKS, math.inf)
 
     # (c) snake identities for the duality R: (conj R R)^k_l is
@@ -618,7 +622,7 @@ def verify_frobenius(x: QuantumSet, tol: float = DEFAULT_TOL) -> Report:
 
     e = _Entries.of(x)
     if e is not None:
-        out, lft, rgt, val = x.mult_out, x.mult_left, x.mult_right, x.mult_val
+        out, lft, rgt, val = x.mult
 
         # (a) specialness: m m^dag = id; (m m^dag)^o_o' pairs the entries at one
         # (left, right), so it is diagonal with sum |m^o_lr|^2 at (o, o)
@@ -692,18 +696,19 @@ def check_star_homomorphism(f: Operator, tol: float = DEFAULT_TOL) -> Report:
     equivalent to the adjoint formulation.
     """
     dom, cod = f.domain, f.codomain
+    md, mc = dom.mult, cod.mult
     fm = f.matrix
-    scale = scale_of(fm, dom.mult_val)
+    scale = scale_of(fm, md.val)
     checks = []
 
-    order = np.argsort(cod.mult_out, kind="stable")
-    ends = np.cumsum(np.bincount(cod.mult_out, minlength=cod.N))
+    order = np.argsort(mc.out, kind="stable")
+    ends = np.cumsum(np.bincount(mc.out, minlength=cod.N))
     res_mult = 0.0
     for q in range(cod.N):
         ent = order[ends[q - 1] if q else 0:ends[q]]
-        rhs = (cod.mult_val[ent, None] * fm[cod.mult_left[ent]]).T @ fm[cod.mult_right[ent]]
+        rhs = (mc.val[ent, None] * fm[mc.left[ent]]).T @ fm[mc.right[ent]]
         lhs = np.zeros((dom.N, dom.N), dtype=complex)
-        np.add.at(lhs, (dom.mult_left, dom.mult_right), fm[q, dom.mult_out] * dom.mult_val)
+        np.add.at(lhs, (md.left, md.right), fm[q, md.out] * md.val)
         res_mult = max(res_mult, max_abs(lhs - rhs))
     checks.append(Check("multiplicative", res_mult <= tol * scale, res_mult))
 

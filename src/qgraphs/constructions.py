@@ -53,8 +53,10 @@ def edge_subgraph(g: QuantumGraph, h: QuantumGraph, tol: float = DEFAULT_TOL) ->
     )
 
 
-def block_surjection(x: QuantumSet, keep: Sequence[int]) -> Operator:
-    """The surjection q : C(X) -> C(Y) onto a subset of blocks, with q q^dag = id."""
+def induced_subgraph(g: QuantumGraph, keep: Sequence[int]) -> QuantumGraph:
+    """Induced subgraph on the kept blocks, A_Y = q A_X q^dag for the block
+    surjection q, which keeps the entries of A between the kept blocks' slots."""
+    x = g.set
     if x.blocks is None:
         raise InvalidInput("block surjections need a matrix-unit basis")
     keep = sorted(set(int(k) for k in keep))
@@ -62,21 +64,10 @@ def block_surjection(x: QuantumSet, keep: Sequence[int]) -> Operator:
         raise InvalidInput("keep must name at least one block")
     if keep[0] < 0 or keep[-1] >= len(x.blocks):
         raise InvalidInput(f"block indices {keep} out of range for {len(x.blocks)} blocks")
-    y = build_quantum_set([x.blocks[i] for i in keep])
-    mat = np.zeros((y.N, x.N), dtype=complex)
-    row = 0
-    for i in keep:
-        off = sum(n * n for n in x.blocks[:i])
-        for k in range(x.blocks[i] ** 2):
-            mat[row, off + k] = 1.0
-            row += 1
-    return Operator(domain=x, codomain=y, matrix=mat)
-
-
-def induced_subgraph(g: QuantumGraph, keep: Sequence[int]) -> QuantumGraph:
-    """Induced subgraph on the kept blocks, A_Y = q A_X q^dag."""
-    q = block_surjection(g.set, keep)
-    return QuantumGraph(set=q.codomain, adjacency=q.matrix @ g.adjacency @ q.matrix.conj().T)
+    ends = np.cumsum([n * n for n in x.blocks])
+    idx = np.concatenate([np.arange(ends[i] - x.blocks[i] ** 2, ends[i]) for i in keep])
+    return QuantumGraph(set=build_quantum_set([x.blocks[i] for i in keep]),
+                        adjacency=g.adjacency[np.ix_(idx, idx)])
 
 
 def quotient_graph(g: QuantumGraph, iota: Operator, tol: float = DEFAULT_TOL) -> QuantumGraph:

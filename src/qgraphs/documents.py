@@ -14,9 +14,9 @@ The builders keep matrices and vectors as complex numpy arrays, and
 Python object is made per entry.  :func:`loads` reads the matrices back the
 same way: the value of each key that holds one (``adjacency``, ``matrix``,
 ``bicharacter``, ``gen_values``), if it is a rectangular array of [re, im]
-pairs, is checked as text against the JSON grammar and converted through a
-table of its distinct pairs into a float64 array; only the text of each pair
-becomes a Python object.  ``json.loads`` parses the rest of the document and
+pairs, is converted through a table of its distinct pairs into a float64
+array, the pair texts read by one ``json.loads``; only the text of each
+distinct pair becomes a Python object.  ``json.loads`` parses the rest of the document and
 every array that fails a check, so values and error messages are those of
 ``json.loads`` plus ``np.asarray``.
 """
@@ -350,37 +350,33 @@ _ARRAY_KEYS = ("adjacency", "bicharacter", "gen_values", "matrix")
 # a JSON string, or one of those keys with a value of numbers and brackets
 _STRING_OR_ARRAY = re.compile(r'"(?:(?:%s)"[ \t\n\r]*:[ \t\n\r]*(\[[-+.0-9eE \t\n\r,\[\]]*\])'
                               r'|(?:[^"\\]|\\.)*")' % "|".join(_ARRAY_KEYS), re.DOTALL)
-_NUMBER = r"[ \t\n\r]*(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)[ \t\n\r]*"
-# the text from the "[" of an innermost [re, im] pair to the next "["
-_PAIR = re.compile(_NUMBER + "," + _NUMBER + r"\][\], \t\n\r]*")
 _NOT_SKELETON = str.maketrans("", "", "-+.0123456789eE \t\n\r")
-
-
-def _number(token: str) -> Optional[float]:
-    """The float that ``_numbers`` makes of a JSON number; None for an integer beyond 18 digits."""
-    digits = token.lstrip("-")
-    if not digits.isdigit():
-        return float(token)
-    return float(int(token)) if len(digits) <= 18 else None  # -0 reads as +0.0
 
 
 def _lift(region: str) -> Optional[np.ndarray]:
     """The float64 array that ``region`` spells if it is a rectangular array of
     [re, im] pairs of JSON numbers, at least 2-D, else None.
 
-    The text after each "[" is whitespace or a pair, checked once per distinct
-    text; the brackets and commas must be those of a rectangular array.  The
-    values are bit for bit those :func:`_numbers` makes of ``json.loads(region)``.
+    The text after each "[" must be whitespace, or a pair and closing
+    brackets; the brackets and commas must be those of a rectangular array.
+    The distinct pair texts are read by one ``json.loads`` and :func:`_numbers`,
+    so the values are bit for bit those ``_numbers`` makes of
+    ``json.loads(region)``.
     """
     pieces = region.split("[")[1:]
-    table = {}
-    for piece in set(pieces):
-        if piece.strip(" \t\n\r"):
-            match = _PAIR.fullmatch(piece)
-            re_im = match and (_number(match[1]), _number(match[2]))
-            if not re_im or None in re_im:
-                return None
-            table[piece] = complex(*re_im)
+    texts = [piece for piece in set(pieces) if piece.strip(" \t\n\r")]
+    heads = []
+    for piece in texts:
+        head, close, tail = piece.partition("]")
+        if not close or tail.strip("], \t\n\r"):
+            return None
+        heads.append(head)
+    try:
+        values = _numbers(json.loads("[[" + "],[".join(heads) + "]]"), "pairs")
+    except ValueError:  # not JSON numbers, or not finite (a DocumentError)
+        return None
+    if values.shape != (len(heads), 2):
+        return None
     skeleton = region.translate(_NOT_SKELETON)
     shape, expected = [2], "[,]"  # from the innermost axis out
     for depth in range(2, len(skeleton) - len(skeleton.lstrip("[")) + 1):
@@ -389,6 +385,7 @@ def _lift(region: str) -> Optional[np.ndarray]:
         expected = "[" + ",".join([expected] * shape[0]) + "]"
     if len(shape) < 2 or skeleton != expected:
         return None
+    table = dict(zip(texts, values.view(np.complex128)[:, 0]))
     pairs = map(table.__getitem__, filter(table.__contains__, pieces))
     return np.fromiter(pairs, np.complex128, math.prod(shape[:-1])).view(np.float64).reshape(shape)
 

@@ -19,8 +19,9 @@ matrix product ``realign(A) realign(B)``.  One cached gather layout
 (:func:`_realignment`) serves the Schur product, the rotation and the edge
 spectrum of those sets.  Group-indexed (twisted) sets have no block pairs:
 there diagonal operators have their own Schur product and star, below, and
-any other pair of operators goes through the dense contraction
-``m (A (x) B) m^dag``, which is capped at N <= DENSE_LIMIT.
+any other pair of operators goes through the generic contraction
+``m (A (x) B) m^dag`` over the sparse entries of m, which is capped at
+N <= DENSE_LIMIT.
 
 On diagonals the Schur product is a convolution over the group, and on the
 connection function f = F d / N of a diagonal d (an inverse FFT over the
@@ -236,9 +237,12 @@ def schur_product(x: QuantumSet, a, b) -> np.ndarray:
     On matrix-unit sets the product is computed in the edge-projection
     picture, one matrix product per ordered block pair (the entrywise
     product on classical sets).  On group-indexed sets diagonal operators
-    reduce to a convolution (:func:`_diagonal_schur`); others use the dense
-    contraction, refused above N = DENSE_LIMIT.  Both fast paths are
-    cross-checked against the dense contraction in the test suite.
+    reduce to a convolution (:func:`_diagonal_schur`); others use the
+    generic contraction over the entries of m, refused above
+    N = DENSE_LIMIT: ``val A[left]`` is scattered to ``t[out, right, :]``,
+    multiplied by B once, and gathered at ``(right, left)`` against
+    ``conj(val)``, summed by output.  Every path is cross-checked against
+    the dense tensor contraction in the test suite.
     """
     a = _unwrap_endomorphism(x, a)
     b = _unwrap_endomorphism(x, b)
@@ -253,10 +257,14 @@ def schur_product(x: QuantumSet, a, b) -> np.ndarray:
             f"generic Schur product refused for N={x.N} > {DENSE_LIMIT}; "
             "only diagonal operators on group-indexed sets are supported there"
         )
-    m = x.dense_mult()
-    t = np.einsum("prs,ru->pus", m, a)
-    t = np.einsum("pus,sv->puv", t, b)
-    return np.einsum("puv,quv->pq", t, np.conj(m))
+    n = x.N
+    out, lft, rgt, val = x.mult
+    t = np.zeros((n * n, n), dtype=complex)  # t[p, s, u] = sum_r m^p_rs A[r, u]
+    np.add.at(t, out * n + rgt, val[:, None] * a[lft])
+    t = b.T @ t.reshape(n, n, n)  # t[p, v, u] = sum_s B[s, v] t[p, s, u]
+    res = np.zeros((n, n), dtype=complex)  # res[p, q] = sum_uv t[p, v, u] conj(m^q_uv)
+    np.add.at(res, (slice(None), out), t[:, rgt, lft] * np.conj(val))
+    return res
 
 
 def schur_star(x: QuantumSet, a) -> np.ndarray:

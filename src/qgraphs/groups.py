@@ -161,7 +161,8 @@ class Bicharacter:
         return self._phases(c, c.T)
 
     def _phases(self, mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
-        """sigma of coordinate rows mu and columns nu: zeta^(mu W nu), exact.
+        """sigma of coordinate rows mu and columns nu, stacks of them broadcast
+        as by matmul: zeta^(mu W nu), exact.
 
         zeta is a primitive root of unity of order L = lcm of the gcd(n_i,
         n_j) and W[i, j] the generator exponents over L, so the exponents
@@ -237,42 +238,24 @@ def twist_quantum_set(group: AbelianGroup, sigma: Bicharacter) -> QuantumSet:
     mu -> -mu whose phases are solved numerically from unitarity of the
     scaled basis (each tau_mu must satisfy tau_mu^* tau_mu = 1 with
     tau_mu^* a multiple of tau_{-mu}); consistency is certified by
-    verify_frobenius rather than by a symbolic phase rule.
+    verify_frobenius rather than by a symbolic phase rule.  The set holds
+    O(N) numbers; its multiplication is derived on first read of ``mult``.
     """
     if sigma.group is not group and sigma.group.orders != group.orders:
         raise InvalidInput("bicharacter is defined on a different group")
     n = group.size
-    sig = sigma.table()
-    sqrt_n = math.sqrt(n)
-
-    # every ordered pair (mu, nu), row-major: the tables in raveled order
-    lft = np.repeat(np.arange(n, dtype=np.int64), n)
-    rgt = np.tile(np.arange(n, dtype=np.int64), n)
-    out = group.addition_table().ravel()
-    val = np.conj(sig.ravel()) / sqrt_n
-
     unit = np.zeros(n, dtype=complex)
-    unit[0] = sqrt_n  # element 0 is the identity
+    unit[0] = math.sqrt(n)  # element 0 is the identity
 
     # solve tau_mu^* = c_mu tau_{-mu} from (c_mu tau_{-mu}) tau_mu = 1:
-    # the stored product coefficient of tau_{-mu} tau_mu on tau_0 is
-    # conj(sigma(-mu, mu)), so c_mu is its reciprocal.
+    # the product coefficient of tau_{-mu} tau_mu on tau_0 is
+    # conj(sigma(-mu, mu)), so c_mu is its reciprocal; sigma(-mu, mu) is
+    # read from the exponents of Bicharacter.table, one pair per mu.
     neg = group.negation()
-    phase = 1.0 / np.conj(sig[neg, np.arange(n)])
-
-    return QuantumSet(
-        blocks=None,
-        N=n,
-        mult_out=out,
-        mult_left=lft,
-        mult_right=rgt,
-        mult_val=val,
-        unit_vec=unit,
-        star_src=neg,
-        star_phase=phase,
-        group=group,
-        bicharacter=sigma,
-    )
+    c = group.coords()
+    phase = 1.0 / np.conj(sigma._phases(c[neg, None, :], c[:, :, None]).ravel())
+    return QuantumSet(blocks=None, N=n, unit_vec=unit, star_src=neg, star_phase=phase,
+                      group=group, bicharacter=sigma)
 
 
 def twisted_cayley(group: AbelianGroup, gens: Iterable[Sequence[int]],

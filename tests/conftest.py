@@ -139,7 +139,7 @@ def reference_frobenius_residuals(x):
     checks build N x N matrices.  Memory is O(N^3) on group-indexed sets.
     """
     n = x.N
-    out, lft, rgt, val = x.mult_out, x.mult_left, x.mult_right, x.mult_val
+    out, lft, rgt, val = x.mult
     f = np.zeros((n, n), dtype=complex)
     f[np.arange(n), x.star_src] = x.star_phase
     res = {}
@@ -320,6 +320,21 @@ def reference_scan(closure, threshold=1e-6):
 # ---------------------------------------------------------------------------
 
 
+def dense_mult(x) -> np.ndarray:
+    """The multiplication tensor of a quantum set as an (N, N, N) array m[out, left, right]."""
+    m = np.zeros((x.N, x.N, x.N), dtype=complex)
+    m[x.mult.out, x.mult.left, x.mult.right] = x.mult.val
+    return m
+
+
+def dense_schur_product(x, a, b) -> np.ndarray:
+    """The Schur product m (A (x) B) m^dag as an einsum over :func:`dense_mult`."""
+    m = dense_mult(x)
+    t = np.einsum("prs,ru->pus", m, a)
+    t = np.einsum("pus,sv->puv", t, b)
+    return np.einsum("puv,quv->pq", t, np.conj(m))
+
+
 def dense_star(x) -> np.ndarray:
     """The duality R of a quantum set as an (N, N) array; row k holds the coefficients of e_k^*."""
     f = np.zeros((x.N, x.N), dtype=complex)
@@ -336,7 +351,7 @@ def transported_duality(phi) -> np.ndarray:
 def transported_mult(phi) -> np.ndarray:
     """The twisted multiplication moved through phi, as an (N, N, N) tensor."""
     u = phi.matrix
-    m = phi.domain.dense_mult()
+    m = dense_mult(phi.domain)
     t = np.einsum("pk,kmn->pmn", u, m)
     t = np.einsum("pmn,qm->pqn", t, np.conj(u))
     return np.einsum("pqn,rn->pqr", t, np.conj(u))

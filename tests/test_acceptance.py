@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from conftest import (
     GROUP_POOL,
+    dense_mult,
     dense_star,
     lambda_folded,
     lambda_hypercube,
@@ -178,7 +179,7 @@ def test_criterion_05_phi_isomorphism():
             assert max_abs(u @ u.conj().T - np.eye(n * n)) <= 1e-9
             mn = phi.codomain
             assert max_abs(transported_duality(phi) - dense_star(mn)) <= 1e-9
-            assert max_abs(transported_mult(phi) - mn.dense_mult()) <= 1e-9
+            assert max_abs(transported_mult(phi) - dense_mult(mn)) <= 1e-9
 
 
 def test_criterion_06_clifford_relations():
@@ -203,10 +204,10 @@ def test_criterion_06_clifford_relations():
         cl2 = clifford_set(2)
         wsigma = weyl_bicharacter(2)
         w2 = twist_quantum_set(wsigma.group, wsigma)
-        assert np.array_equal(cl2.mult_out, w2.mult_out)
-        assert np.array_equal(cl2.mult_left, w2.mult_left)
-        assert np.array_equal(cl2.mult_right, w2.mult_right)
-        assert np.array_equal(cl2.mult_val, w2.mult_val)
+        assert np.array_equal(cl2.mult.out, w2.mult.out)
+        assert np.array_equal(cl2.mult.left, w2.mult.left)
+        assert np.array_equal(cl2.mult.right, w2.mult.right)
+        assert np.array_equal(cl2.mult.val, w2.mult.val)
         assert np.array_equal(dense_star(cl2), dense_star(w2))
         assert np.array_equal(cl2.unit_vec, w2.unit_vec)
 
@@ -337,7 +338,7 @@ def _frobenius_law_residual(x, u, v):
     Checks (m (x) id)(id (x) m^dag) = m^dag m = (id (x) m)(m^dag (x) id)
     evaluated on the pair, independently of the sparse verifier.
     """
-    m = x.dense_mult()
+    m = dense_mult(x)
     mdag = np.conj(m)  # mdag[b, r, s] = conj(m^b_{rs})
     t = np.einsum("brs,b->rs", mdag, v)  # m^dag v
     lhs1 = np.einsum("par,a,rs->ps", m, u, t)  # (m (x) id)(u (x) m^dag v)

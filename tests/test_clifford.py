@@ -3,7 +3,7 @@ halving."""
 
 import numpy as np
 import pytest
-from conftest import dense_star, lambda_folded, lambda_hypercube
+from conftest import dense_schur_product, dense_star, lambda_folded, lambda_hypercube
 
 from qgraphs import (
     AlgebraElement,
@@ -50,19 +50,20 @@ def test_bicharacter_small_cases():
 
 
 def test_twisted_set_keeps_only_its_multiplication():
-    # the addition and bicharacter tables are built once and held only by m
+    # the addition and bicharacter tables are built on first read and held only by m
     import tracemalloc
 
     tracemalloc.start()
     try:
         x = clifford_set(9)  # N = 512: each N^2 table is 2 MiB (int) or 4 MiB (complex)
+        x.mult
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    m = sum(a.nbytes for a in (x.mult_out, x.mult_left, x.mult_right, x.mult_val))
+    m = sum(a.nbytes for a in (x.mult.out, x.mult.left, x.mult.right, x.mult.val))
     assert kept <= m + 64 * 2**10
-    assert np.array_equal(x.mult_out.reshape(x.N, x.N), x.group.addition_table())
-    assert np.array_equal(x.mult_val.reshape(x.N, x.N),
+    assert np.array_equal(x.mult.out.reshape(x.N, x.N), x.group.addition_table())
+    assert np.array_equal(x.mult.val.reshape(x.N, x.N),
                           np.conj(x.bicharacter.table()) / np.sqrt(x.N))
 
 
@@ -96,8 +97,8 @@ def test_cl2_constants_equal_weyl2_twist_exactly():
     cl = clifford_set(2)
     wsigma = weyl_bicharacter(2)
     wy = twist_quantum_set(wsigma.group, wsigma)
-    assert np.array_equal(cl.mult_val, wy.mult_val)
-    assert np.array_equal(cl.mult_out, wy.mult_out)
+    assert np.array_equal(cl.mult.val, wy.mult.val)
+    assert np.array_equal(cl.mult.out, wy.mult.out)
     assert np.array_equal(dense_star(cl), dense_star(wy))
     assert np.array_equal(cl.unit_vec, wy.unit_vec)
 
@@ -221,9 +222,9 @@ def test_halved_square_residuals_match_the_matrix_calculus(n):
 
 
 def test_halved_square_check_at_max_n_runs_on_vectors():
-    # n = 11: Cl_12 with N = 4096 = MAX_N.  Its set keeps the N^2 entries of m
-    # (640 MiB, 897 MiB while being built); the checks add only N-vectors,
-    # where one N x N complex array would be another 256 MiB
+    # n = 11: Cl_12 with N = 4096 = MAX_N.  The check reads the set's group,
+    # unit and star, never m (whose N^2 entries would be 640 MiB), and adds
+    # only N-vectors, where one N x N complex array would be 256 MiB
     import tracemalloc
 
     tracemalloc.start()
@@ -233,7 +234,42 @@ def test_halved_square_check_at_max_n_runs_on_vectors():
     finally:
         tracemalloc.stop()
     assert report.all_pass, report.failed()
-    assert peak < 2**30
+    assert peak < 16 * 2**20
+
+
+def test_twisted_set_holds_n_vectors_until_m_is_read():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        x = clifford_set(12)  # N = 4096 = MAX_N: unit and star are 160 KiB
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert x.N == 4096
+    assert kept < 4 * 2**20
+
+
+def test_twisted_cayley_pipeline_peaks_at_its_adjacency():
+    # N = 1024: the N x N complex adjacency is 16 MiB; the set, the battery,
+    # the edge spectrum and the closure scan run on N-vectors beside it
+    import tracemalloc
+
+    from qgraphs.graphs import edge_spectrum
+    from qgraphs.obstruction import Inconclusive, classical_obstruction
+
+    tracemalloc.start()
+    try:
+        g = cube_like_graph(10, preset="hypercube")
+        rep = graph_report(g)
+        spectrum = edge_spectrum(g)
+        outcome = classical_obstruction(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.is_simple and spectrum is not None
+    assert isinstance(outcome, Inconclusive)
+    assert peak < g.adjacency.nbytes + 2 * 2**20
 
 
 def test_twisted_hypercube_frobenius():
@@ -247,10 +283,7 @@ def test_twisted_hypercube_battery_generic_and_fast():
     # n = 6 (N = 64): the generic dense contraction confirms idempotency
     g = cube_like_graph(6, preset="hypercube")
     x, a = g.set, g.adjacency
-    m = x.dense_mult()
-    t = np.einsum("prs,ru->pus", m, a)
-    t = np.einsum("pus,sv->puv", t, a)
-    slow = np.einsum("puv,quv->pq", t, np.conj(m))
+    slow = dense_schur_product(x, a, a)
     assert np.abs(slow - a).max() < 1e-9 * np.abs(a).max()
 
     # n = 10 (N = 1024): diagonal convolution fast path

@@ -3,7 +3,7 @@ M_n, closed-form transported tensors, and the quantum rook's graph."""
 
 import numpy as np
 import pytest
-from conftest import dense_star, rook_spectrum, transported_duality, transported_mult
+from conftest import dense_mult, dense_star, rook_spectrum, transported_duality, transported_mult
 
 from qgraphs import (
     check_star_homomorphism,
@@ -108,7 +108,7 @@ def test_transported_tensors_match_closed_forms(n):
             for l in range(n):
                 want_m[i * n + l, i * n + j, j * n + l] = 1.0 / np.sqrt(n)
     assert np.abs(transported_mult(phi) - want_m).max() < 1e-9
-    assert np.abs(want_m - mn.dense_mult()).max() == 0.0
+    assert np.abs(want_m - dense_mult(mn)).max() == 0.0
 
 
 def test_twisted_set_passes_frobenius_for_weyl():
