@@ -53,11 +53,7 @@ def clifford_bicharacter(n: int) -> Bicharacter:
         raise InvalidInput("clifford_bicharacter requires n >= 1")
     admit_dimension(2 ** min(n, 64))  # before the n orders and the n x n values
     group = AbelianGroup((2,) * n)
-    vals = np.ones((n, n))
-    for i in range(n):
-        for j in range(i):
-            vals[i, j] = -1.0
-    return make_bicharacter(group, vals)
+    return make_bicharacter(group, np.where(np.tri(n, k=-1, dtype=bool), -1.0, 1.0))
 
 
 def clifford_set(n: int) -> QuantumSet:
@@ -172,7 +168,7 @@ def halved_square_check(n: int, tol: float = DEFAULT_TOL) -> Report:
     c = _diagonal_calculus(x, b)
     scale = scale_of(b)
     residuals = {
-        "schur_idempotent": max_abs(c.schur(b, b) - b),
+        "schur_idempotent": max_abs(c.square() - b),
         "schur_selfadjoint": max_abs(c.star(b) - b),
         "undirected": max_abs(b - c.dagger(b)),
         "no_loops": max_abs(c.loops()[0]),

@@ -415,9 +415,10 @@ def _block_spectrum(x: QuantumSet, a: np.ndarray, tol: float) -> Optional[np.nda
 
 #: The Schur calculus of a graph's set in one representation, with A in it:
 #: operators are N-vectors of diagonals or N x N matrices, ``eye()`` and
-#: ``unit()`` build I and J on demand, ``loops()`` gives A . I and I . A, and
-#: ``spectrum(tol)`` the edge spectrum of A.
-_Calculus = collections.namedtuple("_Calculus", "a eye unit compose schur dagger star loops spectrum")
+#: ``unit()`` build I and J on demand, ``square()`` gives A . A, ``loops()``
+#: gives A . I and I . A, and ``spectrum(tol)`` the edge spectrum of A.
+_Calculus = collections.namedtuple("_Calculus",
+                                   "a eye unit compose schur dagger star square loops spectrum")
 
 
 def _calculus(g: QuantumGraph) -> _Calculus:
@@ -438,6 +439,7 @@ def _calculus(g: QuantumGraph) -> _Calculus:
     return _Calculus(
         a, eye, lambda: schur_unit(x), np.matmul, functools.partial(schur_product, x),
         lambda u: u.conj().T, functools.partial(schur_star, x),
+        square=lambda: schur_product(x, a, a),
         loops=lambda: (schur_product(x, a, eye()), schur_product(x, eye(), a)),
         spectrum=lambda tol: _block_spectrum(x, a, tol))
 
@@ -445,9 +447,9 @@ def _calculus(g: QuantumGraph) -> _Calculus:
 def _diagonal_calculus(x: QuantumSet, d: np.ndarray) -> _Calculus:
     """The Schur calculus of diagonals on a group-indexed set, with A = diag(d).
 
-    All in O(N log N) on N-vectors.  With f = :func:`_connection` of d,
-    A . I = I . A = f(0) 1, and the edge spectrum is the values of f (on
-    diagonals the Schur calculus is the convolution algebra).
+    All in O(N log N) on N-vectors.  With f = :func:`_connection` of d:
+    A . A = _diagonal(f^2), A . I = I . A = f(0) 1, and the edge spectrum is
+    the values of f (on diagonals the Schur calculus is the convolution algebra).
     """
     f = _connection(x, d)
     loop = np.full(x.N, f[0])
@@ -455,7 +457,7 @@ def _diagonal_calculus(x: QuantumSet, d: np.ndarray) -> _Calculus:
         d, lambda: np.ones(x.N, dtype=complex), lambda: x.unit_vec * np.conj(x.unit_vec),
         np.multiply,
         functools.partial(_diagonal_schur, x), np.conj, functools.partial(_diagonal_star, x),
-        loops=lambda: (loop, loop),
+        square=lambda: _diagonal(x, f * f), loops=lambda: (loop, loop),
         spectrum=lambda tol: _real_values(f, tol * scale_of(d)))
 
 
@@ -480,7 +482,7 @@ def edge_spectrum(g: QuantumGraph, tol: float = DEFAULT_TOL) -> Optional[np.ndar
 def _is_graph(c: _Calculus, scale: float, tol: float) -> bool:
     """A . A = A and A = A* in the calculus c."""
     a = c.a
-    return max_abs(c.schur(a, a) - a) <= tol * scale and max_abs(c.star(a) - a) <= tol * scale
+    return max_abs(c.square() - a) <= tol * scale and max_abs(c.star(a) - a) <= tol * scale
 
 
 def is_quantum_graph(g: QuantumGraph, tol: float = DEFAULT_TOL) -> bool:
@@ -498,11 +500,11 @@ def graph_report(g: QuantumGraph, tol: float = DEFAULT_TOL) -> GraphReport:
     Raises InvalidInput on non-finite entries before any arithmetic.  The
     battery runs once, in the Schur calculus :func:`_calculus` chooses.  On
     a diagonal adjacency on a group-indexed set (a twisted Cayley graph)
-    that is N-vectors after one pass over A: A . A is one convolution,
-    A . I = I . A = f(0) 1, the star and the adjoint are permuted and
-    conjugated copies of the diagonal d, and the counts come from d u; no
-    N x N array is formed and neither ``schur_product`` nor ``schur_star``
-    is called.
+    that is N-vectors after one pass over A: A . A squares the connection
+    function f, A . I = I . A = f(0) 1, the star and the adjoint are
+    permuted and conjugated copies of the diagonal d, and the counts come
+    from d u; no N x N array is formed and neither ``schur_product`` nor
+    ``schur_star`` is called.
     """
     x = g.set
     c = _calculus(g)

@@ -108,7 +108,8 @@ class Bicharacter:
     ``gen_values[i][j]`` holds sigma(eps_i, eps_j).  Each must be a root of
     unity of order dividing gcd(n_i, n_j); anything else cannot extend to a
     homomorphism in both arguments and is rejected naming the offending
-    pair.  The values are snapped to those roots, and each is kept as an
+    pair, the first in row-major order; a NaN or infinite value is not
+    unimodular.  The values are snapped to those roots, and each is kept as an
     integer exponent over gcd(n_i, n_j), so every evaluation is an exact
     root of unity.  The exponents are derived from ``gen_values`` on every
     construction, ``dataclasses.replace`` included.
@@ -127,28 +128,23 @@ class Bicharacter:
             raise InvalidInput(
                 f"gen_values must be {g.rank} x {g.rank} for orders {g.orders}, got {vals.shape}"
             )
-        num = np.zeros((g.rank, g.rank), dtype=np.int64)
-        den = np.zeros((g.rank, g.rank), dtype=np.int64)
-        for i in range(g.rank):
-            for j in range(g.rank):
-                d = math.gcd(g.orders[i], g.orders[j])
-                v = vals[i, j]
-                if abs(abs(v) - 1.0) > tol:
-                    raise InvalidInput(f"bicharacter value at ({i},{j}) is not unimodular: {v}")
-                theta = np.angle(v) / (2 * math.pi)
-                k = int(round(theta * d)) % d
-                if abs(v - unit_root(k, d)) > tol:
-                    raise InvalidInput(
-                        f"bicharacter value at ({i},{j}) violates the order condition: "
-                        f"{v} is not a root of unity of order dividing "
-                        f"gcd{g.orders[i], g.orders[j]}={d}"
-                    )
-                num[i, j] = k
-                den[i, j] = d
-        self.gen_values = np.asarray(
-            [[unit_root(int(num[i, j]), int(den[i, j])) for j in range(g.rank)]
-             for i in range(g.rank)], dtype=complex)
-        self._exp_num, self._exp_den = num, den
+        den = np.gcd.outer(g.orders, g.orders).astype(np.int64)
+        off_unit = ~(np.abs(np.abs(vals) - 1.0) <= tol)  # NaN and infinity included
+        v = np.where(off_unit, 1.0, vals)  # an off-unit value is refused below, unrounded
+        num = np.round(np.angle(v) / (2 * math.pi) * den).astype(np.int64) % den
+        roots = [unit_root(k, d) for k, d in zip(num.ravel().tolist(), den.ravel().tolist())]
+        snapped = np.asarray(roots, dtype=complex).reshape(vals.shape)
+        bad = off_unit | (np.abs(v - snapped) > tol)
+        if bad.any():  # the first offending pair in row-major order
+            i, j = divmod(int(np.argmax(bad)), g.rank)
+            if off_unit[i, j]:
+                raise InvalidInput(f"bicharacter value at ({i},{j}) is not unimodular: {vals[i, j]}")
+            raise InvalidInput(
+                f"bicharacter value at ({i},{j}) violates the order condition: "
+                f"{vals[i, j]} is not a root of unity of order dividing "
+                f"gcd{g.orders[i], g.orders[j]}={den[i, j]}"
+            )
+        self.gen_values, self._exp_num, self._exp_den = snapped, num, den
 
     def value(self, mu: Sequence[int], nu: Sequence[int]) -> complex:
         """sigma(mu, nu), the entry of :meth:`table` at (index(mu), index(nu))."""

@@ -29,6 +29,39 @@ def random_bicharacter(group: AbelianGroup, rng: np.random.Generator) -> Bichara
     return make_bicharacter(group, vals)
 
 
+def reference_snap(orders, gen_values, tol=1e-9):
+    """(snapped values, exponents k_ij, orders gcd(n_i, n_j)) of a bicharacter,
+    one generator pair at a time in row-major order.
+
+    Raises InvalidInput at the first pair that is not unimodular or not a
+    root of unity of order dividing gcd(n_i, n_j).
+    """
+    from qgraphs.errors import InvalidInput
+
+    rank = len(orders)
+    vals = np.asarray(gen_values, dtype=complex)
+    num = np.zeros((rank, rank), dtype=np.int64)
+    den = np.zeros((rank, rank), dtype=np.int64)
+    for i in range(rank):
+        for j in range(rank):
+            d = math.gcd(orders[i], orders[j])
+            v = vals[i, j]
+            if abs(abs(v) - 1.0) > tol:
+                raise InvalidInput(f"bicharacter value at ({i},{j}) is not unimodular: {v}")
+            k = int(round(np.angle(v) / (2 * math.pi) * d)) % d
+            if abs(v - unit_root(k, d)) > tol:
+                raise InvalidInput(
+                    f"bicharacter value at ({i},{j}) violates the order condition: "
+                    f"{v} is not a root of unity of order dividing "
+                    f"gcd{orders[i], orders[j]}={d}"
+                )
+            num[i, j] = k
+            den[i, j] = d
+    snapped = np.asarray([[unit_root(int(num[i, j]), int(den[i, j])) for j in range(rank)]
+                          for i in range(rank)], dtype=complex)
+    return snapped, num, den
+
+
 def twisted_family():
     """Representative family of (label, twisted set) with N <= 64."""
     from qgraphs.clifford import clifford_set

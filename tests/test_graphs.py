@@ -425,6 +425,26 @@ def test_twisted_diagonal_report_makes_no_schur_product(monkeypatch):
     assert graphs.edge_spectrum(g) is not None
 
 
+def test_twisted_battery_transforms_the_diagonal_once(monkeypatch):
+    # A . A is the square of the connection function the calculus already holds
+    from qgraphs import graphs
+    from qgraphs.clifford import cube_like_graph
+
+    g = cube_like_graph(9, preset="hypercube")
+    calls = []
+    connection = graphs._connection
+
+    def count(x, d):
+        calls.append(d.size)
+        return connection(x, d)
+
+    monkeypatch.setattr(graphs, "_connection", count)
+    for entry in (graph_report, graphs.is_quantum_graph):
+        calls.clear()
+        entry(g)
+        assert calls == [g.set.N], entry.__name__
+
+
 def _counted_calculus(monkeypatch):
     """Wrap the choice of Schur calculus; return the list of the calculi it gave."""
     from qgraphs import graphs, obstruction

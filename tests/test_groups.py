@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from conftest import (
+    GROUP_POOL,
     dense_mult,
     dense_schur_product,
     leg_phases,
@@ -10,6 +11,7 @@ from conftest import (
     random_twist_instance,
     reference_elements,
     reference_fourier_matrix,
+    reference_snap,
     twist_tensor,
     twisted_family,
 )
@@ -218,6 +220,58 @@ def test_bicharacter_order_condition_rejected():
 def test_bicharacter_rejects_non_unimodular():
     with pytest.raises(InvalidInput):
         make_bicharacter(AbelianGroup((2, 2)), [[1, 1], [0.5, 1]])
+
+
+@pytest.mark.parametrize("orders", GROUP_POOL)
+def test_snapping_matches_the_per_pair_loop(orders):
+    # noisy roots of unity (within the tolerance) and plain exp() roots must
+    # snap to the reference's values and exponents bit for bit
+    group = AbelianGroup(orders)
+    rng = np.random.default_rng(len(orders) * 100 + orders[-1])
+    den = np.gcd.outer(orders, orders)
+    for noise in (0.0, 1e-10):
+        k = rng.integers(0, 1 << 20, size=den.shape) % den
+        vals = np.exp(2j * np.pi * k / den) * np.exp(1j * noise * rng.standard_normal(den.shape))
+        want, num, want_den = reference_snap(orders, vals)
+        sigma = make_bicharacter(group, vals)
+        assert sigma.gen_values.tobytes() == want.tobytes()
+        assert sigma._exp_num.tobytes() == num.tobytes()
+        assert sigma._exp_den.tobytes() == want_den.tobytes()
+
+
+def _first_error(make):
+    with pytest.raises(InvalidInput) as err:
+        make()
+    return str(err.value)
+
+
+@pytest.mark.parametrize("orders", [(3, 3), (2, 4, 8), (6, 6), (4, 4, 4)])
+@pytest.mark.parametrize("bad", [0.5, 1.5j, np.exp(0.3j)])
+def test_snapping_reports_the_per_pair_loops_first_offence(orders, bad):
+    # an off-unit value (0.5, 1.5i) or an order-violating one (exp(0.3i)),
+    # alone or after an earlier offence of the other kind, at several positions
+    group = AbelianGroup(orders)
+    rank = len(orders)
+    for i, j in {(0, 0), (0, rank - 1), (rank - 1, 0), (rank - 1, rank - 1), (rank // 2, 1)}:
+        for earlier in (None, 2.0, np.exp(0.7j)):
+            vals = np.ones((rank, rank), dtype=complex)
+            vals[i, j] = bad
+            if earlier is not None and (i, j) != (0, 0):
+                vals[0, 0] = earlier
+            want = _first_error(lambda: reference_snap(orders, vals))
+            assert _first_error(lambda: make_bicharacter(group, vals)) == want
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1, np.nan), complex(0, np.inf)])
+def test_non_finite_bicharacter_values_are_not_unimodular(bad):
+    group = AbelianGroup((2, 4))
+    for i in range(2):
+        for j in range(2):
+            vals = np.ones((2, 2), dtype=complex)
+            vals[i, j] = bad
+            with pytest.raises(InvalidInput, match=rf"at \({i},{j}\) is not unimodular"):
+                make_bicharacter(group, vals)
 
 
 def test_replaced_gen_values_rebuild_the_exponents():

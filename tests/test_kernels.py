@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qgraphs.errors import InvalidInput
-from qgraphs.kernels import gram_schmidt, hermitian_eigs, span_residual, unit_root
+from qgraphs.kernels import gram_schmidt, hermitian_eigs, orthogonal_part, span_residual, unit_root
 
 
 def test_unit_root_quarter_turns_exact():
@@ -90,3 +90,22 @@ def test_gram_schmidt_drops_dependent_vectors():
     basis = gram_schmidt([v1, v2, v3])
     assert len(basis) == 2
     assert span_residual(v3, basis) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 3)])
+def test_orthogonal_part_takes_a_list_or_a_matrix_basis(shape):
+    rng = np.random.default_rng(7)
+
+    def draw():
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    basis = gram_schmidt([draw() for _ in range(4)])
+    vector = draw()
+    w_list, nrm_list = orthogonal_part(vector, basis)
+    w_rows, nrm_rows = orthogonal_part(vector, np.asarray(basis).reshape(len(basis), -1))
+    assert w_list.shape == w_rows.shape == shape
+    assert w_list.tobytes() == w_rows.tobytes() and nrm_list == nrm_rows
+    # the residual is orthogonal to the basis and has the norm reported
+    assert max(abs(np.vdot(b, w_list)) for b in basis) < 1e-14
+    assert abs(np.linalg.norm(w_list) - nrm_list) < 1e-14
+    assert orthogonal_part(vector, [])[0].tobytes() == vector.astype(complex).tobytes()

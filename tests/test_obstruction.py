@@ -333,7 +333,7 @@ def test_closure_and_scan_match_the_round_based_reference(name, monkeypatch):
 
 
 def _orthogonalisations(monkeypatch) -> list:
-    """Record (basis size, residual) of every candidate the closure orthogonalises."""
+    """Record (span, residual part, its norm) of every candidate the closure orthogonalises."""
     import qgraphs.obstruction
 
     calls = []
@@ -341,7 +341,7 @@ def _orthogonalisations(monkeypatch) -> list:
 
     def record(vector, basis):
         w, residual = orthogonal_part(vector, basis)
-        calls.append((len(basis), residual))
+        calls.append((basis, w, residual))
         return w, residual
 
     monkeypatch.setattr(qgraphs.obstruction, "orthogonal_part", record)
@@ -358,9 +358,26 @@ def test_closure_stops_at_the_caps_first_refusal(monkeypatch):
     calls = _orthogonalisations(monkeypatch)
     ops, complete = schur_closure(g, max_dim)
     assert len(ops) == max_dim and not complete
-    refused = [k for k, (size, residual) in enumerate(calls)
-               if size == max_dim and residual > RANK_TOL]
+    refused = [k for k, (span, _, residual) in enumerate(calls)
+               if len(span) == max_dim and residual > RANK_TOL]
     assert refused == [len(calls) - 1]
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CORPUS))
+def test_closure_span_rows_stay_orthonormal(name, monkeypatch):
+    # the span the closure tests candidates against is one matrix of
+    # orthonormal rows, one per member; the corpus holds twisted Q_6
+    from qgraphs.obstruction import RANK_TOL
+
+    make, max_dim = REFERENCE_CORPUS[name]
+    calls = _orthogonalisations(monkeypatch)
+    members, _ = schur_closure(make(), max_dim)
+    q = max((span for span, _, _ in calls), key=len)
+    if len(q) < len(members):  # the last member added ends the closure: append its row
+        w, residual = next((w, r) for span, w, r in calls if len(span) == len(q) and r > RANK_TOL)
+        q = np.vstack([q, w.reshape(1, -1) / residual])
+    assert isinstance(q, np.ndarray) and len(q) == len(members)
+    assert max_abs(q @ q.conj().T - np.eye(len(q))) <= 1e-12
 
 
 def _twisted_z2z2_full_span():
@@ -382,4 +399,4 @@ def test_closure_stops_at_the_full_span(name, dim, monkeypatch):
     calls = _orthogonalisations(monkeypatch)
     ops, complete = schur_closure(g, max_dim)
     assert complete is True and len(ops) == dim
-    assert max(size for size, _ in calls) < dim
+    assert max(len(span) for span, _, _ in calls) < dim
