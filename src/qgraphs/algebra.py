@@ -15,10 +15,10 @@ Conventions used everywhere in this package:
 * The multiplication tensor ``m`` is stored only as sparse entries, the
   parallel arrays ``QuantumSet.mult`` = (out, left, right, val), derived
   from the set's presentation (its blocks, or its group and bicharacter) on
-  first read and then kept.  Each (left, right) pair has at most one entry,
-  in (left, right) order with each left index's right indices in one
-  contiguous run, so an entry is found from its pair by index arithmetic.
-  Nothing in this package densifies m.
+  first read and then kept.  Its layout: entries in (left, right) order,
+  each left index's right indices one contiguous run, and no two entries
+  with one left index on one output; so an entry is found from its pair by
+  index arithmetic.  Nothing in this package densifies m.
 * The star sends each basis vector to a phase times another basis vector
   (``e_ab^* = e_ba``, ``tau_mu^* = c_mu tau_{-mu}``), so the duality R is a
   signed permutation and is stored as one: two length-N arrays with
@@ -35,8 +35,8 @@ passes it is a valid special symmetric Frobenius algebra regardless of how
 it was built.  It enumerates the N^3 terms of associativity and the
 Frobenius law in fixed-size chunks, finding each term's partner on the
 other side by lookup, and holds O(N + nnz(m)) numbers beside the set.  A
-set whose m breaks the layout (an index outside range(N), or two entries
-for one (left, right) pair) fails instead.
+set whose m has an index outside range(N) or leaves the layout fails every
+check that reads m, with residual inf.
 """
 
 from __future__ import annotations
@@ -404,39 +404,38 @@ _CHECKS = (
 
 
 class _Entries:
-    """The entries of m, each found from its (left, right) pair by index arithmetic.
+    """The entries of m in the layout ``QuantumSet.mult`` derives, each found
+    from its (left, right) pair by index arithmetic.
 
-    Row l holds the entries with left index l: the entry with right index r
-    is ``slot[base[l] + r - lo[l]]`` for ``0 <= r - lo[l] < span[l]``.  Index
-    ``k`` = nnz(m) stands for "no entry": its output and indices are -1 and
-    its value 0, so it matches no output, and row -1 (the last one) is empty,
-    so a lookup in the row of a missing entry's output misses too.  Both set
-    presentations give ``span == cnt`` and ``slot == arange(k)``.
+    The layout: entries in (left, right) order, so row l (the entries with
+    left index l) starts at entry ``first[l]``; its right indices are one
+    contiguous run ``lo[l], ..., lo[l] + cnt[l] - 1``; and no two entries of
+    one row share an output.  Index ``k`` = nnz(m) stands for "no entry":
+    its output and indices are -1 and its value 0, so it matches no output,
+    and row -1 (the last one) is empty, so a lookup in the row of a missing
+    entry's output misses too.  ``skey`` holds the keys left N + out in
+    sorted order and ``corder`` their entries.
     """
 
-    def __init__(self, x: QuantumSet, order: np.ndarray):
+    def __init__(self, x: QuantumSet):
         m = x.mult
         n, k = x.N, m.val.size
         self.n, self.k = n, k
         self.out, self.lft, self.rgt = (np.append(a.astype(np.int64), -1) for a in
                                         (m.out, m.left, m.right))
         self.val = np.append(m.val, 0)
-        lft, rgt = m.left, m.right
-        cnt = np.bincount(lft, minlength=n)
-        first = np.cumsum(cnt) - cnt  # a row's first and last entries in (left, right) order
-        full = cnt > 0
-        lo = np.where(full, rgt[order[np.minimum(first, k - 1)]], 0)
-        hi = np.where(full, rgt[order[np.maximum(first + cnt - 1, 0)]], -1)
-        span = hi - lo + 1
-        self.lo, self.span = np.append(lo, 0), np.append(span, 0)
-        self.base = np.append(np.cumsum(span) - span, span.sum())
-        self.slot = np.full(span.sum() + 1, k, dtype=np.int64)
-        self.slot[self.base[lft] + rgt - lo[lft]] = np.arange(k)
+        cnt = np.bincount(m.left, minlength=n)
+        first = np.cumsum(cnt) - cnt
+        self.cnt, self.first = np.append(cnt, 0), np.append(first, k)
+        self.lo = np.append(np.where(cnt > 0, self.rgt[np.minimum(first, k - 1)], 0), 0)
         self.pre = np.bincount(m.out, minlength=n)  # entries per output
+        key = self.lft[:-1] * n + self.out[:-1]
+        self.corder = np.argsort(key, kind="stable")
+        self.skey = key[self.corder]
 
     @classmethod
     def of(cls, x: QuantumSet) -> Optional["_Entries"]:
-        """The index, or None when indices leave range(N) or a (left, right) pair has two entries."""
+        """The index, or None when indices leave range(N) or m breaks the layout."""
         m = x.mult
         k = m.val.shape[0] if m.val.ndim == 1 else -1
         idx = (m.out, m.left, m.right)
@@ -444,21 +443,21 @@ class _Entries:
             return None
         if any(a.min() < 0 or a.max() >= x.N for a in idx):
             return None
-        pair = m.left.astype(np.int64) * x.N + m.right
-        order = np.argsort(pair, kind="stable")
-        if np.any(pair[order[1:]] == pair[order[:-1]]):
-            return None
-        return cls(x, order)
+        e = cls(x)
+        # every entry is found at its own index only in (left, right) order,
+        # with contiguous runs and one entry per pair
+        in_order = np.array_equal(e.at(e.lft[:-1], e.rgt[:-1]), np.arange(k))
+        return e if in_order and not np.any(e.skey[1:] == e.skey[:-1]) else None
 
     def at(self, l: np.ndarray, r: np.ndarray) -> np.ndarray:
         """The entry at (l, r), or k where there is none."""
         t = r - self.lo[l]
-        hit = t.view(np.uint64) < self.span[l].view(np.uint64)  # 0 <= t < span
-        return self.slot[np.where(hit, self.base[l] + t, -1)]
+        hit = t.view(np.uint64) < self.cnt[l].view(np.uint64)  # 0 <= t < cnt
+        return np.where(hit, self.first[l] + t, self.k)
 
     def row(self, p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The t-th slot of row p (t < span[p]) and its right index."""
-        return self.slot[self.base[p] + t], self.lo[p] + t
+        """The t-th entry of row p (t < cnt[p]) and its right index."""
+        return self.first[p] + t, self.lo[p] + t
 
     def by_output(self) -> tuple[np.ndarray, np.ndarray]:
         """Entries grouped by output, and where each output's group starts."""
@@ -495,7 +494,7 @@ def _associativity(e: _Entries) -> float:
     """
     out, lft, rgt, val = e.out, e.lft, e.rgt, e.val
     worst, matched = 0.0, 0
-    for i, t in _expand(e.span[out[:-1]]):  # i = (a, b -> p), j = (p, c -> o)
+    for i, t in _expand(e.cnt[out[:-1]]):  # i = (a, b -> p), j = (p, c -> o)
         j, c = e.row(out[i], t)
         i2 = e.at(rgt[i], c)  # i2 = (b, c -> q), j2 = (a, q -> o)
         j2 = e.at(lft[i], out[i2])
@@ -517,64 +516,30 @@ def _frobenius_law(e: _Entries) -> float:
     """Residual of (m (x) id)(id (x) m^dag) = m^dag m over every key (a, b, c, d) of either side.
 
     Left side: i = (c, k -> a), j = (k, b -> d), value m_i conj(m_j).  Right
-    side: P = (c, d -> o), Q = (a, b -> o), value m_P conj(m_Q), at most one
-    per key.  Left terms share a key only when two entries of one row share
-    an output (a *crowded* row, as a misrouted entry makes); such a key's
-    left terms in entry order and its negated right term are summed by
-    np.add.reduceat, which is the sum a sort of both sides' terms by key
-    gives.  The right side is enumerated only when some of its terms found
-    no partner.
+    side: P = (c, d -> o), Q = (a, b -> o), value m_P conj(m_Q).  Each side
+    has at most one term per key, since no two entries of one row share an
+    output.  The right side is enumerated only when some of its terms found
+    no partner; each one's left term is the entry of row c on output a.
     """
     n = e.n
     out, lft, rgt, val = e.out, e.lft, e.rgt, e.val
-    key = lft[:-1] * n + out[:-1]  # entries sharing a row and an output form a class
-    corder = np.argsort(key, kind="stable")  # classes in turn, each in entry order
-    skey = key[corder]
-    cls_head = np.searchsorted(skey, key)
-    cls_size = np.searchsorted(skey, key, side="right") - cls_head
-    widest = int(cls_size.max())
-
-    def members(head, size, b):
-        """A class's members (from its first position in corder) and each one's term with right index b."""
-        tt = np.arange(widest)
-        valid = tt < size[:, None]
-        m = corder[np.where(valid, head[:, None] + tt, 0)]
-        return valid, m, e.at(rgt[m], b[:, None])
-
     worst, matched = 0.0, 0
-    for i, t in _expand(e.span[rgt[:-1]]):
+    for i, t in _expand(e.cnt[rgt[:-1]]):
         j, b = e.row(rgt[i], t)
         d = out[j]
         p, q = e.at(lft[i], d), e.at(out[i], b)
         hit = (out[p] == out[q]) & (out[p] >= 0)
         lv, rv = val[i] * np.conj(val[j]), val[p] * np.conj(val[q])
-        crowd = cls_size[i] > 1
-        if widest > 1 and crowd.any():
-            solo = ~crowd
-            worst = max(worst, _gap(lv[solo], rv[solo], hit[solo]))
-            matched += int(np.count_nonzero(hit & solo))
-            for s in np.array_split(np.flatnonzero(crowd), -(-crowd.sum() * widest // _CHUNK)):
-                valid, m, j2 = members(cls_head[i[s]], cls_size[i[s]], b[s])
-                same = valid & (out[j2] == d[s, None]) & (d[s, None] >= 0)
-                lead = (d[s] >= 0) & ~(same & (m < i[s, None])).any(axis=1)
-                terms = np.concatenate([val[m] * np.conj(val[j2]), -rv[s, None]], axis=1)
-                mask = np.concatenate([same, hit[s, None]], axis=1)[lead]
-                width = mask.sum(axis=1)
-                sums = np.add.reduceat(terms[lead][mask], np.cumsum(width) - width)
-                worst = max(worst, float(np.abs(sums).max(initial=0.0)))
-                matched += int(np.count_nonzero(hit[s][lead]))
-        else:
-            worst = max(worst, _gap(lv, rv, hit))
-            matched += int(np.count_nonzero(hit))
+        worst = max(worst, _gap(lv, rv, hit))
+        matched += int(np.count_nonzero(hit))
     if matched < (e.pre * e.pre).sum():  # right-side terms without a partner
         by_out, start = e.by_output()
-        for p, t in _expand(e.pre[out[:-1]], max(1, _CHUNK // widest)):
+        for p, t in _expand(e.pre[out[:-1]]):
             q = by_out[start[out[p]] + t]
-            c, a = lft[p], lft[q]
-            head = np.searchsorted(skey, c * n + a)
-            size = np.searchsorted(skey, c * n + a, side="right") - head
-            valid, _, j = members(head, size, rgt[q])
-            found = (valid & (out[j] == rgt[p][:, None])).any(axis=1)
+            key = lft[p] * n + lft[q]
+            s = np.minimum(np.searchsorted(e.skey, key), e.k - 1)
+            i = e.corder[s]
+            found = (e.skey[s] == key) & (out[e.at(rgt[i], rgt[q])] == rgt[p])
             rv = val[p] * np.conj(val[q])
             worst = max(worst, float(np.abs(rv[~found]).max(initial=0.0)))
     return worst
@@ -584,20 +549,19 @@ def verify_frobenius(x: QuantumSet, tol: float = DEFAULT_TOL) -> Report:
     """Numerically verify that the stored tensors form a special symmetric
     Frobenius algebra with counit of the unit equal to N.
 
-    Layout precondition on m: its indices lie in range(N) and each (left,
-    right) pair has at most one entry, in any order.  ``QuantumSet.mult``
-    derives m so from either presentation, in (left, right) order with each left index's right indices
-    in one contiguous run.  A term of one side of an identity then finds its
-    partner on the other side by index arithmetic, and each residual, the
-    largest |LHS - RHS| over the keys of either side, is bit for bit what
-    summing each key over the sorted union of both sides' terms gives.  A set
-    whose m breaks the layout fails every check that reads m, with residual
-    inf: it never passes.
+    Layout precondition on m: its indices lie in range(N), its entries are
+    in (left, right) order with each left index's right indices one
+    contiguous run, and no two entries with one left index share an output.
+    ``QuantumSet.mult`` derives m so from either presentation.  A term of
+    one side of an identity then finds its partner on the other side by
+    index arithmetic, and each residual, the largest |LHS - RHS| over the
+    keys of either side, is bit for bit what summing each key over the
+    sorted union of both sides' terms gives.  Any other m fails every check
+    that reads m, with residual inf: it never passes.
 
     Cost: associativity and the Frobenius law enumerate their N^3 terms in
     chunks of ``_CHUNK``, and the check holds O(N + nnz(m)) numbers beside
-    the set (plus one slot per missing right index inside a row's run, none
-    for the builders' sets).  The star, duality, unit and counit checks read
+    the set.  The star, duality, unit and counit checks read
     ``star_src``/``star_phase`` and the entries of m; no N x N array is built.
     """
     n = x.N

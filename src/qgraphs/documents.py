@@ -31,7 +31,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .algebra import Operator, QuantumSet, Report, build_quantum_set
+from .algebra import DEFAULT_TOL, Operator, QuantumSet, Report, build_quantum_set
 from .errors import InvalidInput
 from .graphs import EdgeProjection, GraphReport, QuantumGraph
 from .groups import AbelianGroup, Bicharacter, make_bicharacter, twist_quantum_set
@@ -145,7 +145,7 @@ def set_to_spec(x: QuantumSet) -> dict:
     raise DocumentError("quantum set is neither block-based nor a group twist")
 
 
-def set_from_spec(spec: Any, tol: float = 1e-9) -> QuantumSet:
+def set_from_spec(spec: Any, tol: float = DEFAULT_TOL) -> QuantumSet:
     if not isinstance(spec, dict):
         raise DocumentError(f"set spec must be an object, got {type(spec).__name__}")
     if "blocks" in spec:
@@ -173,7 +173,7 @@ def graph_to_document(g: QuantumGraph, metadata: Optional[dict] = None) -> dict:
     return document("quantum-graph", metadata, set=set_to_spec(g.set), adjacency=g.adjacency)
 
 
-def graph_from_document(doc: Any, tol: float = 1e-9) -> QuantumGraph:
+def graph_from_document(doc: Any, tol: float = DEFAULT_TOL) -> QuantumGraph:
     spec, adjacency = _open(doc, "quantum-graph", "set", "adjacency")
     x = set_from_spec(spec, tol=tol)
     return QuantumGraph(set=x, adjacency=_array(adjacency, "adjacency"))
@@ -185,7 +185,7 @@ def projection_to_document(p: EdgeProjection, metadata: Optional[dict] = None) -
                     projection=[[i, j, mat] for (i, j), mat in sorted(p.blocks.items())])
 
 
-def projection_from_document(doc: Any, tol: float = 1e-9) -> EdgeProjection:
+def projection_from_document(doc: Any, tol: float = DEFAULT_TOL) -> EdgeProjection:
     spec, entries = _open(doc, "quantum-graph", "set", "projection")
     x = set_from_spec(spec, tol=tol)
     if not isinstance(entries, list):
@@ -207,7 +207,7 @@ def operator_to_document(op: Operator, metadata: Optional[dict] = None) -> dict:
                     codomain=set_to_spec(op.codomain), matrix=op.matrix)
 
 
-def operator_from_document(doc: Any, tol: float = 1e-9) -> Operator:
+def operator_from_document(doc: Any, tol: float = DEFAULT_TOL) -> Operator:
     dom, cod, matrix = _open(doc, "operator", "domain", "codomain", "matrix")
     return Operator(domain=set_from_spec(dom, tol=tol), codomain=set_from_spec(cod, tol=tol),
                     matrix=_array(matrix, "matrix"))
@@ -244,7 +244,8 @@ def bicharacter_to_document(group: AbelianGroup, gen_values: np.ndarray,
                     gen_values=array_to_json(gen_values))
 
 
-def bicharacter_from_document(doc: Any, group: AbelianGroup, tol: float = 1e-9) -> Bicharacter:
+def bicharacter_from_document(doc: Any, group: AbelianGroup,
+                              tol: float = DEFAULT_TOL) -> Bicharacter:
     """The bicharacter a document defines on ``group``, which must be its group."""
     group_spec, gen_values = _open(doc, "bicharacter", "group", "gen_values")
     if _group(group_spec).orders != group.orders:
@@ -252,7 +253,7 @@ def bicharacter_from_document(doc: Any, group: AbelianGroup, tol: float = 1e-9) 
     return make_bicharacter(group, _array(gen_values, "gen_values"), tol=tol)
 
 
-def bicharacter_from_text(text: str, group: AbelianGroup, tol: float = 1e-9) -> Bicharacter:
+def bicharacter_from_text(text: str, group: AbelianGroup, tol: float = DEFAULT_TOL) -> Bicharacter:
     """A bicharacter from inline JSON generator values: real numbers or [re, im] pairs."""
     arr = _numbers(_parse(text), "generator values")
     if arr.ndim == 3:

@@ -586,7 +586,7 @@ def quantum_edge(n: int, xi: np.ndarray) -> QuantumGraph:
 
 
 def graph_from_subspace(
-    n: int, basis: Sequence[np.ndarray], tol: float = 1e-9
+    n: int, basis: Sequence[np.ndarray], tol: float = DEFAULT_TOL
 ) -> QuantumGraph:
     """Graph on M_n with operator space spanned by ``basis``.
 
@@ -636,7 +636,7 @@ def subspace_from_graph(
 
 
 def selfadjoint_basis(
-    basis: Sequence[np.ndarray], tol: float = 1e-9
+    basis: Sequence[np.ndarray], tol: float = DEFAULT_TOL
 ) -> list[np.ndarray]:
     """Self-adjoint basis of a dagger-closed span of matrices.
 

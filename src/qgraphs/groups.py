@@ -231,11 +231,10 @@ def twist_quantum_set(group: AbelianGroup, sigma: Bicharacter) -> QuantumSet:
     Orthonormal basis b_mu indexed by group elements, with multiplication
     ``b_mu b_nu = conj(sigma(mu,nu)) b_{mu+nu} / sqrt(N)``, unit sqrt(N) b_0
     and counit sqrt(N) delta_{mu,0}.  The star is the signed permutation
-    mu -> -mu whose phases are solved numerically from unitarity of the
-    scaled basis (each tau_mu must satisfy tau_mu^* tau_mu = 1 with
-    tau_mu^* a multiple of tau_{-mu}); consistency is certified by
-    verify_frobenius rather than by a symbolic phase rule.  The set holds
-    O(N) numbers; its multiplication is derived on first read of ``mult``.
+    tau_mu^* = c_mu tau_{-mu} with c_mu = 1 / conj(sigma(-mu, mu)), read
+    exactly from the bicharacter's exponent table (``Bicharacter._phases``)
+    so that tau_mu^* tau_mu = 1.  The set holds O(N) numbers; its
+    multiplication is derived on first read of ``mult``.
     """
     if sigma.group is not group and sigma.group.orders != group.orders:
         raise InvalidInput("bicharacter is defined on a different group")

@@ -443,6 +443,29 @@ def test_battery_matches_sorted_key_reference(name):
     assert _assert_matches_reference(REFERENCE_CORPUS[name]()).all_pass
 
 
+def _in_layout(m):
+    """Entries in (left, right) order, each row's right indices one run, and no
+    two entries of one row on one output: the layout QuantumSet.mult derives."""
+    l, r, o = m.left.tolist(), m.right.tolist(), m.out.tolist()
+    runs = all(l2 > l1 or (l2 == l1 and r2 == r1 + 1)
+               for l1, r1, l2, r2 in zip(l, r, l[1:], r[1:]))
+    return runs and len(set(zip(l, o))) == len(o)
+
+
+#: the checks that read only the star and the unit, never m
+STAR_ONLY = STAR_CHECKS + ("vertex_count",)
+
+
+def _assert_refused(broken, x):
+    """Every check that reads m fails with residual inf; the rest keep the intact set's values."""
+    want = {c.name: c.residual for c in verify_frobenius(x).checks}
+    for c in verify_frobenius(broken).checks:
+        if c.name in STAR_ONLY:
+            assert c.residual == want[c.name], c.name
+        else:
+            assert not c.passed and c.residual == math.inf, c.name
+
+
 def _corruptions(x, rng):
     """One value perturbed, one output misrouted (to a random slot and to slot 0),
     one entry dropped, and one row sent wholly to a single output."""
@@ -468,67 +491,103 @@ def _corruptions(x, rng):
 @pytest.mark.parametrize("name", ["clifford-3", "clifford-4", "weyl-3", "z4xz2xz3",
                                   "blocks-2-1-2-3", "blocks-1-2-3-4"])
 def test_battery_matches_reference_on_corrupted_sets(name):
+    """A corruption that keeps the layout matches the reference; any other is refused."""
     x = REFERENCE_CORPUS[name]()
     rng = np.random.default_rng(x.N)
     for kind, broken in _corruptions(x, rng):
+        if not _in_layout(broken.mult):
+            _assert_refused(broken, x)
+            continue
         report = _assert_matches_reference(broken)
         assert not report.all_pass, kind
         assert report.residual("associativity") > 1e-6 or report.residual(
             "frobenius_law_left") > 1e-6, kind
 
 
-def test_battery_needs_no_entry_order():
+def test_battery_refuses_permuted_entries():
     x = REFERENCE_CORPUS["z4xz2xz3"]()
     p = np.random.default_rng(1).permutation(x.mult.val.size)
     shuffled = _with_entries(x, x.mult.out[p], x.mult.left[p], x.mult.right[p], x.mult.val[p])
-    assert _assert_matches_reference(shuffled).all_pass
-    out = x.mult.out.copy()
-    out[5] = 0
-    out = out[p]
-    assert not _assert_matches_reference(_with_entries(shuffled, out=out)).all_pass
+    _assert_refused(shuffled, x)
 
 
-@pytest.mark.parametrize("breakage", ["duplicate-pair", "duplicate-entry", "output-out-of-range"])
+@pytest.mark.parametrize("corruption",
+                         ["dropped-last-of-row", "misrouted", "misrouted-and-doubled"])
+def test_right_side_passes_match_the_reference(corruption, monkeypatch):
+    """Each corruption keeps the layout, and some right-side terms find no partner
+    on the left, so the right-side passes run.  On the misrouted sets only they see
+    the largest residual of the Frobenius law, and on the doubled one of associativity
+    too; there the Frobenius pass must also tell a found key from its sorted neighbour."""
+    from qgraphs.algebra import _Entries
+
+    x = build_quantum_set([2, 1])
+    out, val = x.mult.out.copy(), x.mult.val.copy()
+    if corruption == "dropped-last-of-row":  # entry 1 ends row 0
+        keep = np.arange(val.size) != 1
+        broken = _with_entries(x, out[keep], x.mult.left[keep], x.mult.right[keep], val[keep])
+    else:
+        if corruption == "misrouted":  # entry 0 to output 4
+            out[0] = 4
+        else:  # entry 3 to output 3, its value doubled
+            out[3], val[3] = 3, 2 * val[3]
+        broken = _with_entries(x, out=out, val=val)
+    assert _in_layout(broken.mult) and _Entries.of(broken) is not None
+    calls = []
+    by_output = _Entries.by_output
+    monkeypatch.setattr(_Entries, "by_output", lambda e: calls.append(1) or by_output(e))
+    assert not _assert_matches_reference(broken).all_pass
+    assert calls
+
+
+@pytest.mark.parametrize("breakage", ["duplicate-pair", "duplicate-entry", "output-out-of-range",
+                                      "permuted", "gap-in-row", "crowded-row"])
 def test_layout_violation_fails_every_check_of_m(breakage):
     x = build_quantum_set([2, 1])
+    out, lft, rgt = x.mult.out.copy(), x.mult.left.copy(), x.mult.right.copy()
     if breakage == "duplicate-pair":  # (left, right) of entry 0 again, with another output
-        broken = _with_entries(x, np.append(x.mult.out, 1), np.append(x.mult.left, x.mult.left[0]),
-                               np.append(x.mult.right, x.mult.right[0]), np.append(x.mult.val, 0.5))
+        broken = _with_entries(x, np.append(out, 1), np.append(lft, lft[0]),
+                               np.append(rgt, rgt[0]), np.append(x.mult.val, 0.5))
     elif breakage == "duplicate-entry":  # entry 0 split in two halves
         val = x.mult.val.copy()
         val[0] /= 2
-        broken = _with_entries(x, np.append(x.mult.out, x.mult.out[0]),
-                               np.append(x.mult.left, x.mult.left[0]),
-                               np.append(x.mult.right, x.mult.right[0]), np.append(val, val[0]))
+        broken = _with_entries(x, np.append(out, out[0]), np.append(lft, lft[0]),
+                               np.append(rgt, rgt[0]), np.append(val, val[0]))
+    elif breakage == "permuted":  # entries 0 and 1 of row 0 swapped
+        p = np.r_[1, 0, 2:x.mult.val.size]
+        broken = _with_entries(x, out[p], lft[p], rgt[p], x.mult.val[p])
+    elif breakage == "gap-in-row":  # row 0's right indices 0, 2
+        rgt[1] += 1
+        broken = _with_entries(x, rgt=rgt)
+    elif breakage == "crowded-row":  # row 0's two entries on one output
+        out[1] = out[0]
+        broken = _with_entries(x, out=out)
     else:
-        out = x.mult.out.copy()
         out[3] = x.N
         broken = _with_entries(x, out=out)
-    report = verify_frobenius(broken)
-    assert not report.all_pass
-    star_only = {"snake_left", "snake_right", "star_involutive", "duality_symmetric",
-                 "vertex_count"}
-    for c in report.checks:
-        if c.name in star_only:
-            assert c.passed
-        else:
-            assert not c.passed and c.residual == math.inf
+    assert not _in_layout(broken.mult) or breakage == "output-out-of-range"
+    _assert_refused(broken, x)
+    assert verify_frobenius(x).all_pass
 
 
 def test_entry_lookup_matches_a_dict():
     from qgraphs.algebra import _Entries
 
+    for x in (make() for make in REFERENCE_CORPUS.values()):
+        e = _Entries.of(x)
+        want = {(l, r): i for i, (l, r) in
+                enumerate(zip(x.mult.left.tolist(), x.mult.right.tolist()))}
+        # rows -1..N-1 (-1 is a missing entry's output) and right indices -1..N
+        ls, rs = (a.ravel() for a in np.meshgrid(np.arange(-1, x.N), np.arange(-1, x.N + 1)))
+        for l, r, i in zip(ls.tolist(), rs.tolist(), e.at(ls, rs).tolist()):
+            assert i == want.get((l, r), e.k)
+        assert e.out[e.k] == -1 and e.val[e.k] == 0
+    # a row with a gap in its run of right indices leaves the layout
     x = REFERENCE_CORPUS["blocks-2-1-2-3"]()
-    keep = np.random.default_rng(4).random(x.mult.val.size) < 0.7  # rows with gaps
-    x = _with_entries(x, x.mult.out[keep], x.mult.left[keep], x.mult.right[keep],
-                      x.mult.val[keep])
-    e = _Entries.of(x)
-    want = {(l, r): i for i, (l, r) in enumerate(zip(x.mult.left.tolist(), x.mult.right.tolist()))}
-    # rows -1..N-1 (-1 is a missing entry's output) and right indices -1..N
-    ls, rs = (a.ravel() for a in np.meshgrid(np.arange(-1, x.N), np.arange(-1, x.N + 1)))
-    for l, r, i in zip(ls.tolist(), rs.tolist(), e.at(ls, rs).tolist()):
-        assert i == want.get((l, r), e.k)
-    assert e.out[e.k] == -1 and e.val[e.k] == 0
+    _, first, cnt = np.unique(x.mult.left, return_index=True, return_counts=True)
+    keep = np.arange(x.mult.val.size) != first[cnt >= 3][0] + 1  # a middle entry
+    gap = _with_entries(x, x.mult.out[keep], x.mult.left[keep], x.mult.right[keep],
+                        x.mult.val[keep])
+    assert _Entries.of(gap) is None
 
 
 @pytest.mark.parametrize("counts", [[], [0, 0], [3, 0, 5, 1], [70000, 2, 0, 65536, 1]])

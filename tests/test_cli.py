@@ -449,6 +449,27 @@ def test_unreadable_inputs_exit_2_with_one_error_line(capsys, tmp_path, case):
     assert "Traceback" not in err
 
 
+def test_generic_schur_product_is_refused_above_the_dense_limit(capsys, tmp_path):
+    """One off-diagonal pair takes a twisted Q_7 (N = 128) out of the diagonal
+    calculus; the generic Schur product it then needs is refused, not computed."""
+    from qgraphs.algebra import DENSE_LIMIT
+    from qgraphs.errors import ResourceLimit
+    from qgraphs.graphs import schur_product
+
+    g = cube_like_graph(7, preset="hypercube")
+    a = g.adjacency.copy()
+    a[1, 2] = a[2, 1] = 1.0
+    with pytest.raises(ResourceLimit, match=f"N=128 > {DENSE_LIMIT}"):
+        schur_product(g.set, a, a)
+    path = tmp_path / "q7.json"
+    path.write_text(docs.dumps(docs.graph_to_document(QuantumGraph(g.set, a))))
+    for command in ("graph-check", "obstruct"):
+        code, out, err = run(capsys, command, str(path), "--json")
+        assert code == 2 and out == "", command
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and f"> {DENSE_LIMIT}" in err
+
+
 def test_closed_stdout_is_exit_2_without_traceback():
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -197,6 +197,17 @@ def test_edge_spectrum_refuses_non_finite_adjacency():
         edge_spectrum(QuantumGraph(build_quantum_set([2]), a))
 
 
+def test_edge_spectrum_is_none_on_a_non_hermitian_realigned_block():
+    from qgraphs.graphs import edge_spectrum
+
+    rng = np.random.default_rng(4)
+    g = QuantumGraph(build_quantum_set([2]),
+                     rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    assert edge_spectrum(g) is None
+    rep = graph_report(g)
+    assert rep.is_multigraph is None and rep.quantum_edges is None
+
+
 @pytest.mark.parametrize("entry, diagonal", [
     (-0.0, True), (complex(0, -0.0), True), (5e-324, False), (complex(0, 5e-324), False),
     (np.nan, False), (np.inf, False), (-np.inf, False), (1.0, False),
