@@ -412,7 +412,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         doc, table, code = args.func(args, _resolve_tol(args))
         doc["metadata"]["command"] = args.command
-        print(docs.dumps(doc) if args.json else "\n".join(table()))
+        if args.json:  # the whole text is never held; a write per piece is slow on a pipe
+            pieces = docs.encode(doc)
+            for k in range(0, len(pieces), 256):
+                sys.stdout.write("".join(pieces[k:k + 256]))
+            sys.stdout.write("\n")
+        else:
+            print("\n".join(table()))
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except (InvalidInput, ResourceLimit, docs.DocumentError, UnicodeDecodeError) as exc:

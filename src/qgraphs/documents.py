@@ -10,24 +10,31 @@ malformed entry (ragged rows, strings, null, booleans, NaN/Inf, missing
 keys) is refused with a ``DocumentError``.
 
 The builders keep matrices and vectors as complex numpy arrays, and
-:func:`dumps` writes each array from a table of its distinct values, so no
+:func:`dumps` writes each array from tables of its distinct values, so no
 Python object is made per entry.  :func:`loads` reads the matrices back the
 same way: the value of each key that holds one (``adjacency``, ``matrix``,
 ``bicharacter``, ``gen_values``), if it is a rectangular array of [re, im]
 pairs, is converted through a table of its distinct pairs into a float64
-array, the pair texts read by one ``json.loads``; only the text of each
-distinct pair becomes a Python object.  ``json.loads`` parses the rest of the document and
-every array that fails a check, so values and error messages are those of
-``json.loads`` plus ``np.asarray``.
+array, the pair texts read by one ``json.loads`` per chunk; only the text of
+each distinct pair becomes a Python object.  ``json.loads`` parses the rest
+of the document and every array that fails a check, so values and error
+messages are those of ``json.loads`` plus ``np.asarray``.
+
+Both work in bounded chunks (``_READ_CHUNK`` characters of text,
+``_WRITE_CHUNK`` entries of whole rows), so an N x N document costs the
+text, the array and one chunk: on twisted Q_9 (N = 512, a 4 MiB adjacency)
+the ``tracemalloc`` peak of :func:`loads` is about 5 MiB and that of
+:func:`dumps` about 5 MiB, of which 2.6 MB is the text it returns.
+:func:`encode` gives the text in pieces, a matrix's rows apart, so the CLI
+writes a document without ever holding all of it.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import re
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 import numpy as np
 
@@ -270,6 +277,13 @@ def bicharacter_from_text(text: str, group: AbelianGroup, tol: float = DEFAULT_T
 # elsewhere only in a string holding NUL, which argv cannot hold
 _STAND_IN = "\x00"
 _QUOTED_STAND_IN = json.dumps(_STAND_IN)
+_OUT_OF_RANGE = "an output value left the float range: JSON has no inf or nan"
+
+# Chunk sizes of the array writer (entries) and reader (characters of text).
+# Timed on a random 64 x 64 block graph and on twisted Q_9 and Q_10, chunks
+# 4x smaller or 4-16x larger read and write no faster; larger ones hold more.
+_WRITE_CHUNK = 1 << 14
+_READ_CHUNK = 1 << 16
 
 
 def dumps(doc: dict) -> str:
@@ -277,8 +291,17 @@ def dumps(doc: dict) -> str:
 
     The text is byte for byte ``json.dumps(..., sort_keys=True,
     allow_nan=False, separators=(",", ": "))`` of the document with each
-    array replaced by its nested-list form.  Non-finite values raise
-    ``ValueError``.
+    array replaced by its nested-list form.  A non-finite value raises
+    ``DocumentError``: the output has no JSON form.
+    """
+    return "".join(encode(doc))
+
+
+def encode(doc: dict) -> list[str]:
+    """The text of :func:`dumps` as a list of pieces, a matrix's rows apart.
+
+    A writer that writes the pieces one by one never holds the whole text,
+    and writes nothing of a document that fails.
     """
     arrays: list[np.ndarray] = []
 
@@ -288,55 +311,100 @@ def dumps(doc: dict) -> str:
         arrays.append(obj)
         return _STAND_IN
 
-    skeleton = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",", ": "),
-                                default=stand_in).encode(doc)
+    try:
+        skeleton = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",", ": "),
+                                    default=stand_in).encode(doc)
+    except ValueError as exc:
+        if not str(exc).startswith("Out of range float values"):
+            raise
+        raise DocumentError(_OUT_OF_RANGE) from None
     pieces = skeleton.split(_QUOTED_STAND_IN)
     if len(pieces) != len(arrays) + 1:
         raise ValueError("a document string holds NUL, which marks the arrays")
-    texts = _array_texts(arrays)
-    return "".join(itertools.chain.from_iterable(zip(pieces, texts))) + pieces[-1]
+    out = []
+    for piece, text in zip(pieces, _array_texts(arrays)):
+        out.append(piece)
+        out += text
+    out.append(pieces[-1])
+    return out
 
 
-def _array_texts(arrays: list[np.ndarray]) -> list[str]:
-    """The JSON text of each array; the arrays of one shape share one table."""
-    by_shape: dict[tuple, list[int]] = {}
-    for k, a in enumerate(arrays):
-        by_shape.setdefault(a.shape, []).append(k)
-    texts = [""] * len(arrays)
-    for ks in by_shape.values():
-        if len(ks) == 1:
-            stack = np.asarray(arrays[ks[0]], dtype=complex)[None]
-        else:
-            stack = np.array([arrays[k] for k in ks], dtype=complex)
-        for k, text in zip(ks, _stack_texts(stack)):
-            texts[k] = text
-    return texts
+def _array_texts(arrays: list[np.ndarray]) -> Iterator[tuple[str, ...]]:
+    """The JSON text of each array in turn, as a tuple of pieces; the arrays of
+    one shape are written as one stack.  One at a time: a projection document
+    can hold a million arrays, and an object per array would cost the
+    collector more than the writing."""
+    by_shape: dict[tuple, list[np.ndarray]] = {}
+    for a in arrays:
+        by_shape.setdefault(a.shape, []).append(a)
+    texts = {}
+    for shape, same in by_shape.items():
+        pieces, c = _stack_texts(np.asarray(same[0])[None] if len(same) == 1 else np.array(same))
+        texts[shape] = zip(*[iter(pieces)] * c)  # c pieces at a time
+    for a in arrays:
+        yield next(texts[a.shape])
 
 
-def _stack_texts(stack: np.ndarray) -> list[str]:
-    """The JSON text of each ``stack[k]``, written from its distinct (re, im) bit patterns."""
-    flat = np.ascontiguousarray(stack).reshape(-1)
-    if not np.isfinite(flat).all():
-        raise ValueError("Out of range float values are not JSON compliant")
-    pairs = flat.view(np.uint64).reshape(-1, 2)  # (re, im) bits: -0.0 and 0.0 stay apart
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))  # equal pairs side by side
-    ranked = pairs[order]
-    starts = np.ones(len(ranked), dtype=bool)
-    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    code = np.empty(len(ranked), dtype=np.intp)
-    code[order] = np.cumsum(starts) - 1
-    values = ranked[starts].view(np.float64)
-    entries = [f"[{x!r},{y!r}]" for x, y in zip(values[:, 0].tolist(), values[:, 1].tolist())]
+def _bracketed(texts: list[str]) -> list[str]:
+    """The pieces of the JSON list of the values whose texts are ``texts``."""
+    if not texts:
+        return ["[]"]
+    pieces = [","] * (2 * len(texts) + 1)
+    pieces[0], pieces[-1] = "[", "]"
+    pieces[1::2] = texts
+    return pieces
+
+
+def _stack_texts(stack: np.ndarray) -> tuple[list[str], int]:
+    """The JSON texts of the arrays ``stack[k]``, ``c`` pieces each: the pieces and ``c``.
+
+    The entries are written one chunk of whole rows (about ``_WRITE_CHUNK``
+    entries) at a time, each chunk from a table of its distinct (re, im) bit
+    patterns.  An entry's text depends only on its bits, so the chunking
+    leaves the bytes as they are.  Besides the stack, the writer holds the
+    row texts and one chunk: no Python object per entry.  The texts along an
+    array's first axis stay apart, so a matrix's rows are never joined here.
+    """
     shape = stack.shape
-    while len(shape) > 1 and shape[-1] == 1:  # a unit axis wraps the table, not each entry
-        entries = ["[" + e + "]" for e in entries]
+    wrap = ""  # a unit axis wraps each entry, not each row
+    while len(shape) > 1 and shape[-1] == 1:
+        wrap += "["
         shape = shape[:-1]
-    items = np.array(entries, dtype=object)[code].tolist()
-    for axis in range(len(shape) - 1, 0, -1):
+    close = "]" * len(wrap)
+    scalars = len(shape) == 1  # a stack of scalars: each row is one unbracketed entry
+    if scalars:
+        shape += (1,)
+    m = shape[-1]
+    rows = stack.reshape(math.prod(shape[:-1]), m)
+    step = max(1, _WRITE_CHUNK // max(m, 1))
+    items: list[str] = []
+    for r in range(0, len(rows), step):
+        chunk = np.ascontiguousarray(rows[r:r + step], dtype=complex)
+        if not np.isfinite(chunk).all():
+            raise DocumentError(_OUT_OF_RANGE)
+        # (re, im) bits: -0.0 and 0.0 stay apart
+        pairs = chunk.reshape(-1).view(np.uint64).reshape(-1, 2)
+        order = np.lexsort((pairs[:, 1], pairs[:, 0]))  # equal pairs side by side
+        ranked = pairs[order]
+        starts = np.ones(len(ranked), dtype=bool)
+        starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        code = np.empty(len(ranked), dtype=np.intp)
+        code[order] = np.cumsum(starts) - 1
+        values = ranked[starts].view(np.float64)
+        entries = [f"{wrap}[{x!r},{y!r}]{close}"
+                   for x, y in zip(values[:, 0].tolist(), values[:, 1].tolist())]
+        texts = np.array(entries, dtype=object)[code].tolist()
+        items += texts if scalars else ["[" + ",".join(texts[k * m:(k + 1) * m]) + "]"
+                                        for k in range(len(chunk))]
+    for axis in range(len(shape) - 2, 1, -1):
         m = shape[axis]
         items = ["[" + ",".join(items[k * m:(k + 1) * m]) + "]"
                  for k in range(math.prod(shape[:axis]))]
-    return items
+    if len(shape) == 2:  # each row is a whole array
+        return items, 1
+    m = shape[1]  # each array: the texts along its first axis, apart
+    pieces = [p for k in range(shape[0]) for p in _bracketed(items[k * m:(k + 1) * m])]
+    return pieces, len(pieces) // shape[0]
 
 
 def _reject_constant(name: str):
@@ -354,41 +422,66 @@ _STRING_OR_ARRAY = re.compile(r'"(?:(?:%s)"[ \t\n\r]*:[ \t\n\r]*(\[[-+.0-9eE \t\
 _NOT_SKELETON = str.maketrans("", "", "-+.0123456789eE \t\n\r")
 
 
-def _lift(region: str) -> Optional[np.ndarray]:
-    """The float64 array that ``region`` spells if it is a rectangular array of
-    [re, im] pairs of JSON numbers, at least 2-D, else None.
-
-    The text after each "[" must be whitespace, or a pair and closing
-    brackets; the brackets and commas must be those of a rectangular array.
-    The distinct pair texts are read by one ``json.loads`` and :func:`_numbers`,
-    so the values are bit for bit those ``_numbers`` makes of
-    ``json.loads(region)``.
-    """
-    pieces = region.split("[")[1:]
-    texts = [piece for piece in set(pieces) if piece.strip(" \t\n\r")]
-    heads = []
-    for piece in texts:
-        head, close, tail = piece.partition("]")
-        if not close or tail.strip("], \t\n\r"):
-            return None
-        heads.append(head)
-    try:
-        values = _numbers(json.loads("[[" + "],[".join(heads) + "]]"), "pairs")
-    except ValueError:  # not JSON numbers, or not finite (a DocumentError)
-        return None
-    if values.shape != (len(heads), 2):
-        return None
-    skeleton = region.translate(_NOT_SKELETON)
+def _shape(text: str, start: int, end: int) -> Optional[list[int]]:
+    """The shape of the array ``text[start:end]`` spells if its brackets and
+    commas are those of a rectangular array of [re, im] pairs, at least 2-D, else None."""
+    skeleton = "".join(text[a:min(a + _READ_CHUNK, end)].translate(_NOT_SKELETON)
+                       for a in range(start, end, _READ_CHUNK))
     shape, expected = [2], "[,]"  # from the innermost axis out
     for depth in range(2, len(skeleton) - len(skeleton.lstrip("[")) + 1):
         leaves = skeleton.count(",", 0, skeleton.find("]" * depth)) + 1  # in the first block
         shape.insert(0, leaves // math.prod(shape))
+        if not shape[0]:  # an empty axis spells "[]", which no deeper skeleton is
+            return None
         expected = "[" + ",".join([expected] * shape[0]) + "]"
     if len(shape) < 2 or skeleton != expected:
         return None
-    table = dict(zip(texts, values.view(np.complex128)[:, 0]))
-    pairs = map(table.__getitem__, filter(table.__contains__, pieces))
-    return np.fromiter(pairs, np.complex128, math.prod(shape[:-1])).view(np.float64).reshape(shape)
+    return shape
+
+
+def _lift(text: str, start: int, end: int) -> Optional[np.ndarray]:
+    """The float64 array that ``text[start:end]`` spells if it is a rectangular
+    array of [re, im] pairs of JSON numbers, at least 2-D, else None.
+
+    The brackets and commas must be those of a rectangular array, and the text
+    after each "[" whitespace, or a pair and closing brackets.  The region is
+    read in chunks of about ``_READ_CHUNK`` characters, each cut just before a
+    "[" and split there; the pair texts not yet in the table of distinct pairs
+    are read by one ``json.loads`` and :func:`_numbers`, so the values are bit
+    for bit those ``_numbers`` makes of ``json.loads(text[start:end])``.
+    Besides the text and the array, the reader holds one chunk and the table.
+    """
+    shape = _shape(text, start, end)
+    if shape is None:
+        return None
+    out = np.empty(math.prod(shape[:-1]), np.complex128)
+    table: dict[str, complex] = {}
+    filled = 0
+    while start < end:
+        cut = text.find("[", start + _READ_CHUNK, end)
+        cut = end if cut < 0 else cut
+        pieces = text[start:cut].split("[")[1:]
+        texts = [piece for piece in set(pieces).difference(table) if piece.strip(" \t\n\r")]
+        heads = []
+        for piece in texts:
+            head, close, tail = piece.partition("]")
+            if not close or tail.strip("], \t\n\r"):
+                return None
+            heads.append(head)
+        if heads:
+            try:
+                values = _numbers(json.loads("[[" + "],[".join(heads) + "]]"), "pairs")
+            except ValueError:  # not JSON numbers, or not finite (a DocumentError)
+                return None
+            if values.shape != (len(heads), 2):
+                return None
+            table.update(zip(texts, values.view(np.complex128)[:, 0].tolist()))
+        pairs = np.fromiter(map(table.__getitem__, filter(table.__contains__, pieces)),
+                            np.complex128)
+        out[filled:filled + len(pairs)] = pairs
+        filled += len(pairs)
+        start = cut
+    return out.view(np.float64).reshape(shape)
 
 
 def _parse(text: str) -> Any:
@@ -401,7 +494,8 @@ def _parse(text: str) -> Any:
     arrays: list[np.ndarray] = []
 
     def lift(match: re.Match) -> str:
-        array = None if match[1] is None else _lift(match[1])
+        # by position: match[1] would copy the array's text
+        array = None if match.start(1) < 0 else _lift(text, match.start(1), match.end(1))
         if array is None:
             return match[0]
         arrays.append(array)

@@ -337,6 +337,30 @@ def test_documents_forbid_nan(tmp_path):
         docs.dumps(docs.graph_to_document(QuantumGraph(x, a)))
 
 
+# the overflow warnings these inputs raise on the way belong to the calculus, not to the writer
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command, paths, value", [
+    ("graph-check", [("adjacency", 0, 3), ("adjacency", 3, 0)], [1e308, 0.0]),
+    ("rotate", [("projection", 0, 2, 0, 0)], [-1e308, 0.0]),
+])
+def test_an_output_value_out_of_the_float_range_is_bad_input(capsys, tmp_path, command, paths,
+                                                             value):
+    # graph-check reads catalog m2-edge, rotate its rotate output
+    text = run(capsys, "catalog", "m2-edge", "--json")[1]
+    path = tmp_path / "input.json"
+    if command == "rotate":
+        path.write_text(text)
+        text = run(capsys, "rotate", str(path), "--json")[1]
+    doc = json.loads(text)
+    for *keys, last in paths:
+        functools.reduce(lambda node, key: node[key], keys, doc)[last] = value
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path), "--json")
+    assert code == 2 and out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: an output value left the float range: JSON has no inf or nan"]
+
+
 def test_cayley_spectrum_output(capsys):
     code, out, _ = run(capsys, "cayley", "--orders", "2,2,2",
                        "--gens", "100;010;001", "--spectrum", "--json")

@@ -1,12 +1,15 @@
 """The document codec: byte-identical encoding, exact round trips, refusals."""
 
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgraphs import documents as docs
+from qgraphs.clifford import cube_like_graph
 from qgraphs.errors import InvalidInput
 from qgraphs.graphs import QuantumGraph
 from qgraphs.groups import AbelianGroup
@@ -376,3 +379,85 @@ def test_reader_matches_json_loads_on_arrays_with_one_character_inserted(array_t
     char = data.draw(st.sampled_from(list("-+.0123456789eE ,[]")))
     text = '{"adjacency": ' + array_text[:at] + char + array_text[at:] + "}"
     assert _adjacency_outcome(docs.loads, text) == _adjacency_outcome(reference_loads, text)
+
+
+# ---------------------------------------------------------------------------
+# chunks: the reader and the writer give the same values at every chunk size
+# ---------------------------------------------------------------------------
+
+
+CHUNK_EDGE_CASES = [
+    # a malformed pair, or a whitespace-only piece, in a later chunk than valid ones
+    "[[[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0], [1e400, 0.0]]]",
+    "[[[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0], [01, 0.0]]]",
+    "[[[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0], [1.0, 0.0 1]]]",
+    "[[[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0], [-, 0.0]]]",
+    "[[[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0], [ ]]]",
+    "[[[1.0, 0.0], [2.0, 0.0]], [ \n [3.0, 0.0], [4.0, 0.0]]]",
+    # a distinct pair first seen in a later chunk
+    "[[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [5.0, -1.0]]]",
+]
+
+
+@pytest.mark.parametrize("read_chunk", [1, 3, 17])
+@pytest.mark.parametrize("array_text", CHUNK_EDGE_CASES)
+def test_reader_chunk_edge_cases_give_the_json_loads_outcome(monkeypatch, read_chunk, array_text):
+    monkeypatch.setattr(docs, "_READ_CHUNK", read_chunk)
+    text = '{"adjacency": ' + array_text + "}"
+    assert _adjacency_outcome(docs.loads, text) == _adjacency_outcome(reference_loads, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(array_texts(), st.sampled_from([1, 3, 17]), st.data())
+def test_reader_matches_json_loads_at_every_chunk_boundary(array_text, read_chunk, data):
+    at = data.draw(st.integers(0, len(array_text)))
+    char = data.draw(st.sampled_from(["", *"-+.0123456789eE ,[]"]))
+    text = '{"adjacency": ' + array_text[:at] + char + array_text[at:] + "}"
+    with mock.patch.object(docs, "_READ_CHUNK", read_chunk):
+        got = _adjacency_outcome(docs.loads, text)
+    assert got == _adjacency_outcome(reference_loads, text)
+
+
+# arrays with a unit trailing axis too: a unit axis wraps each entry, not each row
+CHUNK_ARRAYS = st.one_of(complex_arrays(), complex_arrays().map(lambda a: a[..., None]),
+                         complex_arrays().map(lambda a: a[..., None, None]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(TEXT, st.one_of(CHUNK_ARRAYS, st.lists(CHUNK_ARRAYS, max_size=3)),
+                       max_size=4),
+       st.sampled_from([1, 2]))
+def test_writer_matches_the_stdlib_encoding_at_every_chunk_size(doc, write_chunk):
+    with mock.patch.object(docs, "_WRITE_CHUNK", write_chunk):
+        got = docs.dumps(doc)
+    assert got == stdlib_dumps(doc)
+
+
+@pytest.fixture(scope="module")
+def twisted_q9():
+    """Twisted Q_9 (N = 512, a 4 MiB adjacency): its document and its text."""
+    doc = docs.graph_to_document(cube_like_graph(9, preset="hypercube"))
+    return doc, docs.dumps(doc)
+
+
+def _traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# the codec holds the text, the array and one chunk: no Python object per entry
+def test_loads_memory_on_a_twisted_hypercube(twisted_q9):
+    doc, text = twisted_q9
+    assert np.array_equal(docs.loads(text)["adjacency"].view(complex)[..., 0], doc["adjacency"])
+    peak = _traced_peak(docs.loads, text)
+    assert peak <= 2 * doc["adjacency"].nbytes, peak  # 8 MiB
+
+
+def test_dumps_memory_on_a_twisted_hypercube(twisted_q9):
+    doc, text = twisted_q9
+    peak = _traced_peak(docs.dumps, doc)
+    assert peak <= 10 * 2 ** 20, peak
