@@ -7,23 +7,29 @@ numbers are always two-element [re, im] arrays of finite JSON numbers,
 matrices are row-major nested lists of them, and keys are emitted sorted.
 This module is the only one that reads or writes the format: every
 malformed entry (ragged rows, strings, null, booleans, NaN/Inf, missing
-keys) is refused with a ``DocumentError``.
+keys, a number of more digits than ``int`` reads, nesting deeper than
+``json.loads`` recurses) is refused with a ``DocumentError``.
 
-The builders keep matrices and vectors as complex numpy arrays, and
-:func:`dumps` writes each array from tables of its distinct values, so no
-Python object is made per entry.  :func:`loads` reads the matrices back the
-same way: the value of each key that holds one (``adjacency``, ``matrix``,
-``bicharacter``, ``gen_values``), if it is a rectangular array of [re, im]
-pairs, is converted through a table of its distinct pairs into a float64
-array, the pair texts read by one ``json.loads`` per chunk; only the text of
-each distinct pair becomes a Python object.  ``json.loads`` parses the rest
-of the document and every array that fails a check, so values and error
-messages are those of ``json.loads`` plus ``np.asarray``.
+The builders keep matrices and vectors as complex numpy arrays.
+:func:`dumps` writes each row of an array as runs of equal entries, found by
+comparing each entry's (re, im) bits with the one before: each distinct
+value that starts a run is written once by ``float.__repr__``, and a run of k
+copies of an entry's text is one string product.  :func:`loads` reads the
+matrices back the other way: the value of each key that holds one
+(``adjacency``, ``matrix``, ``bicharacter``, ``gen_values``), if it is a
+rectangular array of [re, im] pairs, is read into a float64 array.  Each run
+of the commonest pair text near the start is found by ``str.find`` and filled
+by one slice assignment; the text between the runs goes through a table of
+its distinct pairs, whose new texts one ``json.loads`` per chunk reads.  So a
+twisted adjacency, whose N x N entries are all zero but about N, costs O(N)
+Python objects each way.  ``json.loads`` parses the rest of the document and
+every array that fails a check, so values and error messages are those of
+``json.loads`` plus ``np.asarray``.
 
 Both work in bounded chunks (``_READ_CHUNK`` characters of text,
 ``_WRITE_CHUNK`` entries of whole rows), so an N x N document costs the
 text, the array and one chunk: on twisted Q_9 (N = 512, a 4 MiB adjacency)
-the ``tracemalloc`` peak of :func:`loads` is about 5 MiB and that of
+the ``tracemalloc`` peak of :func:`loads` is about 4.3 MiB and that of
 :func:`dumps` about 5 MiB, of which 2.6 MB is the text it returns.
 :func:`encode` gives the text in pieces, a matrix's rows apart, so the CLI
 writes a document without ever holding all of it.
@@ -34,6 +40,8 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
+from collections import Counter
 from typing import Any, Iterator, Optional
 
 import numpy as np
@@ -91,14 +99,18 @@ def _pairs(arr: np.ndarray, what: str) -> np.ndarray:
 
 def _holds_boolean(v: Any) -> bool:
     """Whether some list inside the parsed JSON value ``v`` holds true or false."""
-    if isinstance(v, dict):
-        return any(map(_holds_boolean, v.values()))
-    if not isinstance(v, list):
-        return False
-    types = set(map(type, v))
-    if bool in types:
-        return True
-    return (list in types or dict in types) and any(map(_holds_boolean, v))
+    stack = [v]  # not recursive: a value can nest as deep as json.loads reads
+    while stack:
+        v = stack.pop()
+        if isinstance(v, dict):
+            stack += v.values()
+        elif isinstance(v, list):
+            types = set(map(type, v))
+            if bool in types:
+                return True
+            if list in types or dict in types:
+                stack += v
+    return False
 
 
 def _array(v: Any, what: str) -> np.ndarray:
@@ -284,6 +296,11 @@ _OUT_OF_RANGE = "an output value left the float range: JSON has no inf or nan"
 # 4x smaller or 4-16x larger read and write no faster; larger ones hold more.
 _WRITE_CHUNK = 1 << 14
 _READ_CHUNK = 1 << 16
+# The reader fills runs of at least _MIN_RUN copies (a power of two, 2 or more)
+# of the commonest of the first _SAMPLE pieces; a shorter run costs more to
+# find than to split.
+_MIN_RUN = 32
+_SAMPLE = 64
 
 
 def dumps(doc: dict) -> str:
@@ -359,11 +376,13 @@ def _stack_texts(stack: np.ndarray) -> tuple[list[str], int]:
     """The JSON texts of the arrays ``stack[k]``, ``c`` pieces each: the pieces and ``c``.
 
     The entries are written one chunk of whole rows (about ``_WRITE_CHUNK``
-    entries) at a time, each chunk from a table of its distinct (re, im) bit
-    patterns.  An entry's text depends only on its bits, so the chunking
-    leaves the bytes as they are.  Besides the stack, the writer holds the
-    row texts and one chunk: no Python object per entry.  The texts along an
-    array's first axis stay apart, so a matrix's rows are never joined here.
+    entries) at a time.  Each row is cut into runs of entries with equal
+    (re, im) bits; the run heads' distinct values are written once each, and
+    a run of k copies of a text is one string product.  An entry's text
+    depends only on its bits, so the chunking leaves the bytes as they are.
+    Besides the stack, the writer holds the row texts and one chunk, with a
+    Python object per run, not per entry.  The texts along an array's first
+    axis stay apart, so a matrix's rows are never joined here.
     """
     shape = stack.shape
     wrap = ""  # a unit axis wraps each entry, not each row
@@ -383,19 +402,32 @@ def _stack_texts(stack: np.ndarray) -> tuple[list[str], int]:
         if not np.isfinite(chunk).all():
             raise DocumentError(_OUT_OF_RANGE)
         # (re, im) bits: -0.0 and 0.0 stay apart
-        pairs = chunk.reshape(-1).view(np.uint64).reshape(-1, 2)
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))  # equal pairs side by side
-        ranked = pairs[order]
-        starts = np.ones(len(ranked), dtype=bool)
-        starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-        code = np.empty(len(ranked), dtype=np.intp)
+        re_bits, im_bits = chunk.reshape(-1).view(np.uint64).reshape(-1, 2).T
+        # a run: an entry that starts a row or differs from the one before, and its copies
+        head = np.ones(len(re_bits), dtype=bool)
+        head[1:] = (re_bits[1:] != re_bits[:-1]) | (im_bits[1:] != im_bits[:-1])
+        head[::max(m, 1)] = True
+        at = np.flatnonzero(head)
+        lengths = np.diff(at, append=len(head))
+        re_bits, im_bits = re_bits[at], im_bits[at]
+        order = np.lexsort((im_bits, re_bits))  # equal values side by side
+        re_bits, im_bits = re_bits[order], im_bits[order]
+        starts = np.ones(len(at), dtype=bool)
+        starts[1:] = (re_bits[1:] != re_bits[:-1]) | (im_bits[1:] != im_bits[:-1])
+        code = np.empty(len(at), dtype=np.intp)
         code[order] = np.cumsum(starts) - 1
-        values = ranked[starts].view(np.float64)
-        entries = [f"{wrap}[{x!r},{y!r}]{close}"
-                   for x, y in zip(values[:, 0].tolist(), values[:, 1].tolist())]
+        entries = [f"{wrap}[{x!r},{y!r}]{close}" for x, y in
+                   zip(re_bits[starts].view(np.float64).tolist(),
+                       im_bits[starts].view(np.float64).tolist())]
         texts = np.array(entries, dtype=object)[code].tolist()
-        items += texts if scalars else ["[" + ",".join(texts[k * m:(k + 1) * m]) + "]"
-                                        for k in range(len(chunk))]
+        copied = np.flatnonzero(lengths > 1)
+        for i, k in zip(copied.tolist(), lengths[copied].tolist()):
+            texts[i] = (texts[i] + ",") * (k - 1) + texts[i]
+        if scalars:
+            items += texts
+            continue
+        bounds = np.cumsum(head.reshape(len(chunk), m).sum(axis=1)).tolist()
+        items += ["[" + ",".join(texts[a:b]) + "]" for a, b in zip([0] + bounds, bounds)]
     for axis in range(len(shape) - 2, 1, -1):
         m = shape[axis]
         items = ["[" + ",".join(items[k * m:(k + 1) * m]) + "]"
@@ -439,49 +471,130 @@ def _shape(text: str, start: int, end: int) -> Optional[list[int]]:
     return shape
 
 
+def _learn(table: dict, pieces: set) -> bool:
+    """Enter the values of the new non-blank ``pieces`` in ``table``; False if one is
+    not a pair of JSON numbers and closing brackets."""
+    texts, heads = [], []
+    for piece in pieces.difference(table):
+        head, close, tail = piece.partition("]")
+        if close:
+            if tail.strip("], \t\n\r"):
+                return False
+            texts.append(piece)
+            heads.append(head)
+        elif piece.strip(" \t\n\r"):
+            return False
+    if heads:
+        try:
+            values = _numbers(json.loads("[[" + "],[".join(heads) + "]]"), "pairs")
+        except ValueError:  # not JSON numbers, or not finite (a DocumentError)
+            return False
+        if values.shape != (len(heads), 2):
+            return False
+        table.update(zip(texts, values.view(np.complex128)[:, 0].tolist()))
+    return True
+
+
+def _run_texts(chunk: str) -> Optional[list[str]]:
+    """``"[" + piece``, 1, 2, 4, ... times, up to the chunk size, for the commonest pair piece
+    among the first ``_SAMPLE`` of ``chunk``; [] if it does not repeat there, and None if
+    ``chunk`` holds no pair piece."""
+    for piece, n in Counter(chunk.split("[", _SAMPLE + 1)[1:_SAMPLE + 1]).most_common():
+        if piece.strip(" \t\n\r"):
+            if n < 2:
+                return []
+            powers = ["[" + piece]
+            while len(powers) < _MIN_RUN.bit_length() or len(powers[-1]) <= _READ_CHUNK:
+                powers.append(powers[-1] * 2)
+            return powers
+    return None
+
+
+def _copies(text: str, at: int, powers: list[str], j: int) -> int:
+    """How many copies of ``powers[0]`` follow one another from ``text[at]``, given that
+    ``powers[j]`` (``2**j`` copies) starts there.  A run longer than twice the last power
+    is counted short; its rest is found as a run of its own."""
+    while j + 1 < len(powers) and text.startswith(powers[j + 1], at):
+        j += 1
+    k, at = 1 << j, at + len(powers[j])
+    for j in range(j - 1, -1, -1):  # the binary digits of the rest
+        if text.startswith(powers[j], at):
+            k, at = k + (1 << j), at + len(powers[j])
+    return k
+
+
 def _lift(text: str, start: int, end: int) -> Optional[np.ndarray]:
     """The float64 array that ``text[start:end]`` spells if it is a rectangular
     array of [re, im] pairs of JSON numbers, at least 2-D, else None.
 
     The brackets and commas must be those of a rectangular array, and the text
-    after each "[" whitespace, or a pair and closing brackets.  The region is
-    read in chunks of about ``_READ_CHUNK`` characters, each cut just before a
-    "[" and split there; the pair texts not yet in the table of distinct pairs
-    are read by one ``json.loads`` and :func:`_numbers`, so the values are bit
-    for bit those ``_numbers`` makes of ``json.loads(text[start:end])``.
-    Besides the text and the array, the reader holds one chunk and the table.
+    after each "[" (a piece) whitespace, or a pair and closing brackets.  The
+    region is read in chunks of about ``_READ_CHUNK`` characters, each cut just
+    before a "[".  Each run of ``_MIN_RUN`` or more copies of "[" + the
+    commonest piece near the start (:func:`_run_texts`) that ``str.find`` meets
+    in a chunk is filled by one slice assignment.  The text between the runs is
+    split at each "["; the pieces not yet in the table of distinct pieces,
+    with the common piece, are read by one ``json.loads`` and :func:`_numbers`
+    per chunk, so the values are bit for bit those ``_numbers`` makes of
+    ``json.loads(text[start:end])``.  Besides the text and the array, the
+    reader holds one chunk, the table and the run texts: a twisted adjacency,
+    its N x N pieces all one but about N, costs O(N) Python objects.
     """
     shape = _shape(text, start, end)
     if shape is None:
         return None
     out = np.empty(math.prod(shape[:-1]), np.complex128)
     table: dict[str, complex] = {}
+    powers = None
+    shortest = _MIN_RUN.bit_length() - 1  # powers[shortest]: the shortest run filled
     filled = 0
     while start < end:
         cut = text.find("[", start + _READ_CHUNK, end)
         cut = end if cut < 0 else cut
-        pieces = text[start:cut].split("[")[1:]
-        texts = [piece for piece in set(pieces).difference(table) if piece.strip(" \t\n\r")]
-        heads = []
-        for piece in texts:
-            head, close, tail = piece.partition("]")
-            if not close or tail.strip("], \t\n\r"):
-                return None
-            heads.append(head)
-        if heads:
-            try:
-                values = _numbers(json.loads("[[" + "],[".join(heads) + "]]"), "pairs")
-            except ValueError:  # not JSON numbers, or not finite (a DocumentError)
-                return None
-            if values.shape != (len(heads), 2):
-                return None
-            table.update(zip(texts, values.view(np.complex128)[:, 0].tolist()))
-        pairs = np.fromiter(map(table.__getitem__, filter(table.__contains__, pieces)),
-                            np.complex128)
-        out[filled:filled + len(pairs)] = pairs
-        filled += len(pairs)
+        chunk = text[start:cut]
+        if powers is None:
+            powers = _run_texts(chunk)
+        texts, runs = [], []  # the texts between the runs, and the runs' lengths
+        i = 0
+        at = chunk.find(powers[shortest]) if powers else -1
+        while at >= 0:
+            k = _copies(chunk, at, powers, shortest)
+            stop = at + k * len(powers[0])
+            if stop < len(chunk) and chunk[stop] != "[":  # the last copy begins a longer piece
+                k, stop = k - 1, stop - len(powers[0])
+            texts.append(chunk[i:at])
+            runs.append(k)
+            i = stop
+            at = chunk.find(powers[shortest], i)
+        texts.append(chunk[i:])
+        parts = [t.split("[")[1:] for t in texts]
+        common = powers[0][1:] if runs else None
+        if not _learn(table, set().union(*parts, [common] if runs else [])):
+            return None
+        for pieces, k in zip(parts, runs + [0]):
+            pairs = np.fromiter(map(table.__getitem__, filter(table.__contains__, pieces)),
+                                np.complex128)
+            out[filled:filled + len(pairs)] = pairs
+            filled += len(pairs)
+            if k:
+                out[filled:filled + k] = table[common]
+                filled += k
         start = cut
     return out.view(np.float64).reshape(shape)
+
+
+def _json(text: str, hook: Any = None) -> Any:
+    """``json.loads(text)`` with NaN and Infinity refused, and with nesting deeper than
+    it recurses or a number of more digits than ``int`` reads a DocumentError."""
+    try:
+        return json.loads(text, parse_constant=_reject_constant, object_hook=hook)
+    except RecursionError:
+        raise DocumentError("arrays or objects nest too deeply to be read") from None
+    except ValueError as exc:  # int() refuses a digit string beyond its limit
+        if isinstance(exc, json.JSONDecodeError) or not str(exc).startswith("Exceeds the limit"):
+            raise
+        raise DocumentError(
+            f"a number has more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def _parse(text: str) -> Any:
@@ -510,11 +623,10 @@ def _parse(text: str) -> Any:
 
     rest = text if "\\u0000" in text else _STRING_OR_ARRAY.sub(lift, text)
     try:
-        value = json.loads(rest, parse_constant=_reject_constant,
-                           object_hook=restore if arrays else None)
+        value = _json(rest, restore if arrays else None)
     except json.JSONDecodeError:
         try:  # the lifted arrays are valid JSON: the text fails too, and places the error
-            json.loads(text, parse_constant=_reject_constant)
+            _json(text)
         except json.JSONDecodeError as exc:
             raise DocumentError(
                 f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -423,6 +423,14 @@ MALFORMED = {
     "projection-entry-without-matrix": ("rotate", _projection_text(
         lambda d: d["projection"].__setitem__(0, [0, 0]))),
     "string-blocks": ("graph-check", _graph_text(lambda d: d["set"].update(blocks=["a"]))),
+    # deeper than json.loads, or the boolean scan, recurses; longer than int() reads
+    "list-nested-990-deep": ("graph-check", _graph_text().replace(
+        '"metadata": {}', '"metadata": {"x": ' + "[" * 990 + "]" * 990 + "}")),
+    "true-nested-980-deep": ("graph-check", _graph_text().replace(
+        '"metadata": {}', '"metadata": {"x": ' + "[" * 980 + "true" + "]" * 980 + "}")),
+    "5000-digit-adjacency-entry": ("graph-check", _graph_text().replace("12345.5", "1" * 5000)),
+    "5000-digit-block-size": ("graph-check", _graph_text().replace(
+        '"blocks": [1, 2]', '"blocks": [1, 2' + "0" * 5000 + "]")),
 }
 
 
@@ -446,6 +454,7 @@ def test_malformed_documents_exit_2_with_one_error_line(capsys, tmp_path, name):
     ["subgraph", "-", "--keep", "a"],
     ["obstruct", "-", "--max-dim", "-1"],
     ["obstruct", "-", "--max-dim", "0"],
+    ["twist", "--orders", "2,2", "--gens", "10;01", "--bichar", "[[1,1],[1,%s]]" % ("1" * 5000)],
 ])
 def test_bad_integer_arguments_exit_2_with_one_error_line(capsys, monkeypatch, argv):
     monkeypatch.setattr("sys.stdin", io.StringIO(_graph_text()))

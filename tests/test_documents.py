@@ -433,6 +433,107 @@ def test_writer_matches_the_stdlib_encoding_at_every_chunk_size(doc, write_chunk
     assert got == stdlib_dumps(doc)
 
 
+# ---------------------------------------------------------------------------
+# runs: most entries one value, as in a twisted adjacency
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def run_texts(draw):
+    """An array text whose pairs are drawn from a pool of 1-3, almost all the first: long
+    runs of one piece that cross rows and chunk cuts, in one of several spacings."""
+    shape = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))
+    size = int(np.prod(shape))
+    pool = draw(st.lists(st.tuples(NUMBER_TOKENS, NUMBER_TOKENS), min_size=1, max_size=3))
+    pairs = [pool[0]] * size
+    for at, pair in draw(st.lists(st.tuples(st.integers(0, size - 1), st.sampled_from(pool)),
+                                  max_size=4)):
+        pairs[at] = pair
+    pairs = iter(pairs)
+    comma = draw(st.sampled_from([",", ", ", ",\n "]))
+    pad = draw(st.sampled_from(["", " ", "\n  "]))
+
+    def spell(shape):
+        if not shape:
+            return "[%s,%s]" % next(pairs)
+        return "[" + pad + comma.join(spell(shape[1:]) for _ in range(shape[0])) + pad + "]"
+
+    return spell(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_texts(), st.sampled_from([1, 3, 17, 64, 1 << 16]), st.sampled_from([2, 4, 32]),
+       st.data())
+def test_reader_matches_json_loads_on_runs(array_text, read_chunk, min_run, data):
+    at = data.draw(st.integers(0, len(array_text)))
+    char = data.draw(st.sampled_from(["", *"-+.0123456789eE ,[]"]))
+    text = '{"adjacency": ' + array_text[:at] + char + array_text[at:] + "}"
+    with mock.patch.object(docs, "_READ_CHUNK", read_chunk), \
+            mock.patch.object(docs, "_MIN_RUN", min_run):
+        got = _adjacency_outcome(docs.loads, text)
+    assert got == _adjacency_outcome(reference_loads, text)
+
+
+RUN_EDGE_CASES = [
+    # the commonest piece followed by whitespace: that copy is a longer piece
+    "[[[0.0,0.0],[0.0,0.0],[0.0,0.0], [0.0,0.0],[0.0,0.0],[0.0,0.0],[1.0,0.0]]]",
+    "[[[0.0,0.0],[0.0,0.0],[0.0,0.0],[0.0,0.0] ,[0.0,0.0],[0.0,0.0],[1.0,0.0]]]",
+    # ... or by a stray token, which json.loads refuses
+    "[[[0.0,0.0],[0.0,0.0],[0.0,0.0],5[0.0,0.0],[0.0,0.0],[0.0,0.0],[1.0,0.0]]]",
+    "[[[0.0,0.0],[0.0,0.0],[0.0,0.0],[0.0,0.0]5,[0.0,0.0],[0.0,0.0],[1.0,0.0]]]",
+    # a run that ends a row, the array, or at a malformed pair
+    "[[[0.0,0.0],[0.0,0.0],[0.0,0.0]],[[0.0,0.0],[0.0,0.0],[0.0,0.0]]]",
+    "[[[0.0,0.0],[0.0,0.0],[0.0,0.0],[0.0,0.0],[0.0,0.0],[0.0,01]]]",
+    "[[[0.0,0.0],[0.0,0.0],[0.0,0.0],[0.0,0.0],[0.0,0.0],[0.0,0.0 ]]]",
+    # the commonest piece is malformed, or repeats only after the first chunk
+    "[[[0.0,1e400],[0.0,1e400],[0.0,1e400],[0.0,1e400]]]",
+    "[[[1.0,0.0],[2.0,0.0],[3.0,0.0],[4.0,0.0],[0.0,0.0],[0.0,0.0],[0.0,0.0],[0.0,0.0]]]",
+]
+
+
+@pytest.mark.parametrize("min_run", [2, 32])
+@pytest.mark.parametrize("read_chunk", [1, 3, 17, 1 << 16])
+@pytest.mark.parametrize("array_text", RUN_EDGE_CASES)
+def test_reader_run_edge_cases_give_the_json_loads_outcome(monkeypatch, read_chunk, min_run,
+                                                          array_text):
+    monkeypatch.setattr(docs, "_READ_CHUNK", read_chunk)
+    monkeypatch.setattr(docs, "_MIN_RUN", min_run)
+    text = '{"adjacency": ' + array_text + "}"
+    assert _adjacency_outcome(docs.loads, text) == _adjacency_outcome(reference_loads, text)
+
+
+@st.composite
+def run_arrays(draw):
+    """A complex array almost all one value, -0.0 beside 0.0 among the others, with up to two
+    unit trailing axes."""
+    shape = tuple(draw(st.lists(st.integers(0, 9), max_size=3)))
+    a = np.full(shape, complex(*draw(st.tuples(FLOATS, FLOATS))))
+    zeros = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+    pool = st.sampled_from(zeros) | st.tuples(FLOATS, FLOATS).map(lambda p: complex(*p))
+    if a.size:
+        for at, value in draw(st.lists(st.tuples(st.integers(0, a.size - 1), pool), max_size=5)):
+            a.reshape(-1)[at] = value
+    return a.reshape(shape + (1,) * draw(st.integers(0, 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(TEXT, st.one_of(run_arrays(), st.lists(run_arrays(), max_size=3)),
+                       max_size=3),
+       st.sampled_from([1, 2, docs._WRITE_CHUNK]))
+def test_writer_matches_the_stdlib_encoding_on_runs(doc, write_chunk):
+    with mock.patch.object(docs, "_WRITE_CHUNK", write_chunk):
+        got = docs.dumps(doc)
+    assert got == stdlib_dumps(doc)
+
+
+def test_boolean_scan_reads_any_depth():
+    for leaf, holds in (([1.0, True], True), ([1.0, 0.0], False)):
+        v = leaf
+        for _ in range(100_000):
+            v = [{"x": v}]
+        assert docs._holds_boolean(v) is holds
+
+
 @pytest.fixture(scope="module")
 def twisted_q9():
     """Twisted Q_9 (N = 512, a 4 MiB adjacency): its document and its text."""
