@@ -15,21 +15,19 @@ The builders keep matrices and vectors as complex numpy arrays.
 comparing each entry's (re, im) bits with the one before: each distinct
 value that starts a run is written once by ``float.__repr__``, and a run of k
 copies of an entry's text is one string product.  :func:`loads` reads the
-matrices back the other way: the value of each key that holds one
-(``adjacency``, ``matrix``, ``bicharacter``, ``gen_values``), if it is a
-rectangular array of [re, im] pairs, is read into a float64 array.  Each run
-of the commonest pair text near the start is found by ``str.find`` and filled
-by one slice assignment; the text between the runs goes through a table of
-its distinct pairs, whose new texts one ``json.loads`` per chunk reads.  So a
-twisted adjacency, whose N x N entries are all zero but about N, costs O(N)
-Python objects each way.  ``json.loads`` parses the rest of the document and
-every array that fails a check, so values and error messages are those of
-``json.loads`` plus ``np.asarray``.
+value of each key that holds a matrix (``adjacency``, ``matrix``,
+``bicharacter``, ``gen_values``), if it is a rectangular array of [re, im]
+pairs, into a float64 array: runs of the commonest pair's text are found by
+``str.find`` and checked by where they lie, and the text between them is
+checked by its brackets and commas and read by one ``json.loads`` per chunk.
+So a twisted adjacency, all zero but about N of its N x N entries, costs O(N)
+Python work each way.  ``json.loads`` reads the rest and any array that fails
+a check, so values and errors are those of ``json.loads`` + ``np.asarray``.
 
 Both work in bounded chunks (``_READ_CHUNK`` characters of text,
 ``_WRITE_CHUNK`` entries of whole rows), so an N x N document costs the
 text, the array and one chunk: on twisted Q_9 (N = 512, a 4 MiB adjacency)
-the ``tracemalloc`` peak of :func:`loads` is about 4.3 MiB and that of
+the ``tracemalloc`` peak of :func:`loads` is about 4.6 MiB and that of
 :func:`dumps` about 5 MiB, of which 2.6 MB is the text it returns.
 :func:`encode` gives the text in pieces, a matrix's rows apart, so the CLI
 writes a document without ever holding all of it.
@@ -37,6 +35,7 @@ writes a document without ever holding all of it.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -296,9 +295,9 @@ _OUT_OF_RANGE = "an output value left the float range: JSON has no inf or nan"
 # 4x smaller or 4-16x larger read and write no faster; larger ones hold more.
 _WRITE_CHUNK = 1 << 14
 _READ_CHUNK = 1 << 16
-# The reader fills runs of at least _MIN_RUN copies (a power of two, 2 or more)
-# of the commonest of the first _SAMPLE pieces; a shorter run costs more to
-# find than to split.
+# The reader skips runs of at least _MIN_RUN copies (a power of two, 2 or more)
+# of the commonest of the first _SAMPLE pieces, and cuts more copies than that
+# out of the text it reads: fewer cost more to find or cut than to read.
 _MIN_RUN = 32
 _SAMPLE = 64
 
@@ -448,72 +447,46 @@ def _reject_constant(name: str):
 # a list or a scalar (``kind``, ``blocks``, a projection entry [0, 0]) and
 # change its error message, so projection lists are left to json.loads too.
 _ARRAY_KEYS = ("adjacency", "bicharacter", "gen_values", "matrix")
-# a JSON string, or one of those keys with a value of numbers and brackets
-_STRING_OR_ARRAY = re.compile(r'"(?:(?:%s)"[ \t\n\r]*:[ \t\n\r]*(\[[-+.0-9eE \t\n\r,\[\]]*\])'
-                              r'|(?:[^"\\]|\\.)*")' % "|".join(_ARRAY_KEYS), re.DOTALL)
+# a JSON string, or one of those keys, its colon and the "[" of its value
+_STRING_OR_ARRAY = re.compile(r'"(?:(?:%s)"[ \t\n\r]*:[ \t\n\r]*(\[)|(?:[^"\\]|\\.)*")'
+                              % "|".join(_ARRAY_KEYS), re.DOTALL)
+_OPENS = re.compile(r"(?:\[[ \t\n\r]*)+")
+_PAIR_OPEN = re.compile(r"\[(?![ \t\n\r]*\[)")
+# empty number slots: json.loads refuses "[[1.0,]2.0,[3.0,4.0]]", four numbers when blanked
+_EMPTY_SLOTS = (re.compile(r"\[[ \t\n\r]*,"), re.compile(r",[ \t\n\r]*\]"))
 _NOT_SKELETON = str.maketrans("", "", "-+.0123456789eE \t\n\r")
+_BLANK = str.maketrans("[]|", "   ", "\x00")
+_MARKS = str.maketrans("", "", "-+.0123456789eE \t\n\r[]|")
 
 
-def _shape(text: str, start: int, end: int) -> Optional[list[int]]:
-    """The shape of the array ``text[start:end]`` spells if its brackets and
-    commas are those of a rectangular array of [re, im] pairs, at least 2-D, else None."""
-    skeleton = "".join(text[a:min(a + _READ_CHUNK, end)].translate(_NOT_SKELETON)
-                       for a in range(start, end, _READ_CHUNK))
-    shape, expected = [2], "[,]"  # from the innermost axis out
-    for depth in range(2, len(skeleton) - len(skeleton.lstrip("[")) + 1):
-        leaves = skeleton.count(",", 0, skeleton.find("]" * depth)) + 1  # in the first block
-        shape.insert(0, leaves // math.prod(shape))
-        if not shape[0]:  # an empty axis spells "[]", which no deeper skeleton is
-            return None
-        expected = "[" + ",".join([expected] * shape[0]) + "]"
-    if len(shape) < 2 or skeleton != expected:
-        return None
-    return shape
+def _skeleton(p: int, q: int, sizes: list[int]) -> str:
+    """The brackets and commas of pairs p .. q - 1, each from its "[" to the next pair's,
+    of an array whose blocks hold ``sizes`` pairs: a row first, the whole array last."""
+    parts = ["[" * len(sizes)] if p == 0 else []
+    for last in range(p - p % sizes[0] + sizes[0] - 1, q, sizes[0]):  # the rows' last pairs
+        closes = 1  # the blocks that end with the row
+        while closes < len(sizes) and (last + 1) % sizes[closes] == 0:
+            closes += 1
+        parts.append("[,]," * (last - p) + "[,]" + "]" * closes
+                     + ("" if closes == len(sizes) else "," + "[" * closes))
+        p = last + 1
+    return "".join(parts) + "[,]," * (q - p)
 
 
-def _learn(table: dict, pieces: set) -> bool:
-    """Enter the values of the new non-blank ``pieces`` in ``table``; False if one is
-    not a pair of JSON numbers and closing brackets."""
-    texts, heads = [], []
-    for piece in pieces.difference(table):
-        head, close, tail = piece.partition("]")
-        if close:
-            if tail.strip("], \t\n\r"):
-                return False
-            texts.append(piece)
-            heads.append(head)
-        elif piece.strip(" \t\n\r"):
-            return False
-    if heads:
-        try:
-            values = _numbers(json.loads("[[" + "],[".join(heads) + "]]"), "pairs")
-        except ValueError:  # not JSON numbers, or not finite (a DocumentError)
-            return False
-        if values.shape != (len(heads), 2):
-            return False
-        table.update(zip(texts, values.view(np.complex128)[:, 0].tolist()))
-    return True
-
-
-def _run_texts(chunk: str) -> Optional[list[str]]:
-    """``"[" + piece``, 1, 2, 4, ... times, up to the chunk size, for the commonest pair piece
-    among the first ``_SAMPLE`` of ``chunk``; [] if it does not repeat there, and None if
-    ``chunk`` holds no pair piece."""
-    for piece, n in Counter(chunk.split("[", _SAMPLE + 1)[1:_SAMPLE + 1]).most_common():
-        if piece.strip(" \t\n\r"):
-            if n < 2:
-                return []
-            powers = ["[" + piece]
-            while len(powers) < _MIN_RUN.bit_length() or len(powers[-1]) <= _READ_CHUNK:
-                powers.append(powers[-1] * 2)
-            return powers
-    return None
+def _run_texts(text: str, start: int) -> list[str]:
+    """``"[" + piece``, 1, 2, 4, ... times, up to the chunk size, for the commonest piece
+    among the first ``_SAMPLE`` after ``text[start]``; [] if it does not repeat there."""
+    pieces = Counter(text[start:start + _READ_CHUNK].split("[", _SAMPLE + 1)[1:_SAMPLE + 1])
+    piece, n = next(((p, n) for p, n in pieces.most_common() if p.strip(" \t\n\r")), ("", 0))
+    # 2**last copies outrun the chunk or the text; at least _MIN_RUN copies make a run
+    last = max((min(_READ_CHUNK, len(text) - start) // (len(piece) + 1)).bit_length(),
+               _MIN_RUN.bit_length() - 1)
+    return [("[" + piece) * (1 << j) for j in range(last + 1)] if n > 1 else []
 
 
 def _copies(text: str, at: int, powers: list[str], j: int) -> int:
     """How many copies of ``powers[0]`` follow one another from ``text[at]``, given that
-    ``powers[j]`` (``2**j`` copies) starts there.  A run longer than twice the last power
-    is counted short; its rest is found as a run of its own."""
+    ``powers[j]`` (``2**j`` copies) starts there; past twice the last power, fewer."""
     while j + 1 < len(powers) and text.startswith(powers[j + 1], at):
         j += 1
     k, at = 1 << j, at + len(powers[j])
@@ -523,64 +496,91 @@ def _copies(text: str, at: int, powers: list[str], j: int) -> int:
     return k
 
 
-def _lift(text: str, start: int, end: int) -> Optional[np.ndarray]:
-    """The float64 array that ``text[start:end]`` spells if it is a rectangular
-    array of [re, im] pairs of JSON numbers, at least 2-D, else None.
+def _read(text: str, pieces: list[list], sizes: list[int], out: np.ndarray, pair: str) -> bool:
+    """Read ``pieces`` of the text between runs, [start, end, first pair, end pair], into
+    ``out``, or return False: joined by "|", their brackets and commas must be their
+    pairs', piece by piece, with no number slot empty.  Past ``_MIN_RUN`` copies of
+    ``pair``, all but the first are cut out; one ``json.loads`` of the rest reads it."""
+    chunk = "|".join([text[a:b] for a, b, _, _ in pieces])
+    if chunk.translate(_NOT_SKELETON) != "|".join([_skeleton(p, q, sizes) for *_, p, q in pieces]):
+        return False
+    copies = chunk.count(pair) > _MIN_RUN if pair else False  # a NUL for each but the first
+    cut = chunk.replace(pair, "\x00").replace("\x00", pair, 1) if copies else chunk
+    closed = pieces[-1][3] == sizes[-1]  # else the chunk ends after a comma
+    try:  # a JSON integer becomes the float that float() makes of it, as in _numbers
+        values = np.array(json.loads("[" + cut.translate(_BLANK) + ("]" if closed else " 0]")),
+                          np.float64)
+    except (ValueError, OverflowError):  # not JSON numbers, or beyond the float range
+        return False
+    if not np.isfinite(values).all() or any(e.search(cut) for e in _EMPTY_SLOTS):
+        return False
+    values = values[:None if closed else -1].view(np.complex128)
+    if copies:  # a pair's mark: its commas (one at the array's end); a copy's: NUL
+        copy = np.frombuffer(cut.translate(_MARKS).replace(",,", ",").encode(), np.uint8) == 0
+        full = np.full(len(copy), values[cut.count(",", 0, cut.index(pair)) // 2])
+        full[~copy] = values
+        values = full
+    if len(pieces) == 1:
+        out[pieces[0][2]:pieces[0][3]] = values
+        return True
+    starts, counts = np.array([[p, q - p] for _, _, p, q in pieces]).T
+    out[np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(len(values))] = values
+    return True
 
-    The brackets and commas must be those of a rectangular array, and the text
-    after each "[" (a piece) whitespace, or a pair and closing brackets.  The
-    region is read in chunks of about ``_READ_CHUNK`` characters, each cut just
-    before a "[".  Each run of ``_MIN_RUN`` or more copies of "[" + the
-    commonest piece near the start (:func:`_run_texts`) that ``str.find`` meets
-    in a chunk is filled by one slice assignment.  The text between the runs is
-    split at each "["; the pieces not yet in the table of distinct pieces,
-    with the common piece, are read by one ``json.loads`` and :func:`_numbers`
-    per chunk, so the values are bit for bit those ``_numbers`` makes of
-    ``json.loads(text[start:end])``.  Besides the text and the array, the
-    reader holds one chunk, the table and the run texts: a twisted adjacency,
-    its N x N pieces all one but about N, costs O(N) Python objects.
+
+def _lift(text: str, start: int) -> Optional[tuple[np.ndarray, int]]:
+    """The float64 array spelled from ``text[start]`` on, and where it ends, if that is a
+    rectangular array of [re, im] pairs of JSON numbers, at least 2-D; else None.
+
+    One pass finds runs of ``_MIN_RUN`` or more copies of the commonest piece
+    (:func:`_run_texts`) by ``str.find`` and ``str.startswith``, accepted where no
+    pair of theirs ends a row (a copy spells "[,],"), and counts the commas between
+    (a pair's index is half the commas before it) up to the last "]" before a '"'.
+    :func:`_read` reads that text in chunks of about ``_READ_CHUNK`` characters cut
+    before a pair's "[", each run's first copy in it; the run takes that value.
     """
-    shape = _shape(text, start, end)
-    if shape is None:
+    depth = _OPENS.match(text, start)[0].count("[") - 1  # the axes but the pairs'
+    # the pairs of the first row, and of each larger first block, which k + 1 "]" close
+    ends = [re.compile(r"\](?:[ \t\n\r]*\]){%d}" % k).search(text, start) for k in range(1, depth)]
+    blocks = [(text.count(",", start, end.start()) + 1) // 2 if end else 0 for end in ends]
+    if 0 in blocks or any(b % a for a, b in zip(blocks, blocks[1:])):
         return None
-    out = np.empty(math.prod(shape[:-1]), np.complex128)
-    table: dict[str, complex] = {}
-    powers = None
-    shortest = _MIN_RUN.bit_length() - 1  # powers[shortest]: the shortest run filled
-    filled = 0
-    while start < end:
-        cut = text.find("[", start + _READ_CHUNK, end)
-        cut = end if cut < 0 else cut
-        chunk = text[start:cut]
-        if powers is None:
-            powers = _run_texts(chunk)
-        texts, runs = [], []  # the texts between the runs, and the runs' lengths
-        i = 0
-        at = chunk.find(powers[shortest]) if powers else -1
-        while at >= 0:
-            k = _copies(chunk, at, powers, shortest)
-            stop = at + k * len(powers[0])
-            if stop < len(chunk) and chunk[stop] != "[":  # the last copy begins a longer piece
-                k, stop = k - 1, stop - len(powers[0])
-            texts.append(chunk[i:at])
-            runs.append(k)
-            i = stop
-            at = chunk.find(powers[shortest], i)
-        texts.append(chunk[i:])
-        parts = [t.split("[")[1:] for t in texts]
-        common = powers[0][1:] if runs else None
-        if not _learn(table, set().union(*parts, [common] if runs else [])):
-            return None
-        for pieces, k in zip(parts, runs + [0]):
-            pairs = np.fromiter(map(table.__getitem__, filter(table.__contains__, pieces)),
-                                np.complex128)
-            out[filled:filled + len(pairs)] = pairs
-            filled += len(pairs)
-            if k:
-                out[filled:filled + k] = table[common]
-                filled += k
-        start = cut
-    return out.view(np.float64).reshape(shape)
+    powers = _run_texts(text, start)
+    shortest = _MIN_RUN.bit_length() - 1  # powers[shortest]: the shortest run skipped
+    stretches = []  # pieces of the text between runs, [start, end, first pair, end pair]
+    at, pair, commas, end = start, 0, 0, 0
+    while not end:
+        run = text.find(powers[shortest], at) if powers else -1
+        key = text.find('"', at, len(text) if run < 0 else run)  # a value ends before a key
+        if run < 0 or key >= 0:
+            end = stop = text.rfind("]", at, len(text) if key < 0 else key) + 1
+            if not end:
+                return None
+        else:  # a run's first copy is read with the text before it, for the run's value
+            run, k = run + len(powers[0]), _copies(text, run, powers, shortest) - 1
+            stop = run
+        while at < stop:
+            cut = _PAIR_OPEN.search(text, at + _READ_CHUNK, stop)  # None in a short text
+            cut = stop if cut is None else cut.start()
+            commas += text.count(",", at, cut)
+            if commas % 2 != (cut == end):  # a pair's "[" follows two commas per pair
+                return None
+            stretches.append([at, cut, pair, (commas + 1) // 2])
+            at, pair = cut, (commas + 1) // 2
+        if not end:
+            if blocks and pair % blocks[0] + k >= blocks[0]:  # a run must not end a row
+                return None
+            pair, commas, at = pair + k, commas + 2 * k, run + k * len(powers[0])
+    sizes = blocks + [pair]  # pairs per block, a row first, the whole array last
+    out = np.empty(pair, np.complex128)
+    offsets = itertools.accumulate((b - a for a, b, _, _ in stretches), initial=0)
+    if not all(_read(text, list(batch), sizes, out, powers[0] if powers else "") for _, batch
+               in itertools.groupby(stretches, lambda _: next(offsets) // _READ_CHUNK)):
+        return None
+    for (_, _, _, q), (_, _, p, _) in zip(stretches, stretches[1:]):
+        out[q:p] = out[q - 1]  # a run, after its first copy
+    shape = [outer // inner for inner, outer in zip(sizes, sizes[1:])][::-1] + [sizes[0], 2]
+    return out.view(np.float64).reshape(shape), end
 
 
 def _json(text: str, hook: Any = None) -> Any:
@@ -600,19 +600,18 @@ def _json(text: str, hook: Any = None) -> Any:
 def _parse(text: str) -> Any:
     """The JSON value of ``text``; arrays under ``_ARRAY_KEYS`` come back as float64 arrays.
 
-    Each array that :func:`_lift` reads is replaced in the text by the string
-    NUL + its index, which ``json.loads`` parses with the rest; a text that
-    spells NUL itself is read entirely by ``json.loads``.
+    A scan skips strings and stops at each of those keys' "[": :func:`_lift` reads the
+    array and says where it ends.  In the text given to ``json.loads``, each array
+    read is the string NUL + its index; a text that spells NUL is all left to it.
     """
-    arrays: list[np.ndarray] = []
-
-    def lift(match: re.Match) -> str:
-        # by position: match[1] would copy the array's text
-        array = None if match.start(1) < 0 else _lift(text, match.start(1), match.end(1))
-        if array is None:
-            return match[0]
-        arrays.append(array)
-        return text[match.start():match.start(1)] + f'"\\u0000{len(arrays) - 1}"'
+    arrays, parts, done, at = [], [], 0, 0 if "\\u0000" not in text else len(text)
+    while match := _STRING_OR_ARRAY.search(text, at):  # text[:done] is in parts
+        at = match.end()
+        lifted = None if match.start(1) < 0 else _lift(text, match.start(1))
+        if lifted is not None:
+            parts += [text[done:match.start(1)], f'"\\u0000{len(arrays)}"']
+            arrays.append(lifted[0])
+            done = at = lifted[1]
 
     def restore(obj: dict) -> dict:
         for key in _ARRAY_KEYS:
@@ -621,7 +620,7 @@ def _parse(text: str) -> Any:
                 obj[key] = arrays[int(v[1:])]
         return obj
 
-    rest = text if "\\u0000" in text else _STRING_OR_ARRAY.sub(lift, text)
+    rest = "".join(parts + [text[done:]]) if arrays else text
     try:
         value = _json(rest, restore if arrays else None)
     except json.JSONDecodeError:

@@ -375,12 +375,8 @@ def _diagonal(x: QuantumSet, f: np.ndarray) -> np.ndarray:
 
 
 def _diagonal_schur(x: QuantumSet, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """diag(a) . diag(b), a convolution over the group: pointwise on connection functions.
-
-    A square (b is a) transforms its operand once.
-    """
-    fa = _connection(x, a)
-    return _diagonal(x, fa * (fa if b is a else _connection(x, b)))
+    """diag(a) . diag(b), a convolution over the group: pointwise on connection functions."""
+    return _diagonal(x, _connection(x, a) * _connection(x, b))
 
 
 def _diagonal_star(x: QuantumSet, d: np.ndarray) -> np.ndarray:
@@ -417,8 +413,10 @@ def _block_spectrum(x: QuantumSet, a: np.ndarray, tol: float) -> Optional[np.nda
 #: operators are N-vectors of diagonals or N x N matrices, ``eye()`` and
 #: ``unit()`` build I and J on demand, ``square()`` gives A . A, ``loops()``
 #: gives A . I and I . A, and ``spectrum(tol)`` the edge spectrum of A.
-_Calculus = collections.namedtuple("_Calculus",
-                                   "a eye unit compose schur dagger star square loops spectrum")
+#: ``schur`` multiplies operators in the form ``hold`` gives them, which a
+#: caller that multiplies one operator many times can keep beside it.
+_Calculus = collections.namedtuple(
+    "_Calculus", "a eye unit compose hold schur dagger star square loops spectrum")
 
 
 def _calculus(g: QuantumGraph) -> _Calculus:
@@ -437,7 +435,7 @@ def _calculus(g: QuantumGraph) -> _Calculus:
     a = g.adjacency
     eye = functools.cache(lambda: np.eye(x.N, dtype=complex))  # N x N: only when asked
     return _Calculus(
-        a, eye, lambda: schur_unit(x), np.matmul, functools.partial(schur_product, x),
+        a, eye, lambda: schur_unit(x), np.matmul, lambda u: u, functools.partial(schur_product, x),
         lambda u: u.conj().T, functools.partial(schur_star, x),
         square=lambda: schur_product(x, a, a),
         loops=lambda: (schur_product(x, a, eye()), schur_product(x, eye(), a)),
@@ -450,13 +448,15 @@ def _diagonal_calculus(x: QuantumSet, d: np.ndarray) -> _Calculus:
     All in O(N log N) on N-vectors.  With f = :func:`_connection` of d:
     A . A = _diagonal(f^2), A . I = I . A = f(0) 1, and the edge spectrum is
     the values of f (on diagonals the Schur calculus is the convolution algebra).
+    An operator is held as its connection function, so a product of held
+    operators is one transform.
     """
     f = _connection(x, d)
     loop = np.full(x.N, f[0])
     return _Calculus(
         d, lambda: np.ones(x.N, dtype=complex), lambda: x.unit_vec * np.conj(x.unit_vec),
-        np.multiply,
-        functools.partial(_diagonal_schur, x), np.conj, functools.partial(_diagonal_star, x),
+        np.multiply, functools.partial(_connection, x), lambda fa, fb: _diagonal(x, fa * fb),
+        np.conj, functools.partial(_diagonal_star, x),
         square=lambda: _diagonal(x, f * f), loops=lambda: (loop, loop),
         spectrum=lambda tol: _real_values(f, tol * scale_of(d)))
 

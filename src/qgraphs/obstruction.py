@@ -91,11 +91,12 @@ def schur_closure(
     member is returned as that calculus holds it.  When the set is
     group-indexed, A is exactly diagonal and eta has at most one nonzero
     entry (so J is diagonal too), that is the N-vector of its diagonal, with
-    pointwise composition and a Schur product of at most three FFTs of
-    length N, and no N x N array is formed (twisted Q_10, N = 1024: 0.1 s
-    on one core, a ``tracemalloc`` peak of 0.60 MiB); otherwise it is an
-    N x N matrix.  The span is one matrix of orthonormal rows, one per member.
-    Raises InvalidInput on non-finite adjacency entries.
+    pointwise composition and a Schur product of one FFT of length N (each
+    member's connection function is formed once and kept beside it), and no
+    N x N array is formed (twisted Q_10, N = 1024: 0.1 s on one core, a
+    ``tracemalloc`` peak of 0.60 MiB); otherwise it is an N x N matrix.  The
+    span is one matrix of orthonormal rows, one per member.  Raises
+    InvalidInput on non-finite adjacency entries.
 
     Each round offers the images of the members the round before added and
     their products with every member so far (an older pair only repeats a
@@ -121,6 +122,7 @@ def schur_closure(
     max_dim = min(max_dim, full)
 
     members: list[tuple[str, np.ndarray]] = []
+    held: list[np.ndarray] = []  # each member as c.schur takes it (on diagonals, its f)
     span = np.zeros((0, full), dtype=complex)  # orthonormal rows, one per member
     blocked = False
 
@@ -140,6 +142,7 @@ def schur_closure(
             blocked = True  # an independent candidate was refused by the cap
             return
         members.append((trace, unit))
+        held.append(c.hold(unit))
         span = np.vstack([span, w.reshape(1, full) / residual])
 
     for trace, mat in zip("IJA", (c.eye(), c.unit(), c.a)):
@@ -156,17 +159,17 @@ def schur_closure(
         return blocked or len(members) == full
 
     def offers(snapshot: list, start: int):
-        for trace, mat in snapshot[start:]:
+        for trace, mat, _ in snapshot[start:]:
             yield f"{trace}†", c.dagger(mat)
             yield f"{trace}*", c.star(mat)
-        for i, (ta, ma) in enumerate(snapshot):
-            for tb, mb in snapshot[start if i < start else i if diagonal else 0:]:
+        for i, (ta, ma, ha) in enumerate(snapshot):
+            for tb, mb, hb in snapshot[start if i < start else i if diagonal else 0:]:
                 yield f"({ta}∘{tb})", c.compose(ma, mb)
-                yield f"({ta}•{tb})", c.schur(ma, mb)
+                yield f"({ta}•{tb})", c.schur(ha, hb)
 
     start = 0  # members[start:] were added by the previous round
     while start < len(members) and not final():
-        snapshot = list(members)
+        snapshot = [(trace, mat, h) for (trace, mat), h in zip(members, held)]
         for trace, mat in offers(snapshot, start):
             try_add(trace, mat)
             if final():

@@ -343,6 +343,12 @@ READER_CORPUS = {
     "compact": _graph_doc().replace(", ", ",").replace(": ", ":"),
     "projection": _projection_doc("[[0, 0, [[[1.0, 0.0]]]]]"),
     "projection-entry-without-matrix": _projection_doc("[[0, 0]]"),
+    # an empty number slot beside a number out of its slot: the skeleton is a 2 x 2 array's
+    "empty-slot-closing-a-pair": _graph_doc("[[1.0,]2.0,[3.0,4.0]]"),
+    "empty-slot-opening-a-pair": _graph_doc("[[1.0,2.0],3.0[,4.0]]"),
+    # rows of 2 and 4: with short runs, a run of [0.0,0.0] crosses the first row's length
+    "run-across-a-row-end":
+        _graph_doc("[[[1.0,0.0],[0.0,0.0]],[[0.0,0.0],[0.0,0.0],[0.0,0.0],[1.0,0.0]]]"),
 }
 
 
@@ -359,6 +365,13 @@ def _outcome(read, text):
 
 @pytest.mark.parametrize("name", sorted(READER_CORPUS))
 def test_reader_gives_the_json_loads_outcome(name):
+    text = READER_CORPUS[name]
+    assert _outcome(docs.loads, text) == _outcome(reference_loads, text)
+
+
+@pytest.mark.parametrize("name", sorted(READER_CORPUS))
+def test_reader_gives_the_json_loads_outcome_with_short_runs(monkeypatch, name):
+    monkeypatch.setattr(docs, "_MIN_RUN", 2)  # runs of two copies are skipped
     text = READER_CORPUS[name]
     assert _outcome(docs.loads, text) == _outcome(reference_loads, text)
 
@@ -500,6 +513,35 @@ def test_reader_run_edge_cases_give_the_json_loads_outcome(monkeypatch, read_chu
     monkeypatch.setattr(docs, "_MIN_RUN", min_run)
     text = '{"adjacency": ' + array_text + "}"
     assert _adjacency_outcome(docs.loads, text) == _adjacency_outcome(reference_loads, text)
+
+
+@st.composite
+def distinct_texts(draw):
+    """An array text whose pairs are all distinct, as in a random dense block graph: no
+    piece repeats, so the whole array is text between runs."""
+    shape = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    size = int(np.prod(shape))
+    pairs = iter(draw(st.lists(st.tuples(NUMBER_TOKENS, NUMBER_TOKENS), unique=True,
+                               min_size=size, max_size=size)))
+    comma = draw(st.sampled_from([",", ", ", ",\n "]))
+
+    def spell(shape):
+        if not shape:
+            return "[%s,%s]" % next(pairs)
+        return "[" + comma.join(spell(shape[1:]) for _ in range(shape[0])) + "]"
+
+    return spell(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(distinct_texts(), st.sampled_from([1, 3, 17, 1 << 16]), st.data())
+def test_reader_matches_json_loads_on_distinct_pairs(array_text, read_chunk, data):
+    at = data.draw(st.integers(0, len(array_text)))
+    char = data.draw(st.sampled_from(["", *"-+.0123456789eE ,[]"]))
+    text = '{"adjacency": ' + array_text[:at] + char + array_text[at:] + "}"
+    with mock.patch.object(docs, "_READ_CHUNK", read_chunk):
+        got = _adjacency_outcome(docs.loads, text)
+    assert got == _adjacency_outcome(reference_loads, text)
 
 
 @st.composite

@@ -184,15 +184,15 @@ def test_diagonal_scan_runs_without_the_matrix_schur_product(monkeypatch):
         raise AssertionError("matrix Schur product called on a diagonal closure")
 
     calls = []
-    diagonal_schur = qgraphs.graphs._diagonal_schur
+    diagonal = qgraphs.graphs._diagonal  # one transform per diagonal Schur product
 
     def count(*args):
         calls.append(None)
-        return diagonal_schur(*args)
+        return diagonal(*args)
 
     for module in (qgraphs.obstruction, qgraphs.graphs):
         monkeypatch.setattr(module, "schur_product", refuse)
-    monkeypatch.setattr(qgraphs.graphs, "_diagonal_schur", count)
+    monkeypatch.setattr(qgraphs.graphs, "_diagonal", count)
     schur_closure(g)
     in_closure = len(calls)
     res = classical_obstruction(g)
@@ -202,6 +202,25 @@ def test_diagonal_scan_runs_without_the_matrix_schur_product(monkeypatch):
     assert res.max_residual == 0.0
     assert res.note == ("closure is diagonal on a group-indexed set, hence Schur-commutative; "
                         "this does not certify classicality")
+
+
+def test_diagonal_closure_transforms_each_member_once(monkeypatch):
+    # a member's connection function is formed when it joins, and kept: each Schur
+    # product of two members is then one forward transform
+    import qgraphs.graphs
+    from qgraphs.clifford import cube_like_graph
+
+    calls = {"_connection": 0, "_diagonal": 0}
+    for name in calls:
+        def count(*args, name=name, f=getattr(qgraphs.graphs, name)):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(qgraphs.graphs, name, count)
+    members, complete = schur_closure(cube_like_graph(6, preset="hypercube"))
+    assert complete and len(members) == 7
+    assert calls["_connection"] == len(members) + 1  # and A's, once, for the calculus
+    products = len(members) * (len(members) + 1) // 2  # both factors from members, in order
+    assert 0 < calls["_diagonal"] <= products
 
 
 def test_diagonal_obstruction_runs_in_bounded_memory():
