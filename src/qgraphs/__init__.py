@@ -5,6 +5,9 @@ calculus of finite quantum sets, the equivalent edge-projection / adjacency
 / operator-space pictures, bicharacter twists of abelian Cayley graphs
 (quantum rook's graphs, anticommutative cube-like graphs), and the Schur
 noncommutativity obstruction to quantum isomorphism with classical graphs.
+
+The names imported below are the public API, declared here and nowhere else;
+the README's "Library API" list says what each one is for.
 """
 
 from .algebra import (
@@ -17,9 +20,7 @@ from .algebra import (
     algebra_star,
     build_quantum_set,
     check_star_homomorphism,
-    counit_apply,
     element_from_block_matrices,
-    element_is_positive,
     element_to_block_matrices,
     is_positive_element,
     left_mult_matrix,
@@ -37,7 +38,6 @@ from .catalog import (
     m2_graph,
     m2_partial_family,
     pauli_edge,
-    random_su2,
 )
 from .clifford import (
     clifford_bicharacter,
@@ -50,7 +50,6 @@ from .clifford import (
 from .constructions import (
     check_isomorphism,
     conjugation_map,
-    diagonal_embedding,
     edge_subgraph,
     induced_subgraph,
     quotient_graph,
@@ -62,13 +61,12 @@ from .graphs import (
     QuantumGraph,
     adjacency_to_projection,
     check_bimodule,
+    edge_spectrum,
     graph_from_subspace,
     graph_report,
     is_quantum_graph,
     projection_to_adjacency,
     quantum_edge,
-    rotate_from_edge,
-    rotate_to_edge,
     schur_product,
     schur_star,
     schur_unit,
@@ -80,8 +78,6 @@ from .groups import (
     Bicharacter,
     cayley_spectrum,
     classical_cayley,
-    make_bicharacter,
-    trivial_bicharacter,
     twist_quantum_set,
     twisted_cayley,
 )

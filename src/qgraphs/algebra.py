@@ -55,29 +55,6 @@ from .kernels import hermitian_eigs, max_abs, scale_of
 if TYPE_CHECKING:  # pragma: no cover
     from .groups import AbelianGroup, Bicharacter
 
-__all__ = [
-    "DENSE_LIMIT",
-    "MAX_N",
-    "admit_dimension",
-    "DEFAULT_TOL",
-    "QuantumSet",
-    "AlgebraElement",
-    "Operator",
-    "Check",
-    "Report",
-    "build_quantum_set",
-    "algebra_multiply",
-    "algebra_star",
-    "counit_apply",
-    "verify_frobenius",
-    "check_star_homomorphism",
-    "is_positive_element",
-    "element_is_positive",
-    "left_mult_matrix",
-    "element_from_block_matrices",
-    "element_to_block_matrices",
-]
-
 DEFAULT_TOL = 1e-9
 #: largest N for which the generic Schur product of graphs is computed
 DENSE_LIMIT = 64
@@ -343,11 +320,6 @@ def algebra_star(x: AlgebraElement) -> AlgebraElement:
     coeffs = np.empty(s.N, dtype=complex)
     coeffs[s.star_src] = s.star_phase * np.conj(x.coeffs)
     return AlgebraElement(s, coeffs)
-
-
-def counit_apply(x: AlgebraElement) -> complex:
-    """eta^dag(x) = <eta, x>; equals sum_i n_i Tr(x_i) on matrix blocks."""
-    return complex(np.vdot(x.set.unit_vec, x.coeffs))
 
 
 def left_mult_matrix(x: AlgebraElement) -> np.ndarray:
@@ -696,11 +668,6 @@ def is_positive_element(rep: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     if lam.size == 0:
         return True
     return bool(lam[0] >= -tol * scale)
-
-
-def element_is_positive(x: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:
-    """Positivity of an abstract element via its left regular representation."""
-    return is_positive_element(left_mult_matrix(x), tol=tol)
 
 
 def random_element(x_set: QuantumSet, rng: np.random.Generator) -> AlgebraElement:

@@ -16,21 +16,6 @@ from .graphs import (
     quantum_edge,
 )
 
-__all__ = [
-    "SIGMA_1",
-    "SIGMA_2",
-    "SIGMA_3",
-    "IOTA_2",
-    "LAMBDA_8",
-    "pauli_edge",
-    "m2_graph",
-    "anticommutative_square",
-    "m2_partial_family",
-    "classify_m2",
-    "gell_mann_graph",
-    "random_su2",
-]
-
 SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -102,15 +87,3 @@ def classify_m2(g: QuantumGraph, tol: float = DEFAULT_TOL) -> int:
 def gell_mann_graph() -> QuantumGraph:
     """The simple one-edge graph on M_3 generated by the diagonal Gell-Mann matrix."""
     return quantum_edge(3, LAMBDA_8)
-
-
-def random_su2(rng: np.random.Generator) -> np.ndarray:
-    """A Haar-ish random SU(2) element: Gaussian 2x2, orthonormalise, fix det."""
-    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    q0 = z[:, 0] / np.linalg.norm(z[:, 0])
-    v = z[:, 1] - np.vdot(q0, z[:, 1]) * q0
-    q1 = v / np.linalg.norm(v)
-    u = np.column_stack([q0, q1])
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    u[:, 1] *= np.conj(det) / abs(det)
-    return u

@@ -64,7 +64,6 @@ from .groups import (
     Bicharacter,
     cayley_spectrum,
     classical_cayley,
-    make_bicharacter,
     twisted_cayley,
 )
 from .kernels import max_abs, scale_of
@@ -199,7 +198,7 @@ _PRESETS = {
 
 def _bicharacter_for(name: str, group: AbelianGroup, tol: float) -> Bicharacter:
     if name in _BICHARS:
-        return make_bicharacter(group, _BICHARS[name](group), tol=tol)
+        return Bicharacter(group, _BICHARS[name](group), tol)
     if name.lstrip().startswith("["):
         return docs.bicharacter_from_text(name, group, tol=tol)
     doc = _load(name)

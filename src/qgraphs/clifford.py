@@ -27,24 +27,10 @@ from .groups import (
     AbelianGroup,
     Bicharacter,
     cayley_spectrum,
-    make_bicharacter,
     twist_quantum_set,
     twisted_cayley,
 )
 from .kernels import max_abs, scale_of
-
-__all__ = [
-    "clifford_bicharacter",
-    "clifford_set",
-    "degree",
-    "hypercube_generators",
-    "folded_generators",
-    "squared_generators",
-    "lambda_squared",
-    "cube_like_graph",
-    "folded_embedding",
-    "halved_square_check",
-]
 
 
 def clifford_bicharacter(n: int) -> Bicharacter:
@@ -53,18 +39,13 @@ def clifford_bicharacter(n: int) -> Bicharacter:
         raise InvalidInput("clifford_bicharacter requires n >= 1")
     admit_dimension(2 ** min(n, 64))  # before the n orders and the n x n values
     group = AbelianGroup((2,) * n)
-    return make_bicharacter(group, np.where(np.tri(n, k=-1, dtype=bool), -1.0, 1.0))
+    return Bicharacter(group, np.where(np.tri(n, k=-1, dtype=bool), -1.0, 1.0))
 
 
 def clifford_set(n: int) -> QuantumSet:
     """The twisted set of Z_2^n with the sign bicharacter (dimension 2^n)."""
     sigma = clifford_bicharacter(n)
     return twist_quantum_set(sigma.group, sigma)
-
-
-def degree(mu: Sequence[int]) -> int:
-    """Number of ones in a Z_2^n element."""
-    return int(sum(1 for x in mu if x % 2))
 
 
 def hypercube_generators(n: int) -> list[tuple[int, ...]]:

@@ -10,7 +10,6 @@ convention automatically.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -25,15 +24,6 @@ from .algebra import (
 from .errors import InvalidInput
 from .graphs import QuantumGraph, _tensor_with_conj, is_quantum_graph, schur_product
 from .kernels import hermitian_eigs, max_abs, scale_of
-
-__all__ = [
-    "edge_subgraph",
-    "induced_subgraph",
-    "quotient_graph",
-    "check_isomorphism",
-    "conjugation_map",
-    "diagonal_embedding",
-]
 
 
 def edge_subgraph(g: QuantumGraph, h: QuantumGraph, tol: float = DEFAULT_TOL) -> bool:
@@ -115,13 +105,3 @@ def conjugation_map(u: np.ndarray, x: QuantumSet) -> Operator:
     if u.shape != (n, n):
         raise InvalidInput(f"unitary has shape {u.shape}, expected ({n}, {n})")
     return Operator(domain=x, codomain=x, matrix=_tensor_with_conj(u))
-
-
-def diagonal_embedding(n: int) -> Operator:
-    """The unital *-embedding of the classical set X_n into M_n by diagonals."""
-    xn = build_quantum_set([1] * n)
-    mn = build_quantum_set([n])
-    mat = np.zeros((mn.N, n), dtype=complex)
-    for a in range(n):
-        mat[a * n + a, a] = math.sqrt(n)
-    return Operator(domain=xn, codomain=mn, matrix=mat)

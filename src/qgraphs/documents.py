@@ -48,7 +48,7 @@ import numpy as np
 from .algebra import DEFAULT_TOL, Operator, QuantumSet, Report, build_quantum_set
 from .errors import InvalidInput
 from .graphs import EdgeProjection, GraphReport, QuantumGraph
-from .groups import AbelianGroup, Bicharacter, make_bicharacter, twist_quantum_set
+from .groups import AbelianGroup, Bicharacter, twist_quantum_set
 from .obstruction import Certificate, Inconclusive
 
 SCHEMA_VERSION = 1
@@ -171,7 +171,7 @@ def set_from_spec(spec: Any, tol: float = DEFAULT_TOL) -> QuantumSet:
     if "group" in spec:
         group_spec, gen_values = _entries(spec, "a group set spec", "group", "bicharacter")
         group = _group(group_spec)
-        sigma = make_bicharacter(group, _array(gen_values, "bicharacter"), tol=tol)
+        sigma = Bicharacter(group, _array(gen_values, "bicharacter"), tol)
         return twist_quantum_set(group, sigma)
     raise DocumentError("set spec needs either 'blocks' or 'group' + 'bicharacter'")
 
@@ -268,7 +268,7 @@ def bicharacter_from_document(doc: Any, group: AbelianGroup,
     group_spec, gen_values = _open(doc, "bicharacter", "group", "gen_values")
     if _group(group_spec).orders != group.orders:
         raise DocumentError("bicharacter document is for a different group")
-    return make_bicharacter(group, _array(gen_values, "gen_values"), tol=tol)
+    return Bicharacter(group, _array(gen_values, "gen_values"), tol)
 
 
 def bicharacter_from_text(text: str, group: AbelianGroup, tol: float = DEFAULT_TOL) -> Bicharacter:
@@ -276,7 +276,7 @@ def bicharacter_from_text(text: str, group: AbelianGroup, tol: float = DEFAULT_T
     arr = _numbers(_parse(text), "generator values")
     if arr.ndim == 3:
         arr = _pairs(arr, "generator values")
-    return make_bicharacter(group, arr, tol=tol)
+    return Bicharacter(group, arr, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +303,14 @@ _SAMPLE = 64
 
 
 def dumps(doc: dict) -> str:
-    """``doc`` as JSON with sorted keys; numpy arrays become [re, im] pairs.
+    """``doc`` as JSON with sorted keys; complex numpy arrays become [re, im] pairs.
 
     The text is byte for byte ``json.dumps(..., sort_keys=True,
     allow_nan=False, separators=(",", ": "))`` of the document with each
-    array replaced by its nested-list form.  A non-finite value raises
+    complex array replaced by its nested [re, im] lists and any other array
+    by its ``tolist()``.  So the float64 [re, im] arrays :func:`loads` returns
+    are written as they were read: ``dumps(loads(text)) + "\n"`` is a
+    document's text as the CLI wrote it.  A non-finite value raises
     ``DocumentError``: the output has no JSON form.
     """
     return "".join(encode(doc))
@@ -321,9 +324,11 @@ def encode(doc: dict) -> list[str]:
     """
     arrays: list[np.ndarray] = []
 
-    def stand_in(obj: Any) -> str:
+    def stand_in(obj: Any) -> Any:
         if not isinstance(obj, np.ndarray):
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        if not np.iscomplexobj(obj):
+            return obj.tolist()
         arrays.append(obj)
         return _STAND_IN
 

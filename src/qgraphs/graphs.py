@@ -56,28 +56,7 @@ from .algebra import (
     build_quantum_set,
 )
 from .errors import InvalidInput, ResourceLimit
-from .kernels import gram_schmidt, hermitian_eigs, max_abs, orthogonal_part, scale_of, span_residual
-
-__all__ = [
-    "QuantumGraph",
-    "EdgeProjection",
-    "GraphReport",
-    "schur_unit",
-    "schur_product",
-    "schur_star",
-    "rotate_to_edge",
-    "rotate_from_edge",
-    "adjacency_to_projection",
-    "projection_to_adjacency",
-    "graph_report",
-    "is_quantum_graph",
-    "quantum_edge",
-    "graph_from_subspace",
-    "subspace_from_graph",
-    "selfadjoint_basis",
-    "check_bimodule",
-    "edge_spectrum",
-]
+from .kernels import gram_schmidt, hermitian_eigs, max_abs, orthogonal_part, scale_of
 
 
 @dataclass(eq=False)
@@ -284,22 +263,6 @@ def schur_star(x: QuantumSet, a) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # rotation between adjacency and edge projection
 # ---------------------------------------------------------------------------
-
-
-def rotate_to_edge(x: QuantumSet, a: np.ndarray) -> np.ndarray:
-    """Edge element of A as coefficients on e_p (x) e_q (an N x N matrix): A F."""
-    a = np.asarray(a, dtype=complex)
-    out = np.empty_like(a)
-    out[:, x.star_src] = a * x.star_phase
-    return out
-
-
-def rotate_from_edge(x: QuantumSet, a_tilde: np.ndarray) -> np.ndarray:
-    """Inverse rotation A~ conj(F); round-trips with :func:`rotate_to_edge`."""
-    a_tilde = np.asarray(a_tilde, dtype=complex)
-    out = np.empty_like(a_tilde)
-    out[:, x.star_src] = a_tilde * np.conj(x.star_phase)
-    return out
 
 
 def adjacency_to_projection(g: QuantumGraph) -> EdgeProjection:
@@ -647,7 +610,7 @@ def selfadjoint_basis(
     mats = [np.asarray(b, dtype=complex) for b in basis]
     ortho = gram_schmidt(mats, tol=tol)
     for b in mats:
-        if span_residual(b.conj().T, ortho) > tol * scale_of(b):
+        if orthogonal_part(b.conj().T, ortho)[1] > tol * scale_of(b):
             raise InvalidInput("selfadjoint_basis: span is not closed under dagger")
     chosen: list[np.ndarray] = []
     chosen_ortho: list[np.ndarray] = []
@@ -687,6 +650,6 @@ def check_bimodule(
                 comp[bounds[i]:bounds[i + 1], bounds[j]:bounds[j + 1]] = (
                     b[bounds[i]:bounds[i + 1], bounds[j]:bounds[j + 1]]
                 )
-                if span_residual(comp, ortho) > tol * max(scale_of(b), 1.0):
+                if orthogonal_part(comp, ortho)[1] > tol * max(scale_of(b), 1.0):
                     return False
     return True

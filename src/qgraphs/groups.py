@@ -34,17 +34,6 @@ from .algebra import DEFAULT_TOL, QuantumSet, admit_dimension
 from .errors import InvalidInput
 from .kernels import unit_root, unit_roots
 
-__all__ = [
-    "AbelianGroup",
-    "Bicharacter",
-    "classical_cayley",
-    "cayley_spectrum",
-    "make_bicharacter",
-    "trivial_bicharacter",
-    "twist_quantum_set",
-    "twisted_cayley",
-]
-
 
 @dataclass(eq=False)
 class AbelianGroup:
@@ -168,18 +157,6 @@ class Bicharacter:
         lcm = math.lcm(*(int(d) for d in self._exp_den.ravel()))
         w = (self._exp_num * (lcm // self._exp_den)) % lcm
         return unit_roots(lcm)[((mu @ w) @ nu) % lcm]
-
-
-def make_bicharacter(
-    group: AbelianGroup, gen_values: Sequence[Sequence[complex]], tol: float = DEFAULT_TOL
-) -> Bicharacter:
-    """Validate generator values and build the multiplicative extension
-    (see ``Bicharacter``)."""
-    return Bicharacter(group, gen_values, tol)
-
-
-def trivial_bicharacter(group: AbelianGroup) -> Bicharacter:
-    return make_bicharacter(group, np.ones((group.rank, group.rank)))
 
 
 # ---------------------------------------------------------------------------

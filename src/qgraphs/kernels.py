@@ -16,17 +16,6 @@ import numpy as np
 
 from .errors import InvalidInput
 
-__all__ = [
-    "unit_root",
-    "unit_roots",
-    "max_abs",
-    "scale_of",
-    "hermitian_eigs",
-    "orthogonal_part",
-    "gram_schmidt",
-    "span_residual",
-]
-
 
 def unit_root(k: int, n: int) -> complex:
     """exp(2*pi*i*k/n), exact for quarter turns (k/n in {0, 1/4, 1/2, 3/4}).
@@ -115,8 +104,3 @@ def gram_schmidt(vectors: list[np.ndarray], tol: float = 1e-9) -> list[np.ndarra
         if nrm > tol * scale_of(vec):
             basis.append(v / nrm)
     return basis
-
-
-def span_residual(vector: np.ndarray, basis: list[np.ndarray]) -> float:
-    """Norm of ``vector`` minus its projection onto an orthonormal basis."""
-    return orthogonal_part(vector, basis)[1]

@@ -39,8 +39,6 @@ from .errors import InvalidInput
 from .graphs import QuantumGraph, _calculus, schur_product
 from .kernels import max_abs, orthogonal_part
 
-__all__ = ["Certificate", "Inconclusive", "schur_closure", "classical_obstruction"]
-
 #: span-growth threshold for closure stabilisation
 RANK_TOL = 1e-8
 #: residual above which a Schur commutator counts as a witness

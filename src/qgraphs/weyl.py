@@ -22,19 +22,10 @@ from .graphs import QuantumGraph
 from .groups import (
     AbelianGroup,
     Bicharacter,
-    make_bicharacter,
     twist_quantum_set,
     twisted_cayley,
 )
 from .kernels import unit_root, unit_roots
-
-__all__ = [
-    "weyl_bicharacter",
-    "phi_isomorphism",
-    "rook_generators",
-    "quantum_rook",
-    "rook_adjacency_closed_form",
-]
 
 
 def weyl_bicharacter(n: int) -> Bicharacter:
@@ -43,7 +34,7 @@ def weyl_bicharacter(n: int) -> Bicharacter:
         raise InvalidInput("weyl_bicharacter requires n >= 1")
     group = AbelianGroup((n, n))
     omega = unit_root(1, n)
-    return make_bicharacter(group, [[1.0, 1.0], [omega, 1.0]])
+    return Bicharacter(group, [[1.0, 1.0], [omega, 1.0]])
 
 
 def phi_isomorphism(n: int) -> Operator:

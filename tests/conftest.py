@@ -1,11 +1,13 @@
-"""Shared helpers for sampling twisted Cayley instances, and reference implementations."""
+"""Shared helpers for sampling twisted Cayley instances, reference implementations, and
+the small constructions only tests use."""
 
 import itertools
 import math
 
 import numpy as np
 
-from qgraphs.groups import AbelianGroup, Bicharacter, make_bicharacter
+from qgraphs.algebra import Operator, build_quantum_set
+from qgraphs.groups import AbelianGroup, Bicharacter
 from qgraphs.kernels import unit_root
 
 # abelian groups of order <= 64 used by the randomized twist suites
@@ -26,7 +28,7 @@ def random_bicharacter(group: AbelianGroup, rng: np.random.Generator) -> Bichara
         for j in range(m):
             d = math.gcd(group.orders[i], group.orders[j])
             vals[i, j] = unit_root(int(rng.integers(0, d)), d)
-    return make_bicharacter(group, vals)
+    return Bicharacter(group, vals)
 
 
 def reference_snap(orders, gen_values, tol=1e-9):
@@ -65,7 +67,7 @@ def reference_snap(orders, gen_values, tol=1e-9):
 def twisted_family():
     """Representative family of (label, twisted set) with N <= 64."""
     from qgraphs.clifford import clifford_set
-    from qgraphs.groups import trivial_bicharacter, twist_quantum_set
+    from qgraphs.groups import twist_quantum_set
     from qgraphs.weyl import weyl_bicharacter
 
     sets = []
@@ -458,3 +460,37 @@ def projection_is_positive(g, tol: float = 1e-9) -> bool:
     spec = edge_spectrum(g, tol=tol)
     assert spec is not None, "edge-element spectrum not available for this graph"
     return spec.size == 0 or bool(spec[0] >= -tol * scale_of(g.adjacency))
+
+
+def trivial_bicharacter(group: AbelianGroup) -> Bicharacter:
+    """The CLI's ``--bichar trivial``, 1 everywhere: its twist is the classical set."""
+    from qgraphs.cli import _bicharacter_for
+
+    return _bicharacter_for("trivial", group, 1e-9)
+
+
+def degree(mu) -> int:
+    """Number of ones in a Z_2^n element."""
+    return int(sum(1 for x in mu if x % 2))
+
+
+def random_su2(rng: np.random.Generator) -> np.ndarray:
+    """A Haar-ish random SU(2) element: Gaussian 2x2, orthonormalise, fix det."""
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    q0 = z[:, 0] / np.linalg.norm(z[:, 0])
+    v = z[:, 1] - np.vdot(q0, z[:, 1]) * q0
+    q1 = v / np.linalg.norm(v)
+    u = np.column_stack([q0, q1])
+    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
+    u[:, 1] *= np.conj(det) / abs(det)
+    return u
+
+
+def diagonal_embedding(n: int) -> Operator:
+    """The unital *-embedding of the classical set X_n into M_n by diagonals."""
+    xn = build_quantum_set([1] * n)
+    mn = build_quantum_set([n])
+    mat = np.zeros((mn.N, n), dtype=complex)
+    for a in range(n):
+        mat[a * n + a, a] = math.sqrt(n)
+    return Operator(domain=xn, codomain=mn, matrix=mat)

@@ -14,11 +14,14 @@ import pytest
 from conftest import (
     GROUP_POOL,
     dense_mult,
+    degree,
     dense_star,
+    diagonal_embedding,
     lambda_folded,
     lambda_hypercube,
     random_bicharacter,
     random_generating_multiset,
+    random_su2,
     rook_spectrum,
     transported_duality,
     transported_mult,
@@ -51,12 +54,11 @@ from qgraphs import (
     weyl_bicharacter,
     adjacency_to_projection,
 )
-from qgraphs.catalog import SIGMA_1, SIGMA_2, SIGMA_3, anticommutative_square, random_su2
+from qgraphs.catalog import SIGMA_1, SIGMA_2, SIGMA_3, anticommutative_square
 from qgraphs.clifford import (
     clifford_bicharacter,
     clifford_set,
     cube_like_graph,
-    degree,
     folded_embedding,
     folded_generators,
     halved_square_check,
@@ -64,7 +66,7 @@ from qgraphs.clifford import (
     lambda_squared,
     squared_generators,
 )
-from qgraphs.constructions import diagonal_embedding, quotient_graph
+from qgraphs.constructions import quotient_graph
 from qgraphs.groups import AbelianGroup, cayley_spectrum
 from qgraphs.kernels import max_abs
 from qgraphs.weyl import (

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import random_su2
 
 from qgraphs import (
     check_isomorphism,
@@ -24,7 +25,6 @@ from qgraphs.catalog import (
     SIGMA_3,
     anticommutative_square,
     pauli_edge,
-    random_su2,
 )
 from qgraphs.errors import InvalidInput
 

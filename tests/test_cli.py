@@ -12,6 +12,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import diagonal_embedding
 from hypothesis import given, settings, strategies as st
 
 from qgraphs import cli, documents as docs
@@ -19,7 +20,6 @@ from qgraphs.algebra import Operator, build_quantum_set
 from qgraphs.catalog import anticommutative_square
 from qgraphs.cli import main
 from qgraphs.clifford import cube_like_graph
-from qgraphs.constructions import diagonal_embedding
 from qgraphs.graphs import QuantumGraph, adjacency_to_projection
 
 
@@ -656,6 +656,23 @@ def test_every_catalog_preset_builds_with_minimal_options(capsys, preset):
     doc = json.loads(out)
     assert doc["metadata"] == {"command": "catalog", "preset": preset}
     assert run(capsys, "catalog", preset, *options)[0] == 0  # the table as well
+
+
+_PRESET_ARGV = [["catalog", preset, *[tok for group in needs for opt in group
+                                      for tok in (f"--{opt}", _MINIMAL_OPTIONS[opt])]]
+                for preset, (needs, _) in cli._PRESETS.items()]
+
+
+@pytest.mark.parametrize("argv", _PRESET_ARGV + [
+    ["catalog", "rook", "--n", "4"], ["catalog", "hypercube", "--n", "5"],
+    ["twist", "--orders", "4,4", "--gens", "1,0;0,1", "--bichar", "weyl"],
+    ["cayley", "--orders", "2,2,2", "--gens", "100;010;001", "--spectrum"],
+], ids=" ".join)
+def test_document_text_survives_a_read_and_write(capsys, argv):
+    # loads gives each matrix as float64 [re, im] numbers, and dumps writes them back as read
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 0, err
+    assert docs.dumps(docs.loads(out)) + "\n" == out
 
 
 @pytest.mark.parametrize("argv, missing", [

@@ -3,7 +3,7 @@ halving."""
 
 import numpy as np
 import pytest
-from conftest import dense_schur_product, dense_star, lambda_folded, lambda_hypercube
+from conftest import dense_schur_product, dense_star, degree, lambda_folded, lambda_hypercube
 
 from qgraphs import (
     AlgebraElement,
@@ -17,7 +17,6 @@ from qgraphs.clifford import (
     clifford_bicharacter,
     clifford_set,
     cube_like_graph,
-    degree,
     folded_embedding,
     folded_generators,
     folded_quotient_check,

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import projection_is_positive
+from conftest import diagonal_embedding, projection_is_positive, random_su2
 
 from qgraphs import (
     Operator,
@@ -11,7 +11,6 @@ from qgraphs import (
     build_quantum_set,
     check_isomorphism,
     conjugation_map,
-    diagonal_embedding,
     edge_subgraph,
     graph_from_subspace,
     graph_report,
@@ -20,7 +19,7 @@ from qgraphs import (
     quotient_graph,
     schur_unit,
 )
-from qgraphs.catalog import SIGMA_1, SIGMA_2, SIGMA_3, random_su2
+from qgraphs.catalog import SIGMA_1, SIGMA_2, SIGMA_3
 from qgraphs.errors import InvalidInput
 from qgraphs.weyl import phi_isomorphism
 

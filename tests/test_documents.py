@@ -1,6 +1,7 @@
 """The document codec: byte-identical encoding, exact round trips, refusals."""
 
 import json
+import re
 import tracemalloc
 from unittest import mock
 
@@ -143,11 +144,13 @@ def test_bicharacter_document_checks_its_group():
 
 
 def stdlib_dumps(doc):
-    """The reference: every array replaced by its nested [re, im] lists."""
+    """The reference: every complex array replaced by its nested [re, im] lists, any
+    other array by its plain numbers."""
     def plain(v):
+        if isinstance(v, np.ndarray) and not np.iscomplexobj(v):
+            return v.tolist()
         if isinstance(v, np.ndarray):
-            a = np.asarray(v, dtype=complex)
-            return np.ascontiguousarray(a).view(np.float64).reshape(a.shape + (2,)).tolist()
+            return np.ascontiguousarray(v).view(np.float64).reshape(v.shape + (2,)).tolist()
         if isinstance(v, dict):
             return {k: plain(x) for k, x in v.items()}
         if isinstance(v, list):
@@ -198,7 +201,7 @@ def test_writer_refuses_non_finite_values(bad, shape):
 def test_writer_shares_a_table_between_arrays_of_one_shape():
     stack = np.arange(24.0).reshape(4, 3, 2) - 1j * np.arange(24.0).reshape(4, 3, 2)
     doc = {"blocks": [[k, stack[k]] for k in range(4)], "other": stack[0, 0],
-           "unit": np.ones((5, 1, 1)), "empty": [np.zeros((0, 3)), np.zeros((2, 0))]}
+           "unit": np.ones((5, 1, 1), dtype=complex), "empty": [np.zeros((0, 3)), np.zeros((2, 0))]}
     assert docs.dumps(doc) == stdlib_dumps(doc)
 
 
@@ -540,6 +543,73 @@ def test_reader_matches_json_loads_on_distinct_pairs(array_text, read_chunk, dat
     char = data.draw(st.sampled_from(["", *"-+.0123456789eE ,[]"]))
     text = '{"adjacency": ' + array_text[:at] + char + array_text[at:] + "}"
     with mock.patch.object(docs, "_READ_CHUNK", read_chunk):
+        got = _adjacency_outcome(docs.loads, text)
+    assert got == _adjacency_outcome(reference_loads, text)
+
+
+# ---------------------------------------------------------------------------
+# mutations that keep the brackets and commas of a well-formed array
+# ---------------------------------------------------------------------------
+
+
+def _move_a_number(text, data):
+    """``text`` with one number moved across the one or two brackets or commas beside
+    it: [a,b],[c,d] becomes [a,]b,[c,d] or [a,],b[c,d].  The skeleton is unchanged, so
+    only the empty number slot it leaves tells the text from an array."""
+    tokens = re.findall(r"[-+.0-9eE]+|[ \t\n\r]+|.", text)
+    k = data.draw(st.sampled_from([k for k, t in enumerate(tokens) if t[0] in "-+.0123456789eE"]))
+    step = data.draw(st.sampled_from([-2, -1, 1, 2]))
+    number = tokens.pop(k)
+    # where it lands: past |step| tokens that are not whitespace, or at an end of the text
+    after = [j + 1 for j, t in enumerate(tokens) if j >= k and not t.isspace()]
+    before = [j for j, t in enumerate(tokens) if j < k and not t.isspace()]
+    tokens.insert((after + [len(tokens)] * 2)[step - 1] if step > 0 else ([0, 0] + before)[step], number)
+    return "".join(tokens)
+
+
+def _resize_a_row(text, data):
+    """``text`` with one row lengthened or shortened by k pairs, its commas kept
+    well-formed: a pair repeated k more times, or k pairs cut.  With k one or two first
+    rows, the text's row ends still fall where the first row's length puts them, and
+    only a run of the commonest pair crosses the one it lacks, which it must not."""
+    rows = [[]]
+    for pair in re.finditer(r"\[[^\[\]]*\]", text):
+        if rows[-1] and not re.fullmatch(r"[ \t\n\r]*,[ \t\n\r]*", text[rows[-1][-1].end():pair.start()]):
+            rows.append([])
+        rows[-1].append(pair)
+    row = data.draw(st.sampled_from(rows))
+    i = data.draw(st.integers(0, len(row) - 1))
+    k = data.draw(st.sampled_from(sorted({1, 2, 3, len(rows[0]), 2 * len(rows[0])})))
+    if data.draw(st.booleans()):
+        sep = text[row[0].end():row[1].start()] if len(row) > 1 else ","
+        return text[:row[i].end()] + (sep + row[i][0]) * k + text[row[i].end():]
+    j = min(i + k, len(row))  # pairs i .. j - 1 go, with the separators between them
+    if j < len(row):
+        a, b = row[i].start(), row[j].start()
+    else:
+        a, b = (row[i - 1].end() if i else row[0].start()), row[-1].end()
+    return text[:a] + text[b:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(array_texts(), run_texts(), distinct_texts()), st.sampled_from([1, 3, 17, 1 << 16]),
+       st.sampled_from([2, 32]), st.data())
+def test_reader_matches_json_loads_with_a_number_moved_across_a_bracket(array_text, read_chunk,
+                                                                        min_run, data):
+    text = '{"adjacency": ' + _move_a_number(array_text, data) + "}"
+    with mock.patch.object(docs, "_READ_CHUNK", read_chunk), \
+            mock.patch.object(docs, "_MIN_RUN", min_run):
+        got = _adjacency_outcome(docs.loads, text)
+    assert got == _adjacency_outcome(reference_loads, text)
+
+
+# chunks long enough to sample the commonest piece, and runs short enough to be found
+@settings(max_examples=300, deadline=None)
+@given(run_texts(), st.sampled_from([64, 1 << 16]), st.sampled_from([2, 4]), st.data())
+def test_reader_matches_json_loads_with_one_row_resized(array_text, read_chunk, min_run, data):
+    text = '{"adjacency": ' + _resize_a_row(array_text, data) + "}"
+    with mock.patch.object(docs, "_READ_CHUNK", read_chunk), \
+            mock.patch.object(docs, "_MIN_RUN", min_run):
         got = _adjacency_outcome(docs.loads, text)
     assert got == _adjacency_outcome(reference_loads, text)
 

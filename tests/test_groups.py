@@ -12,6 +12,7 @@ from conftest import (
     reference_elements,
     reference_fourier_matrix,
     reference_snap,
+    trivial_bicharacter,
     twist_tensor,
     twisted_family,
 )
@@ -22,17 +23,15 @@ from qgraphs import (
     cayley_spectrum,
     classical_cayley,
     graph_report,
-    make_bicharacter,
     schur_product,
     schur_star,
-    trivial_bicharacter,
     twist_quantum_set,
     twisted_cayley,
     verify_frobenius,
 )
 from qgraphs.clifford import clifford_bicharacter
 from qgraphs.errors import InvalidInput, ResourceLimit
-from qgraphs.groups import AbelianGroup
+from qgraphs.groups import AbelianGroup, Bicharacter
 from qgraphs.kernels import unit_root
 from qgraphs.weyl import weyl_bicharacter
 
@@ -206,20 +205,20 @@ def test_trivial_bicharacter_everywhere_one():
 
 
 def test_sign_bicharacter_on_z2_squared():
-    sigma = make_bicharacter(AbelianGroup((2, 2)), [[1, 1], [-1, 1]])
+    sigma = Bicharacter(AbelianGroup((2, 2)), [[1, 1], [-1, 1]])
     assert sigma.value((0, 1), (1, 0)) == -1
     assert sigma.value((1, 0), (0, 1)) == 1
 
 
 def test_bicharacter_order_condition_rejected():
     with pytest.raises(InvalidInput) as err:
-        make_bicharacter(AbelianGroup((3, 3)), [[1, -1], [1, 1]])
+        Bicharacter(AbelianGroup((3, 3)), [[1, -1], [1, 1]])
     assert "(0,1)" in str(err.value)
 
 
 def test_bicharacter_rejects_non_unimodular():
     with pytest.raises(InvalidInput):
-        make_bicharacter(AbelianGroup((2, 2)), [[1, 1], [0.5, 1]])
+        Bicharacter(AbelianGroup((2, 2)), [[1, 1], [0.5, 1]])
 
 
 @pytest.mark.parametrize("orders", GROUP_POOL)
@@ -233,7 +232,7 @@ def test_snapping_matches_the_per_pair_loop(orders):
         k = rng.integers(0, 1 << 20, size=den.shape) % den
         vals = np.exp(2j * np.pi * k / den) * np.exp(1j * noise * rng.standard_normal(den.shape))
         want, num, want_den = reference_snap(orders, vals)
-        sigma = make_bicharacter(group, vals)
+        sigma = Bicharacter(group, vals)
         assert sigma.gen_values.tobytes() == want.tobytes()
         assert sigma._exp_num.tobytes() == num.tobytes()
         assert sigma._exp_den.tobytes() == want_den.tobytes()
@@ -259,7 +258,7 @@ def test_snapping_reports_the_per_pair_loops_first_offence(orders, bad):
             if earlier is not None and (i, j) != (0, 0):
                 vals[0, 0] = earlier
             want = _first_error(lambda: reference_snap(orders, vals))
-            assert _first_error(lambda: make_bicharacter(group, vals)) == want
+            assert _first_error(lambda: Bicharacter(group, vals)) == want
 
 
 @pytest.mark.filterwarnings("error")
@@ -271,7 +270,7 @@ def test_non_finite_bicharacter_values_are_not_unimodular(bad):
             vals = np.ones((2, 2), dtype=complex)
             vals[i, j] = bad
             with pytest.raises(InvalidInput, match=rf"at \({i},{j}\) is not unimodular"):
-                make_bicharacter(group, vals)
+                Bicharacter(group, vals)
 
 
 def test_replaced_gen_values_rebuild_the_exponents():
