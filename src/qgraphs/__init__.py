@@ -44,8 +44,11 @@ from .clifford import (
     clifford_set,
     cube_like_graph,
     folded_embedding,
+    folded_generators,
     folded_quotient_check,
     halved_square_check,
+    hypercube_generators,
+    squared_generators,
 )
 from .constructions import (
     check_isomorphism,

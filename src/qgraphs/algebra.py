@@ -154,14 +154,6 @@ class QuantumSet:
                 return False
         return True
 
-    def unit_element(self) -> "AlgebraElement":
-        return AlgebraElement(self, self.unit_vec.copy())
-
-    def basis_element(self, slot: int) -> "AlgebraElement":
-        coeffs = np.zeros(self.N, dtype=complex)
-        coeffs[slot] = 1.0
-        return AlgebraElement(self, coeffs)
-
 
 @dataclass(eq=False)
 class AlgebraElement:
@@ -222,9 +214,6 @@ class Operator:
             raise InvalidInput("operator composition: domain/codomain mismatch")
         return Operator(other.domain, self.codomain, self.matrix @ other.matrix)
 
-    def apply(self, x: AlgebraElement) -> AlgebraElement:
-        return AlgebraElement(self.codomain, self.matrix @ x.coeffs)
-
 
 @dataclass
 class Check:
@@ -246,12 +235,6 @@ class Report:
 
     def failed(self) -> list[str]:
         return [c.name for c in self.checks if not c.passed]
-
-    def residual(self, name: str) -> float:
-        for c in self.checks:
-            if c.name == name:
-                return c.residual
-        raise KeyError(name)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,11 @@ any other exception, so exit 1 always means a failed verification.
 default 1e-9; the value must be a finite positive number, else the command
 exits 2.  Every check a command runs compares at that tolerance, and so
 does the snapping of bicharacter values.  ``set-check``, the only command
-with randomized checks, takes ``--seed`` to fix their RNG.
+with a randomized check (the star antiautomorphism (ab)* = b*a*; the
+Frobenius axioms are checked on every basis triple), takes ``--seed`` to fix
+its RNG.  ``catalog``'s presets are named in one place, the ``_PRESETS``
+table, which builds each from the library's constructions and generator
+lists.
 
 Each ``_cmd_*`` function maps the parsed arguments and the tolerance to a
 ``Result``: the document, a zero-argument callable that builds the table's
@@ -49,7 +53,8 @@ from .catalog import (
     m2_graph,
     m2_partial_family,
 )
-from .clifford import clifford_bicharacter, cube_like_graph
+from .clifford import (clifford_bicharacter, cube_like_graph, folded_generators,
+                       hypercube_generators, squared_generators)
 from .constructions import check_isomorphism, induced_subgraph, quotient_graph
 from .errors import InvalidInput, ResourceLimit
 from .graphs import (
@@ -188,11 +193,11 @@ _PRESETS = {
     "anticommutative-square": ((), lambda a: anticommutative_square()),
     "gell-mann": ((), lambda a: gell_mann_graph()),
     "rook": (_N, lambda a: quantum_rook(a.n)),
-    "hypercube": (_N, lambda a: cube_like_graph(a.n, preset="hypercube")),
-    "folded": (_N, lambda a: cube_like_graph(a.n, preset="folded")),
-    "squared": (_N, lambda a: cube_like_graph(a.n, preset="squared")),
+    "hypercube": (_N, lambda a: cube_like_graph(a.n, hypercube_generators(a.n))),
+    "folded": (_N, lambda a: cube_like_graph(a.n, folded_generators(a.n))),
+    "squared": (_N, lambda a: cube_like_graph(a.n, squared_generators(a.n))),
     "cube": (_N + (("gens",),),
-             lambda a: cube_like_graph(a.n, gens=_parse_elements(a.gens, a.n))),
+             lambda a: cube_like_graph(a.n, _parse_elements(a.gens, a.n))),
 }
 
 
@@ -228,19 +233,17 @@ def _cmd_set_check(args: argparse.Namespace, tol: float) -> Result:
         x = docs.set_from_spec(spec, tol=tol)
     report = verify_frobenius(x, tol=tol)
 
+    # verify_frobenius checks associativity on every basis triple; (ab)* = b*a* has
+    # no exhaustive check, so it is sampled.  Each round draws three elements and
+    # scales by the cube of their size, so a --seed gives the residuals it always gave.
     rng = np.random.default_rng(args.seed)
-    worst_assoc = 0.0
     worst_star = 0.0
     for _ in range(5):
         a, b, c = (random_element(x, rng) for _ in range(3))
         scale = scale_of(a.coeffs, b.coeffs, c.coeffs) ** 3
-        lhs = algebra_multiply(algebra_multiply(a, b), c).coeffs
-        rhs = algebra_multiply(a, algebra_multiply(b, c)).coeffs
-        worst_assoc = max(worst_assoc, max_abs(lhs - rhs) / scale)
         anti = algebra_star(algebra_multiply(a, b)).coeffs
         ref = algebra_multiply(algebra_star(b), algebra_star(a)).coeffs
         worst_star = max(worst_star, max_abs(anti - ref) / scale)
-    report.checks.append(Check("random_associativity", worst_assoc <= tol, worst_assoc))
     report.checks.append(Check("random_star_antiautomorphism", worst_star <= tol, worst_star))
     return _report_result(report, report.all_pass)
 

@@ -13,8 +13,10 @@ spectra given by the same character sums as their classical counterparts:
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Iterable, Optional, Sequence
+import operator
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -49,8 +51,10 @@ def clifford_set(n: int) -> QuantumSet:
 
 
 def hypercube_generators(n: int) -> list[tuple[int, ...]]:
-    eye = np.eye(n, dtype=int)
-    return [tuple(row) for row in eye]
+    """The generators eps_1 .. eps_n of Z_2^n; an n that :func:`clifford_bicharacter`
+    refuses (n < 1, or 2^n beyond ``MAX_N``) is refused before the list is built."""
+    clifford_bicharacter(n)
+    return [tuple(row) for row in np.eye(n, dtype=int).tolist()]
 
 
 def folded_generators(n: int) -> list[tuple[int, ...]]:
@@ -59,44 +63,16 @@ def folded_generators(n: int) -> list[tuple[int, ...]]:
 
 def squared_generators(n: int) -> list[tuple[int, ...]]:
     gens = hypercube_generators(n)
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = [0] * n
-            e[i] = e[j] = 1
-            pairs.append(tuple(e))
-    return gens + pairs
+    return gens + [tuple(map(operator.add, u, v)) for u, v in itertools.combinations(gens, 2)]
 
 
 def lambda_squared(n: int, d: int) -> float:
     return ((n + 1 - 2 * d) ** 2 - n - 1) / 2
 
 
-_PRESETS = {
-    "hypercube": hypercube_generators,
-    "folded": folded_generators,
-    "squared": squared_generators,
-}
-
-
-def cube_like_graph(
-    n: int,
-    preset: Optional[str] = None,
-    gens: Optional[Iterable[Sequence[int]]] = None,
-) -> QuantumGraph:
-    """Anticommutative deformation of a cube-like Cayley graph on Z_2^n."""
-    if n < 1:
-        raise InvalidInput("cube_like_graph requires n >= 1")
-    if (preset is None) == (gens is None):
-        raise InvalidInput("cube_like_graph: give exactly one of preset or gens")
-    sigma = clifford_bicharacter(n)  # refuses an oversized n before the generators
-    if preset is not None:
-        try:
-            gens = _PRESETS[preset](n)
-        except KeyError:
-            raise InvalidInput(
-                f"unknown preset {preset!r}; choose from {sorted(_PRESETS)}"
-            ) from None
+def cube_like_graph(n: int, gens: Iterable[Sequence[int]]) -> QuantumGraph:
+    """Anticommutative deformation of the Cayley graph of Z_2^n with generators ``gens``."""
+    sigma = clifford_bicharacter(n)
     return twisted_cayley(sigma.group, gens, sigma)
 
 
@@ -107,9 +83,7 @@ def folded_embedding(n: int, tol: float = DEFAULT_TOL) -> tuple[Operator, Report
     up the extra generator and a factor i; with l2-normalised bases every
     image is scaled by sqrt(2), so iota^dag iota = 2 id.
     """
-    if n < 1:
-        raise InvalidInput("folded_embedding requires n >= 1")
-    dom = clifford_set(n)
+    dom = clifford_set(n)  # refuses n < 1
     cod = clifford_set(n + 1)
     c = dom.group.coords()
     odd = c.sum(axis=1) % 2
@@ -124,8 +98,8 @@ def folded_embedding(n: int, tol: float = DEFAULT_TOL) -> tuple[Operator, Report
 def folded_quotient_check(n: int, tol: float = DEFAULT_TOL) -> Report:
     """Verify iota^dag A_{hypercube(n+1)} iota = 2 A_{folded(n)} and edge totals."""
     iota, hom = folded_embedding(n, tol=tol)
-    cube = cube_like_graph(n + 1, preset="hypercube")
-    folded = cube_like_graph(n, preset="folded")
+    cube = cube_like_graph(n + 1, hypercube_generators(n + 1))
+    folded = cube_like_graph(n, folded_generators(n))
     quot = quotient_graph(cube, iota, tol=tol)
     scale = scale_of(quot.adjacency)
     res = max_abs(quot.adjacency - 2.0 * folded.adjacency)

@@ -10,12 +10,12 @@ malformed entry (ragged rows, strings, null, booleans, NaN/Inf, missing
 keys, a number of more digits than ``int`` reads, nesting deeper than
 ``json.loads`` recurses) is refused with a ``DocumentError``.
 
-The builders keep matrices and vectors as complex numpy arrays.
-:func:`dumps` writes each row of an array as runs of equal entries, found by
-comparing each entry's (re, im) bits with the one before: each distinct
-value that starts a run is written once by ``float.__repr__``, and a run of k
-copies of an entry's text is one string product.  :func:`loads` reads the
-value of each key that holds a matrix (``adjacency``, ``matrix``,
+The builders keep matrices and vectors as complex numpy arrays.  The one
+writer, :func:`encode`, writes each row of an array as runs of equal entries,
+found by comparing each entry's (re, im) bits with the one before: each
+distinct value that starts a run is written once by ``float.__repr__``, and a
+run of k copies of an entry's text is one string product.  :func:`loads`
+reads the value of each key that holds a matrix (``adjacency``, ``matrix``,
 ``bicharacter``, ``gen_values``), if it is a rectangular array of [re, im]
 pairs, into a float64 array: runs of the commonest pair's text are found by
 ``str.find`` and checked by where they lie, and the text between them is
@@ -28,9 +28,9 @@ Both work in bounded chunks (``_READ_CHUNK`` characters of text,
 ``_WRITE_CHUNK`` entries of whole rows), so an N x N document costs the
 text, the array and one chunk: on twisted Q_9 (N = 512, a 4 MiB adjacency)
 the ``tracemalloc`` peak of :func:`loads` is about 4.6 MiB and that of
-:func:`dumps` about 5 MiB, of which 2.6 MB is the text it returns.
-:func:`encode` gives the text in pieces, a matrix's rows apart, so the CLI
-writes a document without ever holding all of it.
+:func:`encode` about 2.7 MiB, of which 2.6 MB is the text of the pieces it
+returns.  Those pieces keep a matrix's rows apart, so the CLI writes a
+document without ever holding all of it joined.
 """
 
 from __future__ import annotations
@@ -233,15 +233,23 @@ def operator_from_document(doc: Any, tol: float = DEFAULT_TOL) -> Operator:
 
 def report_to_document(report: Report | GraphReport,
                        metadata: Optional[dict] = None) -> dict:
+    """The report as a document.  A residual or summary number that is inf or nan
+    raises ``DocumentError`` here, so its table is refused as its JSON text is."""
     if isinstance(report, Report):
         checks = [{"name": c.name, "passed": bool(c.passed), "residual": float(c.residual)}
                   for c in report.checks]
-        return document("report", metadata, checks=checks,
-                        summary={"all_pass": report.all_pass, "tol": report.tol})
-    summary = report.invariants()
-    summary["edges"] = array_to_json(summary["edges"])
-    summary["quantum_edges"] = report.quantum_edges
-    return document("report", metadata, summary=summary)
+        numbers = [c["residual"] for c in checks]
+        doc = document("report", metadata, checks=checks,
+                       summary={"all_pass": report.all_pass, "tol": report.tol})
+    else:
+        summary = report.invariants()
+        numbers = [summary["edges"], summary["regular_degree"] or 0.0]
+        summary["edges"] = array_to_json(summary["edges"])
+        summary["quantum_edges"] = report.quantum_edges
+        doc = document("report", metadata, summary=summary)
+    if not np.isfinite(numbers).all():
+        raise DocumentError(_OUT_OF_RANGE)
+    return doc
 
 
 def certificate_to_document(res: Certificate | Inconclusive,
@@ -302,25 +310,18 @@ _MIN_RUN = 32
 _SAMPLE = 64
 
 
-def dumps(doc: dict) -> str:
-    """``doc`` as JSON with sorted keys; complex numpy arrays become [re, im] pairs.
-
-    The text is byte for byte ``json.dumps(..., sort_keys=True,
-    allow_nan=False, separators=(",", ": "))`` of the document with each
-    complex array replaced by its nested [re, im] lists and any other array
-    by its ``tolist()``.  So the float64 [re, im] arrays :func:`loads` returns
-    are written as they were read: ``dumps(loads(text)) + "\n"`` is a
-    document's text as the CLI wrote it.  A non-finite value raises
-    ``DocumentError``: the output has no JSON form.
-    """
-    return "".join(encode(doc))
-
-
 def encode(doc: dict) -> list[str]:
-    """The text of :func:`dumps` as a list of pieces, a matrix's rows apart.
+    """``doc`` as JSON with sorted keys, in pieces a matrix's rows apart.
 
-    A writer that writes the pieces one by one never holds the whole text,
-    and writes nothing of a document that fails.
+    Joined, the pieces are byte for byte ``json.dumps(..., sort_keys=True,
+    allow_nan=False, separators=(",", ": "))`` of the document with each
+    complex numpy array replaced by its nested [re, im] lists and any other
+    array by its ``tolist()``.  So the float64 [re, im] arrays :func:`loads`
+    returns are written as they were read: ``"".join(encode(loads(text))) +
+    "\n"`` is a document's text as the CLI wrote it.  A non-finite value
+    raises ``DocumentError``: the output has no JSON form.  A writer that
+    writes the pieces one by one never holds the whole text, and writes
+    nothing of a document that fails.
     """
     arrays: list[np.ndarray] = []
 
@@ -452,6 +453,8 @@ def _reject_constant(name: str):
 # a list or a scalar (``kind``, ``blocks``, a projection entry [0, 0]) and
 # change its error message, so projection lists are left to json.loads too.
 _ARRAY_KEYS = ("adjacency", "bicharacter", "gen_values", "matrix")
+# the first _SAMPLE pieces of an array's text, each a "[" and the text up to the next
+_SAMPLED = re.compile(r"(?:\[[^\[]*){1,%d}" % _SAMPLE)
 # a JSON string, or one of those keys, its colon and the "[" of its value
 _STRING_OR_ARRAY = re.compile(r'"(?:(?:%s)"[ \t\n\r]*:[ \t\n\r]*(\[)|(?:[^"\\]|\\.)*")'
                               % "|".join(_ARRAY_KEYS), re.DOTALL)
@@ -481,7 +484,7 @@ def _skeleton(p: int, q: int, sizes: list[int]) -> str:
 def _run_texts(text: str, start: int) -> list[str]:
     """``"[" + piece``, 1, 2, 4, ... times, up to the chunk size, for the commonest piece
     among the first ``_SAMPLE`` after ``text[start]``; [] if it does not repeat there."""
-    pieces = Counter(text[start:start + _READ_CHUNK].split("[", _SAMPLE + 1)[1:_SAMPLE + 1])
+    pieces = Counter(_SAMPLED.match(text, start)[0].split("[")[1:])
     piece, n = next(((p, n) for p, n in pieces.most_common() if p.strip(" \t\n\r")), ("", 0))
     # 2**last copies outrun the chunk or the text; at least _MIN_RUN copies make a run
     last = max((min(_READ_CHUNK, len(text) - start) // (len(piece) + 1)).bit_length(),

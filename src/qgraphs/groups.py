@@ -61,9 +61,6 @@ class AbelianGroup:
         """The (N, rank) coordinate rows of the elements, in order."""
         return np.indices(self.orders, dtype=np.int64).reshape(self.rank, -1).T
 
-    def elements(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.coords().tolist()))
-
     def index(self, el: Sequence[int]) -> int:
         """Position of the element ``el``, its coordinates taken modulo the orders."""
         if len(el) != self.rank:
@@ -135,11 +132,6 @@ class Bicharacter:
             )
         self.gen_values, self._exp_num, self._exp_den = snapped, num, den
 
-    def value(self, mu: Sequence[int], nu: Sequence[int]) -> complex:
-        """sigma(mu, nu), the entry of :meth:`table` at (index(mu), index(nu))."""
-        g = self.group
-        return self._phases(*(np.unravel_index(g.index(el), g.orders) for el in (mu, nu)))
-
     def table(self) -> np.ndarray:
         """sigma(mu, nu) for all pairs of group elements, built anew on each call."""
         c = self.group.coords()
@@ -189,7 +181,7 @@ def classical_cayley(group: AbelianGroup, gens: Iterable[Sequence[int]]) -> "Qua
 
 
 def cayley_spectrum(group: AbelianGroup, gens: Iterable[Sequence[int]]) -> np.ndarray:
-    """Eigenvalues lambda_mu = sum_{theta in S} tau_mu(-theta), mu ordered as elements().
+    """Eigenvalues lambda_mu = sum_{theta in S} tau_mu(-theta), mu in the order of coords().
 
     The FFT of the generator counts over the group's cyclic factors.
     """

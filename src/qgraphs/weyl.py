@@ -1,7 +1,8 @@
 """The Z_n x Z_n specialisation: the phase bicharacter whose twist turns the
 classical n^2-point set into M_n, the explicit isomorphism realising that,
-and the quantum rook's graph (its closed form; the twist pipeline through
-phi is the reference it is tested against).
+and the quantum rook's graph in closed form.  The test suite checks that
+form against the twist pipeline: the twisted rook Cayley graph transported
+to M_n through phi.
 
 The isomorphism phi sends the first deformed generator to
 diag(1, w, ..., w^{n-1}) and the second one to the cyclic shift; entrywise
@@ -19,12 +20,7 @@ import numpy as np
 from .algebra import Operator, build_quantum_set
 from .errors import InvalidInput
 from .graphs import QuantumGraph
-from .groups import (
-    AbelianGroup,
-    Bicharacter,
-    twist_quantum_set,
-    twisted_cayley,
-)
+from .groups import AbelianGroup, Bicharacter, twist_quantum_set
 from .kernels import unit_root, unit_roots
 
 
@@ -56,38 +52,18 @@ def phi_isomorphism(n: int) -> Operator:
     return Operator(domain=twisted, codomain=mn, matrix=mat)
 
 
-def rook_generators(n: int) -> list[tuple[int, int]]:
-    """The rook generating multiset {a e1}_{a=1..n-1} + {b e2}_{b=1..n-1}."""
-    return [(a, 0) for a in range(1, n)] + [(0, b) for b in range(1, n)]
-
-
-def rook_adjacency_closed_form(n: int) -> np.ndarray:
-    """A[(i,j),(k,l)] = d_{i-j,k-l mod n} + n d_{ijkl} - 2 d_{ik} d_{jl}."""
-    i, j = np.indices((n, n)).reshape(2, -1)  # row (i, j) and column (k, l) coordinates
-    d = (i - j) % n
-    a = (d[:, None] == d).astype(complex)
-    a[np.diag_indices(n * n)] += np.where(i == j, n, 0) - 2.0
-    return a
-
-
 def quantum_rook(n: int) -> QuantumGraph:
-    """The quantum rook's graph on M_n, from its closed-form adjacency.
+    """The quantum rook's graph on M_n, from its closed-form adjacency
+    A[(i,j),(k,l)] = d_{i-j,k-l mod n} + n d_{ijkl} - 2 d_{ik} d_{jl}.
 
     The set is built first, so an oversized n is refused (``MAX_N``) before
-    any n^2 x n^2 array exists.  :func:`rook_pipeline_adjacency` derives the
-    same graph through the twist (the reference the test suite compares
-    against).
+    any n^2 x n^2 array exists.
     """
     if n < 2:
         raise InvalidInput("quantum_rook requires n >= 2")
     x = build_quantum_set([n])
-    return QuantumGraph(set=x, adjacency=rook_adjacency_closed_form(n))
-
-
-def rook_pipeline_adjacency(phi: Operator) -> np.ndarray:
-    """Adjacency of the twisted rook Cayley graph transported to M_n via phi."""
-    x = phi.domain
-    g = twisted_cayley(x.group, rook_generators(phi.codomain.blocks[0]), x.bicharacter)
-    u = phi.matrix
-    return u @ g.adjacency @ u.conj().T
-
+    i, j = np.indices((n, n)).reshape(2, -1)  # row (i, j) and column (k, l) coordinates
+    d = (i - j) % n
+    a = (d[:, None] == d).astype(complex)
+    a[np.diag_indices(n * n)] += np.where(i == j, n, 0) - 2.0
+    return QuantumGraph(set=x, adjacency=a)

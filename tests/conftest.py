@@ -88,7 +88,7 @@ def twisted_family():
 def random_generating_multiset(group: AbelianGroup, rng: np.random.Generator,
                                allow_repeats: bool = True,
                                allow_zero: bool = True) -> list[tuple[int, ...]]:
-    elements = list(group.elements())
+    elements = reference_elements(group.orders)
     size = int(rng.integers(1, min(6, group.size) + 1))
     gens: list[tuple[int, ...]] = []
     while len(gens) < size:
@@ -436,10 +436,25 @@ def lambda_folded(n: int, d: int) -> float:
     return float(n + 1 - 4 * math.ceil(d / 2))
 
 
+def rook_generators(n: int) -> list[tuple[int, int]]:
+    """The rook generating multiset {a e1}_{a=1..n-1} + {b e2}_{b=1..n-1} of Z_n x Z_n."""
+    return [(a, 0) for a in range(1, n)] + [(0, b) for b in range(1, n)]
+
+
+def rook_pipeline_adjacency(phi: Operator) -> np.ndarray:
+    """The twisted rook Cayley graph's adjacency transported to M_n through phi: the
+    twist pipeline that the closed form of ``weyl.quantum_rook`` is checked against."""
+    from qgraphs.groups import twisted_cayley
+
+    x = phi.domain
+    g = twisted_cayley(x.group, rook_generators(phi.codomain.blocks[0]), x.bicharacter)
+    u = phi.matrix
+    return u @ g.adjacency @ u.conj().T
+
+
 def rook_spectrum(n: int) -> np.ndarray:
     """lambda_{ab} = n d_{a0} + n d_{b0} - 2 for the rook's graph."""
     from qgraphs.groups import cayley_spectrum
-    from qgraphs.weyl import rook_generators
 
     return cayley_spectrum(AbelianGroup((n, n)), rook_generators(n))
 
@@ -472,6 +487,13 @@ def trivial_bicharacter(group: AbelianGroup) -> Bicharacter:
 def degree(mu) -> int:
     """Number of ones in a Z_2^n element."""
     return int(sum(1 for x in mu if x % 2))
+
+
+def document_text(doc: dict) -> str:
+    """A document's text as ``--json`` writes it, without the final newline."""
+    from qgraphs.documents import encode
+
+    return "".join(encode(doc))
 
 
 def random_su2(rng: np.random.Generator) -> np.ndarray:

@@ -12,14 +12,14 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import diagonal_embedding
+from conftest import diagonal_embedding, document_text
 from hypothesis import given, settings, strategies as st
 
 from qgraphs import cli, documents as docs
 from qgraphs.algebra import Operator, build_quantum_set
 from qgraphs.catalog import anticommutative_square
 from qgraphs.cli import main
-from qgraphs.clifford import cube_like_graph
+from qgraphs.clifford import cube_like_graph, hypercube_generators
 from qgraphs.graphs import QuantumGraph, adjacency_to_projection
 
 
@@ -90,7 +90,7 @@ def test_twist_with_inline_and_document_bicharacter(capsys, tmp_path):
     doc = docs.bicharacter_to_document(AbelianGroup((2, 2)),
                                        np.array([[1, 1], [-1, 1]], dtype=complex))
     path = tmp_path / "sign.json"
-    path.write_text(docs.dumps(doc))
+    path.write_text(document_text(doc))
     code, out2, _ = run(capsys, "twist", "--orders", "2,2", "--gens", "10;01",
                         "--bichar", str(path), "--json")
     assert code == 0
@@ -134,6 +134,27 @@ def test_set_check_exit_codes(capsys):
     assert code == 2
 
 
+def test_set_check_samples_only_what_no_exhaustive_check_covers(capsys):
+    # verify_frobenius checks associativity on every basis triple; (ab)* = b*a* is sampled
+    code, out, _ = run(capsys, "set-check", "--blocks", "1,2", "--seed", "3", "--json")
+    assert code == 0
+    names = [check["name"] for check in json.loads(out)["checks"]]
+    assert [name for name in names if name.startswith("random_")] == [
+        "random_star_antiautomorphism"]
+    assert "associativity" in names
+
+
+_BELOW_ONE = [["catalog", preset, "--n", n] for preset in ("hypercube", "folded", "squared")
+              for n in ("0", "-1")]
+
+
+@pytest.mark.parametrize("argv", _BELOW_ONE + [["catalog", "cube", "--n", "0", "--gens", "1"]])
+def test_cube_presets_refuse_n_below_one(capsys, argv):
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_set_check_at_the_size_limit(capsys):
     # N = 4096 points: the battery builds no N x N array
     code, out, _ = run(capsys, "set-check", "--blocks", ",".join(["1"] * 4096), "--json")
@@ -153,7 +174,7 @@ def test_reserialisation_is_idempotent(capsys, tmp_path):
     code, out1, _ = run(capsys, "catalog", "rook", "--n", "3", "--json")
     assert code == 0
     g = docs.graph_from_document(docs.loads(out1))
-    out2 = docs.dumps(docs.graph_to_document(
+    out2 = document_text(docs.graph_to_document(
         g, metadata={"command": "catalog", "preset": "rook"}))
     assert out1.strip() == out2.strip()
 
@@ -185,6 +206,7 @@ def test_seed_is_refused_where_no_check_is_randomized(capsys, argv):
     ["cayley", "--orders", "1099511627776,1099511627776", "--gens", "1,0"],
     ["twist", "--orders", "1099511627776,1099511627776", "--gens", "1,0", "--bichar", "trivial"],
     ["catalog", "hypercube", "--n", "1000000000000"],
+    ["catalog", "folded", "--n", "1000000000000"],
     ["catalog", "squared", "--n", "1000000000000"],
     ["catalog", "rook", "--n", "10000000"],
 ])
@@ -226,10 +248,10 @@ def test_quotient_command(capsys, tmp_path):
         dtype=complex)
     x = build_quantum_set([2])
     gpath = tmp_path / "g.json"
-    gpath.write_text(docs.dumps(docs.graph_to_document(QuantumGraph(x, a_x))))
+    gpath.write_text(document_text(docs.graph_to_document(QuantumGraph(x, a_x))))
     iota = diagonal_embedding(2)
     mpath = tmp_path / "iota.json"
-    mpath.write_text(docs.dumps(docs.operator_to_document(iota)))
+    mpath.write_text(document_text(docs.operator_to_document(iota)))
     code, out, _ = run(capsys, "quotient", str(gpath), str(mpath), "--json")
     assert code == 0
     g = docs.graph_from_document(docs.loads(out))
@@ -240,7 +262,7 @@ def test_subgraph_command(capsys, tmp_path):
     x = build_quantum_set([1, 1, 1])
     path_a = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
     gpath = tmp_path / "path.json"
-    gpath.write_text(docs.dumps(docs.graph_to_document(QuantumGraph(x, path_a))))
+    gpath.write_text(document_text(docs.graph_to_document(QuantumGraph(x, path_a))))
     code, out, _ = run(capsys, "subgraph", str(gpath), "--keep", "0,1", "--json")
     assert code == 0
     g = docs.graph_from_document(docs.loads(out))
@@ -251,10 +273,10 @@ def test_subgraph_command(capsys, tmp_path):
 def test_iso_check_command(capsys, tmp_path):
     g = anticommutative_square()
     gpath = tmp_path / "g.json"
-    gpath.write_text(docs.dumps(docs.graph_to_document(g)))
+    gpath.write_text(document_text(docs.graph_to_document(g)))
     ident = Operator(g.set, g.set, np.eye(4, dtype=complex))
     mpath = tmp_path / "id.json"
-    mpath.write_text(docs.dumps(docs.operator_to_document(ident)))
+    mpath.write_text(document_text(docs.operator_to_document(ident)))
     code, out, _ = run(capsys, "iso-check", str(gpath), str(gpath), str(mpath), "--json")
     assert code == 0
     assert json.loads(out)["summary"]["isomorphism"] is True
@@ -262,7 +284,7 @@ def test_iso_check_command(capsys, tmp_path):
     from qgraphs import quantum_edge
     from qgraphs.catalog import SIGMA_3
     hpath = tmp_path / "h.json"
-    hpath.write_text(docs.dumps(docs.graph_to_document(quantum_edge(2, SIGMA_3))))
+    hpath.write_text(document_text(docs.graph_to_document(quantum_edge(2, SIGMA_3))))
     code, out, _ = run(capsys, "iso-check", str(gpath), str(hpath), str(mpath), "--json")
     assert code == 1
 
@@ -273,7 +295,7 @@ def test_tol_environment_and_flag(capsys, tmp_path, monkeypatch):
     a = g.adjacency.copy()
     a[0, 0] += 1e-6
     gpath = tmp_path / "g.json"
-    gpath.write_text(docs.dumps(docs.graph_to_document(QuantumGraph(g.set, a))))
+    gpath.write_text(document_text(docs.graph_to_document(QuantumGraph(g.set, a))))
     code, _, _ = run(capsys, "graph-check", str(gpath), "--json")
     assert code == 1
     monkeypatch.setenv("QG_TOL", "1e-3")
@@ -288,9 +310,9 @@ def test_tol_environment_and_flag(capsys, tmp_path, monkeypatch):
 @pytest.mark.parametrize("source, value", [("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"),
                                            ("--tol", "inf"), ("QG_TOL", "inf")])
 def test_tol_must_be_finite_and_positive(capsys, tmp_path, monkeypatch, kind, source, value):
-    g = anticommutative_square() if kind == "block" else cube_like_graph(2, preset="hypercube")
+    g = anticommutative_square() if kind == "block" else cube_like_graph(2, hypercube_generators(2))
     path = tmp_path / "g.json"
-    path.write_text(docs.dumps(docs.graph_to_document(g)))
+    path.write_text(document_text(docs.graph_to_document(g)))
     argv = ["graph-check", str(path), "--json"]
     if source == "QG_TOL":
         monkeypatch.setenv("QG_TOL", value)
@@ -313,7 +335,7 @@ def test_twist_bicharacter_is_snapped_at_tol(capsys, tmp_path):
     g = docs.graph_from_document(docs.loads(inline))
     assert np.array_equal(g.set.bicharacter.gen_values, [[1, 1], [-1, 1]])
     path = tmp_path / "near.json"
-    path.write_text(docs.dumps(docs.bicharacter_to_document(AbelianGroup((2, 2)),
+    path.write_text(document_text(docs.bicharacter_to_document(AbelianGroup((2, 2)),
                                                              np.array(near, dtype=complex))))
     code, _, _ = run(capsys, *argv, "--bichar", str(path))
     assert code == 2
@@ -334,17 +356,19 @@ def test_documents_forbid_nan(tmp_path):
     x = build_quantum_set([1, 1])
     a = np.array([[np.nan, 0], [0, 0]], dtype=complex)
     with pytest.raises(ValueError):
-        docs.dumps(docs.graph_to_document(QuantumGraph(x, a)))
+        document_text(docs.graph_to_document(QuantumGraph(x, a)))
 
 
 # the overflow warnings these inputs raise on the way belong to the calculus, not to the writer
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("command, paths, value", [
-    ("graph-check", [("adjacency", 0, 3), ("adjacency", 3, 0)], [1e308, 0.0]),
-    ("rotate", [("projection", 0, 2, 0, 0)], [-1e308, 0.0]),
+@pytest.mark.parametrize("command, paths, value, flags", [
+    ("graph-check", [("adjacency", 0, 3), ("adjacency", 3, 0)], [1e308, 0.0], ["--json"]),
+    # the table prints the report that --json writes: it is refused alike
+    ("graph-check", [("adjacency", 0, 3), ("adjacency", 3, 0)], [1e308, 0.0], []),
+    ("rotate", [("projection", 0, 2, 0, 0)], [-1e308, 0.0], ["--json"]),
 ])
 def test_an_output_value_out_of_the_float_range_is_bad_input(capsys, tmp_path, command, paths,
-                                                             value):
+                                                             value, flags):
     # graph-check reads catalog m2-edge, rotate its rotate output
     text = run(capsys, "catalog", "m2-edge", "--json")[1]
     path = tmp_path / "input.json"
@@ -355,7 +379,7 @@ def test_an_output_value_out_of_the_float_range_is_bad_input(capsys, tmp_path, c
     for *keys, last in paths:
         functools.reduce(lambda node, key: node[key], keys, doc)[last] = value
     path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, command, str(path), "--json")
+    code, out, err = run(capsys, command, str(path), *flags)
     assert code == 2 and out == ""
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert errors == ["error: an output value left the float range: JSON has no inf or nan"]
@@ -387,7 +411,7 @@ def _graph_text(edit=None):
     x = build_quantum_set([1, 2])
     a = np.eye(5, dtype=complex)
     a[0, 0] = 12345.5  # sentinel that a probe may replace in the text
-    doc = json.loads(docs.dumps(docs.graph_to_document(QuantumGraph(x, a))))
+    doc = json.loads(document_text(docs.graph_to_document(QuantumGraph(x, a))))
     if edit is not None:
         edit(doc)
     return json.dumps(doc)
@@ -396,7 +420,7 @@ def _graph_text(edit=None):
 def _projection_text(edit=None):
     x = build_quantum_set([1, 2])
     a = np.eye(5, dtype=complex)
-    doc = json.loads(docs.dumps(docs.projection_to_document(
+    doc = json.loads(document_text(docs.projection_to_document(
         adjacency_to_projection(QuantumGraph(x, a)))))
     doc["projection"][0][2][0][0] = [12345.5, 0.0]
     if edit is not None:
@@ -489,13 +513,13 @@ def test_generic_schur_product_is_refused_above_the_dense_limit(capsys, tmp_path
     from qgraphs.errors import ResourceLimit
     from qgraphs.graphs import schur_product
 
-    g = cube_like_graph(7, preset="hypercube")
+    g = cube_like_graph(7, hypercube_generators(7))
     a = g.adjacency.copy()
     a[1, 2] = a[2, 1] = 1.0
     with pytest.raises(ResourceLimit, match=f"N=128 > {DENSE_LIMIT}"):
         schur_product(g.set, a, a)
     path = tmp_path / "q7.json"
-    path.write_text(docs.dumps(docs.graph_to_document(QuantumGraph(g.set, a))))
+    path.write_text(document_text(docs.graph_to_document(QuantumGraph(g.set, a))))
     for command in ("graph-check", "obstruct"):
         code, out, err = run(capsys, command, str(path), "--json")
         assert code == 2 and out == "", command
@@ -587,9 +611,9 @@ _TOLS = st.one_of(st.none(), st.floats(min_value=1e-12, max_value=1e-3),
 def _fuzz_bases():
     """Small valid documents: graphs on a block set and a twisted set, and an operator."""
     block = anticommutative_square()
-    twisted = cube_like_graph(1, preset="hypercube")
+    twisted = cube_like_graph(1, hypercube_generators(1))
     op = Operator(block.set, block.set, np.eye(4, dtype=complex))
-    return {name: json.loads(docs.dumps(doc)) for name, doc in (
+    return {name: json.loads(document_text(doc)) for name, doc in (
         ("block", docs.graph_to_document(block)),
         ("twisted", docs.graph_to_document(twisted)),
         ("operator", docs.operator_to_document(op)))}
@@ -669,10 +693,10 @@ _PRESET_ARGV = [["catalog", preset, *[tok for group in needs for opt in group
     ["cayley", "--orders", "2,2,2", "--gens", "100;010;001", "--spectrum"],
 ], ids=" ".join)
 def test_document_text_survives_a_read_and_write(capsys, argv):
-    # loads gives each matrix as float64 [re, im] numbers, and dumps writes them back as read
+    # loads gives each matrix as float64 [re, im] numbers, and encode writes them back as read
     code, out, err = run(capsys, *argv, "--json")
     assert code == 0, err
-    assert docs.dumps(docs.loads(out)) + "\n" == out
+    assert document_text(docs.loads(out)) + "\n" == out
 
 
 @pytest.mark.parametrize("argv, missing", [
@@ -731,9 +755,9 @@ def test_every_command_names_itself_in_its_document(capsys, tmp_path):
     proj.write_text(run(capsys, "rotate", str(graph), "--json")[1])
     x = build_quantum_set([2])
     op = tmp_path / "op.json"
-    op.write_text(docs.dumps(docs.operator_to_document(Operator(x, x, np.eye(4, dtype=complex)))))
+    op.write_text(document_text(docs.operator_to_document(Operator(x, x, np.eye(4, dtype=complex)))))
     embed = tmp_path / "embed.json"
-    embed.write_text(docs.dumps(docs.operator_to_document(diagonal_embedding(2))))
+    embed.write_text(document_text(docs.operator_to_document(diagonal_embedding(2))))
     argvs = {
         "set-check": ["--blocks", "1,2"],
         "graph-check": [str(graph)],
@@ -760,8 +784,8 @@ def test_operator_documents_with_a_map_kind_entry_still_read(capsys, tmp_path):
     # documents written before the entry was dropped carry "map_kind": "iso"
     g = anticommutative_square()
     gpath = tmp_path / "g.json"
-    gpath.write_text(docs.dumps(docs.graph_to_document(g)))
-    op = json.loads(docs.dumps(docs.operator_to_document(
+    gpath.write_text(document_text(docs.graph_to_document(g)))
+    op = json.loads(document_text(docs.operator_to_document(
         Operator(g.set, g.set, np.eye(4, dtype=complex)))))
     assert "map_kind" not in op
     op["map_kind"] = "iso"

@@ -3,7 +3,14 @@ halving."""
 
 import numpy as np
 import pytest
-from conftest import dense_schur_product, dense_star, degree, lambda_folded, lambda_hypercube
+from conftest import (
+    degree,
+    dense_schur_product,
+    dense_star,
+    lambda_folded,
+    lambda_hypercube,
+    reference_elements,
+)
 
 from qgraphs import (
     AlgebraElement,
@@ -26,7 +33,7 @@ from qgraphs.clifford import (
     squared_generators,
 )
 from qgraphs.constructions import quotient_graph
-from qgraphs.errors import InvalidInput
+from qgraphs.errors import InvalidInput, ResourceLimit
 from qgraphs.kernels import max_abs
 from qgraphs.groups import cayley_spectrum
 from qgraphs.weyl import weyl_bicharacter
@@ -45,7 +52,7 @@ def test_bicharacter_small_cases():
                           weyl_bicharacter(2).gen_values)
     sigma = clifford_bicharacter(3)
     # multiplicative extension: sigma(e2 + e3, e1) = (-1)^2 = 1
-    assert sigma.value((0, 1, 1), (1, 0, 0)) == 1
+    assert sigma.table()[sigma.group.index((0, 1, 1)), sigma.group.index((1, 0, 0))] == 1
 
 
 def test_twisted_set_keeps_only_its_multiplication():
@@ -69,8 +76,7 @@ def test_twisted_set_keeps_only_its_multiplication():
 def test_cl1_is_commutative():
     x = clifford_set(1)
     t = _tau(x, (1,))
-    one = x.unit_element()
-    assert np.abs(algebra_multiply(t, t).coeffs - one.coeffs).max() < 1e-14
+    assert np.abs(algebra_multiply(t, t).coeffs - x.unit_vec).max() < 1e-14
     assert verify_frobenius(x).all_pass
 
 
@@ -108,7 +114,7 @@ def test_spectra_brute_force_equals_closed_forms():
         lam_h = cayley_spectrum(group, hypercube_generators(n))
         lam_f = cayley_spectrum(group, folded_generators(n))
         lam_s = cayley_spectrum(group, squared_generators(n))
-        for k, mu in enumerate(group.elements()):
+        for k, mu in enumerate(reference_elements(group.orders)):
             d = degree(mu)
             assert abs(lam_h[k] - lambda_hypercube(n, d)) < 1e-12
             assert abs(lam_f[k] - lambda_folded(n, d)) < 1e-12
@@ -124,12 +130,9 @@ def test_spot_values_from_formulas():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_cube_like_graphs_report_like_classical(n):
     sigma = clifford_bicharacter(n)
-    for preset in ("hypercube", "folded", "squared"):
-        g = cube_like_graph(n, preset=preset)
-        rep = graph_report(g)
-        gens = {"hypercube": hypercube_generators,
-                "folded": folded_generators,
-                "squared": squared_generators}[preset](n)
+    for generators in (hypercube_generators, folded_generators, squared_generators):
+        gens = generators(n)
+        rep = graph_report(cube_like_graph(n, gens))
         rep_c = graph_report(classical_cayley(sigma.group, gens))
         inv_t, inv_c = rep.invariants(), rep_c.invariants()
         for key in inv_t:
@@ -139,7 +142,7 @@ def test_cube_like_graphs_report_like_classical(n):
             else:
                 assert va == vb
     # hypercube numbers: 2^n vertices, n-regular, n 2^n edges
-    rep = graph_report(cube_like_graph(n, preset="hypercube"))
+    rep = graph_report(cube_like_graph(n, hypercube_generators(n)))
     assert rep.vertices == 2**n
     assert abs(rep.regular_degree - n) < 1e-9
     assert abs(rep.edges - n * 2**n) < 1e-9
@@ -147,12 +150,31 @@ def test_cube_like_graphs_report_like_classical(n):
 
 
 def test_cube_like_graph_argument_validation():
-    with pytest.raises(InvalidInput):
-        cube_like_graph(3, preset="octahedron")
-    with pytest.raises(InvalidInput):
-        cube_like_graph(3)
-    with pytest.raises(InvalidInput):
-        cube_like_graph(3, preset="hypercube", gens=[(1, 0, 0)])
+    with pytest.raises(TypeError):
+        cube_like_graph(3)  # the generators are required
+    with pytest.raises(InvalidInput, match="wrong rank"):
+        cube_like_graph(3, [(1, 0)])
+    with pytest.raises(InvalidInput, match="n >= 1"):
+        cube_like_graph(0, [])
+    with pytest.raises(InvalidInput, match="n >= 1"):
+        folded_embedding(0)
+
+
+def test_generator_lists():
+    assert hypercube_generators(3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert folded_generators(2) == [(1, 0), (0, 1), (1, 1)]
+    assert squared_generators(3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                     (1, 1, 0), (1, 0, 1), (0, 1, 1)]
+    assert all(type(v) is int for gen in squared_generators(4) for v in gen)
+
+
+@pytest.mark.parametrize("generators", [hypercube_generators, folded_generators,
+                                        squared_generators])
+@pytest.mark.parametrize("n", [0, -1, 13, 100000, 2**70])
+def test_generator_lists_refuse_n_before_building_them(generators, n):
+    # 2^13 exceeds MAX_N: clifford_bicharacter refuses it before any list of n entries
+    with pytest.raises((InvalidInput, ResourceLimit)):
+        generators(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])  # N = 2^(n+1) up to 256: no dense tensor
@@ -190,10 +212,10 @@ def test_folded_quotient_factor_two(n):
 
 def test_folded_quotient_diagonal_entries_n3():
     iota, _ = folded_embedding(3)
-    cube = cube_like_graph(4, preset="hypercube")
+    cube = cube_like_graph(4, hypercube_generators(4))
     quot = quotient_graph(cube, iota)
     diag = np.diag(quot.adjacency).real
-    for k, mu in enumerate(iota.domain.group.elements()):
+    for k, mu in enumerate(reference_elements(iota.domain.group.orders)):
         d = degree(mu)
         want = 2 * (4 - 2 * d) if d % 2 == 0 else 2 * (2 - 2 * d)
         assert abs(diag[k] - want) < 1e-12
@@ -211,7 +233,7 @@ def test_halved_square_residuals_match_the_matrix_calculus(n):
     # of the N x N Schur calculus bit for bit
     from qgraphs import schur_product, schur_star
 
-    cube = cube_like_graph(n + 1, preset="hypercube")
+    cube = cube_like_graph(n + 1, hypercube_generators(n + 1))
     x, a = cube.set, cube.adjacency
     b = 0.5 * (a @ a - (n + 1) * np.eye(x.N))
     want = [max_abs(schur_product(x, b, b) - b), max_abs(schur_star(x, b) - b),
@@ -259,7 +281,7 @@ def test_twisted_cayley_pipeline_peaks_at_its_adjacency():
 
     tracemalloc.start()
     try:
-        g = cube_like_graph(10, preset="hypercube")
+        g = cube_like_graph(10, hypercube_generators(10))
         rep = graph_report(g)
         spectrum = edge_spectrum(g)
         outcome = classical_obstruction(g)
@@ -280,13 +302,13 @@ def test_twisted_hypercube_battery_generic_and_fast():
     from qgraphs import graph_report, schur_product, schur_star
 
     # n = 6 (N = 64): the generic dense contraction confirms idempotency
-    g = cube_like_graph(6, preset="hypercube")
+    g = cube_like_graph(6, hypercube_generators(6))
     x, a = g.set, g.adjacency
     slow = dense_schur_product(x, a, a)
     assert np.abs(slow - a).max() < 1e-9 * np.abs(a).max()
 
     # n = 10 (N = 1024): diagonal convolution fast path
-    big = cube_like_graph(10, preset="hypercube")
+    big = cube_like_graph(10, hypercube_generators(10))
     bx, ba = big.set, big.adjacency
     assert np.abs(schur_product(bx, ba, ba) - ba).max() < 1e-9 * np.abs(ba).max()
     assert np.abs(schur_star(bx, ba) - ba).max() < 1e-12

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import diagonal_embedding, projection_is_positive, random_su2
+from conftest import diagonal_embedding, projection_is_positive, random_su2, reference_elements
 
 from qgraphs import (
     Operator,
@@ -149,7 +149,8 @@ def test_quotient_positivity_and_edge_conservation_random():
                 g = projection_to_adjacency(EdgeProjection(big, {(0, 0): z @ z.conj().T}))
             else:
                 # random multigraph on the twisted set (Cayley multiset)
-                gens = [big.group.elements()[rng.integers(0, big.N)] for _ in range(3)]
+                elements = reference_elements(big.group.orders)
+                gens = [elements[rng.integers(0, big.N)] for _ in range(3)]
                 g = QuantumGraph(big, np.diag(cayley_spectrum(big.group, gens)))
             out = quotient_graph(g, emb)
             assert projection_is_positive(out, tol=1e-8)

@@ -3,14 +3,16 @@
 import json
 import re
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import document_text
 from hypothesis import given, settings, strategies as st
 
 from qgraphs import documents as docs
-from qgraphs.clifford import cube_like_graph
+from qgraphs.clifford import cube_like_graph, hypercube_generators
 from qgraphs.errors import InvalidInput
 from qgraphs.graphs import QuantumGraph
 from qgraphs.groups import AbelianGroup
@@ -46,8 +48,8 @@ def test_encoder_matches_the_per_entry_reference(shape):
     rng = np.random.default_rng(sum(shape))
     for _ in range(5):
         a = _random_matrix(rng, shape)
-        got = docs.dumps({"m": docs.array_to_json(a)})
-        assert got == docs.dumps({"m": reference_matrix_to_json(a)})
+        got = document_text({"m": docs.array_to_json(a)})
+        assert got == document_text({"m": reference_matrix_to_json(a)})
         back = docs.array_from_json(json.loads(got)["m"])
         assert back.shape == shape
         assert np.array_equal(back, a)
@@ -111,7 +113,7 @@ def test_decoder_accepts_integers_beyond_int64():
 def test_decoder_reads_any_depth_and_consumers_check_the_shape():
     assert docs.array_from_json([[1, 0], [0, 0]]).shape == (2,)
     g = QuantumGraph(set=docs.set_from_spec({"blocks": [1, 1]}), adjacency=np.zeros((2, 2)))
-    doc = json.loads(docs.dumps(docs.graph_to_document(g)))
+    doc = json.loads(document_text(docs.graph_to_document(g)))
     for adjacency in ([[1, 0], [0, 0]], [doc["adjacency"]]):
         doc["adjacency"] = adjacency
         with pytest.raises(InvalidInput, match="adjacency has shape"):
@@ -184,7 +186,7 @@ DOCUMENTS = st.recursive(LEAVES, lambda inner: st.one_of(
 @settings(max_examples=100, deadline=None)
 @given(st.dictionaries(TEXT, DOCUMENTS, max_size=5))
 def test_writer_matches_the_stdlib_encoding(doc):
-    assert docs.dumps(doc) == stdlib_dumps(doc)
+    assert document_text(doc) == stdlib_dumps(doc)
 
 
 @pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(0, np.inf), complex(-np.inf, 1)])
@@ -193,24 +195,24 @@ def test_writer_refuses_non_finite_values(bad, shape):
     a = np.ones(shape, dtype=complex)
     a.reshape(-1)[-1] = bad
     with pytest.raises(ValueError):
-        docs.dumps({"a": a})
+        document_text({"a": a})
     with pytest.raises(ValueError):
-        docs.dumps({"blocks": [np.ones(shape), a]})
+        document_text({"blocks": [np.ones(shape), a]})
 
 
 def test_writer_shares_a_table_between_arrays_of_one_shape():
     stack = np.arange(24.0).reshape(4, 3, 2) - 1j * np.arange(24.0).reshape(4, 3, 2)
     doc = {"blocks": [[k, stack[k]] for k in range(4)], "other": stack[0, 0],
            "unit": np.ones((5, 1, 1), dtype=complex), "empty": [np.zeros((0, 3)), np.zeros((2, 0))]}
-    assert docs.dumps(doc) == stdlib_dumps(doc)
+    assert document_text(doc) == stdlib_dumps(doc)
 
 
 def test_writer_refuses_objects_and_the_stand_in():
     with pytest.raises(TypeError):
-        docs.dumps({"x": np.complex64(1)})
+        document_text({"x": np.complex64(1)})
     for text in ("\x00", '"\x00'):  # strings whose encoding holds the quoted stand-in
         with pytest.raises(ValueError):
-            docs.dumps({"a": np.eye(2), "text": text})
+            document_text({"a": np.eye(2), "text": text})
 
 
 def test_loads_refuses_booleans_in_lists_only():
@@ -445,7 +447,7 @@ CHUNK_ARRAYS = st.one_of(complex_arrays(), complex_arrays().map(lambda a: a[...,
        st.sampled_from([1, 2]))
 def test_writer_matches_the_stdlib_encoding_at_every_chunk_size(doc, write_chunk):
     with mock.patch.object(docs, "_WRITE_CHUNK", write_chunk):
-        got = docs.dumps(doc)
+        got = document_text(doc)
     assert got == stdlib_dumps(doc)
 
 
@@ -477,6 +479,15 @@ def run_texts(draw):
     return spell(shape)
 
 
+def _spells_a_run(text, min_run):
+    """Whether ``text`` spells ``min_run`` copies in a row of "[" and the commonest of the
+    first ``_SAMPLE`` non-blank pieces between the "[" of its first array: the runs the
+    reader skips, whatever its chunk size."""
+    pieces = text[text.index("["):].split("[")[1:docs._SAMPLE + 1]
+    counts = Counter(piece for piece in pieces if piece.strip(" \t\n\r")).most_common()
+    return bool(counts) and counts[0][1] > 1 and ("[" + counts[0][0]) * min_run in text
+
+
 @settings(max_examples=300, deadline=None)
 @given(run_texts(), st.sampled_from([1, 3, 17, 64, 1 << 16]), st.sampled_from([2, 4, 32]),
        st.data())
@@ -484,8 +495,12 @@ def test_reader_matches_json_loads_on_runs(array_text, read_chunk, min_run, data
     at = data.draw(st.integers(0, len(array_text)))
     char = data.draw(st.sampled_from(["", *"-+.0123456789eE ,[]"]))
     text = '{"adjacency": ' + array_text[:at] + char + array_text[at:] + "}"
+    whole = '{"adjacency": ' + array_text + "}"
     with mock.patch.object(docs, "_READ_CHUNK", read_chunk), \
-            mock.patch.object(docs, "_MIN_RUN", min_run):
+            mock.patch.object(docs, "_MIN_RUN", min_run), \
+            mock.patch.object(docs, "_copies", wraps=docs._copies) as copies:
+        docs.loads(whole)
+        assert copies.called == _spells_a_run(whole, min_run)  # the runs were skipped
         got = _adjacency_outcome(docs.loads, text)
     assert got == _adjacency_outcome(reference_loads, text)
 
@@ -501,7 +516,7 @@ RUN_EDGE_CASES = [
     "[[[0.0,0.0],[0.0,0.0],[0.0,0.0]],[[0.0,0.0],[0.0,0.0],[0.0,0.0]]]",
     "[[[0.0,0.0],[0.0,0.0],[0.0,0.0],[0.0,0.0],[0.0,0.0],[0.0,01]]]",
     "[[[0.0,0.0],[0.0,0.0],[0.0,0.0],[0.0,0.0],[0.0,0.0],[0.0,0.0 ]]]",
-    # the commonest piece is malformed, or repeats only after the first chunk
+    # the commonest piece is malformed, or first repeats after other pairs
     "[[[0.0,1e400],[0.0,1e400],[0.0,1e400],[0.0,1e400]]]",
     "[[[1.0,0.0],[2.0,0.0],[3.0,0.0],[4.0,0.0],[0.0,0.0],[0.0,0.0],[0.0,0.0],[0.0,0.0]]]",
 ]
@@ -514,8 +529,12 @@ def test_reader_run_edge_cases_give_the_json_loads_outcome(monkeypatch, read_chu
                                                           array_text):
     monkeypatch.setattr(docs, "_READ_CHUNK", read_chunk)
     monkeypatch.setattr(docs, "_MIN_RUN", min_run)
+    copies = mock.Mock(wraps=docs._copies)
+    monkeypatch.setattr(docs, "_copies", copies)
     text = '{"adjacency": ' + array_text + "}"
     assert _adjacency_outcome(docs.loads, text) == _adjacency_outcome(reference_loads, text)
+    # each case holds runs of two copies of its commonest piece, and none of 32
+    assert copies.called == (min_run == 2)
 
 
 @st.composite
@@ -634,7 +653,7 @@ def run_arrays(draw):
        st.sampled_from([1, 2, docs._WRITE_CHUNK]))
 def test_writer_matches_the_stdlib_encoding_on_runs(doc, write_chunk):
     with mock.patch.object(docs, "_WRITE_CHUNK", write_chunk):
-        got = docs.dumps(doc)
+        got = document_text(doc)
     assert got == stdlib_dumps(doc)
 
 
@@ -649,8 +668,8 @@ def test_boolean_scan_reads_any_depth():
 @pytest.fixture(scope="module")
 def twisted_q9():
     """Twisted Q_9 (N = 512, a 4 MiB adjacency): its document and its text."""
-    doc = docs.graph_to_document(cube_like_graph(9, preset="hypercube"))
-    return doc, docs.dumps(doc)
+    doc = docs.graph_to_document(cube_like_graph(9, hypercube_generators(9)))
+    return doc, document_text(doc)
 
 
 def _traced_peak(f, *args):
@@ -670,7 +689,7 @@ def test_loads_memory_on_a_twisted_hypercube(twisted_q9):
     assert peak <= 2 * doc["adjacency"].nbytes, peak  # 8 MiB
 
 
-def test_dumps_memory_on_a_twisted_hypercube(twisted_q9):
+def test_encode_memory_on_a_twisted_hypercube(twisted_q9):
     doc, text = twisted_q9
-    peak = _traced_peak(docs.dumps, doc)
-    assert peak <= 10 * 2 ** 20, peak
+    peak = _traced_peak(docs.encode, doc)
+    assert peak <= 5 * 2 ** 20, peak  # the pieces hold the 2.6 MB text

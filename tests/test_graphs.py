@@ -417,9 +417,9 @@ def test_twisted_diagonal_report_makes_no_schur_product(monkeypatch):
     # the diagonal calculus forms no N x N array: the matrix Schur product
     # and star are never called
     from qgraphs import graphs
-    from qgraphs.clifford import cube_like_graph
+    from qgraphs.clifford import cube_like_graph, hypercube_generators
 
-    g = cube_like_graph(6, preset="hypercube")
+    g = cube_like_graph(6, hypercube_generators(6))
     want, _ = _matrix_reference(g, monkeypatch)
 
     def refuse(*args, **kwargs):
@@ -435,9 +435,9 @@ def test_twisted_diagonal_report_makes_no_schur_product(monkeypatch):
 def test_twisted_battery_transforms_the_diagonal_once(monkeypatch):
     # A . A is the square of the connection function the calculus already holds
     from qgraphs import graphs
-    from qgraphs.clifford import cube_like_graph
+    from qgraphs.clifford import cube_like_graph, hypercube_generators
 
-    g = cube_like_graph(9, preset="hypercube")
+    g = cube_like_graph(9, hypercube_generators(9))
     calls = []
     connection = graphs._connection
 
@@ -471,12 +471,12 @@ def _counted_calculus(monkeypatch):
 @pytest.mark.parametrize("kind", ["block", "twisted-diagonal", "twisted-off-diagonal"])
 def test_each_entry_point_chooses_the_calculus_once(kind, monkeypatch):
     from qgraphs import graphs, obstruction
-    from qgraphs.clifford import cube_like_graph
+    from qgraphs.clifford import cube_like_graph, hypercube_generators
 
     if kind == "block":
         g = quantum_edge(2, SIGMA_3)
     else:
-        g = cube_like_graph(3, preset="hypercube")
+        g = cube_like_graph(3, hypercube_generators(3))
         if kind == "twisted-off-diagonal":
             g = QuantumGraph(g.set, g.adjacency + 0.5 * np.eye(g.set.N)[::-1])
     chosen = _counted_calculus(monkeypatch)
@@ -509,10 +509,10 @@ def test_battery_and_closure_share_the_calculus_when_eta_has_two_entries(monkeyp
 
 
 def _non_finite_cases():
-    from qgraphs.clifford import cube_like_graph
+    from qgraphs.clifford import cube_like_graph, hypercube_generators
 
     for label, g in [("block", QuantumGraph(build_quantum_set([1, 2]), np.eye(5))),
-                     ("twisted-256", cube_like_graph(8, preset="hypercube"))]:
+                     ("twisted-256", cube_like_graph(8, hypercube_generators(8)))]:
         off = g.adjacency.copy()
         off[0, 1] = np.nan
         diag = g.adjacency.copy()

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_twist_instance
+from conftest import random_twist_instance, rook_generators
 
 from qgraphs import (
     Certificate,
@@ -51,9 +51,9 @@ def test_scaled_down_gell_mann_still_certifies(scale):
 
 
 def _twisted_cube():
-    from qgraphs.clifford import cube_like_graph
+    from qgraphs.clifford import cube_like_graph, hypercube_generators
 
-    return cube_like_graph(3, preset="hypercube")
+    return cube_like_graph(3, hypercube_generators(3))
 
 
 @pytest.mark.filterwarnings("error")
@@ -142,7 +142,7 @@ def test_twisted_closure_matches_classical_twin(case, dim):
     # closure as a new operator; the true dimensions are those of the
     # Bose-Mesner algebra of H(6,2) and of two strongly regular graphs
     from qgraphs.clifford import clifford_bicharacter, hypercube_generators, squared_generators
-    from qgraphs.weyl import rook_generators, weyl_bicharacter
+    from qgraphs.weyl import weyl_bicharacter
 
     sigma, gens = {
         "hypercube-6": (clifford_bicharacter(6), hypercube_generators(6)),
@@ -170,9 +170,9 @@ def test_diagonal_scan_runs_without_the_matrix_schur_product(monkeypatch):
     # never hands N x N matrices to schur_product, and reports 0.0
     import qgraphs.graphs
     import qgraphs.obstruction
-    from qgraphs.clifford import cube_like_graph
+    from qgraphs.clifford import cube_like_graph, hypercube_generators
 
-    g = cube_like_graph(6, preset="hypercube")
+    g = cube_like_graph(6, hypercube_generators(6))
     ops, _ = schur_closure(g)
     assert all(op.shape == (g.set.N,) for _, op in ops)
     mats = [np.diag(op) for _, op in ops]
@@ -208,7 +208,7 @@ def test_diagonal_closure_transforms_each_member_once(monkeypatch):
     # a member's connection function is formed when it joins, and kept: each Schur
     # product of two members is then one forward transform
     import qgraphs.graphs
-    from qgraphs.clifford import cube_like_graph
+    from qgraphs.clifford import cube_like_graph, hypercube_generators
 
     calls = {"_connection": 0, "_diagonal": 0}
     for name in calls:
@@ -216,7 +216,7 @@ def test_diagonal_closure_transforms_each_member_once(monkeypatch):
             calls[name] += 1
             return f(*args)
         monkeypatch.setattr(qgraphs.graphs, name, count)
-    members, complete = schur_closure(cube_like_graph(6, preset="hypercube"))
+    members, complete = schur_closure(cube_like_graph(6, hypercube_generators(6)))
     assert complete and len(members) == 7
     assert calls["_connection"] == len(members) + 1  # and A's, once, for the calculus
     products = len(members) * (len(members) + 1) // 2  # both factors from members, in order
@@ -227,9 +227,9 @@ def test_diagonal_obstruction_runs_in_bounded_memory():
     # twisted Q_9 (N = 512): the closure holds N-vectors, never an N x N array
     import tracemalloc
 
-    from qgraphs.clifford import cube_like_graph
+    from qgraphs.clifford import cube_like_graph, hypercube_generators
 
-    g = cube_like_graph(9, preset="hypercube")
+    g = cube_like_graph(9, hypercube_generators(9))
     tracemalloc.start()
     try:
         res = classical_obstruction(g)
@@ -245,9 +245,9 @@ def test_diagonal_closure_returns_vectors_in_bounded_memory():
     # closure holds it, an N-vector, and forms no N x N array (16 MiB complex)
     import tracemalloc
 
-    from qgraphs.clifford import cube_like_graph
+    from qgraphs.clifford import cube_like_graph, hypercube_generators
 
-    g = cube_like_graph(10, preset="hypercube")
+    g = cube_like_graph(10, hypercube_generators(10))
     tracemalloc.start()
     try:
         ops, complete = schur_closure(g)
@@ -277,7 +277,7 @@ def _random_block_graph(blocks, fraction, seed):
 def _reference_corpus():
     from qgraphs import m2_graph
     from qgraphs.clifford import clifford_bicharacter, hypercube_generators, squared_generators
-    from qgraphs.weyl import rook_generators, weyl_bicharacter
+    from qgraphs.weyl import weyl_bicharacter
 
     cases = {f"m2-{m}": (lambda m=m: m2_graph(m), None) for m in range(4)}
     cases["anticommutative-square"] = (anticommutative_square, None)

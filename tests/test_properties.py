@@ -7,6 +7,7 @@ from conftest import diagonal_embedding, random_positive_element
 from hypothesis import given, settings, strategies as st
 
 from qgraphs import (
+    AlgebraElement,
     build_quantum_set,
     is_positive_element,
     schur_product,
@@ -83,5 +84,5 @@ def test_positivity_transports_along_embedding_adjoints():
         for _ in range(50):
             p = random_positive_element(emb.codomain, rng)
             assert is_positive_element(left_mult_matrix(p))
-            image = adj.apply(p)
+            image = AlgebraElement(adj.codomain, adj.matrix @ p.coeffs)
             assert is_positive_element(left_mult_matrix(image), tol=1e-8), emb.codomain.N

@@ -1,5 +1,6 @@
 """The public surface: declared once, by the imports of ``qgraphs/__init__.py``,
-and holding only names that the package itself uses or the README documents."""
+and holding only names that the package itself uses or the README documents; the
+same holds for every public function and class a module defines."""
 
 import ast
 import pathlib
@@ -65,3 +66,13 @@ def test_every_export_is_used_by_the_package_or_named_in_the_readme():
     documented = _documented()
     unused = [name for name in _exports() if name not in used and name not in documented]
     assert not unused, f"exports that nothing in src/qgraphs reads and the README does not name: {unused}"
+
+
+def test_every_public_definition_is_used_by_the_package_or_named_in_the_readme():
+    used = set().union(*(_references(tree) for tree in _modules().values()))
+    documented = _documented()
+    unused = [f"{module[:-3]}.{node.name}" for module, tree in _modules().items()
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+              and node.name not in used and node.name not in documented]
+    assert not unused, f"definitions that nothing in src/qgraphs reads and the README does not name: {unused}"

@@ -3,7 +3,15 @@ M_n, closed-form transported tensors, and the quantum rook's graph."""
 
 import numpy as np
 import pytest
-from conftest import dense_mult, dense_star, rook_spectrum, transported_duality, transported_mult
+from conftest import (
+    dense_mult,
+    dense_star,
+    rook_generators,
+    rook_pipeline_adjacency,
+    rook_spectrum,
+    transported_duality,
+    transported_mult,
+)
 
 from qgraphs import (
     check_star_homomorphism,
@@ -16,20 +24,16 @@ from qgraphs.catalog import SIGMA_1, SIGMA_3, anticommutative_square
 from qgraphs.clifford import clifford_bicharacter
 from qgraphs.errors import InvalidInput
 from qgraphs.kernels import unit_root
-from qgraphs.weyl import (
-    phi_isomorphism,
-    rook_adjacency_closed_form,
-    rook_generators,
-    rook_pipeline_adjacency,
-)
+from qgraphs.weyl import phi_isomorphism
 
 
 def test_weyl_bicharacter_values():
     sigma = weyl_bicharacter(3)
-    assert abs(sigma.value((0, 1), (1, 0)) - unit_root(1, 3)) < 1e-15
-    assert sigma.value((1, 0), (0, 1)) == 1
+    table, index = sigma.table(), sigma.group.index
+    assert abs(table[index((0, 1)), index((1, 0))] - unit_root(1, 3)) < 1e-15
+    assert table[index((1, 0)), index((0, 1))] == 1
     # extension: sigma((1,1),(1,1)) = omega^{b c} with b = c = 1
-    assert abs(sigma.value((1, 1), (1, 1)) - unit_root(1, 3)) < 1e-15
+    assert abs(table[index((1, 1)), index((1, 1))] - unit_root(1, 3)) < 1e-15
 
 
 def test_weyl_n2_equals_clifford_n2():
@@ -124,10 +128,9 @@ def test_rook_n2_is_the_anticommutative_square():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16])
 def test_rook_two_path_consistency(n):
     # the twist pipeline through phi is the reference for the closed form
-    closed = rook_adjacency_closed_form(n)
+    closed = quantum_rook(n).adjacency
     pipeline = rook_pipeline_adjacency(phi_isomorphism(n))
     assert np.abs(closed - pipeline).max() < 1e-9
-    assert np.array_equal(quantum_rook(n).adjacency, closed)
 
 
 def test_quantum_rook_32_is_fast():
