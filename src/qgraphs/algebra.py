@@ -29,14 +29,15 @@ Conventions used everywhere in this package:
   ``tol``, default ``DEFAULT_TOL``.
 
 ``verify_frobenius`` re-derives all the defining identities (specialness,
-Frobenius law, snake identities, unit laws, symmetry, involutivity,
-associativity) numerically from the stored tensors, so a set object that
-passes it is a valid special symmetric Frobenius algebra regardless of how
-it was built.  It enumerates the N^3 terms of associativity and the
-Frobenius law in fixed-size chunks, finding each term's partner on the
-other side by lookup, and holds O(N + nnz(m)) numbers beside the set.  A
-set whose m has an index outside range(N) or leaves the layout fails every
-check that reads m, with residual inf.
+Frobenius law, snake identities, unit laws, symmetry, involutivity, the
+star reversing products (ab)* = b*a*, associativity) numerically from the
+stored tensors, so a set object that passes it is a valid special symmetric
+Frobenius algebra with a star regardless of how it was built.  It
+enumerates the N^3 terms of associativity and the Frobenius law in
+fixed-size chunks, finding each term's partner on the other side by lookup,
+and holds O(N + nnz(m)) numbers beside the set.  A set whose m has an index
+outside range(N) or leaves the layout fails every check that reads m, with
+residual inf.
 """
 
 from __future__ import annotations
@@ -353,8 +354,8 @@ _CHUNK = 1 << 14
 _CHECKS = (
     "specialness_mmdag", "frobenius_law_left", "frobenius_law_right", "snake_left",
     "snake_right", "comult_from_r_left", "comult_from_r_right", "mult_from_r_left",
-    "mult_from_r_right", "unit_left", "unit_right", "duality_symmetric",
-    "star_involutive", "associativity", "vertex_count", "pairing_from_counit",
+    "mult_from_r_right", "unit_left", "unit_right", "duality_symmetric", "star_involutive",
+    "associativity", "vertex_count", "pairing_from_counit", "star_antimultiplicative",
 )
 
 
@@ -502,7 +503,8 @@ def _frobenius_law(e: _Entries) -> float:
 
 def verify_frobenius(x: QuantumSet, tol: float = DEFAULT_TOL) -> Report:
     """Numerically verify that the stored tensors form a special symmetric
-    Frobenius algebra with counit of the unit equal to N.
+    Frobenius algebra with counit of the unit equal to N, whose star
+    reverses products: (ab)* = b*a* on every basis pair.
 
     Layout precondition on m: its indices lie in range(N), its entries are
     in (left, right) order with each left index's right indices one
@@ -516,7 +518,7 @@ def verify_frobenius(x: QuantumSet, tol: float = DEFAULT_TOL) -> Report:
 
     Cost: associativity and the Frobenius law enumerate their N^3 terms in
     chunks of ``_CHUNK``, and the check holds O(N + nnz(m)) numbers beside
-    the set.  The star, duality, unit and counit checks read
+    the set.  The star, duality, unit, counit and (ab)* = b*a* checks read
     ``star_src``/``star_phase`` and the entries of m; no N x N array is built.
     """
     n = x.N
@@ -567,6 +569,16 @@ def verify_frobenius(x: QuantumSet, tol: float = DEFAULT_TOL) -> Report:
         res["comult_from_r_right"] = res["mult_from_r_right"] = max(
             _gap(val * ph[rgt], np.conj(e.val[fwd]), e.out[fwd] == lft),
             _gap(np.conj(val), e.val[rev] * ph[inv[rgt]], e.out[rev] == lft))
+
+        # (j) the star reverses products, (e_l e_r)* = e_r* e_l*: an entry (l, r -> o)
+        # gives conj(m) ph_o at (l, r, src o), an entry (src r, src l -> q) gives
+        # ph_l ph_r m at (l, r, q); each side has one term per pair (l, r)
+        fwd = e.at(src[rgt], src[lft])
+        rev = e.at(inv[rgt], inv[lft])
+        res["star_antimultiplicative"] = max(
+            _gap(np.conj(val) * ph[out], ph[lft] * ph[rgt] * e.val[fwd], e.out[fwd] == src[out]),
+            _gap(ph[inv[rgt]] * ph[inv[lft]] * val, np.conj(e.val[rev]) * ph[inv[out]],
+                 e.out[rev] == inv[out]))
 
         # (e) unit laws: sum_l unit_l m^o_{lr} = delta_or and its mirror image
         res["unit_left"] = _unit_law(n, out, rgt, val * x.unit_vec[lft])
@@ -651,8 +663,3 @@ def is_positive_element(rep: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     if lam.size == 0:
         return True
     return bool(lam[0] >= -tol * scale)
-
-
-def random_element(x_set: QuantumSet, rng: np.random.Generator) -> AlgebraElement:
-    coeffs = rng.standard_normal(x_set.N) + 1j * rng.standard_normal(x_set.N)
-    return AlgebraElement(x_set, coeffs)

@@ -1,10 +1,12 @@
 """JSON interchange documents for the CLI.
 
-Every document is a JSON object with a ``kind`` ("quantum-set",
-"quantum-graph", "bicharacter", "report", "certificate", "operator"),
-``schema_version`` 1 and a free-form string ``metadata`` map.  Complex
-numbers are always two-element [re, im] arrays of finite JSON numbers,
-matrices are row-major nested lists of them, and keys are emitted sorted.
+Every document is a JSON object with a ``kind`` ("quantum-graph",
+"bicharacter", "report", "certificate", "operator"), ``schema_version`` 1
+and a free-form string ``metadata`` map.  A quantum set has no kind of its
+own: ``set-check`` reads the ``set`` entry of any document that has one, or
+a bare set spec.  Complex numbers are always two-element [re, im] arrays of
+finite JSON numbers, matrices are row-major nested lists of them, and keys
+are emitted sorted.
 This module is the only one that reads or writes the format: every
 malformed entry (ragged rows, strings, null, booleans, NaN/Inf, missing
 keys, a number of more digits than ``int`` reads, nesting deeper than

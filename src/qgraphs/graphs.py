@@ -301,7 +301,13 @@ def projection_to_adjacency(p: EdgeProjection) -> QuantumGraph:
                     f"projection block ({i},{j}) has shape {mat.shape}, expected {side}"
                 )
             mats.append(mat)
-        cls.scatter(adjacency, np.stack(mats) * cls.root)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack = np.stack(mats) * cls.root
+        bad = ~np.isfinite(stack).all(axis=(1, 2))
+        if bad.any():
+            raise InvalidInput("projection block ({},{}) times sqrt(n_i n_j) = {:g} leaves the "
+                               "float range".format(*list(cls.pairs())[bad.argmax()], cls.root))
+        cls.scatter(adjacency, stack)
     return QuantumGraph(set=x, adjacency=adjacency)
 
 

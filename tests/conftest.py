@@ -223,6 +223,13 @@ def reference_frobenius_residuals(x):
     res["duality_symmetric"] = float(np.abs(f - f.T).max())
     res["star_involutive"] = res["snake_right"]
 
+    # (e_l e_r)* = e_r* e_l*: an entry (l, r -> o) gives conj(val) ph_o at (l, r, src o);
+    # an entry (l', r' -> o) is e_r* e_l* for l = inv r', r = inv l'
+    inv, ph = np.argsort(x.star_src), x.star_phase
+    res["star_antimultiplicative"] = _coo_max_diff(
+        pack(lft, rgt, x.star_src[out]), np.conj(val) * ph[out],
+        pack(inv[rgt], inv[lft], out), ph[inv[rgt]] * ph[inv[lft]] * val)
+
     ia, ib = _join(out, lft)
     al_k, al_v = pack(out[ib], lft[ia], rgt[ia], rgt[ib]), val[ia] * val[ib]
     ia, ib = _join(out, rgt)
@@ -459,9 +466,17 @@ def rook_spectrum(n: int) -> np.ndarray:
     return cayley_spectrum(AbelianGroup((n, n)), rook_generators(n))
 
 
+def random_element(x_set, rng: np.random.Generator):
+    """An element of C(X) with standard complex Gaussian coefficients."""
+    from qgraphs.algebra import AlgebraElement
+
+    coeffs = rng.standard_normal(x_set.N) + 1j * rng.standard_normal(x_set.N)
+    return AlgebraElement(x_set, coeffs)
+
+
 def random_positive_element(x_set, rng: np.random.Generator):
     """x* x for a random element x of C(X)."""
-    from qgraphs.algebra import algebra_multiply, algebra_star, random_element
+    from qgraphs.algebra import algebra_multiply, algebra_star
 
     x = random_element(x_set, rng)
     return algebra_multiply(algebra_star(x), x)

@@ -9,7 +9,8 @@ import math
 
 import numpy as np
 import pytest
-from conftest import dense_mult, dense_star, random_positive_element, reference_elements
+from conftest import (dense_mult, dense_star, random_element, random_positive_element,
+                      reference_elements)
 
 from qgraphs import (
     AlgebraElement,
@@ -24,7 +25,7 @@ from qgraphs import (
     schur_star,
     verify_frobenius,
 )
-from qgraphs.algebra import left_mult_matrix, random_element
+from qgraphs.algebra import left_mult_matrix
 from qgraphs.errors import InvalidInput, ResourceLimit
 
 
@@ -504,6 +505,41 @@ def test_battery_refuses_permuted_entries():
     p = np.random.default_rng(1).permutation(x.mult.val.size)
     shuffled = _with_entries(x, x.mult.out[p], x.mult.left[p], x.mult.right[p], x.mult.val[p])
     _assert_refused(shuffled, x)
+
+
+def _star_reversal_by_every_basis_pair(x):
+    """max |(e_l e_r)* - e_r* e_l*| over every basis pair, from the dense m and R."""
+    m, f = dense_mult(x), dense_star(x)
+    lhs = np.einsum("olr,oq->lrq", np.conj(m), f)
+    rhs = np.einsum("qab,ra,lb->lrq", m, f, f)
+    return float(np.abs(lhs - rhs).max())
+
+
+def _negated_star(x):
+    import dataclasses
+
+    return dataclasses.replace(x, star_phase=-x.star_phase)
+
+
+def test_star_antimultiplicative_agrees_with_every_basis_pair():
+    from conftest import twisted_family
+
+    sets = [x for _, x in twisted_family() if x.N <= 36]
+    sets += [build_quantum_set(b) for b in ([1, 2, 3], [2, 1, 2], [4])]
+    for x in sets + [_negated_star(x) for x in sets]:
+        got = next(c for c in verify_frobenius(x).checks if c.name == "star_antimultiplicative")
+        assert abs(got.residual - _star_reversal_by_every_basis_pair(x)) <= 8 * EPS
+        assert got.passed == (x in sets)
+
+
+def test_negated_star_does_not_reverse_products():
+    # on Cl_3 (e_l e_r)* and e_r* e_l* then differ in sign: 2 |m| = 2 / sqrt(8) apart
+    from qgraphs.clifford import clifford_set
+
+    report = verify_frobenius(_negated_star(clifford_set(3)))
+    assert "star_antimultiplicative" in report.failed()
+    got = next(c.residual for c in report.checks if c.name == "star_antimultiplicative")
+    assert got == pytest.approx(1 / math.sqrt(2), abs=8 * EPS)
 
 
 @pytest.mark.parametrize("corruption",

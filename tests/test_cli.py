@@ -134,14 +134,26 @@ def test_set_check_exit_codes(capsys):
     assert code == 2
 
 
-def test_set_check_samples_only_what_no_exhaustive_check_covers(capsys):
-    # verify_frobenius checks associativity on every basis triple; (ab)* = b*a* is sampled
-    code, out, _ = run(capsys, "set-check", "--blocks", "1,2", "--seed", "3", "--json")
-    assert code == 0
-    names = [check["name"] for check in json.loads(out)["checks"]]
-    assert [name for name in names if name.startswith("random_")] == [
-        "random_star_antiautomorphism"]
-    assert "associativity" in names
+def test_set_check_samples_nothing_and_ignores_seed(capsys, tmp_path):
+    # every identity, (ab)* = b*a* among them, is checked on every basis pair or triple
+    path = tmp_path / "squared.json"
+    path.write_text(run(capsys, "catalog", "squared", "--n", "6", "--json")[1])
+    for source in (["--blocks", "1,2,3,4"], [str(path)]):
+        for form in (["--json"], []):
+            outputs = {run(capsys, "set-check", *source, *form, *seed)
+                       for seed in ([], ["--seed", "1"], ["--seed", "2"])}
+            assert len(outputs) == 1 and next(iter(outputs))[0] == 0, (source, form)
+        names = [check["name"] for check in json.loads(run(capsys, "set-check", *source,
+                                                           "--json")[1])["checks"]]
+        assert not [name for name in names if name.startswith("random_")]
+        assert "star_antimultiplicative" in names and "associativity" in names
+
+
+def test_set_check_refuses_a_non_integer_seed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["set-check", "--blocks", "1", "--seed", "1.5"])
+    assert exc.value.code == 2
+    assert "--seed: invalid int value: '1.5'" in capsys.readouterr().err
 
 
 _BELOW_ONE = [["catalog", preset, "--n", n] for preset in ("hypercube", "folded", "squared")
@@ -365,24 +377,32 @@ def test_documents_forbid_nan(tmp_path):
     ("graph-check", [("adjacency", 0, 3), ("adjacency", 3, 0)], [1e308, 0.0], ["--json"]),
     # the table prints the report that --json writes: it is refused alike
     ("graph-check", [("adjacency", 0, 3), ("adjacency", 3, 0)], [1e308, 0.0], []),
-    ("rotate", [("projection", 0, 2, 0, 0)], [-1e308, 0.0], ["--json"]),
 ])
 def test_an_output_value_out_of_the_float_range_is_bad_input(capsys, tmp_path, command, paths,
                                                              value, flags):
-    # graph-check reads catalog m2-edge, rotate its rotate output
-    text = run(capsys, "catalog", "m2-edge", "--json")[1]
-    path = tmp_path / "input.json"
-    if command == "rotate":
-        path.write_text(text)
-        text = run(capsys, "rotate", str(path), "--json")[1]
-    doc = json.loads(text)
+    doc = json.loads(run(capsys, "catalog", "m2-edge", "--json")[1])
     for *keys, last in paths:
         functools.reduce(lambda node, key: node[key], keys, doc)[last] = value
+    path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, command, str(path), *flags)
     assert code == 2 and out == ""
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert errors == ["error: an output value left the float range: JSON has no inf or nan"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("flags", [["--json"], []], ids=["json", "table"])
+def test_rotate_refuses_a_projection_block_that_leaves_the_float_range(capsys, tmp_path, flags):
+    # -1e308 is a float, but the adjacency holds it times sqrt(2 * 2): both forms refuse the
+    # block alike, before any table or document is built, and no overflow warning escapes
+    path = tmp_path / "input.json"
+    path.write_text(run(capsys, "catalog", "m2-edge", "--json")[1])
+    doc = json.loads(run(capsys, "rotate", str(path), "--json")[1])
+    doc["projection"][0][2][0][0] = [-1e308, 0.0]
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "rotate", str(path), *flags) == (
+        2, "", "error: projection block (0,0) times sqrt(n_i n_j) = 2 leaves the float range\n")
 
 
 def test_cayley_spectrum_output(capsys):
@@ -474,7 +494,6 @@ def test_malformed_documents_exit_2_with_one_error_line(capsys, tmp_path, name):
     ["cayley", "--orders", "2,2", "--gens", "1x"],
     ["twist", "--orders", "2,2", "--gens", "1,,1", "--bichar", "trivial"],
     ["set-check", "--blocks", "1,a"],
-    ["set-check", "--blocks", "1", "--seed", "-1"],
     ["subgraph", "-", "--keep", "a"],
     ["obstruct", "-", "--max-dim", "-1"],
     ["obstruct", "-", "--max-dim", "0"],

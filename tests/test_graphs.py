@@ -91,6 +91,20 @@ def test_classical_projection_blocks_are_entries():
             assert abs(proj.blocks[(i, j)][0, 0] - a[i, j]) < 1e-15
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_projection_block_leaving_the_float_range_is_refused_by_name():
+    # block (1, 0) of [1, 2] is scaled by sqrt(2): 1.2e308 stays a float, 1.5e308 does not
+    x = build_quantum_set([1, 2])
+    blocks = {pair: np.zeros((x.blocks[pair[0]] * x.blocks[pair[1]],) * 2)
+              for pair in [(0, 0), (0, 1), (1, 0), (1, 1)]}
+    blocks[(1, 0)][1, 0] = -1.2e308
+    assert np.isfinite(projection_to_adjacency(EdgeProjection(x, blocks)).adjacency).all()
+    blocks[(1, 0)][1, 0] = -1.5e308
+    with pytest.raises(InvalidInput, match=r"^projection block \(1,0\) times sqrt\(n_i n_j\) "
+                                           r"= 1.41421 leaves the float range$"):
+        projection_to_adjacency(EdgeProjection(x, blocks))
+
+
 @pytest.mark.parametrize("blocks", [[2], [3], [1, 2], [1, 1, 1, 1]])
 def test_rotation_round_trip(blocks):
     x = build_quantum_set(blocks)
