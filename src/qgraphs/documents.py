@@ -19,17 +19,20 @@ distinct value that starts a run is written once by ``float.__repr__``, and a
 run of k copies of an entry's text is one string product.  :func:`loads`
 reads the value of each key that holds a matrix (``adjacency``, ``matrix``,
 ``bicharacter``, ``gen_values``), if it is a rectangular array of [re, im]
-pairs, into a float64 array: runs of the commonest pair's text are found by
-``str.find`` and checked by where they lie, and the text between them is
+pairs, into a float64 array.  An N x N array whose off-diagonal pairs all
+spell one text, as a twisted adjacency's do, is walked row by row, one
+``str.startswith`` and one ``str.find`` a row, and its N diagonal pairs and
+that one text are read by one ``json.loads``: O(N) string operations and no
+run search.  In any other array, runs of the commonest pair's text are found
+by ``str.find`` and checked by where they lie, and the text between them is
 checked by its brackets and commas and read by one ``json.loads`` per chunk.
-So a twisted adjacency, all zero but about N of its N x N entries, costs O(N)
-Python work each way.  ``json.loads`` reads the rest and any array that fails
-a check, so values and errors are those of ``json.loads`` + ``np.asarray``.
+``json.loads`` reads the rest and any array that fails a check, so values
+and errors are those of ``json.loads`` + ``np.asarray``.
 
 Both work in bounded chunks (``_READ_CHUNK`` characters of text,
 ``_WRITE_CHUNK`` entries of whole rows), so an N x N document costs the
 text, the array and one chunk: on twisted Q_9 (N = 512, a 4 MiB adjacency)
-the ``tracemalloc`` peak of :func:`loads` is about 4.6 MiB and that of
+the ``tracemalloc`` peak of :func:`loads` is about 4.1 MiB and that of
 :func:`encode` about 2.7 MiB, of which 2.6 MB is the text of the pieces it
 returns.  Those pieces keep a matrix's rows apart, so the CLI writes a
 document without ever holding all of it joined.
@@ -169,6 +172,10 @@ def set_from_spec(spec: Any, tol: float = DEFAULT_TOL) -> QuantumSet:
     if not isinstance(spec, dict):
         raise DocumentError(f"set spec must be an object, got {type(spec).__name__}")
     if "blocks" in spec:
+        for key in ("group", "bicharacter"):
+            if key in spec:
+                raise DocumentError(f"set spec has both 'blocks' and {key!r}: "
+                                    "give one presentation of the set")
         return build_quantum_set(_int_list(spec["blocks"], "set blocks"))
     if "group" in spec:
         group_spec, gen_values = _entries(spec, "a group set spec", "group", "bicharacter")
@@ -538,17 +545,68 @@ def _read(text: str, pieces: list[list], sizes: list[int], out: np.ndarray, pair
     return True
 
 
+def _diagonal_walk(text: str, start: int) -> Optional[tuple[np.ndarray, int]]:
+    """The N x N array spelled from ``text[start]`` on, and where it ends, if all its
+    off-diagonal [re, im] pairs spell one text, as a twisted Cayley adjacency's do; else
+    None, before anything of its size is allocated.
+
+    The unit is row 0's second pair and the separator before it; N follows from row 0's
+    length.  Between diagonal pairs i and i + 1 the text must be N - 1 - i units, turned
+    to start with the separator, the "]" + separator + "[" between rows and i + 1 units:
+    one ``str.startswith`` against a slice of one string of 2N units, and one
+    ``str.find`` for the next diagonal pair's end.  One ``json.loads`` reads the N
+    diagonal pairs and the unit, each of whose brackets and commas must be exactly
+    "[,]": no boolean or string, and json.loads refuses an empty number slot.
+    """
+    if not text.startswith("[[[", start):
+        return None
+    d = text.find("]", start) + 1  # the end of the first diagonal pair
+    u = text.find("[", d)  # if none follows, row 0 cannot end with "]]" below
+    if text[d:u].strip(" \t\n\r") != ",":
+        return None
+    sep, pair = text[d:u], text[u:text.find("]", u) + 1]
+    unit = len(sep) + len(pair)
+    n = (text.find("]]", d) + 1 - d) // unit + 1  # row 0 ends with "]]"
+    units = (sep + pair) * (n - 1) + "]" + sep + "[" + (pair + sep) * (n - 1)
+    gap = n * unit + len(sep) + 2  # from one diagonal pair's end to the next one's start
+    pieces, at = [text[start + 2:d]], d
+    for i in range(n - 1):
+        if not text.startswith(units[i * unit:i * unit + gap], at):
+            return None
+        begin = at + gap
+        at = text.find("]", begin) + 1
+        pieces.append(text[begin:at])
+    if not text.startswith("]]", at):
+        return None
+    joined = ",".join(pieces + [pair])
+    if joined.translate(_NOT_SKELETON) != ",".join(["[,]"] * (n + 1)):
+        return None
+    try:  # a JSON integer becomes the float that float() makes of it, as in _numbers
+        values = np.array(json.loads("[" + joined + "]"), np.float64)
+    except (ValueError, OverflowError):  # not JSON numbers, or beyond the float range
+        return None
+    out = np.empty((n, n, 2))  # 1e400 is inf, as json.loads reads it: consumers refuse it
+    out[...] = values[-1]
+    out[np.arange(n), np.arange(n)] = values[:-1]
+    return out, at + 2
+
+
 def _lift(text: str, start: int) -> Optional[tuple[np.ndarray, int]]:
     """The float64 array spelled from ``text[start]`` on, and where it ends, if that is a
     rectangular array of [re, im] pairs of JSON numbers, at least 2-D; else None.
 
-    One pass finds runs of ``_MIN_RUN`` or more copies of the commonest piece
-    (:func:`_run_texts`) by ``str.find`` and ``str.startswith``, accepted where no
-    pair of theirs ends a row (a copy spells "[,],"), and counts the commas between
-    (a pair's index is half the commas before it) up to the last "]" before a '"'.
-    :func:`_read` reads that text in chunks of about ``_READ_CHUNK`` characters cut
-    before a pair's "[", each run's first copy in it; the run takes that value.
+    :func:`_diagonal_walk` reads an N x N array whose off-diagonal pairs all spell one
+    text, in O(N) string comparisons.  Any other array is read by runs: one pass finds
+    runs of ``_MIN_RUN`` or more copies of the commonest piece (:func:`_run_texts`) by
+    ``str.find`` and ``str.startswith``, accepted where no pair of theirs ends a row (a
+    copy spells "[,],"), and counts the commas between (a pair's index is half the
+    commas before it) up to the last "]" before a '"'.  :func:`_read` reads that text
+    in chunks of about ``_READ_CHUNK`` characters cut before a pair's "[", each run's
+    first copy in it; the run takes that value.
     """
+    walked = _diagonal_walk(text, start)
+    if walked is not None:
+        return walked
     depth = _OPENS.match(text, start)[0].count("[") - 1  # the axes but the pairs'
     # the pairs of the first row, and of each larger first block, which k + 1 "]" close
     ends = [re.compile(r"\](?:[ \t\n\r]*\]){%d}" % k).search(text, start) for k in range(1, depth)]
@@ -612,9 +670,11 @@ def _parse(text: str) -> Any:
 
     A scan skips strings and stops at each of those keys' "[": :func:`_lift` reads the
     array and says where it ends.  In the text given to ``json.loads``, each array
-    read is the string NUL + its index; a text that spells NUL is all left to it.
+    read is the string NUL + its index; a text that spells NUL is all left to it.  Only
+    a text that holds a backslash can spell NUL, so most are never scanned for "\\u0000".
     """
-    arrays, parts, done, at = [], [], 0, 0 if "\\u0000" not in text else len(text)
+    spells_nul = "\\" in text and "\\u0000" in text
+    arrays, parts, done, at = [], [], 0, len(text) if spells_nul else 0
     while match := _STRING_OR_ARRAY.search(text, at):  # text[:done] is in parts
         at = match.end()
         lifted = None if match.start(1) < 0 else _lift(text, match.start(1))

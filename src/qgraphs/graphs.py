@@ -448,28 +448,42 @@ def edge_spectrum(g: QuantumGraph, tol: float = DEFAULT_TOL) -> Optional[np.ndar
 # ---------------------------------------------------------------------------
 
 
-def _is_graph(c: _Calculus, scale: float, tol: float) -> bool:
-    """A . A = A and A = A* in the calculus c."""
+def _products(c: _Calculus, loops: bool) -> list[np.ndarray]:
+    """A . A, and A . I and I . A if ``loops``, in the calculus c.  Raises InvalidInput,
+    naming the product, when one leaves the float range (an entry inf or nan)."""
+    names = ["A . A", "A . I", "I . A"] if loops else ["A . A"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = [c.square(), *c.loops()] if loops else [c.square()]
+    for name, p in zip(names, products):
+        if not np.isfinite(p).all():
+            raise InvalidInput(f"the Schur product {name} leaves the float range")
+    return products
+
+
+def _is_graph(c: _Calculus, square: np.ndarray, scale: float, tol: float) -> bool:
+    """A . A = A and A = A* in the calculus c, given A . A."""
     a = c.a
-    return max_abs(c.square() - a) <= tol * scale and max_abs(c.star(a) - a) <= tol * scale
+    return max_abs(square - a) <= tol * scale and max_abs(c.star(a) - a) <= tol * scale
 
 
 def is_quantum_graph(g: QuantumGraph, tol: float = DEFAULT_TOL) -> bool:
     """A . A = A and A = A* in the Schur calculus of :func:`_calculus`.
 
-    Raises InvalidInput on non-finite entries.
+    Raises InvalidInput on non-finite entries, and when A . A leaves the
+    float range.
     """
     c = _calculus(g)
-    return _is_graph(c, scale_of(c.a), tol)
+    return _is_graph(c, *_products(c, loops=False), scale_of(c.a), tol)
 
 
 def graph_report(g: QuantumGraph, tol: float = DEFAULT_TOL) -> GraphReport:
     """Evaluate the full predicate battery on ``g``.
 
-    Raises InvalidInput on non-finite entries before any arithmetic.  The
-    battery runs once, in the Schur calculus :func:`_calculus` chooses.  On
-    a diagonal adjacency on a group-indexed set (a twisted Cayley graph)
-    that is N-vectors after one pass over A: A . A squares the connection
+    Raises InvalidInput on non-finite entries before any arithmetic, and
+    when A . A, A . I or I . A leaves the float range.  The battery runs
+    once, in the Schur calculus :func:`_calculus` chooses.  On a diagonal
+    adjacency on a group-indexed set (a twisted Cayley graph) that is
+    N-vectors after one pass over A: A . A squares the connection
     function f, A . I = I . A = f(0) 1, the star and the adjoint are
     permuted and conjugated copies of the diagonal d, and the counts come
     from d u; no N x N array is formed and neither ``schur_product`` nor
@@ -479,9 +493,9 @@ def graph_report(g: QuantumGraph, tol: float = DEFAULT_TOL) -> GraphReport:
     c = _calculus(g)
     a = c.a
     scale = scale_of(a)
-    graph_flag = _is_graph(c, scale, tol)
+    square, loops_left, loops_right = _products(c, loops=True)
+    graph_flag = _is_graph(c, square, scale, tol)
     undirected = max_abs(a - c.dagger(a)) <= tol * scale
-    loops_left, loops_right = c.loops()
     if max_abs(loops_left) <= tol * scale and max_abs(loops_right) <= tol * scale:
         loop_status = "none"
     elif (max_abs(loops_left - c.eye()) <= tol * scale

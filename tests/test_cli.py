@@ -371,26 +371,6 @@ def test_documents_forbid_nan(tmp_path):
         document_text(docs.graph_to_document(QuantumGraph(x, a)))
 
 
-# the overflow warnings these inputs raise on the way belong to the calculus, not to the writer
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("command, paths, value, flags", [
-    ("graph-check", [("adjacency", 0, 3), ("adjacency", 3, 0)], [1e308, 0.0], ["--json"]),
-    # the table prints the report that --json writes: it is refused alike
-    ("graph-check", [("adjacency", 0, 3), ("adjacency", 3, 0)], [1e308, 0.0], []),
-])
-def test_an_output_value_out_of_the_float_range_is_bad_input(capsys, tmp_path, command, paths,
-                                                             value, flags):
-    doc = json.loads(run(capsys, "catalog", "m2-edge", "--json")[1])
-    for *keys, last in paths:
-        functools.reduce(lambda node, key: node[key], keys, doc)[last] = value
-    path = tmp_path / "input.json"
-    path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, command, str(path), *flags)
-    assert code == 2 and out == ""
-    errors = [line for line in err.splitlines() if line.startswith("error:")]
-    assert errors == ["error: an output value left the float range: JSON has no inf or nan"]
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("flags", [["--json"], []], ids=["json", "table"])
 def test_rotate_refuses_a_projection_block_that_leaves_the_float_range(capsys, tmp_path, flags):
@@ -403,6 +383,48 @@ def test_rotate_refuses_a_projection_block_that_leaves_the_float_range(capsys, t
     path.write_text(json.dumps(doc))
     assert run(capsys, "rotate", str(path), *flags) == (
         2, "", "error: projection block (0,0) times sqrt(n_i n_j) = 2 leaves the float range\n")
+
+
+def _with_entries(capsys, path, argv, entries):
+    """The document ``argv`` writes, with adjacency entries (i, j) set to [re, 0.0], at ``path``."""
+    doc = json.loads(run(capsys, *argv, "--json")[1])
+    for (i, j), value in entries.items():
+        doc["adjacency"][i][j] = [value, 0.0]
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("flags", [["--json"], []], ids=["json", "table"])
+@pytest.mark.parametrize("argv, entries", [
+    # the matrix calculus: the (0, 3) block pair of M_2 squares 1e160 past the float range
+    (["catalog", "m2-edge"], {(0, 3): 1e160, (3, 0): 1e160}),
+    # ... and 1e308, whose edge count eta^dag A eta = 4e308 would leave it too
+    (["catalog", "m2-edge"], {(0, 3): 1e308, (3, 0): 1e308}),
+    # the diagonal calculus: the connection function of twisted Q_2 squares d_0 / 4 = 2.5e299
+    (["catalog", "hypercube", "--n", "2"], {(0, 0): 1e300}),
+], ids=["matrix", "matrix-1e308", "diagonal"])
+def test_graph_check_refuses_a_schur_square_that_leaves_the_float_range(capsys, tmp_path, flags,
+                                                                        argv, entries):
+    path = _with_entries(capsys, tmp_path / "input.json", argv, entries)
+    assert run(capsys, "graph-check", str(path), *flags) == (
+        2, "", "error: the Schur product A . A leaves the float range\n")
+    # obstruct measures its seeds against their largest entry, and reads the graph as before
+    code, out, err = run(capsys, "obstruct", str(path), "--json")
+    assert code == 0 and err == "" and json.loads(out)["summary"]["outcome"] == "inconclusive"
+
+
+@pytest.mark.parametrize("command", ["set-check", "graph-check"])
+def test_a_set_spec_with_two_presentations_is_refused(capsys, tmp_path, command):
+    # a twisted Z_2^2 set that also claims to be M_3: neither presentation wins
+    doc = json.loads(run(capsys, "catalog", "hypercube", "--n", "2", "--json")[1])
+    doc["set"]["blocks"] = [3]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    for flags in (["--json"], []):
+        assert run(capsys, command, str(path), *flags) == (
+            2, "", "error: set spec has both 'blocks' and 'group': give one presentation of "
+                   "the set\n")
 
 
 def test_cayley_spectrum_output(capsys):

@@ -1,6 +1,7 @@
 """The document codec: byte-identical encoding, exact round trips, refusals."""
 
 import json
+import math
 import re
 import tracemalloc
 from collections import Counter
@@ -354,6 +355,10 @@ READER_CORPUS = {
     # rows of 2 and 4: with short runs, a run of [0.0,0.0] crosses the first row's length
     "run-across-a-row-end":
         _graph_doc("[[[1.0,0.0],[0.0,0.0]],[[0.0,0.0],[0.0,0.0],[0.0,0.0],[1.0,0.0]]]"),
+    # diagonal texts but for one token where the walk expects the first row's "[", or in
+    # every separator, which json.loads reads as an entry
+    "number-for-the-first-row-bracket": _graph_doc("[5[1.0,0.0],[0.0,0.0]],[[0.0,0.0],[1.0,0.0]]]"),
+    "number-in-every-separator": _graph_doc("[[[1.0,0.0],5,[0.0,0.0]],5,[[0.0,0.0],5,[1.0,0.0]]]"),
 }
 
 
@@ -496,11 +501,13 @@ def test_reader_matches_json_loads_on_runs(array_text, read_chunk, min_run, data
     char = data.draw(st.sampled_from(["", *"-+.0123456789eE ,[]"]))
     text = '{"adjacency": ' + array_text[:at] + char + array_text[at:] + "}"
     whole = '{"adjacency": ' + array_text + "}"
+    walked = docs._diagonal_walk(whole, whole.index("[")) is not None
     with mock.patch.object(docs, "_READ_CHUNK", read_chunk), \
             mock.patch.object(docs, "_MIN_RUN", min_run), \
             mock.patch.object(docs, "_copies", wraps=docs._copies) as copies:
         docs.loads(whole)
-        assert copies.called == _spells_a_run(whole, min_run)  # the runs were skipped
+        # the walk read the array, or the runs were skipped
+        assert copies.called == (not walked and _spells_a_run(whole, min_run))
         got = _adjacency_outcome(docs.loads, text)
     assert got == _adjacency_outcome(reference_loads, text)
 
@@ -633,6 +640,114 @@ def test_reader_matches_json_loads_with_one_row_resized(array_text, read_chunk, 
     assert got == _adjacency_outcome(reference_loads, text)
 
 
+# ---------------------------------------------------------------------------
+# the diagonal walk: every off-diagonal pair one text, as in a twisted adjacency
+# ---------------------------------------------------------------------------
+
+
+OFF_DIAGONAL_TOKENS = st.one_of(
+    st.sampled_from(["0.0", "-0.0", "1e-300"]),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: f"{x:.16e}"),  # 17 digits
+)
+
+
+@st.composite
+def diagonal_texts(draw):
+    """An N x N array text whose off-diagonal pairs all spell one text and whose diagonal
+    pairs are any, compact or in json.dumps's default spacing: the walk's shape."""
+    n = draw(st.integers(1, 9))
+    sep = draw(st.sampled_from([",", ", "]))
+    off = "[%s]" % sep.join(draw(st.tuples(OFF_DIAGONAL_TOKENS, OFF_DIAGONAL_TOKENS)))
+    diagonal = ["[%s]" % sep.join(pair) for pair in draw(st.lists(
+        st.tuples(NUMBER_TOKENS, NUMBER_TOKENS), min_size=n, max_size=n))]
+    rows = [[diagonal[i] if i == j else off for j in range(n)] for i in range(n)]
+    return "[" + sep.join("[" + sep.join(row) + "]" for row in rows) + "]"
+
+
+_PAIR = re.compile(r"\[[^\[\]]*\]")
+
+
+def _side(text):
+    """N, for the text of an N x N array of pairs."""
+    return math.isqrt(len(_PAIR.findall(text)))
+
+
+def _replace_an_off_diagonal_pair(text, data):
+    """``text`` with one off-diagonal pair spelled otherwise, if it has one."""
+    pairs = list(_PAIR.finditer(text))
+    n = math.isqrt(len(pairs))
+    if n < 2:
+        return text
+    k = data.draw(st.sampled_from([k for k in range(len(pairs)) if k // n != k % n]))
+    pair = "[%s,%s]" % data.draw(st.tuples(NUMBER_TOKENS, NUMBER_TOKENS))
+    return text[:pairs[k].start()] + pair + text[pairs[k].end():]
+
+
+def _insert_a_character(text, data):
+    at = data.draw(st.integers(0, len(text)))
+    return text[:at] + data.draw(st.sampled_from(list("-+.0123456789eE ,[]"))) + text[at:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(diagonal_texts())
+def test_walk_reads_every_diagonal_text_as_json_loads_does(array_text):
+    text = '{"adjacency": ' + array_text + "}"
+    walked = docs._diagonal_walk(text, text.index("["))
+    assert (walked is not None) == (_side(array_text) > 1)
+    assert _adjacency_outcome(docs.loads, text) == _adjacency_outcome(reference_loads, text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(diagonal_texts(),
+       st.sampled_from([_insert_a_character, _move_a_number, _resize_a_row,
+                        _replace_an_off_diagonal_pair]),
+       st.data())
+def test_walk_matches_json_loads_on_mutated_diagonal_texts(array_text, mutate, data):
+    text = '{"adjacency": ' + mutate(array_text, data) + "}"
+    assert _adjacency_outcome(docs.loads, text) == _adjacency_outcome(reference_loads, text)
+
+
+def _spied_loads(text):
+    """What ``docs.loads`` makes of ``text``, the walk's results and whether it called
+    ``_copies``, the run reader's search."""
+    real, walked = docs._diagonal_walk, []
+
+    def walk(text, start):
+        walked.append(real(text, start))
+        return walked[-1]
+
+    with mock.patch.object(docs, "_diagonal_walk", walk), \
+            mock.patch.object(docs, "_copies", wraps=docs._copies) as copies:
+        doc = docs.loads(text)
+    return doc, walked, copies.called
+
+
+def test_twisted_adjacencies_are_walked_and_others_read_by_runs(twisted_q9):
+    from conftest import random_generating_multiset, twisted_family
+    from qgraphs.groups import cayley_spectrum, classical_cayley
+
+    rng = np.random.default_rng(28)
+    graphs = [twisted_q9[0]] + [
+        docs.graph_to_document(QuantumGraph(x, np.diag(cayley_spectrum(
+            x.group, random_generating_multiset(x.group, rng))))) for _, x in twisted_family()]
+    for doc in graphs:
+        text = document_text(doc)
+        got, walked, copied = _spied_loads(text)
+        assert walked[0] is not None and not copied  # "adjacency" is the first key
+        assert got["adjacency"].tobytes() == np.asarray(json.loads(text)["adjacency"]).tobytes()
+    group = AbelianGroup((2,) * 7)
+    classical = classical_cayley(group, [tuple(int(i == k) for i in range(7)) for k in range(7)])
+    dense = rng.standard_normal((64, 64, 2)).tolist()
+    cube = np.zeros((2, 40, 40, 2)).tolist()
+    for text, runs in ((document_text(docs.graph_to_document(classical)), True),
+                       (json.dumps({"adjacency": dense}), False),
+                       (json.dumps({"adjacency": cube}), True)):
+        got, walked, copied = _spied_loads(text)
+        assert walked == [None] and copied == runs
+        assert got["adjacency"].tobytes() == np.asarray(json.loads(text)["adjacency"]).tobytes()
+
+
 @st.composite
 def run_arrays(draw):
     """A complex array almost all one value, -0.0 beside 0.0 among the others, with up to two
@@ -655,6 +770,19 @@ def test_writer_matches_the_stdlib_encoding_on_runs(doc, write_chunk):
     with mock.patch.object(docs, "_WRITE_CHUNK", write_chunk):
         got = document_text(doc)
     assert got == stdlib_dumps(doc)
+
+
+def test_a_report_number_out_of_the_float_range_is_refused():
+    from qgraphs.algebra import Check, Report
+    from qgraphs.graphs import GraphReport
+
+    counts = dict(is_graph=False, is_undirected=True, loop_status="none", is_simple=False,
+                  is_multigraph=None, vertices=4, quantum_edges=None)
+    for report in (GraphReport(edges=complex(math.inf, 0.0), regular_degree=None, **counts),
+                   GraphReport(edges=4.0, regular_degree=math.inf, **counts),
+                   Report([Check("associativity", False, math.inf)], 1e-9)):
+        with pytest.raises(docs.DocumentError, match="^an output value left the float range"):
+            docs.report_to_document(report)
 
 
 def test_boolean_scan_reads_any_depth():

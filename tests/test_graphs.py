@@ -105,6 +105,25 @@ def test_projection_block_leaving_the_float_range_is_refused_by_name():
         projection_to_adjacency(EdgeProjection(x, blocks))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_schur_square_leaving_the_float_range_is_refused_by_name():
+    # 1e150 squares to 1e300 in both calculi; 1e160 (M_2) and 1e300 (twisted Z_2^2) do not
+    from qgraphs import is_quantum_graph
+    from qgraphs.clifford import clifford_set
+
+    m2, z22 = build_quantum_set([2]), clifford_set(2)
+    for x, k, fits, leaves in ((m2, 3, 1e150, 1e160), (z22, 0, 1e150, 1e300)):
+        a = np.zeros((4, 4), dtype=complex)
+        a[0, k] = a[k, 0] = fits
+        assert not is_quantum_graph(QuantumGraph(x, a)) and not graph_report(
+            QuantumGraph(x, a)).is_graph
+        a[0, k] = a[k, 0] = leaves
+        for check in (is_quantum_graph, graph_report):
+            with pytest.raises(InvalidInput, match=r"^the Schur product A \. A leaves the float "
+                                                   r"range$"):
+                check(QuantumGraph(x, a))
+
+
 @pytest.mark.parametrize("blocks", [[2], [3], [1, 2], [1, 1, 1, 1]])
 def test_rotation_round_trip(blocks):
     x = build_quantum_set(blocks)
