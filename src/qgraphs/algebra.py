@@ -32,12 +32,15 @@ Conventions used everywhere in this package:
 Frobenius law, snake identities, unit laws, symmetry, involutivity, the
 star reversing products (ab)* = b*a*, associativity) numerically from the
 stored tensors, so a set object that passes it is a valid special symmetric
-Frobenius algebra with a star regardless of how it was built.  It
-enumerates the N^3 terms of associativity and the Frobenius law in
-fixed-size chunks, finding each term's partner on the other side by lookup,
-and holds O(N + nnz(m)) numbers beside the set.  A set whose m has an index
-outside range(N) or leaves the layout fails every check that reads m, with
-residual inf.
+Frobenius algebra with a star regardless of how it was built.  On a
+twisted set whose m is the one its group and bicharacter derive,
+associativity and the Frobenius law follow from bilinearity, and their
+residuals are bounded from the bicharacter's roots of unity alone.  On any
+other set it enumerates the N^3 terms of both identities in fixed-size
+chunks, finding each term's partner on the other side by lookup.  Either
+way it holds O(N + nnz(m)) numbers beside the set.  A set whose m has an
+index outside range(N) or leaves the layout fails every check that reads m,
+with residual inf.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInput, ResourceLimit
-from .kernels import hermitian_eigs, max_abs, scale_of
+from .kernels import hermitian_eigs, max_abs, scale_of, unit_roots
 
 if TYPE_CHECKING:  # pragma: no cover
     from .groups import AbelianGroup, Bicharacter
@@ -130,15 +133,7 @@ class QuantumSet:
         per ordered pair (mu, nu) in row-major order: the addition and
         bicharacter tables raveled.
         """
-        if self.blocks is not None:
-            o, n, t = _block_grid(self.blocks, 3)  # entry (a, b, d): t = (a n + b) n + d
-            m = (o + t // (n * n) * n + t % n, o + t // n, o + t % (n * n),
-                 (1.0 / np.sqrt(n)).astype(complex))
-        else:
-            r = np.arange(self.N, dtype=np.int64)
-            m = (self.group.addition_table().ravel(), np.repeat(r, self.N), np.tile(r, self.N),
-                 np.conj(self.bicharacter.table().ravel()) / math.sqrt(self.N))
-        return Mult(*map(_readonly, m))
+        return Mult(*map(_readonly, _derive_mult(self)))
 
     def same_set(self, other: "QuantumSet") -> bool:
         if self.N != other.N or self.blocks != other.blocks:
@@ -266,6 +261,17 @@ def build_quantum_set(blocks: Sequence[int]) -> QuantumSet:
         star_src=o + b * n + a,
         star_phase=np.ones(a.size, dtype=complex),
     )
+
+
+def _derive_mult(x: QuantumSet) -> tuple[np.ndarray, ...]:
+    """The arrays of ``x.mult``, derived anew from the presentation."""
+    if x.blocks is not None:
+        o, n, t = _block_grid(x.blocks, 3)  # entry (a, b, d): t = (a n + b) n + d
+        return (o + t // (n * n) * n + t % n, o + t // n, o + t % (n * n),
+                (1.0 / np.sqrt(n)).astype(complex))
+    r = np.arange(x.N, dtype=np.int64)
+    return (x.group.addition_table().ravel(), np.repeat(r, x.N), np.tile(r, x.N),
+            np.conj(x.bicharacter.table().ravel()) / math.sqrt(x.N))
 
 
 def _block_grid(blocks: tuple[int, ...], power: int):
@@ -501,6 +507,65 @@ def _frobenius_law(e: _Entries) -> float:
     return worst
 
 
+def _proved_residuals(x: QuantumSet) -> Optional[tuple[float, float]]:
+    """Bounds on the residuals of associativity and of the Frobenius law on a twisted
+    set, proved from its presentation; None unless m is bit for bit the m the group and
+    bicharacter derive and each exponent denominator d_ij divides gcd(n_i, n_j).
+
+    There b_mu b_nu = v_E(mu, nu) b_{mu+nu}, with v_k = conj(zeta^k) / sqrt(N),
+    zeta = exp(2 pi i / L) and E(mu, nu) = mu W nu mod L
+    (``Bicharacter._exponents``).  As d_ij divides n_i and n_j, n_i W_ij = 0 mod L, so
+    E is well defined on the group and bilinear.
+
+    Associativity.  The term of (b_a b_b) b_c has the exponents (E(a, b), E(a + b, c))
+    and that of b_a (b_b b_c) on the same b_{a+b+c} has (E(b, c), E(a, b + c)).  By
+    bilinearity both pairs sum to E(a, b) + E(a, c) + E(b, c) mod L: this is the
+    cocycle identity of sigma.
+
+    Frobenius law.  A left term m(c, k -> a) conj m(k, b -> d) has the key (a, b, c, d)
+    with a = c + k and d = k + b.  The right side m(c, d -> o) conj m(a, b -> o) has a
+    term at that key, since a + b = c + d, and each right term has its left partner
+    k = a - c.  Since |zeta| = 1, v_k1 conj v_k2 depends on k1 - k2 only, and by
+    bilinearity E(c, k) - E(k, b) = E(c, d) - E(a, b).
+
+    So each term of either identity compares fl(v_k1 v_k2) (fl(v_k1 conj v_k2)) for two
+    exponent pairs with one sum (difference) mod L.  The residual the enumeration
+    reports, the largest |fl(p - q)| over its terms, is therefore at most the largest
+    diagonal of the box that bounds the products of one class, since rounding is
+    monotone: the bound returned.  Every exponent of the table is a multiple of
+    g = gcd(L, W), so only those are classed, and the cost is O((L / g)^2), at most
+    O(N^2).  When every root is 1, -1, i or -i, the products of one class are equal
+    and both bounds are 0.0.
+    """
+    g, sigma = x.group, x.bicharacter
+    if g is None or sigma is None or sigma.group.orders != g.orders or x.N != g.size:
+        return None
+    den = sigma._exp_den
+    orders = np.asarray(g.orders, dtype=np.int64)
+    if (den.dtype.kind != "i" or den.shape != (g.rank, g.rank) or not np.all(den > 0)
+            or np.any(np.gcd.outer(orders, orders) % den)):
+        return None
+    for a, b in zip(x.mult, _derive_mult(x)):
+        if a.dtype != b.dtype or a.shape != b.shape or a.tobytes() != b.tobytes():
+            return None
+    lcm, w = sigma._exponents()
+    v = np.conj(unit_roots(lcm)[::math.gcd(lcm, *w.ravel().tolist())]) / math.sqrt(x.N)
+    return _class_spread(v, v, 1), _class_spread(v, np.conj(v), -1)
+
+
+def _class_spread(v: np.ndarray, w: np.ndarray, sign: int) -> float:
+    """Largest diagonal of the box bounding the products fl(v[j] w[k]) of one class
+    j + sign k = s mod M, for chunks of classes at a time."""
+    m = v.size
+    j = np.arange(m)[:, None]
+    step = max(1, _CHUNK // m)
+    worst = 0.0
+    for s0 in range(0, m, step):
+        p = v[:, None] * w[sign * (np.arange(s0, min(m, s0 + step)) - j) % m]  # a class a column
+        worst = max(worst, max_abs(np.ptp(p.real, axis=0) + 1j * np.ptp(p.imag, axis=0)))
+    return worst
+
+
 def verify_frobenius(x: QuantumSet, tol: float = DEFAULT_TOL) -> Report:
     """Numerically verify that the stored tensors form a special symmetric
     Frobenius algebra with counit of the unit equal to N, whose star
@@ -511,14 +576,21 @@ def verify_frobenius(x: QuantumSet, tol: float = DEFAULT_TOL) -> Report:
     contiguous run, and no two entries with one left index share an output.
     ``QuantumSet.mult`` derives m so from either presentation.  A term of
     one side of an identity then finds its partner on the other side by
-    index arithmetic, and each residual, the largest |LHS - RHS| over the
-    keys of either side, is bit for bit what summing each key over the
-    sorted union of both sides' terms gives.  Any other m fails every check
+    index arithmetic, and each enumerated residual, the largest |LHS - RHS|
+    over the keys of either side, is bit for bit what summing each key over
+    the sorted union of both sides' terms gives.  Any other m fails every check
     that reads m, with residual inf: it never passes.
 
-    Cost: associativity and the Frobenius law enumerate their N^3 terms in
-    chunks of ``_CHUNK``, and the check holds O(N + nnz(m)) numbers beside
-    the set.  The star, duality, unit, counit and (ab)* = b*a* checks read
+    Associativity and the Frobenius law: on a twisted set whose m is bit for
+    bit the m its group and bicharacter derive, and whose exponent
+    denominators each divide gcd(n_i, n_j), both hold by bilinearity, and
+    each reports a bound on the residual its N^3 terms would give, exactly
+    0.0 when every root is 1, -1, i or -i (see :func:`_proved_residuals`).
+    Any other m, a corrupted one included, has its N^3 terms enumerated in
+    chunks of ``_CHUNK``.
+
+    Cost: the check holds O(N + nnz(m)) numbers beside the set.  The star,
+    duality, unit, counit and (ab)* = b*a* checks read
     ``star_src``/``star_phase`` and the entries of m; no N x N array is built.
     """
     n = x.N
@@ -551,9 +623,14 @@ def verify_frobenius(x: QuantumSet, tol: float = DEFAULT_TOL) -> Report:
         res["specialness_mmdag"] = max_abs(
             np.bincount(out, w.real, n) + 1j * np.bincount(out, w.imag, n) - 1)
 
-        # (b) Frobenius law; the right equality is the adjoint of the left one,
-        # so its residual is the same number
-        res["frobenius_law_left"] = res["frobenius_law_right"] = _frobenius_law(e)
+        # (b) Frobenius law and (h) associativity, proved on a twisted set and enumerated
+        # on any other; the right equality is the adjoint of the left one, so its
+        # residual is the same number
+        proved = _proved_residuals(x)
+        if proved is None:
+            proved = _associativity(e), _frobenius_law(e)
+        res["associativity"], res["frobenius_law_left"] = proved
+        res["frobenius_law_right"] = res["frobenius_law_left"]
 
         # (d) comultiplication and multiplication recovered from R, whose one
         # entry per row k is R^{k, src k} = ph_k.  Each mult_from_r identity is
@@ -583,9 +660,6 @@ def verify_frobenius(x: QuantumSet, tol: float = DEFAULT_TOL) -> Report:
         # (e) unit laws: sum_l unit_l m^o_{lr} = delta_or and its mirror image
         res["unit_left"] = _unit_law(n, out, rgt, val * x.unit_vec[lft])
         res["unit_right"] = _unit_law(n, out, lft, val * x.unit_vec[rgt])
-
-        # (h) associativity
-        res["associativity"] = _associativity(e)
 
         # counit compatibility: eta^dag m = R^dag; the pairing has one term
         # per entry, conj R one per row k at (k, src k)
@@ -624,7 +698,9 @@ def check_star_homomorphism(f: Operator, tol: float = DEFAULT_TOL) -> Report:
     read off m_X's entries, the right side sums val fm[u, r] fm[v, s] over
     m_Y's entries (u, v -> q).  Neither multiplication tensor is densified.
     The *-condition is checked on the basis as f(e_k^*) = f(e_k)^*, which is
-    equivalent to the adjoint formulation.
+    equivalent to the adjoint formulation.  Raises InvalidInput when a side of
+    f(e_r e_s) = f(e_r) f(e_s) leaves the float range (an entry inf or nan); a
+    residual that leaves it fails its check.
     """
     dom, cod = f.domain, f.codomain
     md, mc = dom.mult, cod.mult
@@ -635,21 +711,24 @@ def check_star_homomorphism(f: Operator, tol: float = DEFAULT_TOL) -> Report:
     order = np.argsort(mc.out, kind="stable")
     ends = np.cumsum(np.bincount(mc.out, minlength=cod.N))
     res_mult = 0.0
-    for q in range(cod.N):
-        ent = order[ends[q - 1] if q else 0:ends[q]]
-        rhs = (mc.val[ent, None] * fm[mc.left[ent]]).T @ fm[mc.right[ent]]
-        lhs = np.zeros((dom.N, dom.N), dtype=complex)
-        np.add.at(lhs, (md.left, md.right), fm[q, md.out] * md.val)
-        res_mult = max(res_mult, max_abs(lhs - rhs))
-    checks.append(Check("multiplicative", res_mult <= tol * scale, res_mult))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for q in range(cod.N):
+            ent = order[ends[q - 1] if q else 0:ends[q]]
+            rhs = (mc.val[ent, None] * fm[mc.left[ent]]).T @ fm[mc.right[ent]]
+            lhs = np.zeros((dom.N, dom.N), dtype=complex)
+            np.add.at(lhs, (md.left, md.right), fm[q, md.out] * md.val)
+            if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+                raise InvalidInput("f(e_r e_s) or f(e_r) f(e_s) leaves the float range")
+            res_mult = max(res_mult, max_abs(lhs - rhs))
+        checks.append(Check("multiplicative", res_mult <= tol * scale, res_mult))
 
-    res_unit = max_abs(fm @ dom.unit_vec - cod.unit_vec)
-    checks.append(Check("unital", res_unit <= tol * scale, res_unit))
+        res_unit = max_abs(fm @ dom.unit_vec - cod.unit_vec)
+        checks.append(Check("unital", res_unit <= tol * scale, res_unit))
 
-    # column k holds f(e_k^*) and f(e_k)^*, both read at rows star_src of Y
-    image_of_star = fm[:, dom.star_src] * dom.star_phase
-    res_star = max_abs(image_of_star[cod.star_src] - cod.star_phase[:, None] * np.conj(fm))
-    checks.append(Check("star_preserving", res_star <= tol * scale, res_star))
+        # column k holds f(e_k^*) and f(e_k)^*, both read at rows star_src of Y
+        image_of_star = fm[:, dom.star_src] * dom.star_phase
+        res_star = max_abs(image_of_star[cod.star_src] - cod.star_phase[:, None] * np.conj(fm))
+        checks.append(Check("star_preserving", res_star <= tol * scale, res_star))
     return Report(checks=checks, tol=tol)
 
 

@@ -64,7 +64,8 @@ def quotient_graph(g: QuantumGraph, iota: Operator, tol: float = DEFAULT_TOL) ->
     """Quotient (generally weighted) graph along an embedding iota: C(Y) -> C(X).
 
     A_Y = iota^dag A_X iota; the edge total eta^dag A eta is conserved
-    because iota is unital.
+    because iota is unital.  Raises InvalidInput, naming the product, when it
+    leaves the float range (an entry inf or nan).
     """
     if not iota.codomain.same_set(g.set):
         raise InvalidInput("quotient_graph: embedding codomain must be the graph's set")
@@ -74,7 +75,11 @@ def quotient_graph(g: QuantumGraph, iota: Operator, tol: float = DEFAULT_TOL) ->
             f"quotient_graph: iota is not a unital *-homomorphism (failed: {hom.failed()})"
         )
     mat = iota.matrix
-    return QuantumGraph(set=iota.domain, adjacency=mat.conj().T @ g.adjacency @ mat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        adjacency = mat.conj().T @ g.adjacency @ mat
+    if not np.isfinite(adjacency).all():
+        raise InvalidInput("the quotient iota^dag A iota leaves the float range")
+    return QuantumGraph(set=iota.domain, adjacency=adjacency)
 
 
 def check_isomorphism(phi: Operator, g1: QuantumGraph, g2: QuantumGraph,

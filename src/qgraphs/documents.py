@@ -16,7 +16,11 @@ The builders keep matrices and vectors as complex numpy arrays.  The one
 writer, :func:`encode`, writes each row of an array as runs of equal entries,
 found by comparing each entry's (re, im) bits with the one before: each
 distinct value that starts a run is written once by ``float.__repr__``, and a
-run of k copies of an entry's text is one string product.  :func:`loads`
+run of k copies of an entry's text is one string product.  An N x N array
+alone of its shape whose off-diagonal entries all have one (re, im) bit
+pattern, as a twisted adjacency's do, skips the run search: after one
+comparison pass, each row is two slices of one string around its diagonal
+entry, and only the N + 1 distinct values are written.  :func:`loads`
 reads the value of each key that holds a matrix (``adjacency``, ``matrix``,
 ``bicharacter``, ``gen_values``), if it is a rectangular array of [re, im]
 pairs, into a float64 array.  An N x N array whose off-diagonal pairs all
@@ -370,6 +374,10 @@ def _array_texts(arrays: list[np.ndarray]) -> Iterator[tuple[str, ...]]:
         by_shape.setdefault(a.shape, []).append(a)
     texts = {}
     for shape, same in by_shape.items():
+        pieces = _diagonal_texts(same[0]) if len(same) == 1 else None
+        if pieces is not None:
+            texts[shape] = iter([tuple(pieces)])
+            continue
         pieces, c = _stack_texts(np.asarray(same[0])[None] if len(same) == 1 else np.array(same))
         texts[shape] = zip(*[iter(pieces)] * c)  # c pieces at a time
     for a in arrays:
@@ -384,6 +392,37 @@ def _bracketed(texts: list[str]) -> list[str]:
     pieces[0], pieces[-1] = "[", "]"
     pieces[1::2] = texts
     return pieces
+
+
+def _diagonal_texts(a: np.ndarray) -> Optional[list[str]]:
+    """The pieces of the JSON text of an N x N array, N >= 2, whose off-diagonal entries
+    all have one (re, im) bit pattern, as a twisted Cayley adjacency's do; else None,
+    after one comparison pass, and :func:`_stack_texts` writes it.
+
+    Row i is i copies of that entry's text, the diagonal entry's and N - 1 - i copies,
+    each run a slice of one string of N - 1 copies.  Only the N + 1 distinct values are
+    written by ``float.__repr__`` and checked to be finite.
+    """
+    n = a.shape[0] if a.ndim == 2 else 0
+    if n < 2 or a.shape[1] != n:
+        return None
+    a = np.ascontiguousarray(a, dtype=complex)
+    bits = a.reshape(-1).view(np.uint64)
+    # the (re, im) bits after the first entry's, N + 1 entries a row: each row's last is
+    # on the diagonal; compared about _WRITE_CHUNK entries at a time
+    rows, unit = bits[2:].reshape(n - 1, 2 * n + 2)[:, :2 * n], np.tile(bits[2:4], n)
+    step = max(1, _WRITE_CHUNK // n)
+    if not all((rows[r:r + step] == unit).all() for r in range(0, n - 1, step)):
+        return None
+    values = np.append(np.diagonal(a), a[0, 1])
+    if not np.isfinite(values).all():
+        raise DocumentError(_OUT_OF_RANGE)
+    *diagonal, pair = [f"[{x!r},{y!r}]" for x, y in
+                       values.view(np.float64).reshape(-1, 2).tolist()]
+    u = len(pair) + 1
+    before, after = (pair + ",") * (n - 1), ("," + pair) * (n - 1)
+    return _bracketed(["".join(("[", before[:i * u], d, after[:(n - 1 - i) * u], "]"))
+                       for i, d in enumerate(diagonal)])
 
 
 def _stack_texts(stack: np.ndarray) -> tuple[list[str], int]:

@@ -146,9 +146,13 @@ class Bicharacter:
         are one integer product and a lookup in the root table turns them
         into phases.
         """
-        lcm = math.lcm(*(int(d) for d in self._exp_den.ravel()))
-        w = (self._exp_num * (lcm // self._exp_den)) % lcm
+        lcm, w = self._exponents()
         return unit_roots(lcm)[((mu @ w) @ nu) % lcm]
+
+    def _exponents(self) -> tuple[int, np.ndarray]:
+        """The order L of zeta and the exponent matrix W of :meth:`_phases`."""
+        lcm = math.lcm(*(int(d) for d in self._exp_den.ravel()))
+        return lcm, (self._exp_num * (lcm // self._exp_den)) % lcm
 
 
 # ---------------------------------------------------------------------------

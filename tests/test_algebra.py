@@ -420,7 +420,14 @@ def _with_entries(x, out=None, lft=None, rgt=None, val=None):
     return y
 
 
-def _assert_matches_reference(x):
+#: the checks proved from the presentation on a twisted set, which reports a bound on the
+#: residual its N^3 terms give
+PROVED = ("associativity", "frobenius_law_left", "frobenius_law_right")
+
+
+def _assert_matches_reference(x, proved=False):
+    """The battery's residuals are the reference's; with ``proved``, those of PROVED
+    are bounds on the reference's that pass."""
     from conftest import reference_frobenius_residuals
 
     report = verify_frobenius(x)
@@ -429,6 +436,8 @@ def _assert_matches_reference(x):
     for c in report.checks:
         if c.name in STAR_CHECKS:
             assert abs(c.residual - want[c.name]) <= 8 * EPS, c.name
+        elif proved and c.name in PROVED:
+            assert want[c.name] <= c.residual and c.passed, c.name
         else:
             assert c.residual == want[c.name], c.name
     return report
@@ -436,7 +445,86 @@ def _assert_matches_reference(x):
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_CORPUS))
 def test_battery_matches_sorted_key_reference(name):
-    assert _assert_matches_reference(REFERENCE_CORPUS[name]()).all_pass
+    x = REFERENCE_CORPUS[name]()
+    assert _assert_matches_reference(x, proved=x.group is not None).all_pass
+
+
+def _enumerated(x):
+    """The residuals of PROVED from their N^3 terms, as every other set's are found."""
+    from qgraphs.algebra import _associativity, _Entries, _frobenius_law
+
+    e = _Entries.of(x)
+    frobenius = _frobenius_law(e)
+    return {"associativity": _associativity(e), "frobenius_law_left": frobenius,
+            "frobenius_law_right": frobenius}
+
+
+def _spy(monkeypatch, name):
+    """The calls of ``qgraphs.algebra.<name>`` from now on, each made as before."""
+    from qgraphs import algebra
+
+    calls, real = [], getattr(algebra, name)
+    monkeypatch.setattr(algebra, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_twisted_sets_are_proved_with_the_enumeration_verdicts(monkeypatch):
+    from conftest import twisted_family
+    from qgraphs.clifford import clifford_set
+    from qgraphs.kernels import scale_of
+
+    sets = dict(twisted_family())
+    sets.update((name, make()) for name, make in REFERENCE_CORPUS.items()
+                if not name.startswith("blocks-"))
+    sets.update((f"Cl_{n}", clifford_set(n)) for n in range(2, 9))
+    enumerated = {name: _enumerated(x) for name, x in sets.items()}
+    calls = [_spy(monkeypatch, "_associativity"), _spy(monkeypatch, "_frobenius_law")]
+    for name, x in sets.items():
+        report = verify_frobenius(x)
+        assert report.all_pass, (name, report.failed())
+        tol = report.tol * scale_of(x.mult.val, x.star_phase, x.unit_vec)
+        # exact when every root is 1, -1, i or -i: the products of one class are equal
+        quarter = np.isin(x.bicharacter.table(), [1, -1, 1j, -1j]).all()
+        for c in report.checks:
+            if c.name in PROVED:
+                assert enumerated[name][c.name] <= c.residual <= tol, (name, c.name)
+                assert c.residual == 0.0 or not quarter, (name, c.name)
+    assert calls == [[], []]
+
+
+def _off_presentation(tamper):
+    """A set the proof must not read: a block set, a twisted set whose m has one zero's
+    sign flipped, or one whose exponent denominator 8 on Z_4 does not divide gcd(4, 4)."""
+    from qgraphs.clifford import clifford_set
+    from qgraphs.groups import AbelianGroup, Bicharacter, twist_quantum_set
+
+    if tamper == "blocks":
+        return build_quantum_set([2, 1])
+    if tamper == "signed-zero":
+        x = clifford_set(3)
+        val = x.mult.val.copy()
+        assert val[5].imag == 0.0
+        val[5] = complex(val[5].real, -val[5].imag)
+        return _with_entries(x, val=val)
+    group = AbelianGroup((4,))
+    sigma = Bicharacter(group, np.array([[1j]]))
+    sigma._exp_den = np.array([[8]])
+    return twist_quantum_set(group, sigma)
+
+
+@pytest.mark.parametrize("tamper", ["blocks", "signed-zero", "exponent-denominator"])
+def test_a_set_off_its_presentation_is_enumerated(tamper, monkeypatch):
+    x = _off_presentation(tamper)
+    enumerated = _enumerated(x)
+    calls = [_spy(monkeypatch, "_associativity"), _spy(monkeypatch, "_frobenius_law")]
+    report = verify_frobenius(x)
+    assert list(map(len, calls)) == [1, 1]
+    for c in report.checks:
+        if c.name in PROVED:
+            assert c.residual == enumerated[c.name], c.name
+    # zeta_8^(mu nu) is no cocycle on Z_4: (b_2 b_2) b_1 has the exponents 4 + 0 and
+    # b_2 (b_2 b_1) has 2 + 6 = 0 mod 8
+    assert report.all_pass == (tamper != "exponent-denominator")
 
 
 def _in_layout(m):
@@ -660,6 +748,18 @@ def test_transpose_is_not_multiplicative():
     report = check_star_homomorphism(Operator(x, x, mat))
     assert not report.all_pass
     assert "multiplicative" in report.failed()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_map_whose_products_leave_the_float_range_is_refused():
+    # the identity on M_2 with one entry 1.6e154: its square on e_00 e_00 passes 1.8e308
+    x = build_quantum_set([2])
+    mat = np.eye(4, dtype=complex)
+    mat[0, 0] = 1.6e154
+    with pytest.raises(InvalidInput, match=r"^f\(e_r e_s\) or f\(e_r\) f\(e_s\) leaves the float range$"):
+        check_star_homomorphism(Operator(x, x, mat))
+    mat[0, 0] = 1e150  # in range: a failed check
+    assert "multiplicative" in check_star_homomorphism(Operator(x, x, mat)).failed()
 
 
 def test_identity_is_star_homomorphism():

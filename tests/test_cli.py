@@ -414,6 +414,18 @@ def test_graph_check_refuses_a_schur_square_that_leaves_the_float_range(capsys, 
     assert code == 0 and err == "" and json.loads(out)["summary"]["outcome"] == "inconclusive"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("flags", [["--json"], []], ids=["json", "table"])
+def test_quotient_refuses_an_adjacency_that_leaves_the_float_range(capsys, tmp_path, flags):
+    # the diagonal embedding doubles the entries it keeps: 2e308 is past the float range
+    path = _with_entries(capsys, tmp_path / "input.json", ["catalog", "m2-full"],
+                         {(i, i): 1e308 for i in range(4)})
+    embedding = tmp_path / "iota.json"
+    embedding.write_text(document_text(docs.operator_to_document(diagonal_embedding(2))))
+    assert run(capsys, "quotient", str(path), str(embedding), *flags) == (
+        2, "", "error: the quotient iota^dag A iota leaves the float range\n")
+
+
 @pytest.mark.parametrize("command", ["set-check", "graph-check"])
 def test_a_set_spec_with_two_presentations_is_refused(capsys, tmp_path, command):
     # a twisted Z_2^2 set that also claims to be M_3: neither presentation wins

@@ -772,6 +772,63 @@ def test_writer_matches_the_stdlib_encoding_on_runs(doc, write_chunk):
     assert got == stdlib_dumps(doc)
 
 
+@st.composite
+def diagonal_arrays(draw):
+    """An N x N complex array, N from 1 to 9, whose off-diagonal entries are one value
+    and whose diagonal is any, with where to put a value that JSON cannot spell."""
+    from qgraphs.kernels import unit_root
+
+    n = draw(st.integers(1, 9))
+    off = draw(st.one_of(st.sampled_from([0.0, -0.0, 1e-300, 0.12345678901234568]),
+                         st.floats(allow_nan=False, allow_infinity=False),
+                         st.builds(unit_root, st.integers(0, 11), st.integers(1, 12))))
+    a = np.full((n, n), complex(off))
+    a[np.arange(n), np.arange(n)] = [complex(*p) for p in draw(
+        st.lists(st.tuples(FLOATS, FLOATS), min_size=n, max_size=n))]
+    return a, draw(st.sampled_from(["diagonal", "off-diagonal", "one entry"])), draw(st.sampled_from(
+        [complex(np.nan, 0), complex(0, np.inf), complex(-np.inf, 1)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(diagonal_arrays())
+def test_writer_matches_the_stdlib_encoding_on_diagonal_arrays(drawn):
+    a, where, bad = drawn
+    doc = {"adjacency": a, "kind": "quantum-graph"}
+    assert "".join(docs.encode(doc)) == stdlib_dumps(doc)
+    n = len(a)
+    if where == "diagonal":
+        a[n - 1, n - 1] = bad
+    elif where == "off-diagonal":  # all of them: one value still
+        a[~np.eye(n, dtype=bool)] = bad
+    else:
+        a[0, n - 1] = bad
+    if where == "diagonal" or n > 1:
+        with pytest.raises(docs.DocumentError, match="^an output value left the float range"):
+            docs.encode(doc)
+
+
+def test_twisted_adjacencies_skip_the_run_writer(twisted_q9):
+    from conftest import random_generating_multiset, twisted_family
+    from qgraphs.algebra import build_quantum_set
+    from qgraphs.groups import cayley_spectrum, classical_cayley
+
+    rng = np.random.default_rng(29)
+    twisted = [twisted_q9[0]] + [
+        docs.graph_to_document(QuantumGraph(x, np.diag(cayley_spectrum(
+            x.group, random_generating_multiset(x.group, rng))))) for _, x in twisted_family()]
+    group = AbelianGroup((2,) * 7)
+    classical = classical_cayley(group, [tuple(int(i == k) for i in range(7)) for k in range(7)])
+    dense = QuantumGraph(build_quantum_set([8]), rng.standard_normal((64, 64)) + 0j)
+    # two arrays of one shape are written as one stack
+    stack = {"blocks": [np.diag([1.0, 2.0j]), np.diag([3.0j, 4.0])]}
+    others = [docs.graph_to_document(classical), docs.graph_to_document(dense), stack]
+    for doc, stacked in [(doc, False) for doc in twisted] + [(doc, True) for doc in others]:
+        with mock.patch.object(docs, "_stack_texts", wraps=docs._stack_texts) as spy:
+            text = "".join(docs.encode(doc))
+        assert spy.called == stacked
+        assert text == stdlib_dumps(doc)
+
+
 def test_a_report_number_out_of_the_float_range_is_refused():
     from qgraphs.algebra import Check, Report
     from qgraphs.graphs import GraphReport
