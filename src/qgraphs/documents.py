@@ -20,36 +20,32 @@ run of k copies of an entry's text is one string product.  An N x N array
 alone of its shape whose off-diagonal entries all have one (re, im) bit
 pattern, as a twisted adjacency's do, skips the run search: after one
 comparison pass, each row is two slices of one string around its diagonal
-entry, and only the N + 1 distinct values are written.  :func:`loads`
-reads the value of each key that holds a matrix (``adjacency``, ``matrix``,
-``bicharacter``, ``gen_values``), if it is a rectangular array of [re, im]
-pairs, into a float64 array.  An N x N array whose off-diagonal pairs all
-spell one text, as a twisted adjacency's do, is walked row by row, one
-``str.startswith`` and one ``str.find`` a row, and its N diagonal pairs and
-that one text are read by one ``json.loads``: O(N) string operations and no
-run search.  In any other array, runs of the commonest pair's text are found
-by ``str.find`` and checked by where they lie, and the text between them is
-checked by its brackets and commas and read by one ``json.loads`` per chunk.
-``json.loads`` reads the rest and any array that fails a check, so values
-and errors are those of ``json.loads`` + ``np.asarray``.
-
-Both work in bounded chunks (``_READ_CHUNK`` characters of text,
-``_WRITE_CHUNK`` entries of whole rows), so an N x N document costs the
-text, the array and one chunk: on twisted Q_9 (N = 512, a 4 MiB adjacency)
-the ``tracemalloc`` peak of :func:`loads` is about 4.1 MiB and that of
-:func:`encode` about 2.7 MiB, of which 2.6 MB is the text of the pieces it
+entry, and only the N + 1 distinct values are written.  It works in chunks of
+``_WRITE_CHUNK`` entries of whole rows, so it holds the array, the text and one
+chunk: on twisted Q_9 (N = 512, a 4 MiB adjacency) the ``tracemalloc`` peak of
+:func:`encode` is about 2.7 MiB, of which 2.6 MB is the text of the pieces it
 returns.  Those pieces keep a matrix's rows apart, so the CLI writes a
 document without ever holding all of it joined.
+
+:func:`loads` reads one shape with numpy: an N x N array under a matrix key
+(``adjacency``, ``matrix``, ``bicharacter``, ``gen_values``) whose off-diagonal
+pairs all spell one text, as a twisted adjacency's do.  It is walked row by
+row, one ``str.startswith`` and one ``str.find`` a row, and its N diagonal
+pairs and that one text are read by one ``json.loads``: O(N) string operations,
+and the reader holds the text and the array (a peak of about 4.1 MiB on twisted
+Q_9).  One ``json.loads`` reads the rest, any other array included, as lists
+that the consumers convert with ``np.asarray``, so values and errors are those
+of ``json.loads`` + ``np.asarray``.  Such an array costs a Python float per
+entry: classical Q_9 (N = 512, not diagonal) reads in about 0.16 s where a
+twisted one reads in about 2.5 ms.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import re
 import sys
-from collections import Counter
 from typing import Any, Iterator, Optional
 
 import numpy as np
@@ -311,16 +307,10 @@ _STAND_IN = "\x00"
 _QUOTED_STAND_IN = json.dumps(_STAND_IN)
 _OUT_OF_RANGE = "an output value left the float range: JSON has no inf or nan"
 
-# Chunk sizes of the array writer (entries) and reader (characters of text).
-# Timed on a random 64 x 64 block graph and on twisted Q_9 and Q_10, chunks
-# 4x smaller or 4-16x larger read and write no faster; larger ones hold more.
+# Chunk size of the array writer, in entries.  Timed on a random 64 x 64 block
+# graph and on twisted Q_9 and Q_10, chunks 4x smaller or 4-16x larger write no
+# faster; larger ones hold more.
 _WRITE_CHUNK = 1 << 14
-_READ_CHUNK = 1 << 16
-# The reader skips runs of at least _MIN_RUN copies (a power of two, 2 or more)
-# of the commonest of the first _SAMPLE pieces, and cuts more copies than that
-# out of the text it reads: fewer cost more to find or cut than to read.
-_MIN_RUN = 32
-_SAMPLE = 64
 
 
 def encode(doc: dict) -> list[str]:
@@ -497,91 +487,14 @@ def _reject_constant(name: str):
 
 
 # The keys whose values the readers decode with ``_array``; only these values
-# are read with numpy.  Elsewhere an array would reach a consumer that expects
+# are walked.  Elsewhere an array would reach a consumer that expects
 # a list or a scalar (``kind``, ``blocks``, a projection entry [0, 0]) and
 # change its error message, so projection lists are left to json.loads too.
 _ARRAY_KEYS = ("adjacency", "bicharacter", "gen_values", "matrix")
-# the first _SAMPLE pieces of an array's text, each a "[" and the text up to the next
-_SAMPLED = re.compile(r"(?:\[[^\[]*){1,%d}" % _SAMPLE)
 # a JSON string, or one of those keys, its colon and the "[" of its value
 _STRING_OR_ARRAY = re.compile(r'"(?:(?:%s)"[ \t\n\r]*:[ \t\n\r]*(\[)|(?:[^"\\]|\\.)*")'
                               % "|".join(_ARRAY_KEYS), re.DOTALL)
-_OPENS = re.compile(r"(?:\[[ \t\n\r]*)+")
-_PAIR_OPEN = re.compile(r"\[(?![ \t\n\r]*\[)")
-# empty number slots: json.loads refuses "[[1.0,]2.0,[3.0,4.0]]", four numbers when blanked
-_EMPTY_SLOTS = (re.compile(r"\[[ \t\n\r]*,"), re.compile(r",[ \t\n\r]*\]"))
 _NOT_SKELETON = str.maketrans("", "", "-+.0123456789eE \t\n\r")
-_BLANK = str.maketrans("[]|", "   ", "\x00")
-_MARKS = str.maketrans("", "", "-+.0123456789eE \t\n\r[]|")
-
-
-def _skeleton(p: int, q: int, sizes: list[int]) -> str:
-    """The brackets and commas of pairs p .. q - 1, each from its "[" to the next pair's,
-    of an array whose blocks hold ``sizes`` pairs: a row first, the whole array last."""
-    parts = ["[" * len(sizes)] if p == 0 else []
-    for last in range(p - p % sizes[0] + sizes[0] - 1, q, sizes[0]):  # the rows' last pairs
-        closes = 1  # the blocks that end with the row
-        while closes < len(sizes) and (last + 1) % sizes[closes] == 0:
-            closes += 1
-        parts.append("[,]," * (last - p) + "[,]" + "]" * closes
-                     + ("" if closes == len(sizes) else "," + "[" * closes))
-        p = last + 1
-    return "".join(parts) + "[,]," * (q - p)
-
-
-def _run_texts(text: str, start: int) -> list[str]:
-    """``"[" + piece``, 1, 2, 4, ... times, up to the chunk size, for the commonest piece
-    among the first ``_SAMPLE`` after ``text[start]``; [] if it does not repeat there."""
-    pieces = Counter(_SAMPLED.match(text, start)[0].split("[")[1:])
-    piece, n = next(((p, n) for p, n in pieces.most_common() if p.strip(" \t\n\r")), ("", 0))
-    # 2**last copies outrun the chunk or the text; at least _MIN_RUN copies make a run
-    last = max((min(_READ_CHUNK, len(text) - start) // (len(piece) + 1)).bit_length(),
-               _MIN_RUN.bit_length() - 1)
-    return [("[" + piece) * (1 << j) for j in range(last + 1)] if n > 1 else []
-
-
-def _copies(text: str, at: int, powers: list[str], j: int) -> int:
-    """How many copies of ``powers[0]`` follow one another from ``text[at]``, given that
-    ``powers[j]`` (``2**j`` copies) starts there; past twice the last power, fewer."""
-    while j + 1 < len(powers) and text.startswith(powers[j + 1], at):
-        j += 1
-    k, at = 1 << j, at + len(powers[j])
-    for j in range(j - 1, -1, -1):  # the binary digits of the rest
-        if text.startswith(powers[j], at):
-            k, at = k + (1 << j), at + len(powers[j])
-    return k
-
-
-def _read(text: str, pieces: list[list], sizes: list[int], out: np.ndarray, pair: str) -> bool:
-    """Read ``pieces`` of the text between runs, [start, end, first pair, end pair], into
-    ``out``, or return False: joined by "|", their brackets and commas must be their
-    pairs', piece by piece, with no number slot empty.  Past ``_MIN_RUN`` copies of
-    ``pair``, all but the first are cut out; one ``json.loads`` of the rest reads it."""
-    chunk = "|".join([text[a:b] for a, b, _, _ in pieces])
-    if chunk.translate(_NOT_SKELETON) != "|".join([_skeleton(p, q, sizes) for *_, p, q in pieces]):
-        return False
-    copies = chunk.count(pair) > _MIN_RUN if pair else False  # a NUL for each but the first
-    cut = chunk.replace(pair, "\x00").replace("\x00", pair, 1) if copies else chunk
-    closed = pieces[-1][3] == sizes[-1]  # else the chunk ends after a comma
-    try:  # a JSON integer becomes the float that float() makes of it, as in _numbers
-        values = np.array(json.loads("[" + cut.translate(_BLANK) + ("]" if closed else " 0]")),
-                          np.float64)
-    except (ValueError, OverflowError):  # not JSON numbers, or beyond the float range
-        return False
-    if not np.isfinite(values).all() or any(e.search(cut) for e in _EMPTY_SLOTS):
-        return False
-    values = values[:None if closed else -1].view(np.complex128)
-    if copies:  # a pair's mark: its commas (one at the array's end); a copy's: NUL
-        copy = np.frombuffer(cut.translate(_MARKS).replace(",,", ",").encode(), np.uint8) == 0
-        full = np.full(len(copy), values[cut.count(",", 0, cut.index(pair)) // 2])
-        full[~copy] = values
-        values = full
-    if len(pieces) == 1:
-        out[pieces[0][2]:pieces[0][3]] = values
-        return True
-    starts, counts = np.array([[p, q - p] for _, _, p, q in pieces]).T
-    out[np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(len(values))] = values
-    return True
 
 
 def _diagonal_walk(text: str, start: int) -> Optional[tuple[np.ndarray, int]]:
@@ -630,66 +543,6 @@ def _diagonal_walk(text: str, start: int) -> Optional[tuple[np.ndarray, int]]:
     return out, at + 2
 
 
-def _lift(text: str, start: int) -> Optional[tuple[np.ndarray, int]]:
-    """The float64 array spelled from ``text[start]`` on, and where it ends, if that is a
-    rectangular array of [re, im] pairs of JSON numbers, at least 2-D; else None.
-
-    :func:`_diagonal_walk` reads an N x N array whose off-diagonal pairs all spell one
-    text, in O(N) string comparisons.  Any other array is read by runs: one pass finds
-    runs of ``_MIN_RUN`` or more copies of the commonest piece (:func:`_run_texts`) by
-    ``str.find`` and ``str.startswith``, accepted where no pair of theirs ends a row (a
-    copy spells "[,],"), and counts the commas between (a pair's index is half the
-    commas before it) up to the last "]" before a '"'.  :func:`_read` reads that text
-    in chunks of about ``_READ_CHUNK`` characters cut before a pair's "[", each run's
-    first copy in it; the run takes that value.
-    """
-    walked = _diagonal_walk(text, start)
-    if walked is not None:
-        return walked
-    depth = _OPENS.match(text, start)[0].count("[") - 1  # the axes but the pairs'
-    # the pairs of the first row, and of each larger first block, which k + 1 "]" close
-    ends = [re.compile(r"\](?:[ \t\n\r]*\]){%d}" % k).search(text, start) for k in range(1, depth)]
-    blocks = [(text.count(",", start, end.start()) + 1) // 2 if end else 0 for end in ends]
-    if 0 in blocks or any(b % a for a, b in zip(blocks, blocks[1:])):
-        return None
-    powers = _run_texts(text, start)
-    shortest = _MIN_RUN.bit_length() - 1  # powers[shortest]: the shortest run skipped
-    stretches = []  # pieces of the text between runs, [start, end, first pair, end pair]
-    at, pair, commas, end = start, 0, 0, 0
-    while not end:
-        run = text.find(powers[shortest], at) if powers else -1
-        key = text.find('"', at, len(text) if run < 0 else run)  # a value ends before a key
-        if run < 0 or key >= 0:
-            end = stop = text.rfind("]", at, len(text) if key < 0 else key) + 1
-            if not end:
-                return None
-        else:  # a run's first copy is read with the text before it, for the run's value
-            run, k = run + len(powers[0]), _copies(text, run, powers, shortest) - 1
-            stop = run
-        while at < stop:
-            cut = _PAIR_OPEN.search(text, at + _READ_CHUNK, stop)  # None in a short text
-            cut = stop if cut is None else cut.start()
-            commas += text.count(",", at, cut)
-            if commas % 2 != (cut == end):  # a pair's "[" follows two commas per pair
-                return None
-            stretches.append([at, cut, pair, (commas + 1) // 2])
-            at, pair = cut, (commas + 1) // 2
-        if not end:
-            if blocks and pair % blocks[0] + k >= blocks[0]:  # a run must not end a row
-                return None
-            pair, commas, at = pair + k, commas + 2 * k, run + k * len(powers[0])
-    sizes = blocks + [pair]  # pairs per block, a row first, the whole array last
-    out = np.empty(pair, np.complex128)
-    offsets = itertools.accumulate((b - a for a, b, _, _ in stretches), initial=0)
-    if not all(_read(text, list(batch), sizes, out, powers[0] if powers else "") for _, batch
-               in itertools.groupby(stretches, lambda _: next(offsets) // _READ_CHUNK)):
-        return None
-    for (_, _, _, q), (_, _, p, _) in zip(stretches, stretches[1:]):
-        out[q:p] = out[q - 1]  # a run, after its first copy
-    shape = [outer // inner for inner, outer in zip(sizes, sizes[1:])][::-1] + [sizes[0], 2]
-    return out.view(np.float64).reshape(shape), end
-
-
 def _json(text: str, hook: Any = None) -> Any:
     """``json.loads(text)`` with NaN and Infinity refused, and with nesting deeper than
     it recurses or a number of more digits than ``int`` reads a DocumentError."""
@@ -705,35 +558,42 @@ def _json(text: str, hook: Any = None) -> Any:
 
 
 def _parse(text: str) -> Any:
-    """The JSON value of ``text``; arrays under ``_ARRAY_KEYS`` come back as float64 arrays.
+    """The JSON value of ``text``.  An array under one of ``_ARRAY_KEYS`` that
+    :func:`_diagonal_walk` reads comes back as a float64 array; any other stays lists.
 
-    A scan skips strings and stops at each of those keys' "[": :func:`_lift` reads the
-    array and says where it ends.  In the text given to ``json.loads``, each array
-    read is the string NUL + its index; a text that spells NUL is all left to it.  Only
-    a text that holds a backslash can spell NUL, so most are never scanned for "\\u0000".
+    A scan skips strings and stops at each of those keys' "[": the walk reads the array
+    and says where it ends, or refuses it.  In the text given to ``json.loads``, each
+    array walked is a string of NULs and its index, with more NULs than the longest run
+    of "\\u0000" escapes the text spells, so no string of the text can pass for one.
+    Only a text that holds a backslash can spell NUL, so most are never searched for
+    "\\u0000".
     """
-    spells_nul = "\\" in text and "\\u0000" in text
-    arrays, parts, done, at = [], [], 0, len(text) if spells_nul else 0
+    nuls = _STAND_IN  # more NULs than any string of the text holds in a row
+    if "\\" in text:  # only a backslash spells NUL
+        while json.dumps(nuls)[1:-1] in text:  # doubled: k NULs in a row cost log k searches
+            nuls *= 2
+    quoted = json.dumps(nuls)[:-1]
+    arrays, parts, done, at = [], [], 0, 0
     while match := _STRING_OR_ARRAY.search(text, at):  # text[:done] is in parts
         at = match.end()
-        lifted = None if match.start(1) < 0 else _lift(text, match.start(1))
-        if lifted is not None:
-            parts += [text[done:match.start(1)], f'"\\u0000{len(arrays)}"']
-            arrays.append(lifted[0])
-            done = at = lifted[1]
+        walked = None if match.start(1) < 0 else _diagonal_walk(text, match.start(1))
+        if walked is not None:
+            parts += [text[done:match.start(1)], f'{quoted}{len(arrays)}"']
+            arrays.append(walked[0])
+            done = at = walked[1]
 
     def restore(obj: dict) -> dict:
         for key in _ARRAY_KEYS:
             v = obj.get(key)
-            if type(v) is str and v[:1] == _STAND_IN:
-                obj[key] = arrays[int(v[1:])]
+            if type(v) is str and v.startswith(nuls):
+                obj[key] = arrays[int(v[len(nuls):])]
         return obj
 
     rest = "".join(parts + [text[done:]]) if arrays else text
     try:
         value = _json(rest, restore if arrays else None)
     except json.JSONDecodeError:
-        try:  # the lifted arrays are valid JSON: the text fails too, and places the error
+        try:  # the walked arrays are valid JSON: the text fails too, and places the error
             _json(text)
         except json.JSONDecodeError as exc:
             raise DocumentError(
@@ -747,7 +607,9 @@ def _parse(text: str) -> Any:
 
 
 def loads(text: str) -> dict:
-    """The document ``text`` holds; its matrices come back as float64 arrays of [re, im] pairs."""
+    """The document ``text`` holds.  A matrix the diagonal walk reads comes back as a float64
+    array of [re, im] pairs, any other as the lists of ``json.loads``: the readers of each
+    kind convert both."""
     doc = _parse(text)
     if not isinstance(doc, dict):
         raise DocumentError("document root must be a JSON object")

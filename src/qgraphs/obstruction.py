@@ -144,9 +144,10 @@ def schur_closure(
         span = np.vstack([span, w.reshape(1, full) / residual])
 
     for trace, mat in zip("IJA", (c.eye(), c.unit(), c.a)):
-        # the plain norm of a seed under- or overflows outside about 1e+-154:
-        # there the seed is measured against its largest entry first
-        if math.sqrt(abs(np.vdot(mat, mat).real)) in (0.0, math.inf) and max_abs(mat) > 0:
+        # the plain norm of a seed under- or overflows outside about 1e+-154 (to
+        # NaN where the dot product forms inf - inf): there the seed is measured
+        # against its largest entry first
+        if not 0.0 < math.sqrt(abs(np.vdot(mat, mat).real)) < math.inf and max_abs(mat) > 0:
             mat = mat / max_abs(mat)
         try_add(trace, mat, floor=0.0)
 

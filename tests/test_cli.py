@@ -692,7 +692,8 @@ def _slots(value, path=()):
 
 @settings(max_examples=300, deadline=None)
 @given(base=st.sampled_from(sorted(_FUZZ_BASES)), data=st.data(), value=_JSON_VALUES,
-       tol=_TOLS, command=st.sampled_from(["graph-check", "rotate", "obstruct", "iso-check"]))
+       tol=_TOLS, command=st.sampled_from(["graph-check", "rotate", "obstruct", "iso-check",
+                                           "subgraph", "quotient", "set-check"]))
 def test_cli_exit_contract_under_fuzzed_documents(tmp_path_factory, base, data, value, tol,
                                                   command):
     doc = copy.deepcopy(_FUZZ_BASES[base])
@@ -708,9 +709,13 @@ def test_cli_exit_contract_under_fuzzed_documents(tmp_path_factory, base, data, 
     operator.write_text(json.dumps(_FUZZ_BASES["operator"]))
     if command == "iso-check":
         files = [graph, graph, fuzzed] if base == "operator" else [fuzzed, graph, operator]
+    elif command == "quotient":  # a fuzzed map, or a fuzzed graph
+        files = [graph, fuzzed] if base == "operator" else [fuzzed, operator]
     else:
         files = [fuzzed]
-    argv = [command, *map(str, files), "--json"] + ([] if tol is None else [f"--tol={tol!r}"])
+    options = ["--keep", "0"] if command == "subgraph" else []
+    argv = [command, *map(str, files), *options, "--json"] + (
+        [] if tol is None else [f"--tol={tol!r}"])
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)

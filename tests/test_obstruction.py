@@ -38,11 +38,13 @@ def test_gell_mann_certificate():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("scale", [1e-170, 1e-100, 1e-10, 1e-6, 1.0, 1e150, 1e300])
+@pytest.mark.parametrize("scale", [1e-170, 1e-100, 1e-10, 1e-6, 1.0, 1e150, 1e300,
+                                   complex(1.3407807929942597e154, 1.3407807929942597e154)])
 def test_scaled_down_gell_mann_still_certifies(scale):
     # seeds enter the closure at any non-zero norm, also where their plain
-    # norm under- or overflows (outside about 1e+-154); only products and
-    # images of unit-norm members are cut at rounding level
+    # norm under- or overflows (outside about 1e+-154), or is NaN because the
+    # complex dot product forms inf - inf; only products and images of
+    # unit-norm members are cut at rounding level
     g = gell_mann_graph()
     res = classical_obstruction(QuantumGraph(g.set, scale * g.adjacency))
     assert isinstance(res, Certificate)
