@@ -12,32 +12,35 @@ malformed entry (ragged rows, strings, null, booleans, NaN/Inf, missing
 keys, a number of more digits than ``int`` reads, nesting deeper than
 ``json.loads`` recurses) is refused with a ``DocumentError``.
 
-The builders keep matrices and vectors as complex numpy arrays.  The one
-writer, :func:`encode`, writes each row of an array as runs of equal entries,
-found by comparing each entry's (re, im) bits with the one before: each
-distinct value that starts a run is written once by ``float.__repr__``, and a
-run of k copies of an entry's text is one string product.  An N x N array
-alone of its shape whose off-diagonal entries all have one (re, im) bit
-pattern, as a twisted adjacency's do, skips the run search: after one
-comparison pass, each row is two slices of one string around its diagonal
-entry, and only the N + 1 distinct values are written.  It works in chunks of
-``_WRITE_CHUNK`` entries of whole rows, so it holds the array, the text and one
-chunk: on twisted Q_9 (N = 512, a 4 MiB adjacency) the ``tracemalloc`` peak of
-:func:`encode` is about 2.7 MiB, of which 2.6 MB is the text of the pieces it
-returns.  Those pieces keep a matrix's rows apart, so the CLI writes a
-document without ever holding all of it joined.
+The builders keep matrices and vectors as complex numpy arrays, and a graph
+held by its diagonal (a twisted Cayley graph) as a :class:`DiagonalArray` of its
+N-vector.  The one writer, :func:`encode`, writes each row of an array as runs
+of equal entries, found by comparing each entry's (re, im) bits with the one
+before: each distinct value that starts a run is written once by
+``float.__repr__``, and a run of k copies of an entry's text is one string
+product.  A :class:`DiagonalArray` is written from its diagonal: each row is two
+slices of one string of zeros around its diagonal entry, and only the N + 1
+distinct values are written, with no pass over N^2 entries: on twisted Q_9
+(N = 512) the ``tracemalloc`` peak of :func:`encode` is about 2.6 MiB, the text
+of the pieces it returns.  The run writer works in chunks of ``_WRITE_CHUNK``
+entries of whole rows, so it holds the array, the text and one chunk.  The
+pieces keep a matrix's rows apart, so the CLI writes a document without ever
+holding all of it joined.
 
 :func:`loads` reads one shape with numpy: an N x N array under a matrix key
 (``adjacency``, ``matrix``, ``bicharacter``, ``gen_values``) whose off-diagonal
 pairs all spell one text, as a twisted adjacency's do.  It is walked row by
 row, one ``str.startswith`` and one ``str.find`` a row, and its N diagonal
-pairs and that one text are read by one ``json.loads``: O(N) string operations,
-and the reader holds the text and the array (a peak of about 4.1 MiB on twisted
-Q_9).  One ``json.loads`` reads the rest, any other array included, as lists
-that the consumers convert with ``np.asarray``, so values and errors are those
-of ``json.loads`` + ``np.asarray``.  Such an array costs a Python float per
-entry: classical Q_9 (N = 512, not diagonal) reads in about 0.16 s where a
-twisted one reads in about 2.5 ms.
+pairs and that one text are read by one ``json.loads``: O(N) string operations.
+When that text reads as (+0.0, +0.0) the array comes back as a
+:class:`DiagonalArray` of the N pairs, which :func:`graph_from_document` turns
+into a graph held by its diagonal, so the reader holds the text and N pairs (a
+``tracemalloc`` peak of about 0.14 MiB on twisted Q_9); otherwise as the
+(N, N, 2) float64 array.  One ``json.loads`` reads the rest, any other array
+included, as lists that the consumers convert with ``np.asarray``, so values
+and errors are those of ``json.loads`` + ``np.asarray``.  Such an array costs
+a Python float per entry: classical Q_9 (N = 512, not diagonal) reads in about
+0.16 s where a twisted one reads in about 0.7 ms.
 """
 
 from __future__ import annotations
@@ -72,6 +75,27 @@ def array_to_json(a: Any) -> list:
     """A complex scalar, vector or matrix as [re, im] pairs nested like ``a``."""
     a = np.asarray(a, dtype=complex)
     return np.ascontiguousarray(a).reshape(-1).view(np.float64).reshape(a.shape + (2,)).tolist()
+
+
+class DiagonalArray:
+    """An N x N array that is zero off its diagonal, held by its N diagonal entries d.
+
+    :func:`graph_to_document` puts a graph held by its diagonal in this form, whose
+    array is the complex ``np.diag(d)``.  :func:`loads` returns in it (``pairs``
+    true) an array the diagonal walk reads whose off-diagonal pairs are all
+    (+0.0, +0.0); its array is the (N, N, 2) float64 one of [re, im] pairs that
+    ``json.loads`` + ``np.asarray`` give, bit for bit.  ``np.asarray`` forms the
+    array; :func:`encode` and :func:`graph_from_document` take d as it is.
+    """
+
+    def __init__(self, d: np.ndarray, pairs: bool = False) -> None:
+        self.d, self.pairs = d, pairs
+
+    def __array__(self, dtype: Any = None, copy: Any = None) -> np.ndarray:
+        a = np.diag(self.d)
+        if self.pairs:
+            a = a.view(np.float64).reshape(a.shape + (2,))
+        return a if dtype is None else a.astype(dtype, copy=False)
 
 
 def _numbers(v: Any, what: str) -> np.ndarray:
@@ -197,12 +221,20 @@ def document(kind: str, metadata: Optional[dict], **body: Any) -> dict:
 
 
 def graph_to_document(g: QuantumGraph, metadata: Optional[dict] = None) -> dict:
-    return document("quantum-graph", metadata, set=set_to_spec(g.set), adjacency=g.adjacency)
+    """The graph as a document; a graph held by its diagonal puts a :class:`DiagonalArray`."""
+    a = g.adjacency if g.diagonal is None else DiagonalArray(g.diagonal)
+    return document("quantum-graph", metadata, set=set_to_spec(g.set), adjacency=a)
 
 
 def graph_from_document(doc: Any, tol: float = DEFAULT_TOL) -> QuantumGraph:
+    """The graph a document holds: held by its diagonal when :func:`loads` read the
+    adjacency as a :class:`DiagonalArray`, else by its matrix."""
     spec, adjacency = _open(doc, "quantum-graph", "set", "adjacency")
     x = set_from_spec(spec, tol=tol)
+    if isinstance(adjacency, DiagonalArray) and adjacency.pairs:
+        if not np.isfinite(adjacency.d).all():
+            raise DocumentError("adjacency has a non-finite entry")
+        return QuantumGraph(set=x, diagonal=adjacency.d)
     return QuantumGraph(set=x, adjacency=_array(adjacency, "adjacency"))
 
 
@@ -318,17 +350,21 @@ def encode(doc: dict) -> list[str]:
 
     Joined, the pieces are byte for byte ``json.dumps(..., sort_keys=True,
     allow_nan=False, separators=(",", ": "))`` of the document with each
-    complex numpy array replaced by its nested [re, im] lists and any other
-    array by its ``tolist()``.  So the float64 [re, im] arrays :func:`loads`
-    returns are written as they were read: ``"".join(encode(loads(text))) +
-    "\n"`` is a document's text as the CLI wrote it.  A non-finite value
-    raises ``DocumentError``: the output has no JSON form.  A writer that
-    writes the pieces one by one never holds the whole text, and writes
-    nothing of a document that fails.
+    complex numpy array replaced by its nested [re, im] lists, each
+    :class:`DiagonalArray` by those of ``np.asarray`` of it (written from its
+    diagonal, never formed) and any other array by its ``tolist()``.  So the
+    arrays :func:`loads` returns are written as they were read:
+    ``"".join(encode(loads(text))) + "\n"`` is a document's text as the CLI
+    wrote it.  A non-finite value raises ``DocumentError``: the output has no
+    JSON form.  A writer that writes the pieces one by one never holds the
+    whole text joined, and writes nothing of a document that fails.
     """
-    arrays: list[np.ndarray] = []
+    arrays: list[np.ndarray | DiagonalArray] = []
 
     def stand_in(obj: Any) -> Any:
+        if isinstance(obj, DiagonalArray):
+            arrays.append(obj)
+            return _STAND_IN
         if not isinstance(obj, np.ndarray):
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
         if not np.iscomplexobj(obj):
@@ -354,24 +390,21 @@ def encode(doc: dict) -> list[str]:
     return out
 
 
-def _array_texts(arrays: list[np.ndarray]) -> Iterator[tuple[str, ...]]:
+def _array_texts(arrays: list[np.ndarray | DiagonalArray]) -> Iterator[tuple[str, ...]]:
     """The JSON text of each array in turn, as a tuple of pieces; the arrays of
-    one shape are written as one stack.  One at a time: a projection document
-    can hold a million arrays, and an object per array would cost the
-    collector more than the writing."""
+    one shape are written as one stack, and a :class:`DiagonalArray` from its
+    diagonal.  One at a time: a projection document can hold a million arrays,
+    and an object per array would cost the collector more than the writing."""
     by_shape: dict[tuple, list[np.ndarray]] = {}
     for a in arrays:
-        by_shape.setdefault(a.shape, []).append(a)
+        if not isinstance(a, DiagonalArray):
+            by_shape.setdefault(a.shape, []).append(a)
     texts = {}
     for shape, same in by_shape.items():
-        pieces = _diagonal_texts(same[0]) if len(same) == 1 else None
-        if pieces is not None:
-            texts[shape] = iter([tuple(pieces)])
-            continue
         pieces, c = _stack_texts(np.asarray(same[0])[None] if len(same) == 1 else np.array(same))
         texts[shape] = zip(*[iter(pieces)] * c)  # c pieces at a time
     for a in arrays:
-        yield next(texts[a.shape])
+        yield tuple(_diagonal_texts(a.d)) if isinstance(a, DiagonalArray) else next(texts[a.shape])
 
 
 def _bracketed(texts: list[str]) -> list[str]:
@@ -384,35 +417,24 @@ def _bracketed(texts: list[str]) -> list[str]:
     return pieces
 
 
-def _diagonal_texts(a: np.ndarray) -> Optional[list[str]]:
-    """The pieces of the JSON text of an N x N array, N >= 2, whose off-diagonal entries
-    all have one (re, im) bit pattern, as a twisted Cayley adjacency's do; else None,
-    after one comparison pass, and :func:`_stack_texts` writes it.
+def _diagonal_texts(d: np.ndarray) -> list[str]:
+    """The pieces of the JSON text of ``np.diag(d)``, a graph's adjacency held by its
+    diagonal, with no pass over its N^2 entries.
 
-    Row i is i copies of that entry's text, the diagonal entry's and N - 1 - i copies,
-    each run a slice of one string of N - 1 copies.  Only the N + 1 distinct values are
-    written by ``float.__repr__`` and checked to be finite.
+    Row i is i copies of the zero's text, d_i's and N - 1 - i copies, each run a slice
+    of one string of N - 1 copies.  Only the N + 1 distinct values are written by
+    ``float.__repr__`` and checked to be finite, so the array is never formed.
     """
-    n = a.shape[0] if a.ndim == 2 else 0
-    if n < 2 or a.shape[1] != n:
-        return None
-    a = np.ascontiguousarray(a, dtype=complex)
-    bits = a.reshape(-1).view(np.uint64)
-    # the (re, im) bits after the first entry's, N + 1 entries a row: each row's last is
-    # on the diagonal; compared about _WRITE_CHUNK entries at a time
-    rows, unit = bits[2:].reshape(n - 1, 2 * n + 2)[:, :2 * n], np.tile(bits[2:4], n)
-    step = max(1, _WRITE_CHUNK // n)
-    if not all((rows[r:r + step] == unit).all() for r in range(0, n - 1, step)):
-        return None
-    values = np.append(np.diagonal(a), a[0, 1])
+    n = len(d)
+    values = np.append(d, 0j)
     if not np.isfinite(values).all():
         raise DocumentError(_OUT_OF_RANGE)
     *diagonal, pair = [f"[{x!r},{y!r}]" for x, y in
                        values.view(np.float64).reshape(-1, 2).tolist()]
     u = len(pair) + 1
     before, after = (pair + ",") * (n - 1), ("," + pair) * (n - 1)
-    return _bracketed(["".join(("[", before[:i * u], d, after[:(n - 1 - i) * u], "]"))
-                       for i, d in enumerate(diagonal)])
+    return _bracketed(["".join(("[", before[:i * u], t, after[:(n - 1 - i) * u], "]"))
+                       for i, t in enumerate(diagonal)])
 
 
 def _stack_texts(stack: np.ndarray) -> tuple[list[str], int]:
@@ -497,10 +519,12 @@ _STRING_OR_ARRAY = re.compile(r'"(?:(?:%s)"[ \t\n\r]*:[ \t\n\r]*(\[)|(?:[^"\\]|\
 _NOT_SKELETON = str.maketrans("", "", "-+.0123456789eE \t\n\r")
 
 
-def _diagonal_walk(text: str, start: int) -> Optional[tuple[np.ndarray, int]]:
+def _diagonal_walk(text: str, start: int) -> Optional[tuple[np.ndarray | DiagonalArray, int]]:
     """The N x N array spelled from ``text[start]`` on, and where it ends, if all its
     off-diagonal [re, im] pairs spell one text, as a twisted Cayley adjacency's do; else
-    None, before anything of its size is allocated.
+    None, before anything of its size is allocated.  When that text reads as
+    (+0.0, +0.0) the array is a :class:`DiagonalArray` of its N diagonal pairs;
+    otherwise it is the (N, N, 2) float64 array, filled through its complex view.
 
     The unit is row 0's second pair and the separator before it; N follows from row 0's
     length.  Between diagonal pairs i and i + 1 the text must be N - 1 - i units, turned
@@ -537,10 +561,14 @@ def _diagonal_walk(text: str, start: int) -> Optional[tuple[np.ndarray, int]]:
         values = np.array(json.loads("[" + joined + "]"), np.float64)
     except (ValueError, OverflowError):  # not JSON numbers, or beyond the float range
         return None
-    out = np.empty((n, n, 2))  # 1e400 is inf, as json.loads reads it: consumers refuse it
-    out[...] = values[-1]
-    out[np.arange(n), np.arange(n)] = values[:-1]
-    return out, at + 2
+    # 1e400 is inf, as json.loads reads it: consumers refuse it
+    pairs = values.view(np.complex128)[:, 0]
+    if not values[-1].view(np.uint64).any():  # (+0.0, +0.0): the zero np.diag fills in
+        return DiagonalArray(pairs[:-1], pairs=True), at + 2
+    out = np.empty((n, n), np.complex128)
+    out[...] = pairs[-1]
+    np.fill_diagonal(out, pairs[:-1])
+    return out.view(np.float64).reshape(n, n, 2), at + 2
 
 
 def _json(text: str, hook: Any = None) -> Any:
@@ -559,7 +587,7 @@ def _json(text: str, hook: Any = None) -> Any:
 
 def _parse(text: str) -> Any:
     """The JSON value of ``text``.  An array under one of ``_ARRAY_KEYS`` that
-    :func:`_diagonal_walk` reads comes back as a float64 array; any other stays lists.
+    :func:`_diagonal_walk` reads comes back as it returns it; any other stays lists.
 
     A scan skips strings and stops at each of those keys' "[": the walk reads the array
     and says where it ends, or refuses it.  In the text given to ``json.loads``, each
@@ -607,9 +635,11 @@ def _parse(text: str) -> Any:
 
 
 def loads(text: str) -> dict:
-    """The document ``text`` holds.  A matrix the diagonal walk reads comes back as a float64
-    array of [re, im] pairs, any other as the lists of ``json.loads``: the readers of each
-    kind convert both."""
+    """The document ``text`` holds.  A matrix the diagonal walk reads comes back as a
+    :class:`DiagonalArray` when it is zero off its diagonal, else as a float64 array of
+    [re, im] pairs; any other as the lists of ``json.loads``.  ``np.asarray`` gives the
+    array ``json.loads`` + ``np.asarray`` give, bit for bit, and the readers of each kind
+    take all three."""
     doc = _parse(text)
     if not isinstance(doc, dict):
         raise DocumentError("document root must be a JSON object")

@@ -1,8 +1,9 @@
 """Quantum graphs: rotation, Schur-product calculus and the predicate battery.
 
 A quantum graph on X is stored canonically through its adjacency operator,
-an N x N matrix on l2(X) in the orthonormal basis.  The edge projection is
-a derived view obtained by "rotation":
+an N x N matrix on l2(X) in the orthonormal basis, or a diagonal one by its
+diagonal alone.  The edge projection is a derived view obtained by
+"rotation":
 
 * abstractly, the edge element is ``A_tilde = A F`` as an N x N coefficient
   matrix in the e_p (x) e_q basis (F is the duality/star matrix), and the
@@ -30,11 +31,12 @@ group's cyclic factors) it is pointwise.  :func:`_diagonal_schur` and
 N-vectors and O(N log N); ``schur_product`` uses them on diagonal operands.
 
 A graph's Schur calculus is chosen once, by :func:`_calculus`, after one pass
-over A that refuses non-finite entries: the diagonal calculus on N-vectors
-when the set is group-indexed, A is exactly diagonal and eta has at most one
-nonzero entry (a twisted Cayley graph), and the matrix calculus on N x N
-matrices for every other graph.  The predicate battery, the edge spectrum
-and the obstruction's closure each run one body on the calculus it returns.
+that refuses non-finite entries, over the diagonal of a graph held by it and
+over A otherwise: the diagonal calculus on N-vectors when the set is
+group-indexed, A is exactly diagonal and eta has at most one nonzero entry (a
+twisted Cayley graph), and the matrix calculus on N x N matrices for every
+other graph.  The predicate battery, the edge spectrum and the obstruction's
+closure each run one body on the calculus it returns.
 """
 
 from __future__ import annotations
@@ -59,20 +61,38 @@ from .errors import InvalidInput, ResourceLimit
 from .kernels import gram_schmidt, hermitian_eigs, max_abs, orthogonal_part, scale_of
 
 
-@dataclass(eq=False)
 class QuantumGraph:
-    """A quantum set together with an adjacency operator on l2(X)."""
+    """A quantum set together with an adjacency operator on l2(X).
 
-    set: QuantumSet
-    adjacency: np.ndarray
+    ``QuantumGraph(x, a)`` holds the N x N matrix a.  ``QuantumGraph(x,
+    diagonal=d)`` holds a diagonal adjacency by its N-vector d alone, as
+    twisted Cayley graphs are built and read: ``diagonal`` is d (None for a
+    graph held by its matrix), and ``adjacency`` forms ``np.diag(d)`` on
+    first read and keeps it.  The Schur calculus, the document writer and the
+    obstruction take d as it is, so they form no N x N array.
+    """
 
-    def __post_init__(self) -> None:
-        self.adjacency = np.asarray(self.adjacency, dtype=complex)
-        if self.adjacency.shape != (self.set.N, self.set.N):
-            raise InvalidInput(
-                f"adjacency has shape {self.adjacency.shape}, expected "
-                f"({self.set.N}, {self.set.N})"
-            )
+    def __init__(self, set: QuantumSet, adjacency=None, *, diagonal=None) -> None:
+        if (adjacency is None) == (diagonal is None):
+            raise InvalidInput("a quantum graph needs exactly one of adjacency and diagonal")
+        self.set = set
+        if diagonal is None:
+            self.diagonal, self._adjacency = None, np.asarray(adjacency, dtype=complex)
+            shape = self._adjacency.shape
+        else:
+            self.diagonal, self._adjacency = np.asarray(diagonal, dtype=complex), None
+            if self.diagonal.ndim != 1:
+                raise InvalidInput(f"diagonal has shape {self.diagonal.shape}, "
+                                   f"expected ({set.N},)")
+            shape = self.diagonal.shape * 2
+        if shape != (set.N, set.N):
+            raise InvalidInput(f"adjacency has shape {shape}, expected ({set.N}, {set.N})")
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        if self._adjacency is None:
+            self._adjacency = np.diag(self.diagonal)
+        return self._adjacency
 
 
 @dataclass(eq=False)
@@ -314,19 +334,24 @@ def projection_to_adjacency(p: EdgeProjection) -> QuantumGraph:
 def _finite_diagonal(g: QuantumGraph) -> Optional[np.ndarray]:
     """The diagonal d of A when the set is group-indexed and A is exactly diagonal.
 
-    One pass over A decides it: a NaN or infinity off the diagonal counts as
-    a nonzero entry, so only d itself is left to check for finiteness.
-    Returns None for any other finite adjacency; raises InvalidInput on
-    non-finite entries.
+    A graph held by its diagonal (``g.diagonal``) gives d with no pass over
+    N^2 entries; only d is checked for finiteness.  Otherwise one pass over
+    A decides it: a NaN or infinity off the diagonal counts as a nonzero
+    entry, so only d itself is left to check.  Returns None for any other
+    finite adjacency; raises InvalidInput on non-finite entries.
     """
-    a = g.adjacency
-    if g.set.group is not None and _is_exactly_diagonal(a):
-        d = np.diagonal(a)
-        if np.isfinite(d).all():
-            return d
-    elif np.isfinite(a).all():
-        return None
-    raise InvalidInput("adjacency has non-finite entries")
+    d = g.diagonal
+    if d is None:
+        a = g.adjacency
+        if g.set.group is not None and _is_exactly_diagonal(a):
+            d = np.diagonal(a)
+        elif np.isfinite(a).all():
+            return None
+        else:
+            raise InvalidInput("adjacency has non-finite entries")
+    if not np.isfinite(d).all():
+        raise InvalidInput("adjacency has non-finite entries")
+    return d if g.set.group is not None else None
 
 
 def _connection(x: QuantumSet, d: np.ndarray) -> np.ndarray:
@@ -483,11 +508,13 @@ def graph_report(g: QuantumGraph, tol: float = DEFAULT_TOL) -> GraphReport:
     when A . A, A . I or I . A leaves the float range.  The battery runs
     once, in the Schur calculus :func:`_calculus` chooses.  On a diagonal
     adjacency on a group-indexed set (a twisted Cayley graph) that is
-    N-vectors after one pass over A: A . A squares the connection
-    function f, A . I = I . A = f(0) 1, the star and the adjoint are
-    permuted and conjugated copies of the diagonal d, and the counts come
-    from d u; no N x N array is formed and neither ``schur_product`` nor
-    ``schur_star`` is called.
+    N-vectors: A . A squares the connection function f, A . I = I . A =
+    f(0) 1, the star and the adjoint are permuted and conjugated copies of
+    the diagonal d, and the counts come from d u; neither ``schur_product``
+    nor ``schur_star`` is called.  A graph held by its diagonal (as
+    ``twisted_cayley`` builds it and ``graph_from_document`` reads it) is
+    checked in O(N log N) with no N x N array; one held by its matrix costs
+    one pass over A first.
     """
     x = g.set
     c = _calculus(g)

@@ -228,10 +228,13 @@ def twist_quantum_set(group: AbelianGroup, sigma: Bicharacter) -> QuantumSet:
 
 def twisted_cayley(group: AbelianGroup, gens: Iterable[Sequence[int]],
                    sigma: Bicharacter) -> "QuantumGraph":
-    """Twisted Cayley graph: diagonal adjacency with the classical eigenvalues."""
+    """Twisted Cayley graph: diagonal adjacency with the classical eigenvalues.
+
+    The graph is held by its diagonal, the N eigenvalues, so no N x N array
+    is formed until ``adjacency`` is read.
+    """
     from .graphs import QuantumGraph
 
     x = twist_quantum_set(group, sigma)
-    lam = cayley_spectrum(group, gens)
-    return QuantumGraph(set=x, adjacency=np.diag(lam))
+    return QuantumGraph(set=x, diagonal=cayley_spectrum(group, gens))
 

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -662,13 +663,15 @@ _TOLS = st.one_of(st.none(), st.floats(min_value=1e-12, max_value=1e-3),
 
 
 def _fuzz_bases():
-    """Small valid documents: graphs on a block set and a twisted set, and an operator."""
+    """Small valid documents: graphs on a block set and on twisted sets of N = 2 and 8 (the
+    larger one's fuzzed texts reach the diagonal walk and the diagonal-held graph), and an
+    operator."""
     block = anticommutative_square()
-    twisted = cube_like_graph(1, hypercube_generators(1))
     op = Operator(block.set, block.set, np.eye(4, dtype=complex))
     return {name: json.loads(document_text(doc)) for name, doc in (
         ("block", docs.graph_to_document(block)),
-        ("twisted", docs.graph_to_document(twisted)),
+        ("twisted", docs.graph_to_document(cube_like_graph(1, hypercube_generators(1)))),
+        ("twisted-q3", docs.graph_to_document(cube_like_graph(3, hypercube_generators(3)))),
         ("operator", docs.operator_to_document(op)))}
 
 
@@ -717,11 +720,17 @@ def test_cli_exit_contract_under_fuzzed_documents(tmp_path_factory, base, data, 
     argv = [command, *map(str, files), *options, "--json"] + (
         [] if tol is None else [f"--tol={tol!r}"])
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    # a warning (overflow, a NaN rounded) is an error here, whatever the pytest options
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = main(argv)
     assert code in (0, 1, 2), (argv, doc, err.getvalue())
     assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue(), \
         (argv, doc, err.getvalue())
+    if code == 2:  # bad input is named on exactly one line
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, \
+            (argv, doc, err.getvalue())
 
 
 # -- the command pipeline and the preset tables -------------------------------

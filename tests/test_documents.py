@@ -14,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 from qgraphs import documents as docs
 from qgraphs.clifford import cube_like_graph, hypercube_generators
 from qgraphs.errors import InvalidInput
-from qgraphs.graphs import QuantumGraph
+from qgraphs.graphs import QuantumGraph, graph_report
 from qgraphs.groups import AbelianGroup
+from qgraphs.obstruction import classical_obstruction
 
 
 def reference_complex_to_json(z):
@@ -149,6 +150,8 @@ def stdlib_dumps(doc):
     """The reference: every complex array replaced by its nested [re, im] lists, any
     other array by its plain numbers."""
     def plain(v):
+        if isinstance(v, docs.DiagonalArray):
+            v = np.asarray(v)
         if isinstance(v, np.ndarray) and not np.iscomplexobj(v):
             return v.tolist()
         if isinstance(v, np.ndarray):
@@ -284,12 +287,13 @@ def test_reader_arrays_are_those_of_json_loads_and_asarray(array_text, colon):
     got, want = docs.loads(text), json.loads(text)
     reference = np.asarray(want["adjacency"]).astype(np.float64)
     assert docs._numbers(got["adjacency"], "a").tobytes() == reference.tobytes()
-    # an array comes back as an ndarray exactly when the walk reads it; every other key's
-    # value is left to json.loads
+    # an array comes back as an ndarray, or a DiagonalArray when its off-diagonal pairs
+    # read as (+0.0, +0.0), exactly when the walk reads it; every other key's value is
+    # left to json.loads
     walked = docs._diagonal_walk(text, text.index("[")) is not None
-    assert isinstance(got["adjacency"], np.ndarray) == walked
+    assert isinstance(got["adjacency"], (np.ndarray, docs.DiagonalArray)) == walked
     if walked:
-        assert got["adjacency"].shape == reference.shape
+        assert np.asarray(got["adjacency"]).shape == reference.shape
     else:
         assert got["adjacency"] == want["adjacency"]
     assert got["m"] == want["m"] and not isinstance(got["m"], np.ndarray)
@@ -433,8 +437,8 @@ def test_reader_gives_the_json_loads_outcome_after_a_walked_array(name):
     text = READER_CORPUS[name].replace("{", "{" + WALKED_ENTRY, 1)
     want = _outcome(reference_loads, text)
     assert _outcome(docs.loads, text) == want
-    if want[0] == "ok":
-        assert isinstance(docs.loads(text)["matrix"], np.ndarray)
+    if want[0] == "ok":  # the walked matrix, zero off its diagonal, is held by its diagonal
+        assert isinstance(docs.loads(text)["matrix"], docs.DiagonalArray)
 
 
 def _adjacency_outcome(read, text, key="adjacency"):
@@ -699,7 +703,8 @@ def test_twisted_adjacencies_are_walked_and_others_read_by_json_loads(twisted_q9
         text = document_text(doc)
         got, walked = _spied_loads(text)
         assert walked[0] is not None  # "adjacency" is the first key
-        assert got["adjacency"].tobytes() == np.asarray(json.loads(text)["adjacency"]).tobytes()
+        assert (np.asarray(got["adjacency"]).tobytes()
+                == np.asarray(json.loads(text)["adjacency"]).tobytes())
     group = AbelianGroup((2,) * 7)
     classical = classical_cayley(group, [tuple(int(i == k) for i in range(7)) for k in range(7)])
     dense = rng.standard_normal((64, 64, 2)).tolist()
@@ -777,14 +782,18 @@ def test_twisted_adjacencies_skip_the_run_writer(twisted_q9):
 
     rng = np.random.default_rng(29)
     twisted = [twisted_q9[0]] + [
-        docs.graph_to_document(QuantumGraph(x, np.diag(cayley_spectrum(
-            x.group, random_generating_multiset(x.group, rng))))) for _, x in twisted_family()]
+        docs.graph_to_document(QuantumGraph(x, diagonal=cayley_spectrum(
+            x.group, random_generating_multiset(x.group, rng)))) for _, x in twisted_family()]
     group = AbelianGroup((2,) * 7)
     classical = classical_cayley(group, [tuple(int(i == k) for i in range(7)) for k in range(7)])
     dense = QuantumGraph(build_quantum_set([8]), rng.standard_normal((64, 64)) + 0j)
+    # a twisted graph held by its N x N matrix is written by runs
+    q9 = cube_like_graph(9, hypercube_generators(9))
+    matrix_held = QuantumGraph(q9.set, q9.adjacency)
     # two arrays of one shape are written as one stack
     stack = {"blocks": [np.diag([1.0, 2.0j]), np.diag([3.0j, 4.0])]}
-    others = [docs.graph_to_document(classical), docs.graph_to_document(dense), stack]
+    others = [docs.graph_to_document(classical), docs.graph_to_document(dense),
+              docs.graph_to_document(matrix_held), stack]
     for doc, stacked in [(doc, False) for doc in twisted] + [(doc, True) for doc in others]:
         with mock.patch.object(docs, "_stack_texts", wraps=docs._stack_texts) as spy:
             text = "".join(docs.encode(doc))
@@ -824,8 +833,9 @@ def test_a_text_that_spells_nul_still_walks_its_arrays(twisted_q9, escapes):
     spelled = text.replace('"metadata": {}', metadata, 1)
     assert spelled != text
     got = docs.loads(spelled)
-    assert isinstance(got["adjacency"], np.ndarray)
-    assert np.array_equal(got["adjacency"].view(complex)[..., 0], doc["adjacency"])
+    assert isinstance(got["adjacency"], docs.DiagonalArray)
+    assert np.array_equal(np.asarray(got["adjacency"]).view(complex)[..., 0],
+                          np.asarray(doc["adjacency"]))
     assert got["metadata"] == json.loads(spelled)["metadata"]
 
 
@@ -845,12 +855,20 @@ def _traced_peak(f, *args):
         tracemalloc.stop()
 
 
-# the codec holds the text, the array and one chunk: no Python object per entry
+# the reader holds the text and the N diagonal pairs: no N x N array, no object per entry
 def test_loads_memory_on_a_twisted_hypercube(twisted_q9):
     doc, text = twisted_q9
-    assert np.array_equal(docs.loads(text)["adjacency"].view(complex)[..., 0], doc["adjacency"])
+    assert np.array_equal(np.asarray(docs.loads(text)["adjacency"]).view(complex)[..., 0],
+                          np.asarray(doc["adjacency"]))
     peak = _traced_peak(docs.loads, text)
-    assert peak <= 2 * doc["adjacency"].nbytes, peak  # 8 MiB
+    assert peak <= 2 ** 20, peak  # the adjacency alone would be 4 MiB
+
+
+@pytest.mark.parametrize("check", [graph_report, classical_obstruction])
+def test_reading_and_checking_a_twisted_hypercube_forms_no_n_by_n_array(twisted_q9, check):
+    text = twisted_q9[1]
+    peak = _traced_peak(lambda: check(docs.graph_from_document(docs.loads(text))))
+    assert peak <= 2 ** 20, peak  # the adjacency alone would be 4 MiB
 
 
 def test_encode_memory_on_a_twisted_hypercube(twisted_q9):
